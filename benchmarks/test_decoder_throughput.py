@@ -1,10 +1,18 @@
 """Benchmarks: pipeline throughput per stage, backend and batch size.
 
 ``BENCH_decoder.json`` (the name is historical — it now covers the whole
-pipeline) collects three sections: the turbo-decoder kernel comparison
-below, the end-to-end llr-dtype link benchmark, and the link front-end
-section (seed-serial vs batched transmit/channel/equalize/demap) produced
-by :mod:`repro.runner.bench` / ``repro bench front-end``.
+pipeline) collects four sections: the turbo-decoder kernel comparison
+below, the decoder backend-family sweep, the end-to-end llr-dtype link
+benchmark, and the link front-end section (seed-serial vs batched
+transmit/channel/equalize/demap) produced by :mod:`repro.runner.bench`.
+
+These tests write their sections to ``BENCH_decoder.json`` in pytest's
+temporary directory (``<basetemp>/BENCH_decoder.json``; pass ``--basetemp
+DIR`` to keep it) and assert against that file, so running the suite never
+touches the committed snapshot at the repository root.  Only the explicit
+``repro bench front-end`` / ``repro bench decoder`` commands write the
+committed copy; the non-gating ``decoder-bench`` CI job copies this run's
+file over it, runs those commands and uploads the result per commit.
 
 Decoder section:
 
@@ -19,10 +27,7 @@ calls) for
 
 at the batch sizes that occur at smoke scale: 8 (one work-item chunk /
 fault-map die) and 32 (the cross-work-item aggregated batch,
-``DEFAULT_AGGREGATE_PACKETS``), plus 128 for headroom.  Results are written
-to ``BENCH_decoder.json`` at the repository root; the committed copy is the
-reference-container snapshot, and the non-gating ``decoder-bench`` CI job
-regenerates and uploads it as an artifact per commit.
+``DEFAULT_AGGREGATE_PACKETS``), plus 128 for headroom.
 
 Set ``REPRO_BENCH_STRICT=1`` to also assert the engine's speedup targets —
 numpy backend >= 3x the seed kernel at the aggregated batch sizes (>= 32)
@@ -35,9 +40,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.experiments.scales import SCALES
 from repro.phy.turbo import TurboCode, TurboDecoder
@@ -46,7 +51,6 @@ from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
 from repro.runner.tasks import DEFAULT_AGGREGATE_PACKETS
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_decoder.json"
 BATCH_SIZES = (8, DEFAULT_AGGREGATE_PACKETS, 128)
 REPEATS = 12
 #: Per-row noise levels cycled through the batch: solid, moderate, hard,
@@ -54,6 +58,16 @@ REPEATS = 12
 NOISE_SIGMAS = (0.8, 1.5, 2.2, 3.0)
 
 _NEG_INF = -1e30
+
+
+@pytest.fixture(scope="module")
+def bench_path(tmp_path_factory):
+    """This run's ``BENCH_decoder.json``, shared by the benchmarks below."""
+    return tmp_path_factory.getbasetemp() / "BENCH_decoder.json"
+
+
+def _read_section(path, key):
+    return json.loads(path.read_text())[key]
 
 
 # --------------------------------------------------------------------------- #
@@ -201,7 +215,7 @@ def _throughput(decode, batch_inputs, block_size: int, batch: int) -> float:
     return batch * block_size / best
 
 
-def test_decoder_throughput_benchmark():
+def test_decoder_throughput_benchmark(bench_path):
     workload = _build_workload()
     k, iterations = workload.block_size, workload.num_iterations
 
@@ -239,7 +253,7 @@ def test_decoder_throughput_benchmark():
 
     # Read-modify-write: other benchmarks (the link llr_dtype one below)
     # own their own sections of the same file — never clobber them.
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    payload = json.loads(bench_path.read_text()) if bench_path.exists() else {}
     payload.update({
         "block_size": k,
         "num_iterations": iterations,
@@ -253,7 +267,7 @@ def test_decoder_throughput_benchmark():
         "aggregate_packets": DEFAULT_AGGREGATE_PACKETS,
         "available_backends": list(available_backends()),
     })
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print()
     for name, per_batch in results.items():
@@ -262,7 +276,9 @@ def test_decoder_throughput_benchmark():
             print(f"{name:10s} batch={batch:4d}: {value:10.0f} info bits/s ({ratio:4.2f}x seed)")
     print(f"aggregated pipeline (numpy@{DEFAULT_AGGREGATE_PACKETS} vs seed@8): {aggregated_speedup:.2f}x")
 
-    assert all(v > 0 for per in results.values() for v in per.values())
+    recorded = _read_section(bench_path, "info_bits_per_second")
+    assert set(recorded) == set(results)
+    assert all(v > 0 for per in recorded.values() for v in per.values())
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert aggregated_speedup >= 3.0, payload
         for batch in workload.batches:
@@ -273,7 +289,7 @@ def test_decoder_throughput_benchmark():
 # --------------------------------------------------------------------------- #
 # decoder backend-family sweep (families x batch x threads + BLER parity)
 # --------------------------------------------------------------------------- #
-def test_decoder_backend_sweep():
+def test_decoder_backend_sweep(bench_path):
     """Sweep every available decoder family across batch sizes and threads.
 
     Delegates to :mod:`repro.runner.bench` (also exposed as ``repro bench
@@ -292,7 +308,8 @@ def test_decoder_backend_sweep():
     from repro.runner.bench import run_and_record_decoder_backends
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    section = run_and_record_decoder_backends(scale, path=BENCH_PATH)
+    run_and_record_decoder_backends(scale, path=bench_path)
+    section = _read_section(bench_path, "decoder_backends")
     assert all(
         value > 0
         for per_token in section["info_bits_per_second"].values()
@@ -318,7 +335,7 @@ LINK_BENCH_SNR_DB = 14.0
 LINK_BENCH_SEED = 2012
 
 
-def test_link_llr_dtype_benchmark():
+def test_link_llr_dtype_benchmark(bench_path):
     """Measure the float32 end-to-end link-LLR mode against the default.
 
     Times full packet lifetimes (transmit -> channel -> equalize -> demap ->
@@ -356,21 +373,23 @@ def test_link_llr_dtype_benchmark():
         "num_packets": LINK_BENCH_PACKETS,
         "snr_db": LINK_BENCH_SNR_DB,
     }
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    payload = json.loads(bench_path.read_text()) if bench_path.exists() else {}
     payload["link_llr_dtype"] = section
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print()
     for mode, value in throughput.items():
         print(f"link llr_dtype={mode}: {value:8.1f} packets/s")
     print(f"float32 vs float64: {section['speedup_f32_vs_f64']:.2f}x")
-    assert all(v > 0 for v in throughput.values())
+    recorded = _read_section(bench_path, "link_llr_dtype")["packets_per_second"]
+    assert set(recorded) == {"float64", "float32"}
+    assert all(v > 0 for v in recorded.values())
 
 
 # --------------------------------------------------------------------------- #
 # link front-end benchmark (batched vs the preserved pre-batching serial path)
 # --------------------------------------------------------------------------- #
-def test_front_end_benchmark():
+def test_front_end_benchmark(bench_path):
     """Measure the batched link front end against the seed serial copy.
 
     Delegates to :mod:`repro.runner.bench` (also exposed as ``repro bench
@@ -389,7 +408,8 @@ def test_front_end_benchmark():
     )
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    section = run_and_record_front_end(scale, path=BENCH_PATH)
+    run_and_record_front_end(scale, path=bench_path)
+    section = _read_section(bench_path, "front_end")
     assert all(
         value > 0
         for per_path in section["packets_per_second"].values()

@@ -90,14 +90,7 @@ class JakesFadingRealization:
 
     def gains(self, start_sample: int, num_samples: int) -> np.ndarray:
         """Complex gains of samples ``[start_sample, start_sample + num_samples)``."""
-        num_samples = ensure_positive_int(num_samples, "num_samples")
-        if start_sample < 0:
-            raise ValueError("start_sample must be non-negative")
-        t = (start_sample + np.arange(num_samples)) / self.sample_rate_hz
-        n = self.doppler_shifts.size
-        in_phase = np.sum(np.cos(np.outer(t, self.doppler_shifts) + self.phases_i), axis=1)
-        quadrature = np.sum(np.sin(np.outer(t, self.doppler_shifts) + self.phases_q), axis=1)
-        return (in_phase + 1j * quadrature) / np.sqrt(n)
+        return jakes_gains_batch([self], start_sample, num_samples)[0]
 
 
 def jakes_gains_batch(
@@ -107,8 +100,7 @@ def jakes_gains_batch(
 
     All realisations must share one sample rate (they come from the same
     process).  The evaluation is elementwise plus a contiguous last-axis
-    reduction, so each output row is bit-identical to
-    ``realizations[i].gains(start_sample, num_samples)``.
+    reduction, so each output row does not depend on the other rows.
     """
     num_samples = ensure_positive_int(num_samples, "num_samples")
     if start_sample < 0:

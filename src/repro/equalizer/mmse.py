@@ -19,7 +19,10 @@ from repro.utils.validation import ensure_positive_int
 
 @dataclass
 class MmseEqualizerOutput:
-    """Result of equalizing one block of received samples.
+    """Result of equalizing received blocks.
+
+    :meth:`MmseEqualizer.equalize_batch` stacks one row per packet in every
+    field; :meth:`MmseEqualizer.equalize` returns a single packet's row.
 
     Attributes
     ----------
@@ -36,8 +39,8 @@ class MmseEqualizerOutput:
     """
 
     symbols: np.ndarray
-    effective_noise_variance: float
-    sinr: float
+    effective_noise_variance: "float | np.ndarray"
+    sinr: "float | np.ndarray"
     taps: np.ndarray
 
 
@@ -70,30 +73,6 @@ class MmseEqualizer:
         self._design_cache: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------ #
-    def design(
-        self,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        signal_power: float = 1.0,
-    ) -> tuple[np.ndarray, int, float, float]:
-        """Compute MMSE taps for a channel.
-
-        Returns
-        -------
-        tuple
-            ``(taps, delay, bias, residual_variance)`` — *bias* is the
-            effective complex gain on the desired symbol; *residual_variance*
-            is the variance of interference plus noise at the equalizer
-            output (before bias compensation).
-        """
-        h = np.asarray(impulse_response, dtype=np.complex128).reshape(-1)
-        if h.size == 0:
-            raise ValueError("impulse_response must be non-empty")
-        taps, delay, bias, residual = self.design_batch(
-            h[None, :], np.asarray([noise_variance], dtype=np.float64), signal_power
-        )
-        return taps[0], delay, complex(bias[0]), float(residual[0])
-
     def _design_key(self, h: np.ndarray, noise_variance: float, signal_power: float):
         return (h.tobytes(), float(noise_variance), float(signal_power))
 
@@ -110,19 +89,22 @@ class MmseEqualizer:
         noise_variances: np.ndarray,
         signal_power: float = 1.0,
     ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-        """Row-wise :meth:`design` with stacked linear algebra.
+        """Compute MMSE taps for a stack of channels.
 
         The covariance build, the linear solve and the combined-response
-        product run as batched gemm/``np.linalg.solve``/matmul calls, which
-        are bit-identical to their per-packet counterparts; rows whose exact
-        ``(impulse response, noise variance, signal power)`` triple was
-        designed before are served from the filter cache without re-solving.
+        product run as batched gemm/``np.linalg.solve``/matmul calls; rows
+        whose exact ``(impulse response, noise variance, signal power)``
+        triple was designed before are served from the filter cache without
+        re-solving.
 
         Returns
         -------
         tuple
             ``(taps, delay, bias, residual_variance)`` with shapes
-            ``(batch, num_taps)``, scalar, ``(batch,)``, ``(batch,)``.
+            ``(batch, num_taps)``, scalar, ``(batch,)``, ``(batch,)`` —
+            *bias* is the effective complex gain on the desired symbol;
+            *residual_variance* is the variance of interference plus noise at
+            the equalizer output (before bias compensation).
         """
         h2d = np.asarray(impulse_responses, dtype=np.complex128)
         if h2d.ndim != 2 or h2d.shape[1] == 0:
@@ -211,66 +193,6 @@ class MmseEqualizer:
         return taps, bias, residual
 
     # ------------------------------------------------------------------ #
-    def equalize(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        num_symbols: int,
-        signal_power: float = 1.0,
-    ) -> MmseEqualizerOutput:
-        """Equalize a received block.
-
-        Parameters
-        ----------
-        received:
-            Received samples (length >= num_symbols + L - 1, i.e. the full
-            convolution output).
-        impulse_response:
-            Channel impulse response used for the design.
-        noise_variance:
-            Complex noise variance at the receiver input.
-        num_symbols:
-            Number of transmitted symbols to recover.
-        signal_power:
-            Average transmit symbol energy.
-        """
-        r = np.asarray(received, dtype=np.complex128).reshape(-1)
-        h = np.asarray(impulse_response, dtype=np.complex128).reshape(-1)
-        taps, delay, bias, residual_variance = self.design(
-            impulse_response, noise_variance, signal_power
-        )
-        # The design estimates s[k - L + 1 + delay] from the window
-        # [r[k], ..., r[k + nf - 1]], i.e. symbol n is estimated as
-        #   y[n] = sum_i conj(taps[i]) * r[n + (L - 1 - delay) + i].
-        # Implemented as a full convolution with the reversed conjugate taps,
-        # then sampled at offset n + nf + L - 2 - delay.
-        filtered = np.convolve(r, np.conj(taps)[::-1])
-        offset = self.num_taps + h.size - 2 - delay
-        indices = np.arange(num_symbols) + offset
-        if indices[-1] >= filtered.size or indices[0] < 0:
-            raise ValueError("received block too short for the requested symbol count")
-        raw = filtered[indices]
-
-        bias_abs2 = np.abs(bias) ** 2
-        if bias_abs2 < 1e-30:
-            # Degenerate design (zero channel) — return unusable, very noisy output.
-            return MmseEqualizerOutput(
-                symbols=np.zeros(num_symbols, dtype=np.complex128),
-                effective_noise_variance=1e30,
-                sinr=0.0,
-                taps=taps,
-            )
-        symbols = raw / bias
-        effective_noise_variance = residual_variance / bias_abs2
-        sinr = float(signal_power * bias_abs2 / max(residual_variance, 1e-30))
-        return MmseEqualizerOutput(
-            symbols=symbols,
-            effective_noise_variance=effective_noise_variance,
-            sinr=sinr,
-            taps=taps,
-        )
-
     def equalize_batch(
         self,
         received: np.ndarray,
@@ -278,19 +200,35 @@ class MmseEqualizer:
         noise_variances: np.ndarray,
         num_symbols: int,
         signal_power: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`equalize` for a batch of packets.
+    ) -> MmseEqualizerOutput:
+        """Equalize a batch of received blocks, one packet per row.
+
+        Parameters
+        ----------
+        received:
+            ``(batch, n)`` received samples (``n >= num_symbols + L - 1``,
+            i.e. the full convolution output).
+        impulse_responses:
+            ``(batch, L)`` channel impulse responses used for the design.
+        noise_variances:
+            Per-packet complex noise variance at the receiver input.
+        num_symbols:
+            Number of transmitted symbols to recover.
+        signal_power:
+            Average transmit symbol energy.
 
         The tap design runs as one stacked solve (through the filter cache);
         the filtering itself stays a per-packet ``np.convolve`` because a
-        batched shifted-tap accumulation is not bit-identical to the serial
-        convolution.
+        batched shifted-tap accumulation is not bit-identical to it.  A
+        degenerate design (zero channel) yields zero symbols, effective noise
+        ``1e30`` and SINR 0 for its row.
 
         Returns
         -------
-        tuple
-            ``(symbols, effective_noise_variance)`` with shapes
-            ``(batch, num_symbols)`` and ``(batch,)``.
+        MmseEqualizerOutput
+            Row-stacked fields: ``symbols`` ``(batch, num_symbols)``,
+            ``effective_noise_variance`` and ``sinr`` ``(batch,)``, ``taps``
+            ``(batch, num_taps)``.
         """
         r2d = np.asarray(received, dtype=np.complex128)
         h2d = np.asarray(impulse_responses, dtype=np.complex128)
@@ -300,6 +238,11 @@ class MmseEqualizer:
             h2d, noise_variances, signal_power
         )
         batch = r2d.shape[0]
+        # The design estimates s[k - L + 1 + delay] from the window
+        # [r[k], ..., r[k + nf - 1]], i.e. symbol n is estimated as
+        #   y[n] = sum_i conj(taps[i]) * r[n + (L - 1 - delay) + i].
+        # Implemented as a full convolution with the reversed conjugate taps,
+        # then sampled at offset n + nf + L - 2 - delay.
         offset = self.num_taps + h2d.shape[1] - 2 - delay
         indices = np.arange(num_symbols) + offset
         filtered_size = r2d.shape[1] + self.num_taps - 1
@@ -312,15 +255,37 @@ class MmseEqualizer:
 
         bias_abs2 = np.abs(bias) ** 2
         degenerate = bias_abs2 < 1e-30
-        if degenerate.any():
-            # Degenerate design (zero channel) — unusable, very noisy output.
-            safe_bias = np.where(degenerate, 1.0, bias)
-            symbols = raw / safe_bias[:, None]
-            symbols[degenerate] = 0.0
-            effective_noise = np.where(
-                degenerate, 1e30, residual / np.where(degenerate, 1.0, bias_abs2)
-            )
-        else:
-            symbols = raw / bias[:, None]
-            effective_noise = residual / bias_abs2
-        return symbols, effective_noise
+        symbols = raw / np.where(degenerate, 1.0, bias)[:, None]
+        symbols[degenerate] = 0.0
+        effective_noise = np.where(
+            degenerate, 1e30, residual / np.where(degenerate, 1.0, bias_abs2)
+        )
+        sinr = np.where(
+            degenerate, 0.0, float(signal_power) * bias_abs2 / np.maximum(residual, 1e-30)
+        )
+        return MmseEqualizerOutput(
+            symbols=symbols, effective_noise_variance=effective_noise, sinr=sinr, taps=taps
+        )
+
+    def equalize(
+        self,
+        received: np.ndarray,
+        impulse_response: np.ndarray,
+        noise_variance: float,
+        num_symbols: int,
+        signal_power: float = 1.0,
+    ) -> MmseEqualizerOutput:
+        """:meth:`equalize_batch` for one received block."""
+        out = self.equalize_batch(
+            np.asarray(received, dtype=np.complex128).reshape(1, -1),
+            np.asarray(impulse_response, dtype=np.complex128).reshape(1, -1),
+            [noise_variance],
+            num_symbols,
+            signal_power,
+        )
+        return MmseEqualizerOutput(
+            symbols=out.symbols[0],
+            effective_noise_variance=float(out.effective_noise_variance[0]),
+            sinr=float(out.sinr[0]),
+            taps=out.taps[0],
+        )

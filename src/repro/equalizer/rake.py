@@ -38,39 +38,6 @@ class RakeReceiver:
         order = nonzero[np.argsort(powers[nonzero])[::-1]]
         return order[: self.max_fingers]
 
-    def combine(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        num_symbols: int,
-    ) -> tuple[np.ndarray, float]:
-        """MRC-combine the received samples.
-
-        Returns
-        -------
-        tuple
-            ``(symbols, effective_noise_variance)`` — symbol estimates after
-            normalising the combined channel gain, and the per-symbol
-            effective noise variance (ignoring inter-path interference, which
-            is the RAKE's intrinsic approximation).
-        """
-        r = np.asarray(received, dtype=np.complex128).reshape(-1)
-        h = np.asarray(impulse_response, dtype=np.complex128).reshape(-1)
-        delays = self.finger_delays(h)
-        if delays.size == 0:
-            return np.zeros(num_symbols, dtype=np.complex128), float("inf")
-        total_gain = float(np.sum(np.abs(h[delays]) ** 2))
-        combined = np.zeros(num_symbols, dtype=np.complex128)
-        for delay in delays:
-            segment = r[delay : delay + num_symbols]
-            if segment.size < num_symbols:
-                segment = np.pad(segment, (0, num_symbols - segment.size))
-            combined += np.conj(h[delay]) * segment
-        symbols = combined / total_gain
-        effective_noise_variance = float(noise_variance) / total_gain
-        return symbols, effective_noise_variance
-
     def combine_batch(
         self,
         received: np.ndarray,
@@ -78,19 +45,23 @@ class RakeReceiver:
         noise_variances: np.ndarray,
         num_symbols: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`combine` for a batch of packets.
+        """MRC-combine the received samples of a batch of packets.
 
-        Finger selection stays per packet (the order is a per-realisation
-        power sort), but when every packet selects the same finger *count* —
-        the generic case for a fixed delay profile — the per-finger
-        accumulation runs across the whole batch in the serial finger order,
-        which keeps the floating-point accumulation bit-identical.
+        Finger selection is per packet (the order is a per-realisation power
+        sort).  Packets are grouped by finger count, and each group
+        accumulates its fingers across the whole group in finger order, so
+        every row sums exactly the terms a lone packet would, in the same
+        order.  A packet with no non-zero tap gets zero symbols and infinite
+        noise variance.
 
         Returns
         -------
         tuple
             ``(symbols, effective_noise_variance)`` with shapes
-            ``(batch, num_symbols)`` and ``(batch,)``.
+            ``(batch, num_symbols)`` and ``(batch,)`` — symbol estimates
+            after normalising the combined channel gain, and the per-symbol
+            effective noise variance (ignoring inter-path interference, which
+            is the RAKE's intrinsic approximation).
         """
         r2d = np.asarray(received, dtype=np.complex128)
         h2d = np.asarray(impulse_responses, dtype=np.complex128)
@@ -99,29 +70,39 @@ class RakeReceiver:
         nv = np.asarray(noise_variances, dtype=np.float64).reshape(-1)
         batch = r2d.shape[0]
         delay_rows = [self.finger_delays(h2d[i]) for i in range(batch)]
-        num_fingers = {d.size for d in delay_rows}
-        if len(num_fingers) != 1 or 0 in num_fingers:
-            # Ragged or empty finger sets (zero taps) — fall back per packet.
-            symbols = np.empty((batch, num_symbols), dtype=np.complex128)
-            effective = np.empty(batch, dtype=np.float64)
-            for i in range(batch):
-                symbols[i], effective[i] = self.combine(
-                    r2d[i], h2d[i], float(nv[i]), num_symbols
-                )
-            return symbols, effective
-        delays = np.stack(delay_rows)
-        rows = np.arange(batch)
-        finger_gains = h2d[rows[:, None], delays]  # (batch, fingers), finger order
-        total_gain = np.sum(np.abs(finger_gains) ** 2, axis=1)
-        combined = np.zeros((batch, num_symbols), dtype=np.complex128)
+        finger_counts = np.array([d.size for d in delay_rows])
+        symbols = np.zeros((batch, num_symbols), dtype=np.complex128)
+        effective_noise = np.full(batch, np.inf)
         sample_range = np.arange(num_symbols)
-        for k in range(delays.shape[1]):
-            cols = delays[:, k][:, None] + sample_range[None, :]
-            valid = cols < r2d.shape[1]
-            segment = np.where(
-                valid, r2d[rows[:, None], np.minimum(cols, r2d.shape[1] - 1)], 0.0
-            )
-            combined += np.conj(finger_gains[:, k])[:, None] * segment
-        symbols = combined / total_gain[:, None]
-        effective_noise = nv / total_gain
+        for count in np.unique(finger_counts[finger_counts > 0]):
+            rows = np.flatnonzero(finger_counts == count)
+            delays = np.stack([delay_rows[i] for i in rows])
+            finger_gains = h2d[rows[:, None], delays]  # (rows, fingers), finger order
+            total_gain = np.sum(np.abs(finger_gains) ** 2, axis=1)
+            combined = np.zeros((rows.size, num_symbols), dtype=np.complex128)
+            for k in range(count):
+                cols = delays[:, k][:, None] + sample_range[None, :]
+                valid = cols < r2d.shape[1]
+                segment = np.where(
+                    valid, r2d[rows[:, None], np.minimum(cols, r2d.shape[1] - 1)], 0.0
+                )
+                combined += np.conj(finger_gains[:, k])[:, None] * segment
+            symbols[rows] = combined / total_gain[:, None]
+            effective_noise[rows] = nv[rows] / total_gain
         return symbols, effective_noise
+
+    def combine(
+        self,
+        received: np.ndarray,
+        impulse_response: np.ndarray,
+        noise_variance: float,
+        num_symbols: int,
+    ) -> tuple[np.ndarray, float]:
+        """:meth:`combine_batch` for one packet."""
+        symbols, effective_noise = self.combine_batch(
+            np.asarray(received, dtype=np.complex128).reshape(1, -1),
+            np.asarray(impulse_response, dtype=np.complex128).reshape(1, -1),
+            [noise_variance],
+            num_symbols,
+        )
+        return symbols[0], float(effective_noise[0])

@@ -15,7 +15,7 @@ the paper's fault simulator corrupts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -266,25 +266,9 @@ class TransmissionSoftBuffer:
         words = self._slot_arrays[slot].read_words()
         return self.quantizer.words_to_llrs(words), self._slot_redundancy_versions[slot]
 
-    def combined_mother_llrs(self, derate_match) -> np.ndarray:
-        """Sum all stored transmissions in the mother-code domain.
-
-        Parameters
-        ----------
-        derate_match:
-            Callable ``(channel_llrs, redundancy_version) -> mother_llrs``
-            (typically the receiver's de-interleave + de-rate-match stage).
-        """
-        combined: Optional[np.ndarray] = None
-        for slot in range(self.num_slots):
-            if not self._occupied[slot]:
-                continue
-            llrs, redundancy_version = self.load_transmission(slot)
-            mother = np.asarray(derate_match(llrs, redundancy_version), dtype=np.float64)
-            combined = mother if combined is None else combined + mother
-        if combined is None:
-            raise ValueError("no transmissions stored yet")
-        return combined
+    def combined_mother_llrs(self, to_mother_domain_batch) -> np.ndarray:
+        """:func:`combined_mother_rows` for this buffer alone."""
+        return combined_mother_rows([self], to_mother_domain_batch)[0]
 
     def clear(self) -> None:
         """Flush all slots (ACK received or process re-used)."""
@@ -297,3 +281,60 @@ class TransmissionSoftBuffer:
         """Fraction of faulty cells across the whole buffer."""
         total_faults = sum(a.fault_map.num_faults for a in self._slot_arrays)
         return total_faults / self.num_cells
+
+
+def combined_mother_rows(
+    buffers: Sequence[TransmissionSoftBuffer], to_mother_domain_batch
+) -> np.ndarray:
+    """Read back and sum every stored transmission in the mother-code domain.
+
+    This is the HARQ read-combine: one output row per buffer.  Slots are
+    visited in ascending order, so each buffer's transient-upset stream
+    advances in the same order whether it is read alone or with others, and
+    each row accumulates its transmissions in ascending-slot order.  Rows
+    read from the same slot with the same redundancy version share one
+    de-interleave / de-rate-match call.
+
+    Parameters
+    ----------
+    buffers:
+        Per-transmission soft buffers, one per output row.
+    to_mother_domain_batch:
+        Callable ``(channel_llr_rows, redundancy_version) -> mother_rows``
+        (typically the receiver's de-interleave + de-rate-match stage).
+    """
+    batch = len(buffers)
+    combined: Optional[np.ndarray] = None
+    seen = np.zeros(batch, dtype=bool)
+    for slot in range(max(buffer.num_slots for buffer in buffers)):
+        rows = [
+            index
+            for index, buffer in enumerate(buffers)
+            if slot < buffer.num_slots and buffer.slot_occupied(slot)
+        ]
+        if not rows:
+            continue
+        loaded = [buffers[index].load_transmission(slot) for index in rows]
+        stacked = np.stack([llrs for llrs, _version in loaded])
+        versions = [version for _llrs, version in loaded]
+        mother: Optional[np.ndarray] = None
+        for version in dict.fromkeys(versions):
+            selector = [j for j, rv in enumerate(versions) if rv == version]
+            part = np.asarray(
+                to_mother_domain_batch(stacked[selector], version), dtype=np.float64
+            )
+            if mother is None:
+                mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
+            mother[selector] = part
+        if combined is None:
+            combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
+        row_indices = np.asarray(rows)
+        first = ~seen[row_indices]
+        if first.any():
+            combined[row_indices[first]] = mother[first]
+        if not first.all():
+            combined[row_indices[~first]] += mother[~first]
+        seen[row_indices] = True
+    if combined is None or not seen.all():
+        raise ValueError("no transmissions stored yet")
+    return combined

@@ -49,76 +49,6 @@ class Receiver:
         self.spreader: Optional[Spreader] = transmitter.spreader
 
     # ------------------------------------------------------------------ #
-    def equalize(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        fading_gains: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, "float | np.ndarray"]:
-        """Recover transmitted symbols and the post-detection noise variance.
-
-        With *fading_gains* (the per-sample intra-packet fading waveform the
-        transmit samples were modulated with), the receiver compensates each
-        recovered sample with perfect CSI: samples are divided by their gain
-        and the effective noise variance becomes a per-symbol array — a deep
-        fade yields near-zero LLRs rather than confidently wrong ones.
-        """
-        num_samples = self.config.symbols_per_transmission
-        if self.spreader is not None:
-            num_samples *= self.spreader.spreading_factor
-        if self.use_rake:
-            symbols, effective_noise = self.rake.combine(
-                received, impulse_response, noise_variance, num_samples
-            )
-        else:
-            output = self.equalizer.equalize(
-                received, impulse_response, noise_variance, num_samples
-            )
-            symbols, effective_noise = output.symbols, output.effective_noise_variance
-        if fading_gains is not None:
-            gains = np.asarray(fading_gains, dtype=np.complex128).reshape(-1)
-            if gains.size != symbols.size:
-                raise ValueError(
-                    f"fading_gains length {gains.size} does not match "
-                    f"{symbols.size} recovered samples"
-                )
-            gain_power = np.maximum(np.abs(gains) ** 2, 1e-30)
-            symbols = symbols * np.conj(gains) / gain_power
-            effective_noise = effective_noise / gain_power
-        if self.spreader is not None:
-            symbols = self.spreader.despread(symbols)
-            # Despreading averages SF chips, reducing the noise variance:
-            # Var(mean of SF chips) = mean(per-chip variance) / SF.
-            sf = self.spreader.spreading_factor
-            if np.ndim(effective_noise):
-                effective_noise = effective_noise.reshape(-1, sf).mean(axis=1) / sf
-            else:
-                effective_noise = effective_noise / sf
-        return symbols, effective_noise
-
-    def demap(
-        self, symbols: np.ndarray, effective_noise_variance: "float | np.ndarray"
-    ) -> np.ndarray:
-        """Soft-demap equalized symbols into channel-bit LLRs.
-
-        The output dtype follows :attr:`LinkConfig.llr_dtype`, so the opt-in
-        float32 mode rounds the LLRs once here and keeps the rest of the
-        receive chain in single precision.
-        """
-        llrs = self.config.modulator.demodulate_soft(symbols, effective_noise_variance)
-        llrs = llrs[: self.config.channel_bits_per_transmission]
-        dtype = self.config.llr_numpy_dtype
-        if llrs.dtype != dtype:
-            llrs = llrs.astype(dtype)
-        return llrs
-
-    def to_mother_domain(self, channel_llrs: np.ndarray, redundancy_version: int) -> np.ndarray:
-        """De-interleave and de-rate-match one transmission's LLRs."""
-        deinterleaved = self.transmitter.channel_interleaver.deinterleave(channel_llrs)
-        return self.transmitter.rate_matcher.derate_match(deinterleaved, redundancy_version)
-
-    # ------------------------------------------------------------------ #
     def equalize_batch(
         self,
         received: np.ndarray,
@@ -126,13 +56,17 @@ class Receiver:
         noise_variances: np.ndarray,
         fading_gains: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`equalize` across a batch of packets.
+        """Recover each packet's transmitted symbols and post-detection noise.
 
         Returns ``(symbols, effective_noise)`` where *symbols* is
         ``(batch, num_symbols)`` and *effective_noise* is per-packet
-        ``(batch,)`` or per-symbol ``(batch, num_symbols)`` when fading
-        compensation (or chip-rate despreading of a faded packet) makes the
-        noise variance sample-dependent.
+        ``(batch,)`` or per-symbol ``(batch, num_symbols)``.
+
+        With *fading_gains* (the per-sample intra-packet fading waveform the
+        transmit samples were modulated with), the receiver compensates each
+        recovered sample with perfect CSI: samples are divided by their gain
+        and the effective noise variance becomes per-symbol — a deep fade
+        yields near-zero LLRs rather than confidently wrong ones.
         """
         num_samples = self.config.symbols_per_transmission
         if self.spreader is not None:
@@ -146,9 +80,8 @@ class Receiver:
                 r2d, impulse_responses, nv, num_samples
             )
         else:
-            symbols, effective_noise = self.equalizer.equalize_batch(
-                r2d, impulse_responses, nv, num_samples
-            )
+            output = self.equalizer.equalize_batch(r2d, impulse_responses, nv, num_samples)
+            symbols, effective_noise = output.symbols, output.effective_noise_variance
         if fading_gains is not None:
             gains = np.asarray(fading_gains, dtype=np.complex128)
             if gains.shape != symbols.shape:
@@ -161,6 +94,8 @@ class Receiver:
             effective_noise = effective_noise[:, None] / gain_power
         if self.spreader is not None:
             symbols = self.spreader.despread_batch(symbols)
+            # Despreading averages SF chips, reducing the noise variance:
+            # Var(mean of SF chips) = mean(per-chip variance) / SF.
             sf = self.spreader.spreading_factor
             if effective_noise.ndim == 2:
                 effective_noise = (
@@ -174,11 +109,14 @@ class Receiver:
     def demap_batch(
         self, symbols: np.ndarray, effective_noise_variances: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`demap` — one flattened soft-demapping pass.
+        """Soft-demap equalized symbols into channel-bit LLRs, one row per packet.
 
-        The max-log demapper is elementwise per symbol, so demapping the
-        flattened batch and reshaping is bit-identical to demapping each row
-        with its own noise variance.
+        The max-log demapper is elementwise per symbol, so the flattened batch
+        is demapped in one pass.  *effective_noise_variances* is per-packet
+        ``(batch,)`` or per-symbol ``(batch, num_symbols)``.  The output dtype
+        follows :attr:`LinkConfig.llr_dtype`, so the opt-in float32 mode
+        rounds the LLRs once here and keeps the rest of the receive chain in
+        single precision.
         """
         sym = np.asarray(symbols, dtype=np.complex128)
         if sym.ndim != 2:
@@ -200,50 +138,28 @@ class Receiver:
             llrs = llrs.astype(dtype)
         return llrs
 
+    def demap(
+        self, symbols: np.ndarray, effective_noise_variance: "float | np.ndarray"
+    ) -> np.ndarray:
+        """:meth:`demap_batch` for one packet (scalar or per-symbol noise)."""
+        noise = np.asarray(effective_noise_variance, dtype=np.float64)
+        noise = noise[None] if noise.ndim else noise.reshape(1)
+        return self.demap_batch(np.asarray(symbols)[None], noise)[0]
+
     def to_mother_domain_batch(
         self, channel_llrs: np.ndarray, redundancy_version: int
     ) -> np.ndarray:
-        """Batched :meth:`to_mother_domain` (gather + scatter per batch)."""
+        """De-interleave and de-rate-match each row of channel LLRs."""
         deinterleaved = self.transmitter.channel_interleaver.deinterleave_batch(channel_llrs)
         return self.transmitter.rate_matcher.derate_match_batch(
             deinterleaved, redundancy_version
         )
 
+    def to_mother_domain(self, channel_llrs: np.ndarray, redundancy_version: int) -> np.ndarray:
+        """:meth:`to_mother_domain_batch` for one transmission."""
+        return self.to_mother_domain_batch(np.asarray(channel_llrs)[None], redundancy_version)[0]
+
     # ------------------------------------------------------------------ #
-    def front_end(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        fading_gains: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Equalize and demap one transmission into channel-bit LLRs.
-
-        These are the LLRs the HARQ memory stores in the per-transmission
-        buffer organisation (before de-interleaving / de-rate-matching).
-        """
-        symbols, effective_noise = self.equalize(
-            received, impulse_response, noise_variance, fading_gains=fading_gains
-        )
-        return self.demap(symbols, effective_noise)
-
-    def process_transmission(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        redundancy_version: int,
-        fading_gains: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Full front-end processing of one (re)transmission.
-
-        Returns the mother-code-domain LLRs ready for HARQ combining.
-        """
-        channel_llrs = self.front_end(
-            received, impulse_response, noise_variance, fading_gains=fading_gains
-        )
-        return self.to_mother_domain(channel_llrs, redundancy_version)
-
     def front_end_batch(
         self,
         received: np.ndarray,
@@ -251,7 +167,11 @@ class Receiver:
         noise_variances: np.ndarray,
         fading_gains: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched :meth:`front_end`: equalize and demap a whole round."""
+        """Equalize and demap a whole round into channel-bit LLRs.
+
+        These are the LLRs the HARQ memory stores in the per-transmission
+        buffer organisation (before de-interleaving / de-rate-matching).
+        """
         symbols, effective_noise = self.equalize_batch(
             received, impulse_responses, noise_variances, fading_gains=fading_gains
         )
@@ -265,25 +185,14 @@ class Receiver:
         redundancy_version: int,
         fading_gains: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched :meth:`process_transmission` for one HARQ round."""
+        """Full front-end processing of one HARQ round's (re)transmissions.
+
+        Returns the mother-code-domain LLRs ready for HARQ combining.
+        """
         channel_llrs = self.front_end_batch(
             received, impulse_responses, noise_variances, fading_gains=fading_gains
         )
         return self.to_mother_domain_batch(channel_llrs, redundancy_version)
-
-    def decode(self, combined_mother_llrs: np.ndarray):
-        """Turbo-decode combined LLRs and check the CRC.
-
-        Returns
-        -------
-        tuple
-            ``(payload_bits, crc_ok, decoder_result)``.
-        """
-        result = self.transmitter.turbo.decode_buffer(combined_mother_llrs)
-        decoded = result.decoded_bits[0]
-        crc_ok = self.config.crc.check(decoded)
-        payload = decoded[: self.config.payload_bits]
-        return payload, bool(crc_ok), result
 
     def decode_batch(self, combined_rows: np.ndarray):
         """Turbo-decode a batch of combined LLR rows and CRC-check each.
@@ -306,3 +215,14 @@ class Receiver:
         decoded = result.decoded_bits
         crc_ok = self.config.crc.check_batch(np.asarray(decoded))
         return decoded, crc_ok, result
+
+    def decode(self, combined_mother_llrs: np.ndarray):
+        """:meth:`decode_batch` for one packet.
+
+        Returns
+        -------
+        tuple
+            ``(payload_bits, crc_ok, decoder_result)``.
+        """
+        decoded, crc_ok, result = self.decode_batch(np.asarray(combined_mother_llrs)[None])
+        return decoded[0][: self.config.payload_bits], bool(crc_ok[0]), result

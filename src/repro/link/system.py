@@ -15,20 +15,24 @@ Two buffer organisations are supported (see
   virtual-IR-buffer organisation); faults therefore corrupt the *combined*
   soft values.
 
-Three simulation paths are provided:
+Every path runs the same batch-first pipeline: each HARQ round takes the
+whole set of still-active packets through one transmit pass, one channel
+pass, one equalize/demap pass, one HARQ read-combine and one turbo-decoder
+call.  Every per-packet random draw comes from that packet's own stream, and
+every stage treats batch rows independently, so a packet's outcome does not
+depend on which other packets share its rounds.  The entry points differ
+only in how many packets they put in the batch:
 
-* :meth:`HspaLikeLink.simulate_single_packet` — one packet at a time;
-  convenient for tests and for tracing a packet's lifetime.
-* :meth:`HspaLikeLink.simulate_packets` — many packets advance through
-  their HARQ rounds in lock-step so that the turbo decoder (the dominant
-  cost) runs on whole batches.
+* :meth:`HspaLikeLink.simulate_single_packet` — a batch of one; convenient
+  for tests and for tracing a packet's lifetime.
+* :meth:`HspaLikeLink.simulate_packets` — the packets of one operating
+  point.
 * :func:`simulate_packet_groups` — the Monte-Carlo workhorse behind
   cross-work-item batch aggregation: several independent packet groups
   (e.g. the chunks of different work items, each with its own seed stream,
-  SNR point and fault map) advance in lock-step and share **one** decoder
-  call per HARQ round.  Because the decoder treats batch rows
-  independently, every group's results are bit-identical to simulating it
-  alone — grouping is purely a throughput optimisation.
+  SNR point and fault map) share every round, so every group's results are
+  bit-identical to simulating it alone — grouping is purely a throughput
+  optimisation.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.channel.fading import jakes_gains_batch
 from repro.channel.multipath import MultipathChannel
-from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer
+from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer, combined_mother_rows
 from repro.harq.controller import HarqPacketResult
 from repro.harq.metrics import HarqStatistics, aggregate_results
 from repro.link.config import LinkConfig
@@ -243,21 +247,16 @@ class HspaLikeLink:
     ) -> np.ndarray:
         """Run one HARQ round's (re)transmissions through channel and front end.
 
-        The whole active set is processed as a ``(num_packets, ...)`` batch:
-        one vectorised transmit pass, one channel pass with per-packet
-        generators, one stacked equalize/demap pass.  Every per-packet random
-        draw comes from that packet's own stream in exactly the serial order
-        (Jakes realisation, then channel realisation, then noise), so a round
-        of N packets is byte-identical to N serial rounds — the serial path
-        *is* a batch of one.
+        The active set is processed as a ``(num_packets, ...)`` batch: one
+        transmit pass, one channel pass with per-packet generators, one
+        equalize/demap pass and one HARQ read-combine.  Each packet draws
+        from its own stream in a fixed order (Jakes realisation, then channel
+        realisation, then noise) and every stage is row-independent, so a
+        packet's row does not depend on the batch it shares.
 
         Returns the combined mother-domain LLR matrix ready for decoding,
         already in the configured LLR dtype.
         """
-        if len(states) == 1:
-            return self._front_end_single(
-                states[0], transmission_index, redundancy_version
-            )
         samples = self.transmitter.transmit_batch(
             [state.packet for state in states], redundancy_version
         )
@@ -306,113 +305,11 @@ class HspaLikeLink:
             combined = combined.astype(dtype)
         return combined
 
-    def _front_end_single(
-        self,
-        state: _PacketState,
-        transmission_index: int,
-        redundancy_version: int,
-    ) -> np.ndarray:
-        """One packet's front-end round through the serial kernels.
-
-        A batch of one pays the full batch-assembly overhead (stacking,
-        broadcasting, per-column fancy indexing) for no amortisation, which
-        made single-packet simulation slower than the pre-batching code.
-        This path runs the same round through the serial kernels instead.
-        It is byte-identical to the batch path by the pinned kernel
-        contracts: every ``*_batch`` kernel is bit-identical to its serial
-        counterpart row by row (tests/test_front_end_batching.py), the
-        per-packet rng draw order (fading realisation, channel realisation,
-        noise) is the serial order already, and the buffer's own
-        ``combined_mother_llrs`` is what ``_combined_mother_rows`` mirrors.
-        The front-end benchmark asserts the equality at batch 1 on every
-        run.
-        """
-        samples = self.transmitter.transmit(state.packet, redundancy_version)
-        fading_gains = None
-        mean_signal_power = None
-        if self.fading_process is not None:
-            mean_signal_power = float(
-                self.channel.mean_signal_powers(samples.reshape(1, -1))[0]
-            )
-            realization = self.fading_process.realization(state.rng)
-            fading_gains = jakes_gains_batch([realization], 0, samples.shape[0])[0]
-            samples = samples * fading_gains
-        received, impulse_response, noise_variance = self.channel.apply(
-            samples,
-            state.snr_db,
-            state.rng,
-            mean_signal_power=mean_signal_power,
-        )
-        if self.config.buffer_architecture == "per-transmission":
-            channel_llrs = self.receiver.front_end(
-                received, impulse_response, noise_variance, fading_gains=fading_gains
-            )
-            state.buffer.store_transmission(
-                transmission_index, channel_llrs, redundancy_version
-            )
-            combined = state.buffer.combined_mother_llrs(
-                self.receiver.to_mother_domain
-            )
-        else:
-            mother_llrs = self.receiver.process_transmission(
-                received,
-                impulse_response,
-                noise_variance,
-                redundancy_version,
-                fading_gains=fading_gains,
-            )
-            combined = state.buffer.combine_and_store(mother_llrs)
-        state.transmissions += 1
-        combined = combined.reshape(1, -1)
-        dtype = self.config.llr_numpy_dtype
-        if combined.dtype != dtype:
-            combined = combined.astype(dtype)
-        return combined
-
     def _combined_mother_rows(self, states: Sequence[_PacketState]) -> np.ndarray:
-        """Batched HARQ read-combine across the per-transmission buffers.
-
-        Mirrors :meth:`TransmissionSoftBuffer.combined_mother_llrs` exactly:
-        slots are visited in ascending order (each buffer's transient-upset
-        stream advances in the serial read order) and each packet's mother
-        rows accumulate in ascending-slot order, so every row is
-        bit-identical to the per-packet loop.  Rows with the same stored
-        redundancy version share one de-interleave / de-rate-match gather.
-        """
-        batch = len(states)
-        combined = np.empty((batch, self.config.num_coded_bits), dtype=np.float64)
-        seen = np.zeros(batch, dtype=bool)
-        for slot in range(self.config.max_transmissions):
-            rows = [
-                index
-                for index, state in enumerate(states)
-                if state.buffer.slot_occupied(slot)
-            ]
-            if not rows:
-                continue
-            loaded = []
-            versions = []
-            for index in rows:
-                llrs, redundancy_version = states[index].buffer.load_transmission(slot)
-                loaded.append(llrs)
-                versions.append(redundancy_version)
-            stacked = np.stack(loaded)
-            mother = np.empty((len(rows), self.config.num_coded_bits), dtype=np.float64)
-            for version in dict.fromkeys(versions):
-                selector = [j for j, rv in enumerate(versions) if rv == version]
-                mother[selector] = self.receiver.to_mother_domain_batch(
-                    stacked[selector], version
-                )
-            row_indices = np.asarray(rows)
-            first = ~seen[row_indices]
-            if first.any():
-                combined[row_indices[first]] = mother[first]
-                seen[row_indices[first]] = True
-            if (~first).any():
-                combined[row_indices[~first]] += mother[~first]
-        if not seen.all():
-            raise ValueError("no transmissions stored yet")
-        return combined
+        """HARQ read-combine of the per-transmission buffers of *states*."""
+        return combined_mother_rows(
+            [state.buffer for state in states], self.receiver.to_mother_domain_batch
+        )
 
     def _finish_group(self, states: Sequence[_PacketState], snr_db: float) -> LinkSimulationResult:
         """Reduce a group's final per-packet states into its result."""

@@ -19,7 +19,6 @@ from repro.phy.rate_matching import RateMatcher
 from repro.phy.spreading import Spreader
 from repro.phy.turbo import TurboCode
 from repro.utils.rng import RngLike, as_rng
-from repro.utils.validation import ensure_bit_array
 
 
 @dataclass
@@ -70,24 +69,11 @@ class Transmitter:
         """Generate a uniformly random payload of the configured size."""
         return as_rng(rng).integers(0, 2, self.config.payload_bits, dtype=np.int8)
 
-    def encode(self, payload: np.ndarray) -> EncodedPacket:
-        """CRC-attach and turbo-encode a payload."""
-        bits = ensure_bit_array(payload, "payload")
-        if bits.size != self.config.payload_bits:
-            raise ValueError(
-                f"expected {self.config.payload_bits} payload bits, got {bits.size}"
-            )
-        with_crc = self.config.crc.attach(bits)
-        coded = self.turbo.encode(with_crc)
-        return EncodedPacket(payload=bits, payload_with_crc=with_crc, coded_buffer=coded)
-
     def encode_batch(self, payloads) -> list[EncodedPacket]:
         """CRC-attach and turbo-encode a batch of payloads in one pass.
 
-        Produces exactly the packets of ``[self.encode(p) for p in payloads]``
-        (the CRC and encoder batch kernels are bit-exact), but runs the CRC as
-        one GF(2) matrix product and the trellises column-wise across the
-        whole batch.
+        The CRC runs as one GF(2) matrix product and the trellises sweep
+        column-wise across the whole batch.
         """
         rows = []
         for payload in payloads:
@@ -107,53 +93,34 @@ class Transmitter:
         if not ((stacked == 0) | (stacked == 1)).all():
             raise ValueError("payload must contain only 0s and 1s")
         stacked = stacked.astype(np.int8)
-        rows = [stacked[i] for i in range(stacked.shape[0])]
         with_crc = self.config.crc.attach_batch(stacked)
         coded = self.turbo.encode_batch(with_crc)
         return [
             EncodedPacket(
-                payload=rows[i],
-                payload_with_crc=with_crc[i],
-                coded_buffer=coded[i],
+                payload=stacked[i], payload_with_crc=with_crc[i], coded_buffer=coded[i]
             )
-            for i in range(len(rows))
+            for i in range(stacked.shape[0])
         ]
 
-    # ------------------------------------------------------------------ #
-    def transmission_bits(self, packet: EncodedPacket, redundancy_version: int) -> np.ndarray:
-        """Rate-matched and channel-interleaved bits of one transmission."""
-        selected = self.rate_matcher.rate_match(packet.coded_buffer, redundancy_version)
-        return self.channel_interleaver.interleave(selected)
-
-    def modulate(self, channel_bits: np.ndarray) -> np.ndarray:
-        """Map channel bits to (optionally spread) transmit samples."""
-        symbols = self.config.modulator.modulate(channel_bits)
-        if self.spreader is not None:
-            symbols = self.spreader.spread(symbols)
-        if self.pulse_shaper is not None:
-            symbols = self.pulse_shaper.shape(symbols)
-        return symbols
-
-    def transmit(
-        self, packet: EncodedPacket, redundancy_version: int
-    ) -> np.ndarray:
-        """Produce the transmit samples of one (re)transmission."""
-        return self.modulate(self.transmission_bits(packet, redundancy_version))
+    def encode(self, payload: np.ndarray) -> EncodedPacket:
+        """:meth:`encode_batch` for one payload."""
+        return self.encode_batch([payload])[0]
 
     # ------------------------------------------------------------------ #
     def transmission_bits_batch(
         self, packets: list[EncodedPacket], redundancy_version: int
     ) -> np.ndarray:
-        """Batched :meth:`transmission_bits` — one gather per stage."""
+        """Rate-matched and channel-interleaved bits of one (re)transmission,
+        one row per packet."""
         coded = np.stack([p.coded_buffer for p in packets])
         selected = self.rate_matcher.rate_match_batch(coded, redundancy_version)
         return self.channel_interleaver.interleave_batch(selected)
 
     def modulate_batch(self, channel_bits: np.ndarray) -> np.ndarray:
-        """Batched :meth:`modulate` for a ``(batch, num_bits)`` bit matrix.
+        """Map a ``(batch, num_bits)`` bit matrix to (optionally spread) samples.
 
-        The QAM mapper is elementwise over bit groups, so mapping the
-        flattened batch and reshaping is bit-identical to mapping each row.
+        The QAM mapper is elementwise over bit groups, so the flattened batch
+        is mapped in one pass and reshaped.
         """
         bits = np.asarray(channel_bits)
         if bits.ndim != 2:
@@ -172,3 +139,11 @@ class Transmitter:
     ) -> np.ndarray:
         """Produce the transmit sample matrix of one batched (re)transmission."""
         return self.modulate_batch(self.transmission_bits_batch(packets, redundancy_version))
+
+    def transmission_bits(self, packet: EncodedPacket, redundancy_version: int) -> np.ndarray:
+        """:meth:`transmission_bits_batch` for one packet."""
+        return self.transmission_bits_batch([packet], redundancy_version)[0]
+
+    def transmit(self, packet: EncodedPacket, redundancy_version: int) -> np.ndarray:
+        """:meth:`transmit_batch` for one packet."""
+        return self.transmit_batch([packet], redundancy_version)[0]

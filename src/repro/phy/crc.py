@@ -50,79 +50,44 @@ class Crc:
         """Number of parity bits appended by :meth:`attach`."""
         return len(self.polynomial) - 1
 
-    def compute(self, bits: np.ndarray) -> np.ndarray:
-        """Return the CRC remainder (parity bits) for *bits*."""
-        data = ensure_bit_array(bits)
-        degree = self.num_check_bits
-        register = np.concatenate([data, np.zeros(degree, dtype=np.int8)]).astype(np.int8)
-        poly = self._poly_arr
-        # Long division over GF(2).  The loop is over message bits only, which
-        # is fast enough for the packet sizes used in link simulations.
-        for i in range(data.size):
-            if register[i]:
-                register[i : i + degree + 1] ^= poly
-        return register[-degree:].copy()
-
     def _remainder_matrix(self, num_bits: int) -> np.ndarray:
-        """GF(2) generator matrix ``G`` with ``compute(d) == (d @ G) % 2``.
+        """GF(2) generator matrix ``G`` with ``remainder(d) == (d @ G) % 2``.
 
         Row ``i`` is the remainder of ``x^(num_bits - 1 - i + degree)`` modulo
-        the generator polynomial, so the matrix product reproduces the long
-        division of :meth:`compute` exactly (CRC is linear over GF(2)).
+        the generator polynomial, so the matrix product is the polynomial
+        long division of ``d(x) * x^degree`` (CRC is linear over GF(2)).
         Cached per message length.
         """
         cached = self._matrix_cache.get(num_bits)
         if cached is not None:
             return cached
-        degree = self.num_check_bits
-        tail = self._poly_arr[1:].copy()  # x^degree mod g(x)
-        rows = np.empty((num_bits, degree), dtype=np.int64)
-        remainder = tail.astype(np.int64)
-        rows[num_bits - 1] = remainder
-        for i in range(num_bits - 2, -1, -1):
+        tail = self._poly_arr[1:].astype(np.int64)  # x^degree mod g(x)
+        rows = np.empty((num_bits, self.num_check_bits), dtype=np.int64)
+        remainder = tail
+        for i in range(num_bits - 1, -1, -1):
+            rows[i] = remainder
             carry = remainder[0]
             remainder = np.concatenate([remainder[1:], np.zeros(1, dtype=np.int64)])
             if carry:
                 remainder ^= tail
-            rows[i] = remainder
         self._matrix_cache[num_bits] = rows
         return rows
 
     def compute_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`compute` for a ``(batch, num_bits)`` bit matrix.
-
-        Bit-exact with the per-row long division (both compute the polynomial
-        remainder over GF(2)); the batched form is one integer matmul.
-        """
+        """CRC remainders (parity bits) of each row of a ``(batch, num_bits)`` matrix."""
         data = np.asarray(bits)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D bit matrix, got shape {data.shape}")
         matrix = self._remainder_matrix(data.shape[1])
         return ((data.astype(np.int64) @ matrix) % 2).astype(np.int8)
 
-    def attach(self, bits: np.ndarray) -> np.ndarray:
-        """Append the CRC parity bits to *bits*."""
-        data = ensure_bit_array(bits)
-        return np.concatenate([data, self.compute(data)])
-
     def attach_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`attach` for a ``(batch, num_bits)`` bit matrix."""
+        """Append the CRC parity bits to each row of a ``(batch, num_bits)`` matrix."""
         data = np.asarray(bits, dtype=np.int8)
         return np.hstack([data, self.compute_batch(data)])
 
-    def check(self, bits_with_crc: np.ndarray) -> bool:
-        """Return ``True`` when the trailing CRC of *bits_with_crc* is valid."""
-        data = ensure_bit_array(bits_with_crc)
-        if data.size < self.num_check_bits:
-            raise ValueError(
-                f"need at least {self.num_check_bits} bits to hold the CRC, got {data.size}"
-            )
-        payload = data[: -self.num_check_bits]
-        expected = self.compute(payload)
-        return bool(np.array_equal(expected, data[-self.num_check_bits :]))
-
     def check_batch(self, bits_with_crc: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`check` for a ``(batch, num_bits)`` bit matrix."""
+        """Per-row ``True`` where the trailing CRC of a ``(batch, n)`` matrix is valid."""
         data = np.asarray(bits_with_crc)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D bit matrix, got shape {data.shape}")
@@ -133,6 +98,14 @@ class Crc:
             )
         expected = self.compute_batch(data[:, : -self.num_check_bits])
         return np.all(expected == data[:, -self.num_check_bits :], axis=1)
+
+    def attach(self, bits: np.ndarray) -> np.ndarray:
+        """Append the CRC parity bits to one bit vector."""
+        return self.attach_batch(ensure_bit_array(bits)[None])[0]
+
+    def check(self, bits_with_crc: np.ndarray) -> bool:
+        """Return ``True`` when the trailing CRC of one bit vector is valid."""
+        return bool(self.check_batch(ensure_bit_array(bits_with_crc)[None])[0])
 
     def strip(self, bits_with_crc: np.ndarray) -> np.ndarray:
         """Remove the CRC parity bits (without checking them)."""

@@ -44,37 +44,29 @@ class Interleaver:
         """Block length the interleaver operates on."""
         return int(self.permutation.size)
 
-    def interleave(self, sequence: np.ndarray) -> np.ndarray:
-        """Permute *sequence* (any dtype); length must equal :attr:`size`."""
-        arr = np.asarray(sequence)
-        if arr.shape[0] != self.size:
-            raise ValueError(f"expected length {self.size}, got {arr.shape[0]}")
-        return arr[self.permutation]
-
-    def deinterleave(self, sequence: np.ndarray) -> np.ndarray:
-        """Invert :meth:`interleave`."""
-        arr = np.asarray(sequence)
-        if arr.shape[0] != self.size:
-            raise ValueError(f"expected length {self.size}, got {arr.shape[0]}")
-        out = np.empty_like(arr)
-        out[self.permutation] = arr
-        return out
-
     def interleave_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`interleave` for a ``(batch, size)`` matrix."""
+        """Permute each row of a ``(batch, size)`` matrix (any dtype)."""
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.size:
             raise ValueError(f"expected shape (batch, {self.size}), got {arr.shape}")
         return arr[:, self.permutation]
 
     def deinterleave_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`deinterleave` for a ``(batch, size)`` matrix."""
+        """Invert :meth:`interleave_batch`."""
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.size:
             raise ValueError(f"expected shape (batch, {self.size}), got {arr.shape}")
         out = np.empty_like(arr)
         out[:, self.permutation] = arr
         return out
+
+    def interleave(self, sequence: np.ndarray) -> np.ndarray:
+        """:meth:`interleave_batch` for one sequence."""
+        return self.interleave_batch(np.asarray(sequence)[None])[0]
+
+    def deinterleave(self, sequence: np.ndarray) -> np.ndarray:
+        """:meth:`deinterleave_batch` for one sequence."""
+        return self.deinterleave_batch(np.asarray(sequence)[None])[0]
 
     @property
     def inverse(self) -> "Interleaver":
@@ -140,20 +132,12 @@ class ChannelInterleaver:
             self._cache[length] = block_interleaver(length, self.num_columns)
         return self._cache[length]
 
-    def interleave(self, sequence: np.ndarray) -> np.ndarray:
-        """Interleave a sequence of arbitrary (per-call) length."""
-        return self.for_length(np.asarray(sequence).shape[0]).interleave(sequence)
-
-    def deinterleave(self, sequence: np.ndarray) -> np.ndarray:
-        """Invert :meth:`interleave` for a sequence of the same length."""
-        return self.for_length(np.asarray(sequence).shape[0]).deinterleave(sequence)
-
     def interleave_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`interleave` for a ``(batch, length)`` matrix."""
+        """Interleave each row of a ``(batch, length)`` matrix of any length."""
         arr = np.asarray(rows)
-        return self.for_length(arr.shape[1]).interleave_batch(arr)
+        return self.for_length(arr.shape[-1]).interleave_batch(arr)
 
     def deinterleave_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`deinterleave` for a ``(batch, length)`` matrix."""
+        """Invert :meth:`interleave_batch` for rows of the same length."""
         arr = np.asarray(rows)
-        return self.for_length(arr.shape[1]).deinterleave_batch(arr)
+        return self.for_length(arr.shape[-1]).deinterleave_batch(arr)

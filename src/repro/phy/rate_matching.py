@@ -71,23 +71,15 @@ class RateMatcher:
     # ------------------------------------------------------------------ #
     # transmitter side
     # ------------------------------------------------------------------ #
-    def rate_match(self, coded_bits: np.ndarray, redundancy_version: int = 0) -> np.ndarray:
-        """Select the channel bits for one transmission.
+    def rate_match_batch(
+        self, coded_bits: np.ndarray, redundancy_version: int = 0
+    ) -> np.ndarray:
+        """Select the channel bits of one transmission for each row of a
+        ``(batch, num_coded_bits)`` matrix.
 
         Repetition happens naturally when ``num_output_bits > num_coded_bits``
         (the circular buffer wraps), puncturing when it is smaller.
         """
-        bits = np.asarray(coded_bits)
-        if bits.shape[0] != self.num_coded_bits:
-            raise ValueError(
-                f"expected {self.num_coded_bits} coded bits, got {bits.shape[0]}"
-            )
-        return bits[self.output_indices(redundancy_version)]
-
-    def rate_match_batch(
-        self, coded_bits: np.ndarray, redundancy_version: int = 0
-    ) -> np.ndarray:
-        """Row-wise :meth:`rate_match` for a ``(batch, num_coded_bits)`` matrix."""
         bits = np.asarray(coded_bits)
         if bits.ndim != 2 or bits.shape[1] != self.num_coded_bits:
             raise ValueError(
@@ -95,39 +87,28 @@ class RateMatcher:
             )
         return bits[:, self.output_indices(redundancy_version)]
 
+    def rate_match(self, coded_bits: np.ndarray, redundancy_version: int = 0) -> np.ndarray:
+        """:meth:`rate_match_batch` for one coded vector."""
+        return self.rate_match_batch(np.asarray(coded_bits)[None], redundancy_version)[0]
+
     # ------------------------------------------------------------------ #
     # receiver side
     # ------------------------------------------------------------------ #
-    def derate_match(
+    def derate_match_batch(
         self, llrs: np.ndarray, redundancy_version: int = 0
     ) -> np.ndarray:
-        """Scatter received LLRs back onto mother-code positions.
+        """Scatter each row's received LLRs back onto mother-code positions.
 
         Positions that were not transmitted get LLR 0 (erasure); positions
-        transmitted more than once (repetition) have their LLRs summed.
+        transmitted more than once (repetition) have their LLRs summed in
+        index order.  Without repetition the scatter is a plain assignment,
+        and ``+= 0.0`` folds any ``-0.0`` to ``+0.0`` exactly as a
+        ``0.0 + x`` accumulation would.
 
         Returns
         -------
         numpy.ndarray
-            Length-``num_coded_bits`` float array of accumulated LLRs.
-        """
-        llr_arr = np.asarray(llrs, dtype=np.float64).reshape(-1)
-        if llr_arr.size != self.num_output_bits:
-            raise ValueError(
-                f"expected {self.num_output_bits} LLRs, got {llr_arr.size}"
-            )
-        buffer = np.zeros(self.num_coded_bits, dtype=np.float64)
-        np.add.at(buffer, self.output_indices(redundancy_version), llr_arr)
-        return buffer
-
-    def derate_match_batch(
-        self, llrs: np.ndarray, redundancy_version: int = 0
-    ) -> np.ndarray:
-        """Row-wise :meth:`derate_match` for a ``(batch, num_output_bits)`` matrix.
-
-        Without repetition (``num_output_bits <= num_coded_bits``) the scatter
-        is a plain assignment; with repetition ``np.add.at`` iterates row-major
-        — per row in index order, exactly the serial accumulation order.
+            ``(batch, num_coded_bits)`` float array of accumulated LLRs.
         """
         llr_arr = np.asarray(llrs, dtype=np.float64)
         if llr_arr.ndim != 2 or llr_arr.shape[1] != self.num_output_bits:
@@ -138,11 +119,18 @@ class RateMatcher:
         buffer = np.zeros((llr_arr.shape[0], self.num_coded_bits), dtype=np.float64)
         if self.num_output_bits <= self.num_coded_bits:
             buffer[:, indices] = llr_arr
-            buffer += 0.0  # fold any -0.0 like the serial 0.0 + x scatter does
+            buffer += 0.0
         else:
             rows = np.arange(llr_arr.shape[0])
             np.add.at(buffer, (rows[:, None], indices[None, :]), llr_arr)
         return buffer
+
+    def derate_match(
+        self, llrs: np.ndarray, redundancy_version: int = 0
+    ) -> np.ndarray:
+        """:meth:`derate_match_batch` for one LLR vector."""
+        llr_arr = np.asarray(llrs, dtype=np.float64).reshape(1, -1)
+        return self.derate_match_batch(llr_arr, redundancy_version)[0]
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -165,30 +153,15 @@ class RateMatcher:
         return float(seen.mean())
 
 
-def make_systematic_priority_buffer(
+def make_systematic_priority_buffer_batch(
     systematic: np.ndarray, parity1: np.ndarray, parity2: np.ndarray
 ) -> np.ndarray:
-    """Arrange turbo-coder streams in the circular-buffer order.
+    """Arrange turbo-coder streams in the circular-buffer order (rows = blocks).
 
     Systematic bits first, then the two parity streams interlaced — the
     arrangement used by the HSDPA virtual IR buffer so that the first
     transmission at high code rates is mostly systematic (self-decodable).
     """
-    sys_arr = np.asarray(systematic)
-    p1 = np.asarray(parity1)
-    p2 = np.asarray(parity2)
-    if not (sys_arr.shape[0] == p1.shape[0] == p2.shape[0]):
-        raise ValueError("systematic and parity streams must have equal length")
-    interlaced = np.empty(p1.shape[0] * 2, dtype=sys_arr.dtype)
-    interlaced[0::2] = p1
-    interlaced[1::2] = p2
-    return np.concatenate([sys_arr, interlaced])
-
-
-def make_systematic_priority_buffer_batch(
-    systematic: np.ndarray, parity1: np.ndarray, parity2: np.ndarray
-) -> np.ndarray:
-    """Whole-batch :func:`make_systematic_priority_buffer` (rows = blocks)."""
     sys_arr = np.asarray(systematic)
     p1 = np.asarray(parity1)
     p2 = np.asarray(parity2)
@@ -202,24 +175,10 @@ def make_systematic_priority_buffer_batch(
     return out
 
 
-def split_systematic_priority_buffer(
-    buffer: np.ndarray, num_systematic: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert :func:`make_systematic_priority_buffer`."""
-    buf = np.asarray(buffer)
-    num_systematic = ensure_positive_int(num_systematic, "num_systematic")
-    remaining = buf.shape[0] - num_systematic
-    if remaining < 0 or remaining % 2:
-        raise ValueError("buffer length inconsistent with num_systematic")
-    systematic = buf[:num_systematic]
-    interlaced = buf[num_systematic:]
-    return systematic, interlaced[0::2], interlaced[1::2]
-
-
 def split_systematic_priority_buffer_batch(
     buffers: np.ndarray, num_systematic: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole-batch :func:`split_systematic_priority_buffer` (rows = blocks).
+    """Invert :func:`make_systematic_priority_buffer_batch` (rows = blocks).
 
     The parity streams are returned as contiguous arrays (the decoder's
     kernels index them heavily); the systematic part is a view.
@@ -235,3 +194,4 @@ def split_systematic_priority_buffer_batch(
     parity1 = np.ascontiguousarray(buf[:, num_systematic::2])
     parity2 = np.ascontiguousarray(buf[:, num_systematic + 1 :: 2])
     return systematic, parity1, parity2
+

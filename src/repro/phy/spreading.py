@@ -95,20 +95,12 @@ class Spreader:
         """The ±1 channelisation code."""
         return ovsf_code(self.spreading_factor, self.code_index)
 
-    def spread(self, symbols: np.ndarray) -> np.ndarray:
-        """Spread symbols to chips and apply scrambling."""
-        syms = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-        chips = (syms[:, None] * self.code[None, :]).reshape(-1)
-        scramble = scrambling_sequence(chips.size, self.scrambling_seed)
-        return chips * scramble
-
     def spread_batch(self, symbols: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`spread` for a ``(batch, num_symbols)`` matrix.
+        """Spread each row of a ``(batch, num_symbols)`` matrix to chips and scramble.
 
         Every packet sees the same cell-specific scrambling sequence (it is a
-        pure function of the seed and the chip count), so the batched form
-        tiles one sequence across the rows — bit-identical to spreading each
-        row alone.
+        pure function of the seed and the chip count), so one sequence is
+        tiled across the rows.
         """
         syms = np.asarray(symbols, dtype=np.complex128)
         if syms.ndim != 2:
@@ -119,7 +111,12 @@ class Spreader:
         return chips * scramble[None, :]
 
     def despread_batch(self, chips: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`despread` for a ``(batch, num_chips)`` matrix."""
+        """Descramble and despread each row of a ``(batch, num_chips)`` matrix.
+
+        The despreading correlation averages the chips of each symbol, which
+        also averages the chip-level noise — the standard CDMA processing
+        gain.  The chip count must be a multiple of the spreading factor.
+        """
         chip_arr = np.asarray(chips, dtype=np.complex128)
         if chip_arr.ndim != 2:
             raise ValueError(f"expected a 2-D chip matrix, got shape {chip_arr.shape}")
@@ -134,23 +131,13 @@ class Spreader:
         mat = descrambled.reshape(-1, sf)
         return (mat @ self.code / sf).reshape(batch, -1)
 
-    def despread(self, chips: np.ndarray) -> np.ndarray:
-        """Descramble and despread chips back to symbol estimates.
+    def spread(self, symbols: np.ndarray) -> np.ndarray:
+        """:meth:`spread_batch` for one symbol vector."""
+        return self.spread_batch(np.asarray(symbols).reshape(1, -1))[0]
 
-        The despreading correlation averages the chips of each symbol, which
-        also averages the chip-level noise — the standard CDMA processing
-        gain.  The chip count must be a multiple of the spreading factor.
-        """
-        chip_arr = np.asarray(chips, dtype=np.complex128).reshape(-1)
-        sf = self.spreading_factor
-        if chip_arr.size % sf:
-            raise ValueError(
-                f"chip count {chip_arr.size} is not a multiple of the spreading factor {sf}"
-            )
-        scramble = scrambling_sequence(chip_arr.size, self.scrambling_seed)
-        descrambled = chip_arr * np.conj(scramble)
-        mat = descrambled.reshape(-1, sf)
-        return mat @ self.code / sf
+    def despread(self, chips: np.ndarray) -> np.ndarray:
+        """:meth:`despread_batch` for one chip vector."""
+        return self.despread_batch(np.asarray(chips).reshape(1, -1))[0]
 
     def processing_gain_db(self) -> float:
         """Processing gain of the despreading correlation in dB."""

@@ -61,13 +61,14 @@ class TurboCode:
         """Mother code rate."""
         return self.encoder.rate
 
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """Encode information bits into the circular-buffer ordered sequence."""
-        return self.encoder.encode(bits)
-
     def encode_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`encode` for a ``(batch, block_size)`` bit matrix."""
+        """Encode each row of a ``(batch, block_size)`` bit matrix into the
+        circular-buffer ordered sequence."""
         return self.encoder.encode_batch(bits)
+
+    def encode(self, bits: np.ndarray) -> np.ndarray:
+        """:meth:`encode_batch` for one bit vector."""
+        return self.encoder.encode(bits)
 
     def decode_buffer(self, buffer_llrs: np.ndarray) -> TurboDecoderResult:
         """Decode LLRs arranged in the circular-buffer order.

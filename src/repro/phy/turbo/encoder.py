@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.phy.rate_matching import make_systematic_priority_buffer_batch
 from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
 from repro.utils.validation import ensure_bit_array, ensure_positive_int
@@ -59,45 +60,32 @@ class TurboEncoder:
         """Total number of coded bits per block (3 * block_size)."""
         return 3 * self.block_size
 
-    def encode_streams(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode *bits*, returning (systematic, parity1, parity2) streams."""
-        info = ensure_bit_array(bits)
-        if info.size != self.block_size:
-            raise ValueError(f"expected {self.block_size} bits, got {info.size}")
-        parity1, _ = self.trellis.encode_bits(info)
-        interleaved = self.interleaver.interleave(info)
-        parity2, _ = self.trellis.encode_bits(interleaved)
-        return info.copy(), parity1, parity2
-
     def encode_streams_batch(
         self, bits: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-wise :meth:`encode_streams` for a ``(batch, block_size)`` matrix."""
+        """Encode each row of a ``(batch, block_size)`` matrix into
+        ``(systematic, parity1, parity2)`` stream matrices."""
         info = np.asarray(bits, dtype=np.int8)
         if info.ndim != 2 or info.shape[1] != self.block_size:
             raise ValueError(
                 f"expected shape (batch, {self.block_size}), got {info.shape}"
             )
-        parity1, _ = self.trellis.encode_bits_batch(info)
+        # Both constituent encoders run as one sweep over the stacked rows.
         interleaved = info[:, self.interleaver.permutation]
-        parity2, _ = self.trellis.encode_bits_batch(interleaved)
-        return info.copy(), parity1, parity2
+        parity, _ = self.trellis.encode_bits_batch(np.concatenate([info, interleaved]))
+        batch = info.shape[0]
+        return info.copy(), parity[:batch], parity[batch:]
 
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """Encode *bits* into the multiplexed coded sequence.
+    def encode_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Encode each row of a ``(batch, block_size)`` bit matrix.
 
         The output order is the circular-buffer order used by the rate
         matcher: all systematic bits first, then the two parity streams
-        interlaced (see :func:`repro.phy.rate_matching.make_systematic_priority_buffer`).
+        interlaced (see
+        :func:`repro.phy.rate_matching.make_systematic_priority_buffer_batch`).
         """
-        from repro.phy.rate_matching import make_systematic_priority_buffer
+        return make_systematic_priority_buffer_batch(*self.encode_streams_batch(bits))
 
-        systematic, parity1, parity2 = self.encode_streams(bits)
-        return make_systematic_priority_buffer(systematic, parity1, parity2)
-
-    def encode_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`encode` for a ``(batch, block_size)`` bit matrix."""
-        from repro.phy.rate_matching import make_systematic_priority_buffer_batch
-
-        systematic, parity1, parity2 = self.encode_streams_batch(bits)
-        return make_systematic_priority_buffer_batch(systematic, parity1, parity2)
+    def encode(self, bits: np.ndarray) -> np.ndarray:
+        """:meth:`encode_batch` for one bit vector."""
+        return self.encode_batch(ensure_bit_array(bits)[None])[0]

@@ -121,42 +121,30 @@ class RscTrellis:
         """Number of trellis states (8 for the UMTS code)."""
         return int(self.next_state.shape[0])
 
-    def encode_bits(self, bits: np.ndarray, initial_state: int = 0) -> tuple[np.ndarray, int]:
-        """Run the RSC encoder over *bits*; return (parity bits, final state)."""
-        state = int(initial_state)
-        out = np.empty(len(bits), dtype=np.int8)
-        for i, u in enumerate(np.asarray(bits, dtype=np.int64)):
-            out[i] = self.parity[state, u]
-            state = int(self.next_state[state, u])
-        return out, state
-
     def encode_bits_batch(
         self, bits: np.ndarray, initial_state: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`encode_bits` for a ``(batch, length)`` bit matrix.
+        """Run the RSC encoder over each row of a ``(batch, length)`` bit matrix.
 
-        The shift-register recursion is exact integer table lookup, so the
-        vectorised per-column sweep is bit-identical to encoding each row
-        alone; returns ``(parity_matrix, final_states)``.
+        The shift-register recursion is an exact integer table lookup swept
+        column by column across the batch, on flattened ``2 * state + bit``
+        tables so each step is one add and two 1-D gathers; returns
+        ``(parity_matrix, final_states)``.
         """
         info = np.asarray(bits, dtype=np.int64)
         if info.ndim != 2:
             raise ValueError(f"expected a 2-D bit matrix, got shape {info.shape}")
         batch, length = info.shape
-        if batch == 1:
-            # Scalar table lookups beat one-element fancy indexing by an
-            # order of magnitude; both are exact integer recursions, so the
-            # delegation is bit-identical.
-            row, final_state = self.encode_bits(info[0], initial_state)
-            return row.reshape(1, -1), np.array([final_state], dtype=np.int64)
-        state = np.full(batch, int(initial_state), dtype=np.int64)
-        out = np.empty((batch, length), dtype=np.int8)
-        parity, next_state = self.parity, self.next_state
+        columns = np.ascontiguousarray(info.T)
+        parity = self.parity.reshape(-1)
+        next_base = 2 * self.next_state.reshape(-1)
+        base = np.full(batch, 2 * int(initial_state), dtype=np.int64)
+        out = np.empty((length, batch), dtype=np.int8)
         for i in range(length):
-            u = info[:, i]
-            out[:, i] = parity[state, u]
-            state = next_state[state, u]
-        return out, state
+            index = base + columns[i]
+            out[i] = parity[index]
+            base = next_base[index]
+        return np.ascontiguousarray(out.T), base // 2
 
 
 #: The UMTS / HSPA constituent-code trellis (octal generators 13 / 15).

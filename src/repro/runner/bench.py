@@ -1,14 +1,15 @@
 """Link/decoder benchmarks and the float32-LLR BLER characterisation.
 
 ``BENCH_decoder.json`` at the repository root records the performance
-snapshot of the *whole* pipeline: the turbo-decoder kernels (written by
-``benchmarks/test_decoder_throughput.py``), the end-to-end llr-dtype link
-benchmark, and — from this module — the ``front_end`` section comparing the
-batched transmit/channel/equalize/demap path against a verbatim copy of the
-pre-batching serial front end, plus the ``decoder_backends`` section
-sweeping every available decoder family × batch size × thread count
-(``repro bench decoder``) with a BLER-parity check for the max-log
-families.
+snapshot of the *whole* pipeline: the turbo-decoder kernels and the
+end-to-end llr-dtype link benchmark (from
+``benchmarks/test_decoder_throughput.py``), and — from this module — the
+``front_end`` section comparing the batched transmit/channel/equalize/demap
+path against a verbatim copy of the pre-batching serial front end, plus the
+``decoder_backends`` section sweeping every available decoder family ×
+batch size × thread count with a BLER-parity check for the max-log
+families.  Only ``repro bench front-end`` / ``repro bench decoder`` write
+the committed file; the test suite passes its own temporary path.
 
 The seed implementations below are faithful copies of the serial code as it
 stood before the front end grew its ``(num_packets, ...)`` batch axis: a
@@ -162,7 +163,7 @@ def _seed_front_end_pass(link: HspaLikeLink, inputs, snr_db: float):
         channel_llrs = receiver.demap(symbols, effective_noise)
         if config.buffer_architecture == "per-transmission":
             soft_buffer.store_transmission(0, channel_llrs, redundancy_version)
-            combined = soft_buffer.combined_mother_llrs(receiver.to_mother_domain)
+            combined = soft_buffer.combined_mother_llrs(receiver.to_mother_domain_batch)
         else:
             mother = receiver.to_mother_domain(channel_llrs, redundancy_version)
             combined = soft_buffer.combine_and_store(mother)

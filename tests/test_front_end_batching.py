@@ -1,12 +1,17 @@
-"""Byte-identity property tests for the batched link front end.
+"""Batch-axis properties of the link front end.
 
-The front end's batch axis is a pure throughput optimisation: every batched
-kernel (CRC, turbo encode, rate matching, interleaving, spreading, channel,
-both equalizers, demapping) must produce byte-identical results to its
-serial counterpart, and pooling packets into wider front-end rounds must not
-change any packet's outcome.  These tests pin that contract with hypothesis
-sweeps over batch sizes and compositions, plus a cross-check against the
-verbatim pre-batching serial front end preserved in ``repro.runner.bench``.
+Every link stage has one implementation, a batch kernel; the single-packet
+names are ``[None]...[0]`` wrappers over it.  These tests pin what that
+design has to guarantee:
+
+* each bit-domain kernel against an independent reference — the CRC's
+  GF(2) matrix product against polynomial long division, the turbo encoder
+  against a scalar trellis walk — or against its own inverse/adjoint;
+* row independence of the sample-domain kernels and of the whole round: a
+  row of a wider batch is byte-identical to that packet alone (a batch of
+  one), so pooling packets into wider rounds never changes an outcome;
+* a cross-check against the verbatim pre-batching serial front end
+  preserved in ``repro.runner.bench``.
 """
 
 import numpy as np
@@ -22,7 +27,7 @@ from repro.equalizer.mmse import MmseEqualizer
 from repro.equalizer.rake import RakeReceiver
 from repro.link import HspaLikeLink, LinkConfig
 from repro.link.system import PacketGroup, simulate_packet_groups
-from repro.phy.crc import CRC_16
+from repro.phy.crc import CRC_8, CRC_16, CRC_24A
 from repro.phy.interleaving import random_interleaver
 from repro.phy.rate_matching import RateMatcher
 from repro.phy.spreading import Spreader
@@ -37,94 +42,141 @@ BATCHES = st.integers(min_value=1, max_value=7)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _crc_long_division(crc, bits):
+    """CRC remainder of one bit vector by GF(2) polynomial long division."""
+    degree = crc.num_check_bits
+    register = np.concatenate([bits, np.zeros(degree, dtype=np.int8)]).astype(np.int8)
+    poly = np.asarray(crc.polynomial, dtype=np.int8)
+    for i in range(bits.size):
+        if register[i]:
+            register[i : i + degree + 1] ^= poly
+    return register[-degree:]
+
+
+def _rsc_parity(trellis, bits):
+    """Parity stream of one RSC encoder run, walking the trellis bit by bit."""
+    state = 0
+    out = np.empty(bits.size, dtype=np.int8)
+    for i, u in enumerate(bits):
+        out[i] = trellis.parity[state, u]
+        state = trellis.next_state[state, u]
+    return out
+
+
 # --------------------------------------------------------------------------- #
 # bit-domain kernels
 # --------------------------------------------------------------------------- #
 class TestBitKernels:
-    @given(batch=BATCHES, seed=SEEDS)
-    @settings(max_examples=15, deadline=None)
-    def test_crc_batch_matches_serial(self, batch, seed):
-        crc = CRC_16
+    @given(
+        batch=BATCHES,
+        seed=SEEDS,
+        num_bits=st.integers(min_value=0, max_value=80),
+        crc=st.sampled_from([CRC_8, CRC_16, CRC_24A]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_crc_batch_matches_serial(self, batch, seed, num_bits, crc):
+        """The GF(2) matrix product equals per-row polynomial long division."""
         rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, (batch, 40), dtype=np.int8)
+        data = rng.integers(0, 2, (batch, num_bits), dtype=np.int8)
         attached = crc.attach_batch(data)
-        for row in range(batch):
-            expected = crc.attach(data[row])
-            assert attached[row].tobytes() == expected.tobytes()
-            assert bool(crc.check_batch(attached[row : row + 1])[0]) == bool(
-                crc.check(attached[row])
-            )
         corrupted = attached.copy()
-        corrupted[:, 3] ^= 1
+        corrupted[np.arange(batch), rng.integers(0, attached.shape[1], batch)] ^= 1
         for row in range(batch):
-            assert bool(crc.check_batch(corrupted[row : row + 1])[0]) == bool(
-                crc.check(corrupted[row])
-            )
+            expected = _crc_long_division(crc, data[row])
+            assert attached[row, num_bits:].tobytes() == expected.tobytes()
+            assert attached[row, :num_bits].tobytes() == data[row].tobytes()
+        assert crc.check_batch(attached).all()
+        verdicts = crc.check_batch(corrupted)
+        for row in range(batch):
+            remainder = _crc_long_division(crc, corrupted[row, :num_bits])
+            assert bool(verdicts[row]) == np.array_equal(remainder, corrupted[row, num_bits:])
 
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=15, deadline=None)
     def test_turbo_encode_batch_matches_serial(self, batch, seed):
+        """Batch encoding equals a scalar trellis walk of each row."""
         code = TurboCode(40)
+        trellis = code.encoder.trellis
+        permutation = code.encoder.interleaver.permutation
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 2, (batch, 40), dtype=np.int8)
         encoded = code.encode_batch(data)
         for row in range(batch):
-            assert encoded[row].tobytes() == code.encode(data[row]).tobytes()
+            parity1 = _rsc_parity(trellis, data[row])
+            parity2 = _rsc_parity(trellis, data[row][permutation])
+            interlaced = np.stack([parity1, parity2], axis=1).reshape(-1)
+            expected = np.concatenate([data[row], interlaced])
+            assert encoded[row].tobytes() == expected.tobytes()
 
     @given(batch=BATCHES, seed=SEEDS, rv=st.integers(min_value=0, max_value=3))
     @settings(max_examples=15, deadline=None)
-    def test_rate_matching_batch_matches_serial(self, batch, seed, rv):
+    def test_derate_match_is_adjoint_of_rate_match(self, batch, seed, rv):
+        """De-rate-matching is the transpose of the circular read-out.
+
+        Each mother position is hit ``E // N`` or ``E // N + 1`` times, the
+        latter exactly for the first ``E % N`` positions of the window that
+        starts at the redundancy version's offset; and for any coded rows
+        ``x`` and channel rows ``y``, ``<rate_match(x), y> ==
+        <x, derate_match(y)>``.
+        """
         rng = np.random.default_rng(seed)
+        num_coded = 48
         for num_output in (30, 72):  # puncturing and repetition regimes
-            matcher = RateMatcher(num_coded_bits=48, num_output_bits=num_output)
-            bits = rng.integers(0, 2, (batch, 48), dtype=np.int8)
+            matcher = RateMatcher(num_coded_bits=num_coded, num_output_bits=num_output)
+            start = (rv % 4) * num_coded // 4
+            offsets = (np.arange(num_coded) - start) % num_coded
+            hits = num_output // num_coded + (offsets < num_output % num_coded)
+            counts = matcher.derate_match_batch(np.ones((batch, num_output)), rv)
+            assert np.array_equal(counts, np.broadcast_to(hits, (batch, num_coded)))
+
+            bits = rng.integers(0, 2, (batch, num_coded), dtype=np.int8)
             selected = matcher.rate_match_batch(bits, rv)
-            llrs = rng.normal(0.0, 2.0, (batch, num_output))
-            # Include negative zeros: the serial scatter folds them to +0.0.
-            llrs[:, 0] = -0.0
-            combined = matcher.derate_match_batch(llrs, rv)
-            for row in range(batch):
-                assert (
-                    selected[row].tobytes()
-                    == matcher.rate_match(bits[row], rv).tobytes()
-                )
-                assert (
-                    combined[row].tobytes()
-                    == matcher.derate_match(llrs[row], rv).tobytes()
-                )
+            window = (start + np.arange(num_output)) % num_coded
+            assert np.array_equal(selected, bits[:, window])
+
+            x = rng.normal(0.0, 2.0, (batch, num_coded))
+            y = rng.normal(0.0, 2.0, (batch, num_output))
+            forward = np.sum(matcher.rate_match_batch(x, rv) * y, axis=1)
+            backward = np.sum(x * matcher.derate_match_batch(y, rv), axis=1)
+            assert np.allclose(forward, backward, rtol=1e-12, atol=1e-12)
+
+            # Untransmitted positions are +0.0 erasures, and a transmitted
+            # -0.0 folds to +0.0 as an accumulation from zero would.
+            folded = matcher.derate_match_batch(np.full((batch, num_output), -0.0), rv)
+            assert not np.signbit(folded).any()
 
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=15, deadline=None)
-    def test_interleaver_batch_matches_serial(self, batch, seed):
+    def test_deinterleave_inverts_interleave(self, batch, seed):
         interleaver = random_interleaver(36, seed=seed)
         rng = np.random.default_rng(seed)
         values = rng.normal(0.0, 1.0, (batch, 36))
         forward = interleaver.interleave_batch(values)
-        backward = interleaver.deinterleave_batch(values)
-        for row in range(batch):
-            assert forward[row].tobytes() == interleaver.interleave(values[row]).tobytes()
-            assert (
-                backward[row].tobytes() == interleaver.deinterleave(values[row]).tobytes()
-            )
+        assert np.array_equal(forward, values[:, interleaver.permutation])
+        assert np.array_equal(interleaver.deinterleave_batch(forward), values)
+        assert np.array_equal(
+            interleaver.interleave_batch(interleaver.deinterleave_batch(values)), values
+        )
+        assert np.array_equal(interleaver.inverse.interleave_batch(forward), values)
 
 
 # --------------------------------------------------------------------------- #
-# sample-domain kernels
+# sample-domain kernels: a row of a batch equals that packet alone
 # --------------------------------------------------------------------------- #
 class TestSampleKernels:
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=15, deadline=None)
-    def test_spreader_batch_matches_serial(self, batch, seed):
+    def test_noiseless_despread_inverts_spread(self, batch, seed):
+        """Despreading recovers the symbols; an orthogonal code sees nothing."""
         spreader = Spreader(spreading_factor=4, code_index=1)
+        other = Spreader(spreading_factor=4, code_index=2)
         rng = np.random.default_rng(seed)
         symbols = rng.normal(size=(batch, 12)) + 1j * rng.normal(size=(batch, 12))
         chips = spreader.spread_batch(symbols)
-        recovered = spreader.despread_batch(chips)
-        for row in range(batch):
-            assert chips[row].tobytes() == spreader.spread(symbols[row]).tobytes()
-            assert (
-                recovered[row].tobytes() == spreader.despread(chips[row]).tobytes()
-            )
+        assert chips.shape == (batch, 48)
+        assert np.allclose(np.abs(chips), np.repeat(np.abs(symbols), 4, axis=1))
+        assert np.allclose(spreader.despread_batch(chips), symbols, rtol=1e-12, atol=1e-12)
+        assert np.allclose(other.despread_batch(chips), 0.0, atol=1e-12)
 
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -173,18 +225,20 @@ class TestSampleKernels:
         variances = rng.uniform(0.01, 1.0, batch)
         equalizer = MmseEqualizer(num_taps=8)
         # Two passes: the second is served from the design cache and must
-        # still match the fresh serial design exactly.
+        # still match a fresh single-packet design exactly.
         for _ in range(2):
-            symbols, noise = equalizer.equalize_batch(
-                received, responses, variances, num_symbols
-            )
-            serial = MmseEqualizer(num_taps=8)
+            output = equalizer.equalize_batch(received, responses, variances, num_symbols)
+            alone = MmseEqualizer(num_taps=8)
             for row in range(batch):
-                output = serial.equalize(
+                single = alone.equalize(
                     received[row], responses[row], float(variances[row]), num_symbols
                 )
-                assert symbols[row].tobytes() == output.symbols.tobytes()
-                assert float(noise[row]) == output.effective_noise_variance
+                assert output.symbols[row].tobytes() == single.symbols.tobytes()
+                assert output.taps[row].tobytes() == single.taps.tobytes()
+                assert float(output.effective_noise_variance[row]) == (
+                    single.effective_noise_variance
+                )
+                assert float(output.sinr[row]) == single.sinr
 
     @given(batch=BATCHES, seed=SEEDS, zero_tap=st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -196,9 +250,12 @@ class TestSampleKernels:
             size=(batch, channel_length)
         )
         if zero_tap:
-            # Ragged finger counts: first packet loses a tap, exercising the
-            # per-packet fallback.
+            # Ragged finger counts: the first packet loses a tap and the last
+            # loses all of them, so the rows fall into separate finger-count
+            # groups (and a zero-finger row) inside one call.
             responses[0, -1] = 0.0
+            if batch > 1:
+                responses[-1] = 0.0
         received = rng.normal(
             size=(batch, num_symbols + channel_length - 1)
         ) + 1j * rng.normal(size=(batch, num_symbols + channel_length - 1))
@@ -214,7 +271,7 @@ class TestSampleKernels:
 
 
 # --------------------------------------------------------------------------- #
-# transmitter and full-link composition
+# transmitter and full-link composition: rounds are row-independent
 # --------------------------------------------------------------------------- #
 class TestLinkComposition:
     @given(batch=BATCHES, seed=SEEDS)
@@ -273,14 +330,14 @@ class TestLinkComposition:
         ids=["per-transmission", "combined", "jakes-fading", "jakes-combined"],
     )
     def test_batch_one_fast_path_matches_general_round(self, overrides):
-        """The serial batch-1 front-end fast path is byte-identical to the
-        general batched round.
+        """A batch of one equals that packet's row of a wider round.
 
-        A width-3 round takes the general batched path; running each of the
-        same packets alone takes the ``_front_end_single`` shortcut (the
-        batch-1 regression fix).  Row independence means the rows must match
-        byte for byte — in both buffer architectures, with and without
-        fading.
+        Three packets run every HARQ round together, then each runs the same
+        rounds alone; every round's combined LLR row must match byte for
+        byte — in both buffer architectures, with and without fading, and
+        across rounds that read back and combine several stored
+        transmissions.  ``simulate_single_packet`` is a batch of one, so this
+        is what keeps it consistent with the pooled Monte-Carlo paths.
         """
         from repro.link.system import _PacketState
         from repro.utils.rng import child_rngs
@@ -295,7 +352,7 @@ class TestLinkComposition:
             **overrides,
         )
 
-        def rows(indices):
+        def rounds(indices):
             link = HspaLikeLink(config)
             rngs = child_rngs(777, 3)
             payloads = [link.transmitter.random_payload(r) for r in rngs]
@@ -309,14 +366,18 @@ class TestLinkComposition:
                 )
                 for j, i in enumerate(indices)
             ]
-            return link._front_end_round(
-                states, 0, config.combining.redundancy_version(0)
-            )
+            return [
+                link._front_end_round(
+                    states, index, config.combining.redundancy_version(index)
+                )
+                for index in range(config.max_transmissions)
+            ]
 
-        wide = rows([0, 1, 2])
+        wide = rounds([0, 1, 2])
         for i in range(3):
-            solo = rows([i])
-            assert solo[0].tobytes() == wide[i].tobytes(), i
+            for index, (alone, shared) in enumerate(zip(rounds([i]), wide)):
+                assert alone.shape[0] == 1
+                assert alone[0].tobytes() == shared[i].tobytes(), (i, index)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer
+from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer, combined_mother_rows
 from repro.harq.combining import (
     CombiningScheme,
     chase_combine,
@@ -96,6 +96,47 @@ class TestTransmissionSoftBuffer:
         combined = buffer.combined_mother_llrs(self._derate_identity)
         assert np.allclose(combined, first + second, atol=2 * buffer.quantizer.step)
         assert buffer.num_stored_transmissions == 2
+
+    def test_combined_rows_match_each_buffer_alone(self):
+        """One read-combine over many buffers equals reading each alone.
+
+        The buffers differ in occupied slots (including a gap at slot 0),
+        redundancy versions, fault maps and transient-upset streams; each
+        output row must be byte-identical to that buffer's own read-combine,
+        which sums its slots in ascending order.
+        """
+
+        def derate(rows, redundancy_version):
+            return np.roll(rows, redundancy_version, axis=1) * (redundancy_version + 1.0)
+
+        occupied_slots = ([0], [0, 1], [0, 1, 2], [1, 2])
+
+        def build():
+            rng = np.random.default_rng(5)
+            buffers = []
+            for index, slots in enumerate(occupied_slots):
+                buffer = TransmissionSoftBuffer(
+                    words_per_transmission=20,
+                    num_slots=3,
+                    fault_map=FaultMap.with_exact_fault_count(60, 10, 30, rng),
+                    soft_error_rate=0.01 if index % 2 else 0.0,
+                    soft_error_rng=index,
+                )
+                for slot in slots:
+                    buffer.store_transmission(slot, rng.normal(0, 5, 20), slot + index)
+                buffers.append(buffer)
+            return buffers
+
+        together = combined_mother_rows(build(), derate)
+        for index, buffer in enumerate(build()):
+            alone = buffer.combined_mother_llrs(derate)
+            assert alone.tobytes() == together[index].tobytes(), index
+        quiet = build()[2]
+        mothers = [
+            derate(quiet.load_transmission(slot)[0][None], slot + 2)[0] for slot in range(3)
+        ]
+        expected = (mothers[0] + mothers[1]) + mothers[2]
+        assert quiet.combined_mother_llrs(derate).tobytes() == expected.tobytes()
 
     def test_empty_combine_rejected(self):
         buffer = TransmissionSoftBuffer(words_per_transmission=10, num_slots=2)

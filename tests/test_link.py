@@ -115,8 +115,10 @@ class TestReceiverAndLink:
         payload = transmitter.random_payload(rng)
         packet = transmitter.encode(payload)
         symbols = transmitter.transmit(packet, 0)
-        mother = receiver.process_transmission(symbols, np.array([1.0]), 1e-4, 0)
-        decoded_payload, crc_ok, _ = receiver.decode(mother)
+        mother = receiver.process_transmission_batch(
+            symbols[None], np.array([[1.0]]), [1e-4], 0
+        )
+        decoded_payload, crc_ok, _ = receiver.decode(mother[0])
         assert crc_ok
         assert np.array_equal(decoded_payload, payload)
 

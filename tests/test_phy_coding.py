@@ -16,8 +16,8 @@ from repro.phy.interleaving import (
 )
 from repro.phy.rate_matching import (
     RateMatcher,
-    make_systematic_priority_buffer,
-    split_systematic_priority_buffer,
+    make_systematic_priority_buffer_batch,
+    split_systematic_priority_buffer_batch,
 )
 from repro.phy.turbo import TurboCode, TurboDecoder, TurboEncoder, UMTS_TRELLIS
 from repro.phy.turbo.interleaver import pseudo_random_interleaver, qpp_interleaver
@@ -68,10 +68,14 @@ class TestInterleaving:
     def test_channel_interleaver_caches_and_roundtrips(self, rng):
         channel_interleaver = ChannelInterleaver()
         for length in (60, 61, 60):
-            data = rng.normal(size=length)
-            assert np.allclose(
-                channel_interleaver.deinterleave(channel_interleaver.interleave(data)), data
+            data = rng.normal(size=(2, length))
+            assert np.array_equal(
+                channel_interleaver.deinterleave_batch(
+                    channel_interleaver.interleave_batch(data)
+                ),
+                data,
             )
+        assert sorted(channel_interleaver._cache) == [60, 61]
 
     @given(st.integers(min_value=2, max_value=300))
     @settings(max_examples=40, deadline=None)
@@ -129,11 +133,11 @@ class TestRateMatching:
             matcher.derate_match(np.zeros(19), 0)
 
     def test_priority_buffer_roundtrip(self, rng):
-        systematic = random_bits(50, rng)
-        parity1 = random_bits(50, rng)
-        parity2 = random_bits(50, rng)
-        buffer = make_systematic_priority_buffer(systematic, parity1, parity2)
-        s, p1, p2 = split_systematic_priority_buffer(buffer, 50)
+        systematic = rng.integers(0, 2, (3, 50), dtype=np.int8)
+        parity1 = rng.integers(0, 2, (3, 50), dtype=np.int8)
+        parity2 = rng.integers(0, 2, (3, 50), dtype=np.int8)
+        buffer = make_systematic_priority_buffer_batch(systematic, parity1, parity2)
+        s, p1, p2 = split_systematic_priority_buffer_batch(buffer, 50)
         assert np.array_equal(s, systematic)
         assert np.array_equal(p1, parity1)
         assert np.array_equal(p2, parity2)
