@@ -22,8 +22,8 @@ calls) for
 
 * the **seed** kernel — a faithful copy of the pre-engine decoder, kept
   here as the fixed baseline,
-* every available backend of the new engine (numpy, numpy-f32, plus numba /
-  native / cupy when importable),
+* every available backend of the new engine (numpy and numpy-f32, plus
+  native and native-f32 when the extension is built),
 
 at the batch sizes that occur at smoke scale: 8 (one work-item chunk /
 fault-map die) and 32 (the cross-work-item aggregated batch,
@@ -39,23 +39,19 @@ wall-clock ratios are flaky on shared CI machines.
 import json
 import os
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from repro.experiments.scales import SCALES
-from repro.phy.turbo import TurboCode, TurboDecoder
+from repro.phy.turbo import TurboDecoder
 from repro.phy.turbo.backends import available_backends
-from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
+from repro.phy.turbo.interleaver import TurboInterleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
+from repro.runner.bench import _decode_throughput, _decoder_workload
 from repro.runner.tasks import DEFAULT_AGGREGATE_PACKETS
 
 BATCH_SIZES = (8, DEFAULT_AGGREGATE_PACKETS, 128)
 REPEATS = 12
-#: Per-row noise levels cycled through the batch: solid, moderate, hard,
-#: hopeless — the convergence mix a sweep's decode calls actually see.
-NOISE_SIGMAS = (0.8, 1.5, 2.2, 3.0)
 
 _NEG_INF = -1e30
 
@@ -167,80 +163,29 @@ class _SeedTurboDecoder:
 
 
 # --------------------------------------------------------------------------- #
-@dataclass
-class _Workload:
-    block_size: int
-    num_iterations: int
-    interleaver: TurboInterleaver
-    batches: dict = field(default_factory=dict)
-
-
-def _build_workload() -> _Workload:
-    scale = SCALES[os.environ.get("REPRO_BENCH_SCALE", "smoke")]
-    config = scale.link_config()
-    k = config.block_size
-    code = TurboCode(k, num_iterations=scale.turbo_iterations)
-    rng = np.random.default_rng(2012)
-    workload = _Workload(
-        block_size=k,
-        num_iterations=scale.turbo_iterations,
-        interleaver=code.encoder.interleaver,
-    )
-    for batch in BATCH_SIZES:
-        rows = []
-        for i in range(batch):
-            bits = rng.integers(0, 2, k, dtype=np.int8)
-            coded = code.encode(bits)
-            noise = rng.normal(0.0, NOISE_SIGMAS[i % len(NOISE_SIGMAS)], coded.size)
-            rows.append((1.0 - 2.0 * coded.astype(np.float64)) * 2.0 + noise)
-        llrs = np.stack(rows)
-        workload.batches[batch] = (
-            llrs[:, :k],
-            np.ascontiguousarray(llrs[:, k::2]),
-            np.ascontiguousarray(llrs[:, k + 1 :: 2]),
-        )
-    return workload
-
-
-def _throughput(decode, batch_inputs, block_size: int, batch: int) -> float:
-    """Best-of-groups throughput: the minimum elapsed time over several
-    timed groups is the least-noise estimate on a shared machine."""
-    decode(*batch_inputs)  # warm-up (JIT compilation, workspace growth)
-    best = float("inf")
-    for _group in range(3):
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            decode(*batch_inputs)
-        best = min(best, (time.perf_counter() - start) / REPEATS)
-    return batch * block_size / best
-
-
 def test_decoder_throughput_benchmark(bench_path):
-    workload = _build_workload()
-    k, iterations = workload.block_size, workload.num_iterations
+    scale, code, batches = _decoder_workload(
+        os.environ.get("REPRO_BENCH_SCALE", "smoke"), BATCH_SIZES, 2012
+    )
+    k, iterations = code.block_size, scale.turbo_iterations
+    interleaver = code.encoder.interleaver
 
-    backends = ["numpy", "numpy-f32"]
-    for optional in ("numba", "native", "native-f32", "cupy-f32"):
-        if optional in available_backends():
-            backends.append(optional)
-
+    backends = list(available_backends())
     results = {"seed": {}}
     for name in backends:
         results[name] = {}
 
-    for batch, inputs in workload.batches.items():
-        seed_decoder = _SeedTurboDecoder(k, iterations, workload.interleaver)
-        results["seed"][batch] = _throughput(seed_decoder.decode, inputs, k, batch)
+    for batch, inputs in batches.items():
+        seed_decoder = _SeedTurboDecoder(k, iterations, interleaver)
+        results["seed"][batch] = _decode_throughput(seed_decoder, inputs, k, batch, REPEATS)
         for name in backends:
-            decoder = TurboDecoder(
-                k, iterations, interleaver=workload.interleaver, backend=name
-            )
-            results[name][batch] = _throughput(decoder.decode, inputs, k, batch)
+            decoder = TurboDecoder(k, iterations, interleaver=interleaver, backend=name)
+            results[name][batch] = _decode_throughput(decoder, inputs, k, batch, REPEATS)
 
     speedup_vs_seed = {
         name: {
             str(batch): results[name][batch] / results["seed"][batch]
-            for batch in workload.batches
+            for batch in batches
         }
         for name in backends
     }
@@ -257,7 +202,7 @@ def test_decoder_throughput_benchmark(bench_path):
     payload.update({
         "block_size": k,
         "num_iterations": iterations,
-        "batch_sizes": list(workload.batches),
+        "batch_sizes": list(batches),
         "info_bits_per_second": {
             name: {str(batch): value for batch, value in per_batch.items()}
             for name, per_batch in results.items()
@@ -281,24 +226,23 @@ def test_decoder_throughput_benchmark(bench_path):
     assert all(v > 0 for per in recorded.values() for v in per.values())
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert aggregated_speedup >= 3.0, payload
-        for batch in workload.batches:
+        for batch in batches:
             floor = 3.0 if batch >= DEFAULT_AGGREGATE_PACKETS else 2.5
             assert speedup_vs_seed["numpy"][str(batch)] >= floor, payload
 
 
 # --------------------------------------------------------------------------- #
-# decoder backend-family sweep (families x batch x threads + BLER parity)
+# decoder backend-family sweep (families x batch + BLER parity)
 # --------------------------------------------------------------------------- #
 def test_decoder_backend_sweep(bench_path):
-    """Sweep every available decoder family across batch sizes and threads.
+    """Sweep every available decoder family across batch sizes.
 
     Delegates to :mod:`repro.runner.bench` (also exposed as ``repro bench
     decoder``): throughput per backend token at each batch size, the
-    speedup of every token against the ``numpy-f32`` baseline, an ``@t<N>``
-    thread-scaling series for threaded families (recorded with the
-    machine's ``cpu_count`` so single-core containers are reported
-    honestly), and a paired seeded BLER sweep holding the fastest
-    non-exact family within ``DECODER_BLER_TOLERANCE`` of the numpy
+    speedup of every token against the ``numpy-f32`` baseline (recorded
+    with the machine's ``cpu_count``), and a paired seeded BLER sweep
+    holding the fastest non-exact family within
+    ``DECODER_BLER_TOLERANCE`` of the numpy
     reference.  Results land in the ``decoder_backends`` section of
     ``BENCH_decoder.json``.  The >= 3x native-vs-numpy-f32 target at the
     widest batch gates only under ``REPRO_BENCH_STRICT=1`` (and only when

@@ -91,8 +91,8 @@ class LinkConfig:
     decoder_backend:
         Turbo-decoder backend name (see :mod:`repro.phy.turbo.backends`).
         The default ``"numpy"`` is the deterministic float64 kernel whose
-        output the golden-seed suite pins; ``"numba"``/``"auto"`` select the
-        JIT backend when available, ``"numpy-f32"`` the float32 mode.
+        output the golden-seed suite pins; ``"native"``/``"auto"`` select the
+        C-extension kernel when it is built, ``"numpy-f32"`` the float32 mode.
     llr_dtype:
         Floating-point dtype of the end-to-end link LLRs (``"float64"`` or
         ``"float32"``).  The opt-in float32 mode halves the LLR memory

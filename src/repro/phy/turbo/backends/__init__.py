@@ -1,44 +1,35 @@
-"""Pluggable turbo-decoder backend registry with auto-detection.
+"""Turbo-decoder backend registry with auto-detection.
 
 Backends are selected by name:
 
 ``numpy`` / ``numpy-f32``
-    The rewritten vectorised numpy kernel (float64 / float32).  ``numpy``
-    is the default everywhere and is bit-identical to the seed decoder.
-``numba`` / ``numba-f32``
-    JIT-compiled trellis loops (:mod:`numba`), if the package is importable.
-``native`` / ``native-f32`` (optionally ``@t<N>``)
+    The vectorised numpy kernel (float64 / float32).  ``numpy`` is the
+    default everywhere and is bit-identical to the seed decoder.
+``native`` / ``native-f32``
     The C-extension max-log-MAP kernel, if the compiled module was built
-    (``pip install -e .`` with a C compiler).  The ``@t<N>`` suffix fans a
-    batch out over N threads (the kernel releases the GIL); results are
-    identical for any thread count, so the suffix never enters the cache
-    identity.
-``cupy`` / ``cupy-f32``
-    GPU array-op kernel, if :mod:`cupy` is importable with a usable device.
+    (``python setup.py build_ext --inplace`` with a C compiler).
 ``auto``
-    The fastest available CPU family (``native`` > ``numba`` > ``numpy``)
-    at float64.  ``cupy`` is never auto-selected — host/device transfer
-    economics depend on the workload, so the GPU stays opt-in.
+    The fastest available family (``native`` > ``numpy``) at float64.
 
-Requesting an unavailable family **falls back to numpy** at the same dtype
-with a warning instead of failing — results stay correct, only slower — so
-a config written on a machine with the extension still runs anywhere.
+Any other token is rejected with ``unknown decoder backend``.  Requesting
+``native`` where the extension was not built **falls back to numpy** at the
+same dtype with a warning instead of failing — results stay correct, only
+slower — so a config written on a machine with the extension still runs
+anywhere.
 
 :func:`resolve_backend` reduces any of these names to the
 :class:`~repro.phy.turbo.backends.base.BackendSpec` that will actually run,
 which is what result caches must key on (see
 :func:`repro.runner.cache.decoder_backend_identity`).
 
-Exactness contract (pinned by the conformance tests): families with
-``exact=True`` are bit-identical to the numpy/float64 golden reference at
-float64; ``exact=False`` families (``native``, ``cupy``) evaluate the same
-max-log equations in a different operation order and are held to
-decision-level agreement plus a BLER-delta tolerance instead.
+Exactness contract (pinned by the conformance tests): ``numpy`` is the
+bit-exact golden reference (``exact=True``); ``native`` (``exact=False``)
+evaluates the same max-log equations in a different operation order and is
+held to decision-level agreement plus a BLER-delta tolerance instead.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
@@ -51,10 +42,8 @@ from repro.phy.turbo.trellis import RscTrellis
 #: dependency-free, because the golden-seed suite pins its exact output.
 DEFAULT_BACKEND = "numpy"
 
-#: ``auto`` preference order among CPU families (first available wins).
-AUTO_PREFERENCE = ("native", "numba", "numpy")
-
-_THREADS_RE = re.compile(r"^(?P<base>.+?)@t(?P<threads>\d+)$")
+#: ``auto`` preference order (first available wins).
+AUTO_PREFERENCE = ("native", "numpy")
 
 
 @dataclass(frozen=True)
@@ -72,26 +61,15 @@ class FamilyInfo:
         Whether the family is bit-identical to the numpy/float64 reference
         at float64 (max-log families with reordered float arithmetic are
         tolerance-gated instead).
-    threaded:
-        Whether the family honours ``BackendSpec.num_threads``.
     """
 
     factory: Callable[[RscTrellis, int, BackendSpec], SisoBackend]
     probe: Callable[[], Tuple[bool, str]]
     exact: bool = True
-    threaded: bool = False
 
 
 def _probe_numpy() -> Tuple[bool, str]:
     return True, "always available (pure-numpy reference kernel)"
-
-
-def _probe_numba() -> Tuple[bool, str]:
-    try:  # pragma: no cover - depends on the environment
-        import numba
-    except ImportError as exc:
-        return False, f"numba not importable: {exc}"
-    return True, f"numba {numba.__version__} importable"
 
 
 def _probe_native() -> Tuple[bool, str]:
@@ -101,38 +79,18 @@ def _probe_native() -> Tuple[bool, str]:
     return kernel is not None, reason
 
 
-def _probe_cupy() -> Tuple[bool, str]:
-    from repro.phy.turbo.backends import cupy_backend
-
-    return cupy_backend.probe()
-
-
-def _make_numba(trellis: RscTrellis, block_size: int, spec: BackendSpec) -> SisoBackend:
-    from repro.phy.turbo.backends.numba_backend import NumbaSisoBackend
-
-    return NumbaSisoBackend(trellis, block_size, spec)
-
-
 def _make_native(trellis: RscTrellis, block_size: int, spec: BackendSpec) -> SisoBackend:
     from repro.phy.turbo.backends.native_backend import NativeSisoBackend
 
     return NativeSisoBackend(trellis, block_size, spec)
 
 
-def _make_cupy(trellis: RscTrellis, block_size: int, spec: BackendSpec) -> SisoBackend:
-    from repro.phy.turbo.backends.cupy_backend import CupySisoBackend
-
-    return CupySisoBackend(trellis, block_size, spec)
-
-
 _FAMILIES: Dict[str, FamilyInfo] = {
     "numpy": FamilyInfo(NumpySisoBackend, _probe_numpy, exact=True),
-    "numba": FamilyInfo(_make_numba, _probe_numba, exact=True),
-    "native": FamilyInfo(_make_native, _probe_native, exact=False, threaded=True),
-    "cupy": FamilyInfo(_make_cupy, _probe_cupy, exact=False),
+    "native": FamilyInfo(_make_native, _probe_native, exact=False),
 }
 
-#: Memoised probe results — probes import packages, which is not free, and
+#: Memoised probe results — probes import modules, which is not free, and
 #: the answer cannot change within one process.
 _PROBE_CACHE: Dict[str, Tuple[bool, str]] = {}
 
@@ -143,35 +101,6 @@ def _probe(family: str) -> Tuple[bool, str]:
         cached = _FAMILIES[family].probe()
         _PROBE_CACHE[family] = cached
     return cached
-
-
-def register_backend_family(
-    family: str,
-    factory: Callable[[RscTrellis, int, BackendSpec], SisoBackend],
-    *,
-    available: Union[Callable[[], bool], Callable[[], Tuple[bool, str]], None] = None,
-    exact: bool = True,
-    threaded: bool = False,
-) -> None:
-    """Register an additional backend family (rejecting duplicates).
-
-    ``available`` may return a plain bool (legacy) or an
-    ``(available, reason)`` tuple; omitted means always available.
-    """
-    if family in _FAMILIES:
-        raise ValueError(f"duplicate backend family {family!r}")
-
-    def probe() -> Tuple[bool, str]:
-        if available is None:
-            return True, "registered as always available"
-        result = available()
-        if isinstance(result, tuple):
-            return result
-        ok = bool(result)
-        return ok, "availability probe returned " + ("True" if ok else "False")
-
-    _FAMILIES[family] = FamilyInfo(factory, probe, exact=exact, threaded=threaded)
-    _PROBE_CACHE.pop(family, None)
 
 
 def backend_names() -> Tuple[str, ...]:
@@ -205,7 +134,6 @@ def family_listing() -> List[Dict[str, object]]:
                 "available": ok,
                 "reason": reason,
                 "exact": info.exact,
-                "threaded": info.threaded,
                 "default": family == DEFAULT_BACKEND,
             }
         )
@@ -213,20 +141,8 @@ def family_listing() -> List[Dict[str, object]]:
 
 
 def parse_backend_name(name: str) -> BackendSpec:
-    """Split a backend token into (family, dtype, threads); no availability
-    checks.
-
-    Accepts an optional ``@t<N>`` thread suffix after the dtype suffix,
-    e.g. ``native-f32@t4``.
-    """
+    """Split a backend token into (family, dtype); no availability checks."""
     token = str(name).strip().lower()
-    num_threads = 1
-    thread_match = _THREADS_RE.match(token)
-    if thread_match is not None:
-        token = thread_match.group("base")
-        num_threads = int(thread_match.group("threads"))
-        if num_threads < 1:
-            raise ValueError(f"decoder backend {name!r} requests zero threads")
     if token == "auto":
         family, dtype_name = "auto", "float64"
     elif token.endswith("-f32"):
@@ -239,23 +155,22 @@ def parse_backend_name(name: str) -> BackendSpec:
         raise ValueError(
             f"unknown decoder backend {name!r}; choose from {sorted(backend_names())}"
         )
-    return BackendSpec(family, dtype_name, num_threads)
+    return BackendSpec(family, dtype_name)
 
 
 def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> BackendSpec:
     """Reduce a requested backend to the spec that will actually run.
 
-    ``auto`` picks the fastest available CPU family (native > numba >
-    numpy); an unavailable family degrades to numpy at the same dtype
-    (with a warning), so a config written on a machine with more backends
-    still runs — and is cached under the backend that *really* produced
-    the numbers.  A thread request on a family that cannot use it is
-    normalised to 1.
+    ``auto`` picks the fastest available family (native > numpy); an
+    unbuilt ``native`` degrades to numpy at the same dtype (with a
+    warning), so a config written on a machine with the extension still
+    runs — and is cached under the backend that *really* produced the
+    numbers.
     """
     spec = parse_backend_name(name) if isinstance(name, str) else name
     if spec.family == "auto":
         family = next((f for f in AUTO_PREFERENCE if _probe(f)[0]), "numpy")
-        spec = BackendSpec(family, spec.dtype_name, spec.num_threads)
+        spec = BackendSpec(family, spec.dtype_name)
     elif not _probe(spec.family)[0]:
         if warn:
             warnings.warn(
@@ -264,16 +179,7 @@ def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> Back
                 RuntimeWarning,
                 stacklevel=2,
             )
-        spec = BackendSpec("numpy", spec.dtype_name, spec.num_threads)
-    if spec.num_threads != 1 and not _FAMILIES[spec.family].threaded:
-        if warn:
-            warnings.warn(
-                f"decoder backend family {spec.family!r} is single-threaded; "
-                f"ignoring @t{spec.num_threads}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        spec = BackendSpec(spec.family, spec.dtype_name, 1)
+        spec = BackendSpec("numpy", spec.dtype_name)
     return spec
 
 
@@ -310,6 +216,5 @@ __all__ = [
     "create_backend",
     "family_listing",
     "parse_backend_name",
-    "register_backend_family",
     "resolve_backend",
 ]

@@ -3,8 +3,9 @@
  * Exposes one function, ``siso``, operating on step-major (block, batch)
  * float32/float64 buffers passed via the buffer protocol — no numpy C API,
  * so the module is insensitive to the numpy ABI it is run against.  The
- * hot loop releases the GIL, which is what lets the Python wrapper fan one
- * batch out over ``num_threads`` worker threads on disjoint column slices.
+ * hot loop releases the GIL.  The Python wrapper decodes columns [0, batch)
+ * of a workspace whose column stride (the ``batch`` argument here) may be
+ * wider than the batch, which is why the entry point takes ``lo, hi``.
  *
  * See sisokernel_impl.h for the kernel body; the Python-side contract
  * (argument shapes, table layouts) lives in

@@ -5,9 +5,7 @@
  * (repro/phy/turbo/backends/numpy_backend.py): plane-major flat branch
  * tables, batch-last (step-major, batch-inner) layout, per-step max
  * normalisation of the state metrics.  Every inner loop runs contiguously
- * over a column slice [lo, hi) of the batch so gcc -O3 auto-vectorises it,
- * and disjoint slices touch disjoint memory, which is what makes the
- * Python-level thread fan-out race-free.
+ * over the column range [lo, hi) of the batch so gcc -O3 auto-vectorises it.
  */
 
 #ifndef SISO_NEG_INF

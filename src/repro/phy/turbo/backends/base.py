@@ -9,7 +9,7 @@ backend trivially exchangeable: two backends that implement the same
 floating-point precision.
 
 Backends are identified by a :class:`BackendSpec` — an implementation family
-(``numpy``, ``numba``, ``native``, ``cupy``) plus a compute dtype — so result
+(``numpy`` or ``native``) plus a compute dtype — so result
 caches can key on exactly what produced a number.
 """
 
@@ -33,41 +33,20 @@ class BackendSpec:
     Attributes
     ----------
     family:
-        Implementation family (``"numpy"``, ``"numba"``, ``"native"``,
-        ``"cupy"``).
+        Implementation family (``"numpy"`` or ``"native"``).
     dtype_name:
         Compute dtype (``"float64"`` or ``"float32"``).
-    num_threads:
-        Worker threads the kernel may fan a batch out over (only honoured
-        by families that release the GIL, e.g. ``native``).  Rows of a
-        batch are decoded independently, so the thread count is pure
-        execution topology: results are identical for any value.  It is
-        therefore **excluded** from :attr:`name` — and hence from the
-        result-cache identity — on purpose.
     """
 
     family: str
     dtype_name: str
-    num_threads: int = 1
 
     @property
     def name(self) -> str:
-        """Canonical user-facing token (``numpy``, ``numpy-f32``, ...).
-
-        Deliberately thread-free: two specs differing only in
-        ``num_threads`` produce bit-identical numbers and must share one
-        cache identity.
-        """
+        """Canonical user-facing token (``numpy``, ``numpy-f32``, ...)."""
         if self.dtype_name == "float64":
             return self.family
         return f"{self.family}-f32"
-
-    @property
-    def display_name(self) -> str:
-        """Human-facing token including the thread count (``native-f32@t4``)."""
-        if self.num_threads > 1:
-            return f"{self.name}@t{self.num_threads}"
-        return self.name
 
     @property
     def dtype(self) -> np.dtype:
@@ -89,7 +68,7 @@ class SisoBackend(ABC):
 
     Implementations may keep internal scratch buffers between calls; a
     backend instance is therefore *not* safe for concurrent use from
-    multiple threads, matching the decoder's single-threaded use.
+    multiple threads, matching how a decoder drives it (one call at a time).
     """
 
     def __init__(self, trellis: RscTrellis, block_size: int, spec: BackendSpec) -> None:

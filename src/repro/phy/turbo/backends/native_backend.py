@@ -1,19 +1,14 @@
 """Python wrapper around the native (C) max-log-MAP SISO kernel.
 
 The compiled extension (:mod:`repro.phy.turbo.backends._native`) runs the
-forward/backward recursion over a *column slice* of a step-major
+forward/backward recursion over the columns of a step-major
 ``(block_size, batch)`` layout with the GIL released.  This wrapper owns
 
 * the flat trellis tables (the same plane-major layout as the numpy
-  backend, converted to the kernel's dtype once per instance),
+  backend, converted to the kernel's dtype once per instance), and
 * transposed scratch buffers — the decoder hands over ``(batch, block)``
   arrays, the kernel wants contiguous step-major planes so its inner loops
-  run over the batch, and
-* the ``num_threads`` fan-out: columns of one batch are split into
-  contiguous slices and decoded concurrently on a shared thread pool.
-  Rows are independent and slices touch disjoint memory, so the result is
-  **identical for any thread count** — which is why ``num_threads`` is
-  excluded from the backend's cache identity.
+  run over the batch.
 
 Exactness contract: ``native`` is a max-log family.  It evaluates the same
 max-log-MAP equations as the numpy reference but in a different operation
@@ -25,7 +20,6 @@ bits and BLER parity is tolerance-gated by the benchmark suite.  The
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict
 
 import numpy as np
@@ -33,25 +27,6 @@ import numpy as np
 from repro.phy.turbo.backends._native import load_kernel_module
 from repro.phy.turbo.backends.base import BackendSpec, SisoBackend
 from repro.phy.turbo.trellis import RscTrellis
-
-#: Below this many batch rows the thread fan-out costs more than it saves.
-MIN_ROWS_PER_THREAD = 8
-
-#: Process-wide pools, keyed by worker count (decode calls are serialised
-#: per decoder, so sharing pools across backend instances is safe and keeps
-#: thread churn at zero in Monte-Carlo loops).
-_POOLS: Dict[int, ThreadPoolExecutor] = {}
-
-
-def _pool(num_threads: int) -> ThreadPoolExecutor:
-    pool = _POOLS.get(num_threads)
-    if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=num_threads, thread_name_prefix="repro-siso"
-        )
-        _POOLS[num_threads] = pool
-    return pool
-
 
 class _Workspace:
     """Step-major transposed scratch for one block size (grown on demand)."""
@@ -65,7 +40,7 @@ class _Workspace:
 
 
 class NativeSisoBackend(SisoBackend):
-    """C-extension kernel with optional multi-threaded batch fan-out."""
+    """C-extension max-log-MAP kernel over the whole batch in one call."""
 
     def __init__(
         self,
@@ -80,9 +55,6 @@ class NativeSisoBackend(SisoBackend):
         self._kernel = kernel
         dtype = self.dtype
         num_states = trellis.num_states
-        if int(spec.num_threads) < 1:
-            raise ValueError(f"num_threads must be >= 1, got {spec.num_threads}")
-        self.num_threads = int(spec.num_threads)
 
         parity_sign = 1.0 - 2.0 * trellis.parity.astype(np.float64)  # (S, 2)
         input_sign = np.array([1.0, -1.0])
@@ -121,20 +93,6 @@ class NativeSisoBackend(SisoBackend):
             self._workspaces[k] = ws
         return ws
 
-    def _column_slices(self, batch: int) -> list:
-        """Contiguous ``(lo, hi)`` column slices, one per worker."""
-        workers = min(self.num_threads, max(1, batch // MIN_ROWS_PER_THREAD))
-        if workers <= 1:
-            return [(0, batch)]
-        base, extra = divmod(batch, workers)
-        slices = []
-        lo = 0
-        for i in range(workers):
-            hi = lo + base + (1 if i < extra else 0)
-            slices.append((lo, hi))
-            lo = hi
-        return slices
-
     # ------------------------------------------------------------------ #
     def siso(
         self,
@@ -157,44 +115,25 @@ class NativeSisoBackend(SisoBackend):
 
         # The scratch views are only contiguous when the batch fills the
         # workspace; hand the kernel the *backing* buffers plus the true
-        # column stride (= capacity) instead of copying again.
-        stride = ws.capacity
-        slices = self._column_slices(batch)
-
-        def run(lo: int, hi: int) -> None:
-            self._kernel.siso(
-                ws.sys_t,
-                ws.par_t,
-                ws.ap_t,
-                ws.app_t,
-                self._prev_flat,
-                self._in_sign_fwd,
-                self._par_sign_fwd,
-                self._next_flat,
-                self._par_sign_bwd,
-                stride,
-                k,
-                self._num_states,
-                bool(terminated_start),
-                lo,
-                hi,
-                self._is_double,
-            )
-
-        if len(slices) == 1:
-            run(0, batch)
-        else:
-            futures = [
-                _pool(self.num_threads).submit(run, lo, hi) for lo, hi in slices
-            ]
-            for future in futures:
-                future.result()
-
+        # column stride (= capacity) and decode columns [0, batch) of them
+        # instead of copying again.
+        self._kernel.siso(
+            ws.sys_t,
+            ws.par_t,
+            ws.ap_t,
+            ws.app_t,
+            self._prev_flat,
+            self._in_sign_fwd,
+            self._par_sign_fwd,
+            self._next_flat,
+            self._par_sign_bwd,
+            ws.capacity,
+            k,
+            self._num_states,
+            bool(terminated_start),
+            0,
+            batch,
+            self._is_double,
+        )
         np.copyto(out, app_t.T)
         return out
-
-
-def probe() -> "tuple[bool, str]":
-    """Availability probe for the backend registry (imports the extension)."""
-    kernel, reason = load_kernel_module()
-    return kernel is not None, reason

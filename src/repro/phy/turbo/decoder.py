@@ -11,8 +11,8 @@ Monte-Carlo link simulation decodes many packets per operating point, so the
 decoder processes a *batch* of packets simultaneously and the hot
 forward/backward kernel is pluggable (see :mod:`repro.phy.turbo.backends`):
 the default vectorised numpy backend precomputes per-step branch metrics
-once and runs the trellis loop allocation-free; an optional numba backend
-JIT-compiles the same recursion.
+once and runs the trellis loop allocation-free; the optional native backend
+runs the same recursion in a compiled C kernel.
 
 Early stopping is *per packet*: once a packet's hard decisions are stable
 over a full iteration its result is frozen and the packet leaves the active
@@ -99,7 +99,7 @@ class TurboDecoder:
         value slightly below 1 (0.75) compensates the optimism of the max-log
         approximation (standard practice in hardware decoders).
     backend:
-        Backend name (``"numpy"``, ``"numpy-f32"``, ``"numba"``, ``"auto"``,
+        Backend name (``"numpy"``, ``"numpy-f32"``, ``"native"``, ``"auto"``,
         ...) or a pre-built :class:`~repro.phy.turbo.backends.SisoBackend`.
         See :mod:`repro.phy.turbo.backends`.
     """

@@ -7,8 +7,7 @@ end-to-end llr-dtype link benchmark (from
 ``front_end`` section comparing the batched transmit/channel/equalize/demap
 path against a verbatim copy of the pre-batching serial front end, plus the
 ``decoder_backends`` section sweeping every available decoder family ×
-batch size × thread count with a BLER-parity check for the max-log
-families.  Only ``repro bench front-end`` / ``repro bench decoder`` write
+batch size with a BLER-parity check for the max-log family.  Only ``repro bench front-end`` / ``repro bench decoder`` write
 the committed file; the test suite passes its own temporary path.
 
 The seed implementations below are faithful copies of the serial code as it
@@ -256,13 +255,10 @@ def run_front_end_benchmark(
 
 
 # --------------------------------------------------------------------------- #
-# Decoder-backend sweep: families × batch sizes × thread counts.
+# Decoder-backend sweep: families × batch sizes.
 # --------------------------------------------------------------------------- #
 #: Batch sizes of the decoder-backend sweep (mirrors the decoder benchmark).
 DECODER_SWEEP_BATCH_SIZES = (8, 32, 128)
-
-#: Thread counts swept for families that honour ``num_threads``.
-DECODER_SWEEP_THREADS = (1, 2, 4)
 
 #: Timed decode calls per (family, batch) point.
 DECODER_SWEEP_REPEATS = 8
@@ -305,7 +301,7 @@ def _decoder_workload(scale_name: str, batch_sizes, base_seed: int):
 
 def _decode_throughput(decoder, inputs, block_size: int, batch: int, repeats: int) -> float:
     """Best-of-groups info-bits/s of one decoder on one prepared batch."""
-    decoder.decode(*inputs)  # warm-up (workspace growth, thread-pool spin-up)
+    decoder.decode(*inputs)  # warm-up (workspace growth)
     best = float("inf")
     for _group in range(3):
         start = time.perf_counter()
@@ -318,28 +314,22 @@ def _decode_throughput(decoder, inputs, block_size: int, batch: int, repeats: in
 def run_decoder_backend_sweep(
     scale: str = "smoke",
     batch_sizes=DECODER_SWEEP_BATCH_SIZES,
-    thread_counts=DECODER_SWEEP_THREADS,
     repeats: int = DECODER_SWEEP_REPEATS,
     base_seed: int = 2012,
     with_bler_parity: bool = True,
 ) -> Dict:
-    """Sweep every available decoder family × batch × threads.
+    """Sweep every available decoder family × batch size.
 
     Measures information bits decoded per second for both dtypes of every
-    *available* family on the same seeded mixed-noise workload, a thread
-    sweep for the families that honour ``num_threads`` (recorded together
-    with the machine's CPU count — thread scaling is meaningless without
-    it), and, for the fastest non-exact family, a paired seeded BLER sweep
-    against the numpy reference with a tolerance verdict.
+    *available* family on the same seeded mixed-noise workload (recorded
+    with the machine's CPU count), and, for the fastest non-exact family, a
+    paired seeded BLER sweep against the numpy reference with a tolerance
+    verdict.
     """
     import os
 
     from repro.phy.turbo import TurboDecoder
-    from repro.phy.turbo.backends import (
-        available_backends,
-        backend_is_exact,
-        family_listing,
-    )
+    from repro.phy.turbo.backends import available_backends, backend_is_exact
 
     link_scale, code, batches = _decoder_workload(scale, batch_sizes, base_seed)
     k = code.block_size
@@ -371,32 +361,6 @@ def run_decoder_backend_sweep(
             batch: value / reference[batch]
             for batch, value in section["info_bits_per_second"][token].items()
             if reference.get(batch)
-        }
-
-    # Thread sweep on the widest batch for every threaded family.
-    threaded = [
-        entry["family"]
-        for entry in family_listing()
-        if entry["threaded"] and entry["available"]
-    ]
-    section["thread_scaling"] = {}
-    widest = max(batches)
-    for family in threaded:
-        token = f"{family}-f32"
-        per_thread = {}
-        for threads in thread_counts:
-            decoder = TurboDecoder(
-                k,
-                iterations,
-                interleaver=code.encoder.interleaver,
-                backend=f"{token}@t{threads}" if threads > 1 else token,
-            )
-            per_thread[str(threads)] = _decode_throughput(
-                decoder, batches[widest], k, widest, repeats
-            )
-        section["thread_scaling"][token] = {
-            "batch": int(widest),
-            "info_bits_per_second": per_thread,
         }
 
     # BLER parity of the fastest available max-log family vs the reference.
@@ -461,17 +425,6 @@ def run_and_record_decoder_backends(
             ratio = section["speedup_vs_numpy_f32"].get(token, {}).get(batch)
             suffix = f" ({ratio:.2f}x numpy-f32)" if ratio is not None else ""
             log(f"{token:12s} batch={int(batch):4d}: {value:12.0f} info bits/s{suffix}")
-    for token, entry in section["thread_scaling"].items():
-        pairs = ", ".join(
-            f"t{threads}={value:.0f}"
-            for threads, value in sorted(
-                entry["info_bits_per_second"].items(), key=lambda kv: int(kv[0])
-            )
-        )
-        log(
-            f"{token} thread sweep at batch {entry['batch']} "
-            f"(cpu_count={section['cpu_count']}): {pairs}"
-        )
     parity = section.get("bler_parity")
     if parity is not None:
         verdict = "within" if parity["within_tolerance"] else "EXCEEDS"

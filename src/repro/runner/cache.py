@@ -72,9 +72,7 @@ def decoder_backend_identity(requested: str) -> Dict[str, str]:
     records its name **and** compute dtype, so results produced by
     different backends or precisions are never conflated — and a request
     that silently fell back to numpy shares the numpy entry instead of
-    poisoning the numba one.  ``BackendSpec.name`` deliberately excludes
-    ``num_threads``: rows decode independently, so an ``@t4`` request
-    produces bit-identical results to ``@t1`` and must share its entry.
+    poisoning the native one.
     """
     from repro.phy.turbo.backends import resolve_backend
 
@@ -151,15 +149,18 @@ class ResultCache:
             return None, status
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("cache entry is not a JSON object")
         except OSError:
             telemetry.inc("store_misses_total", store="cache")
             return None, "unreadable"
         except ValueError:
-            # A file that exists but is not JSON was damaged after it was
-            # written (stores are atomic, so it cannot be a half-write from
-            # a live writer).  ValueError covers both JSONDecodeError and
-            # the UnicodeDecodeError a torn entry with invalid UTF-8 bytes
-            # raises from read_text — either way the contract is the same:
+            # A file that exists but is not a JSON object was damaged after
+            # it was written (stores are atomic, so it cannot be a
+            # half-write from a live writer).  ValueError covers
+            # JSONDecodeError, the UnicodeDecodeError a torn entry with
+            # invalid UTF-8 bytes raises from read_text, and valid JSON of
+            # the wrong shape — either way the contract is the same:
             # quarantine, warn, recompute.  Move it aside rather than
             # silently letting the next store destroy the evidence.
             quarantine = path.with_name(path.name + ".corrupt")

@@ -114,11 +114,11 @@ DEFAULT_SOCKET_BIND = "127.0.0.1:0"
 
 
 def _decoder_backend_token(value: str) -> str:
-    """argparse type for ``--decoder-backend`` (accepts ``@t<N>`` suffixes).
+    """argparse type for ``--decoder-backend``.
 
-    A static ``choices=`` list cannot enumerate the open-ended thread tokens
-    (``native-f32@t4``), so validation goes through the same parser the
-    decoder itself uses and bad tokens still fail at argument-parse time.
+    Validation goes through the same parser the decoder itself uses (it
+    also accepts case variants and the ``-f64`` suffix, which a static
+    ``choices=`` list would not), so bad tokens fail at argument-parse time.
     """
     from repro.phy.turbo.backends import parse_backend_name
 
@@ -282,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_decoder_backend_token,
         metavar="BACKEND",
         help="turbo-decoder backend, e.g. "
-        f"{', '.join(sorted(backend_names()))}; threaded families accept an "
-        "@t<N> suffix such as native-f32@t4 (default: the deterministic "
+        f"{', '.join(sorted(backend_names()))} (default: the deterministic "
         "numpy kernel; see `repro backends ls`)",
     )
     run_p.add_argument(
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=("front-end", "decoder"),
         help="benchmark to run (front-end: seed-serial vs batched link front "
-        "end; decoder: backend-family throughput/thread/BLER-parity sweep)",
+        "end; decoder: backend-family throughput/BLER-parity sweep)",
     )
     bench_p.add_argument("--scale", default="smoke", choices=sorted(SCALES))
     bench_p.add_argument(
@@ -527,7 +526,7 @@ def run_identity(experiment: str, scale_name: str, seed: int, kwargs: Dict[str, 
     silently serving pre-change results.  A requested decoder backend is
     replaced by the backend that will *actually* run — name and compute
     dtype (see :func:`repro.runner.cache.decoder_backend_identity`) — so
-    results from different backends are never conflated, while a numba
+    results from different backends are never conflated, while a native
     request that falls back to numpy shares the numpy entry.
     """
     scale = get_scale(scale_name)
@@ -547,7 +546,7 @@ def _normalise_identity_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
     if kwargs.get("decoder_backend") is not None:
         resolved_backend = decoder_backend_identity(kwargs["decoder_backend"])
         if resolved_backend == decoder_backend_identity("numpy"):
-            # An explicit request for the default backend (or a numba request
+            # An explicit request for the default backend (or a native request
             # that fell back to it) computes byte-identical results — share
             # the default cache entry instead of recomputing it.
             del kwargs["decoder_backend"]
@@ -1058,8 +1057,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         if entry["family"] == DECODER_DEFAULT:
             flags.append("default")
         flags.append("exact" if entry["exact"] else "max-log")
-        if entry["threaded"]:
-            flags.append("threaded (@t<N>)")
         print(
             f"  {entry['family']:<8} [{status:<11}] ({', '.join(flags)}) "
             f"{entry['reason']}"

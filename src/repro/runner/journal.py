@@ -140,15 +140,19 @@ class SweepJournal:
                 self.recovered_truncation = True
                 break
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
+                if not isinstance(entry, dict):
+                    raise ValueError("journal line is not a JSON object")
             except ValueError:
                 # Entries are fsynced in order, so a malformed line means
                 # everything after it is unreliable too.  ValueError covers
-                # JSONDecodeError and the UnicodeDecodeError a torn line
-                # with invalid UTF-8 bytes raises — both truncate, never
-                # crash the resume.
+                # JSONDecodeError, the UnicodeDecodeError a torn line with
+                # invalid UTF-8 bytes raises, and valid JSON that is not an
+                # object — all truncate, never crash the resume (a bad
+                # header leaves no entries, so the journal is discarded).
                 self.recovered_truncation = True
                 break
+            entries.append(entry)
             good_bytes += len(line)
         if not entries or not self._header_matches(entries[0]):
             # Foreign, stale-format or empty journal: recompute from scratch.

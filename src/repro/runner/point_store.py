@@ -256,13 +256,16 @@ class PointStore:
             return None, status
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("point-store entry is not a JSON object")
         except OSError:
             return None, "unreadable"
         except ValueError:
-            # ValueError covers JSONDecodeError *and* the UnicodeDecodeError
-            # a torn entry whose bytes are invalid UTF-8 raises from
-            # read_text — both mean "damaged after an atomic write", and
-            # both quarantine instead of crashing the coordinator.
+            # ValueError covers JSONDecodeError, the UnicodeDecodeError a
+            # torn entry whose bytes are invalid UTF-8 raises from
+            # read_text, and valid JSON that is not an object — all mean
+            # "damaged after an atomic write", and all quarantine instead
+            # of crashing the coordinator.
             quarantine = path.with_name(path.name + ".corrupt")
             try:
                 os.replace(path, quarantine)

@@ -47,9 +47,9 @@ LINK_CACHE_MAX_ENTRIES = 16
 #: worker daemon executes several work items concurrently on a thread pool,
 #: and two threads sharing one ``HspaLikeLink`` would race on its internal
 #: buffers (corrupting results nondeterministically).  Each slot thread
-#: therefore owns its simulators; single-threaded workers (the process pool,
-#: serial runs, slots=1 daemons) see exactly the one-cache-per-process
-#: behaviour they always had.
+#: therefore owns its simulators; workers running one item at a time (the
+#: process pool, serial runs, slots=1 daemons) see exactly the
+#: one-cache-per-process behaviour they always had.
 _LINK_CACHES = threading.local()
 
 

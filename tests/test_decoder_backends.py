@@ -2,10 +2,11 @@
 
 The contracts pinned here are the ones the rest of the system builds on:
 
-* the registry resolves names, auto-detects numba and falls back cleanly;
+* the registry resolves names, auto-detects the native kernel, falls back
+  cleanly when it is not built and rejects every other token;
 * every backend decodes rows independently (batch composition never changes
   a row's output) — the invariant behind cross-work-item batch aggregation;
-* the float32 and numba paths agree with the default numpy/float64 backend
+* the float32 and native paths agree with the default numpy/float64 backend
   within tolerance;
 * ``converged`` is meaningful for ``num_iterations == 1`` (measured against
   the pre-iteration hard decisions);
@@ -32,10 +33,6 @@ from repro.runner.cache import config_digest, decoder_backend_identity
 from repro.runner.cli import run_identity
 
 
-def _numba_available() -> bool:
-    return "numba" in available_backends()
-
-
 def _native_available() -> bool:
     return "native" in available_backends()
 
@@ -59,8 +56,7 @@ def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6
 class TestRegistry:
     def test_backend_names_include_families_and_auto(self):
         names = backend_names()
-        assert "auto" in names and "numpy" in names and "numba" in names
-        assert "numpy-f32" in names
+        assert set(names) == {"auto", "numpy", "numpy-f32", "native", "native-f32"}
 
     def test_parse_tokens(self):
         assert parse_backend_name("numpy") == BackendSpec("numpy", "float64")
@@ -69,8 +65,11 @@ class TestRegistry:
         assert parse_backend_name("auto").family == "auto"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown decoder backend"):
-            parse_backend_name("cuda")
+        # Includes tokens of the removed numba/cupy families and thread
+        # suffixes: they fail at parse time instead of falling back.
+        for token in ("cuda", "numba", "cupy-f32", "native-f32@t2"):
+            with pytest.raises(ValueError, match="unknown decoder backend"):
+                parse_backend_name(token)
 
     def test_auto_resolves_to_an_available_family(self):
         spec = resolve_backend("auto")
@@ -78,47 +77,19 @@ class TestRegistry:
             f for f in AUTO_PREFERENCE if f in {t for t in available_backends()}
         )
         assert spec.family == expected
-        if not _native_available() and not _numba_available():
+        if not _native_available():
             assert spec.family == "numpy"
-
-    def test_thread_suffix_parses(self):
-        spec = parse_backend_name("native-f32@t4")
-        assert spec == BackendSpec("native", "float32", 4)
-        assert spec.name == "native-f32"  # thread count excluded from identity
-        assert spec.display_name == "native-f32@t4"
-        assert parse_backend_name("native@t2") == BackendSpec("native", "float64", 2)
-        assert parse_backend_name("numpy").num_threads == 1
-
-    def test_thread_suffix_rejects_zero_and_garbage(self):
-        with pytest.raises(ValueError, match="zero threads"):
-            parse_backend_name("native@t0")
-        with pytest.raises(ValueError, match="unknown decoder backend"):
-            parse_backend_name("native@threads4")
-
-    def test_thread_suffix_on_single_threaded_family_normalises(self):
-        with pytest.warns(RuntimeWarning, match="single-threaded"):
-            spec = resolve_backend("numpy@t4")
-        assert spec == BackendSpec("numpy", "float64", 1)
-
-    def test_numba_falls_back_to_numpy_when_missing(self):
-        if _numba_available():
-            pytest.skip("numba present; fallback path not reachable")
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            spec = resolve_backend("numba")
-        assert spec == BackendSpec("numpy", "float64")
-        # dtype is preserved through the fallback
-        assert resolve_backend("numba-f32", warn=False).dtype_name == "float32"
 
     def test_native_falls_back_to_numpy_when_missing(self):
         if _native_available():
             pytest.skip("native extension built; fallback path not reachable")
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            spec = resolve_backend("native-f32@t4")
+            spec = resolve_backend("native-f32")
         assert spec.family == "numpy" and spec.dtype_name == "float32"
 
     def test_exactness_classification(self):
         assert backend_is_exact("numpy") and backend_is_exact("numpy-f32")
-        # native/cupy requests resolve before classification, so when the
+        # native requests resolve before classification, so when the
         # family is unavailable the verdict describes the numpy fallback.
         if _native_available():
             assert not backend_is_exact("native")
@@ -131,7 +102,7 @@ class TestRegistry:
 
     def test_spec_names(self):
         assert BackendSpec("numpy", "float64").name == "numpy"
-        assert BackendSpec("numba", "float32").name == "numba-f32"
+        assert BackendSpec("native", "float32").name == "native-f32"
 
 
 class TestBackendEquivalence:
@@ -152,17 +123,6 @@ class TestBackendEquivalence:
         scale = np.maximum(np.abs(r64.app_llrs), 1.0)
         assert np.max(np.abs(r64.app_llrs - r32.app_llrs) / scale) < 1e-2
 
-    @pytest.mark.skipif(not _numba_available(), reason="numba not installed")
-    def test_numba_matches_numpy(self, rng):
-        code = TurboCode(96, num_iterations=4)
-        sys_llrs, par1, par2 = _noisy_batch(code, 8, rng)
-        ref = TurboDecoder(96, 4, interleaver=code.encoder.interleaver)
-        jit = TurboDecoder(96, 4, interleaver=code.encoder.interleaver, backend="numba")
-        r_ref = ref.decode(sys_llrs, par1, par2)
-        r_jit = jit.decode(sys_llrs, par1, par2)
-        assert np.array_equal(r_ref.decoded_bits, r_jit.decoded_bits)
-        np.testing.assert_allclose(r_ref.app_llrs, r_jit.app_llrs, rtol=1e-9, atol=1e-9)
-
     def test_workspace_reuse_is_stateless(self, rng):
         """Repeated calls through one backend instance give identical output."""
         code = TurboCode(64, num_iterations=3)
@@ -181,7 +141,7 @@ class TestFamilyConformance:
     """One sweep, every available family, the exactness contract applied.
 
     Exact families must reproduce the numpy/float64 reference bit-for-bit at
-    float64; max-log families (``native``, ``cupy``) evaluate the same
+    float64; the max-log family (``native``) evaluates the same
     equations in a different operation order and are held to decision-level
     agreement on confidently-decoded bits plus an APP tolerance — and, in
     :class:`TestNativeBackend`, a paired-seed BLER delta bound.
@@ -197,7 +157,7 @@ class TestFamilyConformance:
         ).decode(*inputs)
         return code, inputs, reference
 
-    @pytest.mark.parametrize("family", ["numpy", "numba", "native", "cupy"])
+    @pytest.mark.parametrize("family", ["numpy", "native"])
     def test_family_agrees_with_reference(self, conformance_workload, family):
         if family not in available_backends():
             pytest.skip(f"{family} family unavailable on this machine")
@@ -216,7 +176,7 @@ class TestFamilyConformance:
             scale = np.maximum(np.abs(reference.app_llrs), 1.0)
             assert np.max(np.abs(reference.app_llrs - result.app_llrs) / scale) < 1e-6
 
-    @pytest.mark.parametrize("family", ["numpy", "numba", "native", "cupy"])
+    @pytest.mark.parametrize("family", ["numpy", "native"])
     def test_family_f32_decisions_agree(self, conformance_workload, family):
         if family not in available_backends():
             pytest.skip(f"{family} family unavailable on this machine")
@@ -233,20 +193,6 @@ class TestFamilyConformance:
 
 @pytest.mark.skipif(not _native_available(), reason="native extension not built")
 class TestNativeBackend:
-    def test_thread_count_never_changes_results(self, rng):
-        """`@t<N>` is pure topology: any thread count, identical bytes."""
-        code = TurboCode(88, num_iterations=4)
-        inputs = _noisy_batch(code, 13, rng)  # odd batch: uneven slices
-        results = [
-            TurboDecoder(
-                88, 4, interleaver=code.encoder.interleaver, backend=token
-            ).decode(*inputs)
-            for token in ("native-f32", "native-f32@t2", "native-f32@t4")
-        ]
-        for other in results[1:]:
-            assert np.array_equal(results[0].app_llrs, other.app_llrs)
-            assert np.array_equal(results[0].decoded_bits, other.decoded_bits)
-
     def test_batch_one_and_uneven_batches(self, rng):
         """Row independence holds for the native kernel too."""
         code = TurboCode(72, num_iterations=4)
@@ -347,17 +293,6 @@ class TestCacheIdentity:
     def test_backend_identity_records_name_and_dtype(self):
         identity = decoder_backend_identity("numpy-f32")
         assert identity == {"name": "numpy-f32", "dtype": "float32"}
-
-    def test_unavailable_numba_resolves_to_numpy_identity(self):
-        if _numba_available():
-            pytest.skip("numba present")
-        assert decoder_backend_identity("numba") == {"name": "numpy", "dtype": "float64"}
-
-    def test_thread_count_never_enters_the_identity(self):
-        """`@t<N>` cannot change results, so it must share the cache entry."""
-        base = decoder_backend_identity("native-f32")
-        threaded = decoder_backend_identity("native-f32@t4")
-        assert base == threaded
 
     def test_run_identity_distinguishes_backends(self):
         base = run_identity("fig6", "smoke", 2012, {})

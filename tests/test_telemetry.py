@@ -46,6 +46,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Bytes that are invalid UTF-8 (0xFF/0xFE can never appear in UTF-8) — the
 #: shape of a torn entry whose tail landed mid-multibyte-sequence.
 _NOT_UTF8 = b'\xff\xfe{"cache_format": 1, "torn": \x80\x81'
+#: Damaged entries that decode as JSON but are not an object.
+_NOT_AN_OBJECT = (b"[]", b"null", b"7")
 
 
 @pytest.fixture()
@@ -354,27 +356,32 @@ class TestChaosCounters:
 # --------------------------------------------------------------------------- #
 @pytest.mark.usefixtures("fresh_registry")
 class TestInvalidUtf8Quarantine:
-    """Torn entries with invalid UTF-8 bytes recover exactly like bad JSON."""
+    """Torn entries with invalid UTF-8 bytes — or valid JSON that is not an
+    object — recover exactly like bad JSON."""
 
     def test_cache_entry_quarantined_and_run_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         first = experiment_payload("fig3", "smoke", 2012, cache=cache)
         [(experiment, digest, path)] = list(cache.iter_entries())
-        path.write_bytes(_NOT_UTF8)
+        damaged = (_NOT_UTF8, *_NOT_AN_OBJECT)
+        for torn in damaged:
+            path.write_bytes(torn)
+            with pytest.warns(RuntimeWarning, match="corrupt JSON"):
+                payload, status = cache.load_with_status(experiment, digest)
+            assert payload is None and status == "corrupt"
+            assert path.with_name(path.name + ".corrupt").read_bytes() == torn
+            assert not path.exists()
 
-        with pytest.warns(RuntimeWarning, match="corrupt JSON"):
-            payload, status = cache.load_with_status(experiment, digest)
-        assert payload is None and status == "corrupt"
-        assert path.with_name(path.name + ".corrupt").read_bytes() == _NOT_UTF8
-        assert not path.exists()
-
-        # The same request recomputes byte-identically and restores the slot
-        # (the quarantined sibling already marks the miss, so no re-warning).
-        second = experiment_payload("fig3", "smoke", 2012, cache=cache)
-        assert second == first
-        assert cache.load_with_status(experiment, digest)[1] == "ok"
+            # The same request recomputes byte-identically and restores the
+            # slot (the quarantined sibling already marks the miss, so no
+            # re-warning).
+            second = experiment_payload("fig3", "smoke", 2012, cache=cache)
+            assert second == first
+            assert cache.load_with_status(experiment, digest)[1] == "ok"
         registry = telemetry.registry()
-        assert registry.counter_value("store_quarantines_total", store="cache") == 1
+        assert registry.counter_value(
+            "store_quarantines_total", store="cache"
+        ) == len(damaged)
 
     def test_point_store_entry_quarantined_and_restorable(self, tmp_path):
         store = PointStore(tmp_path / "points")
@@ -390,43 +397,61 @@ class TestInvalidUtf8Quarantine:
         atomic_write_text(store.path_for(digest), good)
         assert store.load_payload_with_status(digest)[1] == "ok"
 
-        store.path_for(digest).write_bytes(_NOT_UTF8)
-        with pytest.warns(RuntimeWarning, match="corrupt JSON"):
-            payload, status = store.load_payload_with_status(digest)
-        assert payload is None and status == "corrupt"
         quarantine = store.path_for(digest).with_name(
             store.path_for(digest).name + ".corrupt"
         )
-        assert quarantine.read_bytes() == _NOT_UTF8
+        damaged = (_NOT_UTF8, *_NOT_AN_OBJECT)
+        for torn in damaged:
+            store.path_for(digest).write_bytes(torn)
+            with pytest.warns(RuntimeWarning, match="corrupt JSON"):
+                # The typed loader the sweep paths use reads it as a miss.
+                assert store.load_fault_point(digest) is None
+            assert quarantine.read_bytes() == torn
+            assert store.load_payload_with_status(digest) == (None, "corrupt")
 
-        # A recomputed entry re-occupies the slot cleanly.
-        atomic_write_text(store.path_for(digest), good)
-        assert store.load_payload_with_status(digest)[1] == "ok"
+            # A recomputed entry re-occupies the slot cleanly.
+            atomic_write_text(store.path_for(digest), good)
+            assert store.load_payload_with_status(digest)[1] == "ok"
         registry = telemetry.registry()
-        assert (
-            registry.counter_value("store_quarantines_total", store="point-store") == 1
-        )
+        assert registry.counter_value(
+            "store_quarantines_total", store="point-store"
+        ) == len(damaged)
 
     def test_journal_tail_with_invalid_utf8_is_truncated(self, tmp_path):
         journal = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef")
         journal.close()
-        header_size = journal.path.stat().st_size
-        with open(journal.path, "ab") as handle:
-            # Newline-terminated, so it is a *malformed line* (the
-            # UnicodeDecodeError path inside json.loads), not a torn tail.
-            handle.write(b'{"type": "fault_point", "ind\xff\xfe\x80"}\n')
+        header = journal.path.read_bytes()
+        # Newline-terminated, so each is a *malformed line* (for the first,
+        # the UnicodeDecodeError path inside json.loads), not a torn tail.
+        damaged = (
+            b'{"type": "fault_point", "ind\xff\xfe\x80"}',
+            *_NOT_AN_OBJECT,
+        )
+        for torn in damaged:
+            journal.path.write_bytes(header + torn + b"\n")
+            resumed = SweepJournal.open_for_run(
+                tmp_path, "figx", "deadbeef", resume=True
+            )
+            assert resumed.recovered_truncation
+            assert resumed.replayed_entries == 0
+            assert resumed.path.read_bytes() == header  # tail gone on disk
+            resumed.close()
 
-        resumed = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef", resume=True)
-        assert resumed.recovered_truncation
-        assert resumed.replayed_entries == 0
-        assert resumed.path.stat().st_size == header_size  # tail gone on disk
-        resumed.close()
+            again = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef", resume=True)
+            assert not again.recovered_truncation
+            again.close()
 
-        again = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef", resume=True)
-        assert not again.recovered_truncation
-        again.close()
+            # The same damage in place of the header discards the journal,
+            # which restarts from a fresh header.
+            journal.path.write_bytes(torn + b"\n")
+            restarted = SweepJournal.open_for_run(
+                tmp_path, "figx", "deadbeef", resume=True
+            )
+            assert restarted.replayed_entries == 0
+            restarted.close()
+            assert restarted.path.read_bytes() == header
         registry = telemetry.registry()
-        assert registry.counter_total("journal_truncations_total") == 1
+        assert registry.counter_total("journal_truncations_total") == len(damaged)
 
 
 # --------------------------------------------------------------------------- #
