@@ -14,7 +14,8 @@ Exactness contract: ``native`` is a max-log family.  It evaluates the same
 max-log-MAP equations as the numpy reference but in a different operation
 order (fused per-step branch computation instead of shared tables), so its
 LLRs may differ in the last float ulps; decisions agree on all confident
-bits and BLER parity is tolerance-gated by the benchmark suite.  The
+bits and BLER parity is tolerance-gated by
+``tests/test_decoder_backends.py::TestNativeBackend``.  The
 ``numpy``/float64 family remains the bit-exact golden reference.
 """
 

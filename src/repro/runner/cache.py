@@ -206,36 +206,39 @@ class ResultCache:
 
     def entries(self) -> Dict[str, int]:
         """Number of cached runs per experiment (for ``repro cache ls``)."""
-        if not self.root.exists():
-            return {}
-        return {
-            directory.name: sum(1 for _ in directory.glob("*.json"))
-            for directory in sorted(self.root.iterdir())
-            if directory.is_dir()
-        }
+        counts: Dict[str, int] = {}
+        for experiment, _digest, _path in self.iter_entries():
+            counts[experiment] = counts.get(experiment, 0) + 1
+        return counts
 
     def iter_entries(self) -> Iterator[Tuple[str, str, Path]]:
         """Yield ``(experiment, digest, path)`` for every cached run file."""
+        for experiment, path in self._files("*.json"):
+            yield experiment, path.stem, path
+
+    def _files(self, pattern: str) -> Iterator[Tuple[str, Path]]:
+        """Yield ``(experiment, path)`` for files matching *pattern*."""
         if not self.root.exists():
             return
         for directory in sorted(self.root.iterdir()):
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.glob("*.json")):
-                yield directory.name, path.stem, path
+            if directory.is_dir():
+                for path in sorted(directory.glob(pattern)):
+                    yield directory.name, path
 
     def clear(self, experiment: Optional[str] = None) -> int:
         """Delete cached runs (all, or one experiment's) and return the count.
 
-        Empty per-experiment directories are removed as well, so a cleared
-        cache looks exactly like a fresh one.
+        Their quarantined ``.json.corrupt`` siblings and the directories left
+        empty go too, so a cleared cache looks exactly like a fresh one.  The
+        sweep journal (``.jsonl`` resume state) is left alone.
         """
         removed = 0
-        for entry_experiment, _digest, path in list(self.iter_entries()):
+        doomed = list(self._files("*.json")) + list(self._files("*.json.corrupt"))
+        for entry_experiment, path in doomed:
             if experiment is not None and entry_experiment != experiment:
                 continue
             path.unlink()
-            removed += 1
+            removed += path.suffix == ".json"
             parent = path.parent
             if not any(parent.iterdir()):
                 parent.rmdir()

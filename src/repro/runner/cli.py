@@ -348,22 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--experiments", nargs="*", default=None, help="subset to regenerate (default: all)"
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="run a performance benchmark and update BENCH_decoder.json"
-    )
-    bench_p.add_argument(
-        "target",
-        choices=("front-end", "decoder"),
-        help="benchmark to run (front-end: seed-serial vs batched link front "
-        "end; decoder: backend-family throughput/BLER-parity sweep)",
-    )
-    bench_p.add_argument("--scale", default="smoke", choices=sorted(SCALES))
-    bench_p.add_argument(
-        "--no-bler",
-        action="store_true",
-        help="skip the float64-vs-float32 LLR BLER characterisation sweeps",
-    )
-
     worker_p = sub.add_parser(
         "worker", help="serve work items for a socket-distributed coordinator"
     )
@@ -1189,26 +1173,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.target == "decoder":
-        from repro.runner.bench import run_and_record_decoder_backends
-
-        run_and_record_decoder_backends(args.scale)
-        return 0
-
-    from repro.runner.bench import FRONT_END_TARGET_SPEEDUP, run_and_record_front_end
-
-    section = run_and_record_front_end(args.scale, with_bler=not args.no_bler)
-    speedup_at_32 = section["speedup_vs_seed"].get("32")
-    if speedup_at_32 is not None:
-        status = "meets" if speedup_at_32 >= FRONT_END_TARGET_SPEEDUP else "below"
-        print(
-            f"batched front end at batch 32: {speedup_at_32:.2f}x seed "
-            f"({status} the {FRONT_END_TARGET_SPEEDUP:.0f}x target)"
-        )
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "list": _cmd_list,
@@ -1219,7 +1183,6 @@ _COMMANDS = {
     "golden": _cmd_golden,
     "cache": _cmd_cache,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
     "metrics": _cmd_metrics,
 }
 

@@ -16,6 +16,8 @@ The contracts pinned here are the ones the rest of the system builds on:
 import numpy as np
 import pytest
 
+from repro.experiments.scales import get_scale
+from repro.link.system import HspaLikeLink
 from repro.phy.turbo import TurboCode, TurboDecoder
 from repro.phy.turbo.backends import (
     AUTO_PREFERENCE,
@@ -51,6 +53,44 @@ def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6
     par1 = np.ascontiguousarray(llrs[:, k::2])
     par2 = np.ascontiguousarray(llrs[:, k + 1 :: 2])
     return sys_llrs, par1, par2
+
+
+def _run_decoder_bler_parity(
+    candidate: str,
+    scale: str = "smoke",
+    base_seed: int = 2012,
+    num_packets: int = 64,
+    tolerance: float = 0.05,
+):
+    """Paired seeded SNR sweep: *candidate* backend vs the numpy reference.
+
+    Both sweeps consume identical seed streams, so every packet sees the
+    same payload, channel and noise; the only difference is the decoder
+    kernel.  Exact families would produce ``ΔBLER == 0``; max-log families
+    are held to ``max |ΔBLER| <= tolerance`` — the same contract the
+    float32-LLR mode is held to.
+    """
+    link_scale = get_scale(scale)
+    blers = {}
+    for backend in ("numpy", candidate):
+        link = HspaLikeLink(link_scale.link_config(decoder_backend=backend))
+        results = link.snr_sweep(
+            link_scale.snr_points_db, num_packets, rng=base_seed
+        )
+        blers[backend] = [r.statistics.block_error_rate for r in results]
+    deltas = [abs(a - b) for a, b in zip(blers["numpy"], blers[candidate])]
+    return {
+        "reference": "numpy",
+        "candidate": candidate,
+        "snr_points_db": [float(s) for s in link_scale.snr_points_db],
+        "num_packets": int(num_packets),
+        "seed": int(base_seed),
+        "bler_reference": blers["numpy"],
+        "bler_candidate": blers[candidate],
+        "max_abs_delta_bler": max(deltas),
+        "tolerance": float(tolerance),
+        "within_tolerance": max(deltas) <= tolerance,
+    }
 
 
 class TestRegistry:
@@ -230,9 +270,7 @@ class TestNativeBackend:
 
     def test_bler_parity_with_reference(self):
         """Paired-seed sweep: native BLER within tolerance of numpy's."""
-        from repro.runner.bench import run_decoder_bler_parity
-
-        parity = run_decoder_bler_parity("native-f32", num_packets=16)
+        parity = _run_decoder_bler_parity("native-f32", num_packets=16)
         assert parity["within_tolerance"], parity
 
 

@@ -345,11 +345,20 @@ class TestCacheLsClear:
 
     def test_clear_everything_prunes_directories(self, tmp_path, capsys):
         cache_dir = self._populate(tmp_path)
+        journal = cache_dir / "journal" / "fig6-0000.jsonl"
+        journal.parent.mkdir()
+        journal.write_text("{}\n")
+        (cache_dir / "fig3" / "torn.json").write_text("{")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert ResultCache(cache_dir).load_with_status("fig3", "torn")[1] == "corrupt"
+        assert ResultCache(cache_dir).entries() == {"fig3": 1, "fig5": 1}
         capsys.readouterr()
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 2 cached run(s)" in capsys.readouterr().out
         assert ResultCache(cache_dir).entries() == {}
-        assert not any(cache_dir.iterdir())
+        # Quarantined entries go too; the journal is resume state and stays.
+        assert list(cache_dir.iterdir()) == [journal.parent]
+        assert journal.read_text() == "{}\n"
 
     def test_resultcache_clear_api(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -360,10 +369,19 @@ class TestCacheLsClear:
             ("fig3", "aaaa"),
             ("fig6", "bbbb"),
         ]
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "fig6-bbbb.jsonl").write_text("{}\n")
+        assert cache.entries() == {"fig3": 1, "fig6": 1}
+        (tmp_path / "fig3" / "cccc.json").write_text("{")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert cache.load_with_status("fig3", "cccc")[1] == "corrupt"
         assert cache.clear("fig3") == 1
         assert cache.entries() == {"fig6": 1}
+        assert cache.load_with_status("fig3", "cccc")[1] == "missing"
+        assert not (tmp_path / "fig3").exists()
         assert cache.clear() == 1
         assert cache.entries() == {}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal"]
 
 
 class TestExecutionBackendThreading:

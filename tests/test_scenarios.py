@@ -410,6 +410,22 @@ class TestFloat32LinkMode:
         # The decoder consumed single-precision rows: demap output is f32.
         assert config.llr_numpy_dtype == np.float32
 
+    def test_float32_bler_matches_float64_at_mid_range_snr(self):
+        """Paired seed-2012 sweeps: float32 LLRs move no BLER by over 0.05.
+
+        The SNRs span the waterfall, so the comparison is not between two
+        all-zero (or all-one) BLER curves.
+        """
+        scale = SCALES["smoke"]
+        blers = {}
+        for dtype in ("float64", "float32"):
+            link = HspaLikeLink(scale.link_config(llr_dtype=dtype))
+            results = link.snr_sweep([0.0, 4.0, 6.0], 64, rng=2012)
+            blers[dtype] = [r.statistics.block_error_rate for r in results]
+        assert any(0.0 < bler < 1.0 for bler in blers["float64"]), blers
+        deltas = [abs(a - b) for a, b in zip(blers["float64"], blers["float32"])]
+        assert max(deltas) <= 0.05, blers
+
 
 # --------------------------------------------------------------------------- #
 class TestScenarioCli:
