@@ -95,14 +95,16 @@ DEFAULT_SEED = 2012
 GOLDEN_EXPERIMENTS = tuple(EXPERIMENTS)
 #: Non-figure scenarios snapshotted as ``tests/golden/scenario-<name>.json``
 #: (the new-physics compositions: intra-packet fading, clustered fault maps,
-#: transient soft errors).  Figure scenarios need no own snapshots — they are
-#: byte-identical to their experiment's golden file by construction.
+#: transient soft errors, Hamming-protected storage).  Figure scenarios need
+#: no own snapshots — they are byte-identical to their experiment's golden
+#: file by construction.
 GOLDEN_SCENARIOS = (
     "jakes-doppler-sweep",
     "jakes-harq-gain",
     "clustered-vs-uniform",
     "soft-vs-hard-faults",
     "clustered-interleaver-depth",
+    "ecc-low-voltage",
 )
 #: Fault-map sweeps that support ``--adaptive`` early stopping.
 ADAPTIVE_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9")
