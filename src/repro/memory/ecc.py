@@ -42,30 +42,52 @@ class HammingCode:
     The code is built in systematic form: the generator matrix is
     ``[I | P]`` and codewords are ``[data | parity]``.  Decoding computes the
     syndrome, corrects at most one flipped bit and reports whether a
-    correction was applied / an uncorrectable error was detected.
+    correction was applied / an uncorrectable error was detected, by looking
+    the syndrome up in tables built once per code.
     """
 
     data_bits: int = 10
     extended: bool = False
 
     _parity_matrix: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _column_syndromes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _flip_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _corrects: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _uncorrectable: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.data_bits, "data_bits")
         r = _num_parity_bits(self.data_bits)
-        # Columns of the parity-check matrix for data positions: all r-bit
-        # patterns with weight >= 2 (so they are distinct from the identity
-        # columns used for the parity bits themselves).
-        data_columns = []
-        for value in range(3, 1 << r):
-            if bin(value).count("1") >= 2:
-                data_columns.append([(value >> (r - 1 - i)) & 1 for i in range(r)])
-            if len(data_columns) == self.data_bits:
-                break
-        if len(data_columns) < self.data_bits:
+        # Columns of the parity-check matrix for data positions, as r-bit
+        # syndromes read MSB first: the lowest patterns with weight >= 2 (so
+        # they are distinct from the identity columns of the parity bits).
+        data_syndromes = [v for v in range(3, 1 << r) if bin(v).count("1") >= 2]
+        if len(data_syndromes) < self.data_bits:
             raise ValueError(f"data_bits={self.data_bits} too large for {r} parity bits")
-        parity_matrix = np.array(data_columns, dtype=np.int8).T  # (r, data_bits)
-        object.__setattr__(self, "_parity_matrix", parity_matrix)
+        data_syndromes = np.array(data_syndromes[: self.data_bits])
+        weights = 1 << np.arange(r - 1, -1, -1)
+        parity_matrix = ((data_syndromes & weights[:, None]) != 0).astype(np.int8)
+        # Stored in the smallest signed dtype that holds every syndrome (int8,
+        # the received bits' own width, up to r = 7) to keep decode narrow.
+        column_syndromes = np.concatenate([data_syndromes, weights]).astype(
+            np.min_scalar_type(-(1 << r))
+        )
+
+        # Syndrome -> outcome tables of length 2**r.  A syndrome equal to a
+        # data column flips that column; a weight-1 syndrome is a parity-bit
+        # error (data unaffected); any other nonzero syndrome -- including
+        # those a shortened code leaves unused -- is uncorrectable.
+        flip_rows = np.zeros((1 << r, self.data_bits), dtype=np.int8)
+        flip_rows[data_syndromes, np.arange(self.data_bits)] = 1
+        corrects = flip_rows.any(axis=1)
+        corrects[weights] = True
+        uncorrectable = ~corrects
+        uncorrectable[0] = False
+        object.__setattr__(self, "_parity_matrix", parity_matrix)  # (r, data_bits)
+        object.__setattr__(self, "_column_syndromes", column_syndromes)
+        object.__setattr__(self, "_flip_rows", flip_rows)
+        object.__setattr__(self, "_corrects", corrects)
+        object.__setattr__(self, "_uncorrectable", uncorrectable)
 
     # ------------------------------------------------------------------ #
     @property
@@ -116,54 +138,42 @@ class HammingCode:
             ``(data, corrected, uncorrectable)`` — decoded data bits, a
             boolean flag per word indicating whether a single-bit correction
             was applied, and a boolean flag per word for detected-but-
-            uncorrectable errors (always ``False`` for the plain SEC code,
-            which miscorrects double errors instead).
+            uncorrectable errors.
+
+        Notes
+        -----
+        The plain SEC code sets ``uncorrectable`` exactly for the nonzero
+        syndromes that match neither a data column nor a parity bit.  A full
+        Hamming code has none (every double error is miscorrected instead),
+        but a shortened one leaves some columns unused — for 10 data bits
+        the syndrome ``0b1111``.  SEC-DED additionally flags a nonzero
+        syndrome with even overall parity as a double error (``corrected``
+        cleared); the data it returns still carries the flip that syndrome
+        selects.
         """
         received = np.asarray(codewords, dtype=np.int8)
         if received.ndim != 2 or received.shape[1] != self.codeword_bits:
             raise ValueError(
                 f"expected shape (n, {self.codeword_bits}), got {received.shape}"
             )
-        ded_bit = None
-        body = received
+        body = received[:, :-1] if self.extended else received
+        # The syndrome is the XOR of the parity-check columns at the received
+        # 1-bits; reducing a (bits, words) product keeps the XOR vectorised
+        # across words.
+        index = np.bitwise_xor.reduce(
+            np.multiply(body.T, self._column_syndromes[:, None], order="C"), axis=0
+        )
+        data = body[:, : self.data_bits] ^ np.take(self._flip_rows, index, axis=0)
+        corrected = self._corrects[index]
+        uncorrectable = self._uncorrectable[index]
+
         if self.extended:
-            ded_bit = received[:, -1]
-            body = received[:, :-1]
-
-        data_part = body[:, : self.data_bits]
-        parity_part = body[:, self.data_bits :]
-        syndrome = (data_part @ self._parity_matrix.T + parity_part) % 2  # (n, r)
-
-        corrected_data = data_part.copy()
-        corrected = np.zeros(received.shape[0], dtype=bool)
-        uncorrectable = np.zeros(received.shape[0], dtype=bool)
-
-        nonzero = syndrome.any(axis=1)
-        if nonzero.any():
-            # Match each nonzero syndrome against the data columns first,
-            # then against the parity identity columns.
-            columns = self._parity_matrix.T  # (data_bits, r)
-            for idx in np.nonzero(nonzero)[0]:
-                s = syndrome[idx]
-                matches = np.nonzero((columns == s).all(axis=1))[0]
-                if matches.size:
-                    corrected_data[idx, matches[0]] ^= 1
-                    corrected[idx] = True
-                else:
-                    weight = int(s.sum())
-                    if weight == 1:
-                        # Error in a parity bit: data unaffected.
-                        corrected[idx] = True
-                    else:
-                        uncorrectable[idx] = True
-
-        if self.extended and ded_bit is not None:
-            overall_parity = (body.sum(axis=1) + ded_bit) % 2
+            overall_parity = (body.sum(axis=1) + received[:, -1]) % 2
             # Even overall parity with nonzero syndrome indicates a double error.
-            double_error = nonzero & (overall_parity == 0)
+            double_error = (index != 0) & (overall_parity == 0)
             uncorrectable |= double_error
             corrected &= ~double_error
-        return corrected_data.astype(np.int8), corrected, uncorrectable
+        return data, corrected, uncorrectable
 
     # ------------------------------------------------------------------ #
     def word_failure_probability(self, cell_failure_probability: float) -> float:

@@ -1,5 +1,7 @@
 """Tests for the unreliable-silicon substrate (cells, faults, arrays, ECC, yield)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,71 @@ class TestMemoryArray:
         assert array.read_words().sum() == 0
 
 
+def _loop_decode(code: HammingCode, codewords: np.ndarray):
+    """Frozen copy of the per-word loop decoder that the syndrome table replaced.
+
+    Kept verbatim (``self`` renamed ``code``) as the reference the table
+    decoder must reproduce bit for bit, including its two quirks: plain SEC
+    flags a shortened code's unused syndromes as uncorrectable, and SEC-DED
+    returns the miscorrected data of a detected double error.
+    """
+    received = np.asarray(codewords, dtype=np.int8)
+    if received.ndim != 2 or received.shape[1] != code.codeword_bits:
+        raise ValueError(
+            f"expected shape (n, {code.codeword_bits}), got {received.shape}"
+        )
+    ded_bit = None
+    body = received
+    if code.extended:
+        ded_bit = received[:, -1]
+        body = received[:, :-1]
+
+    data_part = body[:, : code.data_bits]
+    parity_part = body[:, code.data_bits :]
+    syndrome = (data_part @ code._parity_matrix.T + parity_part) % 2  # (n, r)
+
+    corrected_data = data_part.copy()
+    corrected = np.zeros(received.shape[0], dtype=bool)
+    uncorrectable = np.zeros(received.shape[0], dtype=bool)
+
+    nonzero = syndrome.any(axis=1)
+    if nonzero.any():
+        # Match each nonzero syndrome against the data columns first,
+        # then against the parity identity columns.
+        columns = code._parity_matrix.T  # (data_bits, r)
+        for idx in np.nonzero(nonzero)[0]:
+            s = syndrome[idx]
+            matches = np.nonzero((columns == s).all(axis=1))[0]
+            if matches.size:
+                corrected_data[idx, matches[0]] ^= 1
+                corrected[idx] = True
+            else:
+                weight = int(s.sum())
+                if weight == 1:
+                    # Error in a parity bit: data unaffected.
+                    corrected[idx] = True
+                else:
+                    uncorrectable[idx] = True
+
+    if code.extended and ded_bit is not None:
+        overall_parity = (body.sum(axis=1) + ded_bit) % 2
+        # Even overall parity with nonzero syndrome indicates a double error.
+        double_error = nonzero & (overall_parity == 0)
+        uncorrectable |= double_error
+        corrected &= ~double_error
+    return corrected_data.astype(np.int8), corrected, uncorrectable
+
+
+def _all_words(num_bits: int) -> np.ndarray:
+    """Every ``num_bits``-bit word, as an MSB-first ``(2**num_bits, num_bits)`` matrix."""
+    shifts = np.arange(num_bits - 1, -1, -1)
+    return ((np.arange(1 << num_bits)[:, None] >> shifts) & 1).astype(np.int8)
+
+
+EXHAUSTIVE_CODES = pytest.mark.parametrize("extended", [False, True])
+EXHAUSTIVE_WIDTHS = pytest.mark.parametrize("data_bits", [4, 8, 10, 11, 12])
+
+
 class TestHammingCode:
     @pytest.mark.parametrize("data_bits", [4, 8, 10, 11, 12, 16])
     def test_roundtrip(self, data_bits, rng):
@@ -294,6 +361,67 @@ class TestHammingCode:
             code.encode(np.zeros((4, 9), dtype=np.int8))
         with pytest.raises(ValueError):
             code.decode(np.zeros((4, 10), dtype=np.int8))
+
+    @EXHAUSTIVE_WIDTHS
+    @EXHAUSTIVE_CODES
+    def test_every_clean_word_decodes_to_itself(self, data_bits, extended):
+        code = HammingCode(data_bits, extended=extended)
+        data = _all_words(data_bits)
+        decoded, corrected, uncorrectable = code.decode(code.encode(data))
+        assert np.array_equal(decoded, data)
+        assert not corrected.any()
+        assert not uncorrectable.any()
+
+    @EXHAUSTIVE_WIDTHS
+    @EXHAUSTIVE_CODES
+    def test_every_single_bit_error_is_corrected(self, data_bits, extended):
+        code = HammingCode(data_bits, extended=extended)
+        data = _all_words(data_bits)
+        codewords = code.encode(data)
+        for position in range(code.codeword_bits):
+            received = codewords.copy()
+            received[:, position] ^= 1
+            decoded, corrected, uncorrectable = code.decode(received)
+            assert np.array_equal(decoded, data), position
+            assert not uncorrectable.any(), position
+            if extended and position == code.codeword_bits - 1:
+                # A flipped overall-parity bit leaves the Hamming syndrome
+                # zero: the data is intact and nothing is corrected.
+                assert not corrected.any()
+            else:
+                assert corrected.all(), position
+
+    @EXHAUSTIVE_WIDTHS
+    def test_sec_ded_flags_every_double_error(self, data_bits):
+        code = HammingCode(data_bits, extended=True)
+        codewords = code.encode(_all_words(data_bits))
+        for first, second in combinations(range(code.codeword_bits), 2):
+            received = codewords.copy()
+            received[:, [first, second]] ^= 1
+            _, corrected, uncorrectable = code.decode(received)
+            assert uncorrectable.all(), (first, second)
+            assert not corrected.any(), (first, second)
+
+    @EXHAUSTIVE_WIDTHS
+    @EXHAUSTIVE_CODES
+    def test_table_decoder_equals_frozen_loop_on_every_received_word(
+        self, data_bits, extended
+    ):
+        code = HammingCode(data_bits, extended=extended)
+        received = _all_words(code.codeword_bits)
+        for table, loop in zip(code.decode(received), _loop_decode(code, received)):
+            assert table.dtype == loop.dtype
+            assert np.array_equal(table, loop)
+
+    def test_shortened_sec_flags_its_unused_syndrome(self):
+        # 10 data bits use 10 of the 11 weight>=2 syndromes of r = 4; the
+        # remaining one, 0b1111, is reported rather than miscorrected.
+        code = HammingCode(10)
+        received = code.encode(np.zeros((1, 10), dtype=np.int8))
+        received[0, 10:] = 1  # all four parity bits flipped: syndrome 0b1111
+        decoded, corrected, uncorrectable = code.decode(received)
+        assert uncorrectable[0] and not corrected[0]
+        assert not decoded.any()
 
 
 class TestYieldModel:

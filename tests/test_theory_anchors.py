@@ -12,7 +12,11 @@ theory:
   compensation in :meth:`~repro.link.receiver.Receiver.equalize_batch`,
   against ``0.5 * (1 - sqrt(g / (1 + g)))`` and its diversity slope of one
   decade per 10 dB;
-* the CRC's error-detection guarantees and its undetected-error rate.
+* the CRC's error-detection guarantees and its undetected-error rate;
+* a Hamming-SEC protected :class:`~repro.memory.array.MemoryArray` over
+  i.i.d. bit-flip cells: every word with at most one faulty cell reads back
+  exactly, and words with two or more occur at
+  :meth:`~repro.memory.ecc.HammingCode.word_failure_probability`.
 
 Every Monte-Carlo estimate is seeded and must fall inside a five-sigma
 binomial interval around the theoretical value.
@@ -27,6 +31,9 @@ import pytest
 from repro.link import LinkConfig
 from repro.link.receiver import Receiver
 from repro.link.transmitter import Transmitter
+from repro.memory.array import MemoryArray
+from repro.memory.ecc import HammingCode
+from repro.memory.faults import FaultMap, FaultModel
 from repro.phy.crc import CRC_8, CRC_24A
 from repro.phy.modulation import get_modulator
 
@@ -211,3 +218,29 @@ class TestCrcGuarantees:
         words = np.random.default_rng(2012).integers(0, 2, (trials, 48), dtype=np.int8)
         passes = int(np.count_nonzero(CRC_8.check_batch(words)))
         assert_binomial(passes, trials, 2.0**-CRC_8.num_check_bits)
+
+
+# --------------------------------------------------------------------------- #
+class TestHammingProtectedArray:
+    def test_sec_array_fails_exactly_on_multi_fault_words(self):
+        num_words, cell_failure_probability = 40_000, 0.02
+        code = HammingCode(10)
+        fault_map = FaultMap.from_cell_failure_probability(
+            num_words,
+            code.codeword_bits,
+            cell_failure_probability,
+            rng=2012,
+            fault_model=FaultModel.BIT_FLIP,
+        )
+        array = MemoryArray(num_words, code.data_bits, fault_map=fault_map, ecc=code)
+        written = np.random.default_rng(7).integers(0, 1 << code.data_bits, num_words)
+        array.write_words(written)
+        wrong = array.read_words() != written
+
+        multi_fault = fault_map.fault_mask.sum(axis=1) >= 2
+        assert not wrong[~multi_fault].any()
+        assert_binomial(
+            int(multi_fault.sum()),
+            num_words,
+            code.word_failure_probability(cell_failure_probability),
+        )
