@@ -9,27 +9,30 @@ contribution, so HARQ retransmissions dilute the damage — it should therefore
 never do worse than the combined organisation once retransmissions happen.
 """
 
-from repro.core import NoProtection, SystemLevelFaultSimulator
 from repro.experiments.scales import get_scale
+from repro.scenarios import ScenarioSpec, run_scenario_grid
 
 
 def _throughput(architecture: str, scale, seed: int, defect_rate: float) -> dict:
-    config = scale.link_config(buffer_architecture=architecture)
-    simulator = SystemLevelFaultSimulator(
-        config,
-        NoProtection(bits_per_word=config.llr_bits),
-        num_fault_maps=scale.num_fault_maps,
+    spec = ScenarioSpec(
+        name=f"ablation-{architecture}",
+        title=f"{architecture} LLR storage at 22 dB",
+        summary="HARQ soft-buffer organisation under memory defects",
+        buffer_architecture=architecture,
+        snr_db=22.0,
+        defect_rate=defect_rate,
     )
     # The architectures differ only statistically, so this ablation uses more
     # packets than the figure benchmarks to keep the comparison meaningful.
-    point = simulator.evaluate_defect_rate(
-        22.0, defect_rate, num_packets=max(24, scale.num_packets), rng=seed
+    outcome = run_scenario_grid(
+        spec, scale.with_updates(num_packets=max(24, scale.num_packets)), seed
     )
+    (point,) = outcome.points
     return {
         "architecture": architecture,
         "throughput": point.normalized_throughput,
         "avg_transmissions": point.average_transmissions,
-        "storage_cells": simulator.total_cells,
+        "storage_cells": outcome.base_config.llr_storage_cells,
     }
 
 

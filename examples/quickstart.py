@@ -4,10 +4,14 @@ Runs a handful of packets through the full chain (CRC, turbo coding, rate
 matching, 64QAM, multipath channel, MMSE equalization, HARQ with soft
 combining) twice — once with a defect-free HARQ LLR memory and once with a
 10 % defect rate — and prints the throughput / retransmission comparison.
+The two operating points are one scenario grid with a defect-rate axis, run
+through the same engine (and seeding) as ``python -m repro run``.
 
 Run with::
 
     python examples/quickstart.py
+
+``main("default")`` runs the larger preset (more packets, longer packets).
 """
 
 from __future__ import annotations
@@ -17,28 +21,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import NoProtection, SystemLevelFaultSimulator
-from repro.link import LinkConfig
+from repro.scenarios import ScenarioSpec, SweepAxis, run_scenario_grid
+
+SCENARIO = ScenarioSpec(
+    name="quickstart",
+    title="Defect-free vs 10% defects at 20 dB",
+    summary="unprotected LLR memory with and without defects",
+    snr_db=20.0,
+    axes=(SweepAxis("defect_rate", (0.0, 0.10)),),
+)
 
 
-def main() -> None:
-    """Run the quickstart comparison and print a small report."""
-    config = LinkConfig(payload_bits=296, crc_bits=16, turbo_iterations=5)
+def main(scale: str = "smoke") -> None:
+    """Run the quickstart comparison at *scale* and print a small report."""
+    outcome = run_scenario_grid(SCENARIO, scale, seed=1)
+    config = outcome.base_config
     print("Link configuration:", config.describe())
     print(f"HARQ LLR storage: {config.llr_storage_cells} SRAM cells")
     print()
 
-    simulator = SystemLevelFaultSimulator(
-        config, NoProtection(bits_per_word=config.llr_bits), num_fault_maps=2
-    )
-    snr_db = 20.0
-    num_packets = 24
-
-    clean = simulator.evaluate_defect_rate(snr_db, 0.0, num_packets, rng=1)
-    faulty = simulator.evaluate_defect_rate(snr_db, 0.10, num_packets, rng=1)
-
-    print(f"At {snr_db:.0f} dB with {num_packets} packets:")
-    for label, point in (("defect-free", clean), ("10% defects", faulty)):
+    print(f"At {SCENARIO.snr_db:.0f} dB with {outcome.scale.num_packets} packets:")
+    for label, point in zip(("defect-free", "10% defects"), outcome.points):
         print(
             f"  {label:>12}: throughput={point.normalized_throughput:.2f}  "
             f"avg transmissions={point.average_transmissions:.2f}  "

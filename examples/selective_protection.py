@@ -5,12 +5,15 @@ Reproduces the Section 6 design exploration on a small scale:
 1. rank the stored LLR bit positions by how much a flip perturbs the LLR
    (the sign bit dominates);
 2. compare throughput at a 10 % defect rate for the unprotected array, the
-   4-MSB-protected hybrid array and the fully protected array; and
+   4-MSB-protected hybrid array and the fully protected array — one scenario
+   grid with a protection axis; and
 3. report the area overhead each option costs.
 
 Run with::
 
     python examples/selective_protection.py
+
+``main("default")`` runs the larger preset (more packets, longer packets).
 """
 
 from __future__ import annotations
@@ -20,44 +23,57 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import (
-    BitSensitivityAnalysis,
-    FullCellProtection,
-    MsbProtection,
-    NoProtection,
-    SystemLevelFaultSimulator,
+import numpy as np
+
+from repro.phy.quantization import LlrQuantizer
+from repro.scenarios import ScenarioSpec, SweepAxis, run_scenario_grid
+from repro.scenarios.spec import resolve_protection
+
+SCENARIO = ScenarioSpec(
+    name="selective-protection",
+    title="Throughput at 20 dB with 10% defects per protection scheme",
+    summary="unprotected vs 4-MSB-protected vs all-8T LLR storage",
+    snr_db=20.0,
+    defect_rate=0.10,
+    axes=(SweepAxis("protection", ("none", "msb:4", "all-8T")),),
 )
-from repro.link import LinkConfig
 
 
-def main() -> None:
-    """Run the preferential-storage exploration and print the comparison."""
-    config = LinkConfig(payload_bits=296, crc_bits=16, turbo_iterations=5)
-    snr_db = 20.0
-    defect_rate = 0.10
-    num_packets = 16
+def worst_flip_perturbation(quantizer: LlrQuantizer) -> np.ndarray:
+    """Largest LLR change a single flip causes at each stored bit position."""
+    llrs = np.linspace(-quantizer.max_abs, quantizer.max_abs, 4096)
+    words = quantizer.llrs_to_words(llrs)
+    bits = quantizer.words_to_bits(words)
+    reference = quantizer.words_to_llrs(words)
+    worst = np.empty(quantizer.num_bits)
+    for position in range(quantizer.num_bits):
+        flipped = bits.copy()
+        flipped[:, position] ^= 1
+        delta = quantizer.words_to_llrs(quantizer.bits_to_words(flipped)) - reference
+        worst[position] = np.abs(delta).max()
+    return worst
+
+
+def main(scale: str = "smoke") -> None:
+    """Run the preferential-storage exploration at *scale* and print the comparison."""
+    outcome = run_scenario_grid(SCENARIO, scale, seed=7)
+    config = outcome.base_config
 
     print("=== Bit-position sensitivity of the stored LLR words ===")
-    sensitivity = BitSensitivityAnalysis(config.quantizer)
-    for entry in sensitivity.analytical_perturbations():
-        bar = "#" * max(1, int(40 * entry.worst_llr_perturbation / (2 * config.llr_max_abs)))
-        print(
-            f"  bit {entry.bit_position:2d}: worst LLR perturbation "
-            f"{entry.worst_llr_perturbation:6.2f}  {bar}"
-        )
-    depth = sensitivity.recommended_protection_depth()
-    print(f"  -> analytical recommendation: protect the {depth} most significant bits")
+    worst = worst_flip_perturbation(config.quantizer)
+    for position, perturbation in enumerate(worst):
+        bar = "#" * max(1, int(40 * perturbation / (2 * config.llr_max_abs)))
+        print(f"  bit {position:2d}: worst LLR perturbation {perturbation:6.2f}  {bar}")
+    depth = int((worst >= 0.1 * worst.max()).sum())
+    print(f"  -> protect the {depth} bits whose flip costs at least 10% of the sign flip")
     print()
 
-    print(f"=== Throughput at {snr_db:.0f} dB with {defect_rate:.0%} defects in fallible cells ===")
-    schemes = [
-        NoProtection(bits_per_word=config.llr_bits),
-        MsbProtection(bits_per_word=config.llr_bits, protected_msbs=4),
-        FullCellProtection(bits_per_word=config.llr_bits),
-    ]
-    for scheme in schemes:
-        simulator = SystemLevelFaultSimulator(config, scheme, num_fault_maps=2)
-        point = simulator.evaluate_defect_rate(snr_db, defect_rate, num_packets, rng=7)
+    print(
+        f"=== Throughput at {SCENARIO.snr_db:.0f} dB with "
+        f"{SCENARIO.defect_rate:.0%} defects in fallible cells ==="
+    )
+    for cell, point in zip(outcome.cells, outcome.points):
+        scheme = resolve_protection(cell.values["protection"], config.llr_bits)
         print(
             f"  {scheme.name:>16}: throughput={point.normalized_throughput:.2f}  "
             f"avg transmissions={point.average_transmissions:.2f}  "

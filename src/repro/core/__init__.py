@@ -1,24 +1,21 @@
-"""The paper's primary contribution: the system-level fault-simulation
-methodology and the analyses built on it.
-
-The subpackage mirrors the flow of the paper's Fig. 4:
+"""The paper's storage models and the analyses built on them.
 
 1. :mod:`repro.core.protection` — how the LLR storage is implemented
    (unprotected 6T, all-8T, full ECC, or the proposed preferential MSB
    protection), which determines per-bit-position failure probabilities,
    fault-map shapes and area/power cost.
-2. :mod:`repro.core.fault_simulator` — the
-   :class:`~repro.core.fault_simulator.SystemLevelFaultSimulator` that
-   injects fault maps into the HARQ LLR buffer of the link simulator and
-   measures throughput / retransmissions over Monte-Carlo channel draws.
-3. :mod:`repro.core.resilience`, :mod:`repro.core.sensitivity`,
-   :mod:`repro.core.efficiency`, :mod:`repro.core.bitwidth`,
-   :mod:`repro.core.voltage` — the Section 5/6 analyses (resilience limits,
-   bit-position sensitivity, protection efficiency, joint bit-width/defect
-   optimisation, voltage scaling and power savings).
+2. :mod:`repro.core.voltage` — the Section 6.3 voltage-scaling analysis
+   (defects accepted per supply voltage and the resulting power savings).
+3. :mod:`repro.core.montecarlo` and :mod:`repro.core.results` — the
+   Monte-Carlo confidence intervals and the result tables every driver
+   returns.
+
+The Monte-Carlo fault simulation itself (Fig. 4: fault maps injected into
+the HARQ LLR buffer, packets pushed through the link) runs as keyed work
+items in :mod:`repro.runner.tasks`, driven by
+:func:`repro.scenarios.engine.run_scenario_grid`.
 """
 
-from repro.core.fault_simulator import FaultSimulationPoint, SystemLevelFaultSimulator
 from repro.core.protection import (
     EccProtection,
     FullCellProtection,
@@ -26,26 +23,15 @@ from repro.core.protection import (
     NoProtection,
     ProtectionScheme,
 )
-from repro.core.resilience import ResilienceAnalysis, ResilienceLimit
-from repro.core.sensitivity import BitSensitivityAnalysis
-from repro.core.efficiency import ProtectionEfficiencyAnalysis
-from repro.core.bitwidth import BitWidthAnalysis
 from repro.core.voltage import VoltageScalingAnalysis
 from repro.core.results import SweepTable
 
 __all__ = [
-    "BitSensitivityAnalysis",
-    "BitWidthAnalysis",
     "EccProtection",
-    "FaultSimulationPoint",
     "FullCellProtection",
     "MsbProtection",
     "NoProtection",
-    "ProtectionEfficiencyAnalysis",
     "ProtectionScheme",
-    "ResilienceAnalysis",
-    "ResilienceLimit",
     "SweepTable",
-    "SystemLevelFaultSimulator",
     "VoltageScalingAnalysis",
 ]

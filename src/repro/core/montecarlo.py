@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
 
 import numpy as np
 from scipy import stats
@@ -52,22 +51,6 @@ class EstimateWithConfidence:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.value:.4f} ± {self.half_width:.4f} ({self.confidence:.0%})"
-
-
-def mean_confidence_interval(
-    samples: Sequence[float], confidence: float = 0.95
-) -> EstimateWithConfidence:
-    """Student-t confidence interval of a sample mean."""
-    data = np.asarray(list(samples), dtype=np.float64)
-    n = data.size
-    if n == 0:
-        raise ValueError("samples must not be empty")
-    mean = float(data.mean())
-    if n == 1:
-        return EstimateWithConfidence(mean, float("inf"), confidence, 1)
-    sem = float(data.std(ddof=1) / sqrt(n))
-    t_value = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-    return EstimateWithConfidence(mean, t_value * sem, confidence, n)
 
 
 def proportion_confidence_interval(

@@ -118,23 +118,6 @@ class ProtectionScheme(ABC):
             protected_columns=protected_columns,
         )
 
-    def make_fault_map_at_voltage(
-        self,
-        num_words: int,
-        vdd: float,
-        rng: RngLike = None,
-        fault_model: FaultModel = FaultModel.BIT_FLIP,
-    ) -> FaultMap:
-        """Population draw: every cell fails with its cell type's ``Pcell(vdd)``."""
-        return FaultMap.from_cell_failure_probability(
-            num_words,
-            self.stored_bits_per_word,
-            0.0,
-            rng=rng,
-            fault_model=fault_model,
-            column_failure_probabilities=self.column_failure_probabilities(vdd),
-        )
-
     def column_failure_probabilities(self, vdd: float) -> np.ndarray:
         """Per-bit-position cell failure probability at supply voltage *vdd*."""
         protected = self.protected_columns()

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.protection import MsbProtection, NoProtection, ProtectionScheme
+from repro.core.protection import NoProtection, ProtectionScheme
 from repro.core.results import SweepTable
 from repro.memory.cells import BitCellType, CELL_6T, CELL_8T
 from repro.memory.power import PowerModel
@@ -150,7 +150,7 @@ class VoltageScalingAnalysis:
         ----------
         tolerable_defect_rate:
             Largest defect rate (fraction of fallible cells) the *system* can
-            tolerate — the output of the resilience analysis.
+            tolerate, as read off a defect-rate sweep (Fig. 6).
         voltages:
             Candidate voltages, highest to lowest (default 1.0 V down to
             0.5 V in 25 mV steps).
@@ -187,40 +187,3 @@ class VoltageScalingAnalysis:
         actual = self.protection.relative_power(vdd, self.power_model)
         return 1.0 - actual / reference
 
-
-def compare_protection_power(
-    num_storage_words: int,
-    tolerable_defect_rate_unprotected: float,
-    tolerable_defect_rate_protected: float,
-    protected_msbs: int = 4,
-    llr_bits: int = 10,
-    yield_target: float = 0.95,
-) -> dict:
-    """Side-by-side voltage/power comparison of unprotected vs MSB-protected storage.
-
-    Reproduces the Section 6.3 argument: the protected array tolerates a much
-    higher defect rate in its 6T cells, so it can run at a lower voltage for
-    the same yield target, which translates into power savings.
-    """
-    unprotected = VoltageScalingAnalysis(
-        num_storage_words, NoProtection(bits_per_word=llr_bits), yield_target=yield_target
-    )
-    protected = VoltageScalingAnalysis(
-        num_storage_words,
-        MsbProtection(bits_per_word=llr_bits, protected_msbs=protected_msbs),
-        yield_target=yield_target,
-    )
-    unprotected_point = unprotected.min_voltage_for_defect_budget(
-        tolerable_defect_rate_unprotected
-    )
-    protected_point = protected.min_voltage_for_defect_budget(tolerable_defect_rate_protected)
-    return {
-        "unprotected_min_vdd": unprotected_point.vdd,
-        "protected_min_vdd": protected_point.vdd,
-        "unprotected_power_saving": unprotected.power_saving_versus_nominal(
-            unprotected_point.vdd
-        ),
-        "protected_power_saving": protected.power_saving_versus_nominal(protected_point.vdd),
-        "unprotected_defect_rate_for_yield": unprotected_point.defect_rate_for_yield,
-        "protected_defect_rate_for_yield": protected_point.defect_rate_for_yield,
-    }

@@ -1,6 +1,5 @@
-"""Receiver front-end substrate: channel estimation, MMSE and RAKE equalizers."""
+"""Receiver front-end substrate: MMSE and RAKE equalizers."""
 
-from repro.equalizer.estimation import estimate_channel_ls
 from repro.equalizer.mmse import MmseEqualizer, MmseEqualizerOutput
 from repro.equalizer.rake import RakeReceiver
 
@@ -8,5 +7,4 @@ __all__ = [
     "MmseEqualizer",
     "MmseEqualizerOutput",
     "RakeReceiver",
-    "estimate_channel_ls",
 ]

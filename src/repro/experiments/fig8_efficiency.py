@@ -15,11 +15,13 @@ arithmetic stays in the presenter.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.core.efficiency import ProtectionEfficiencyAnalysis, ProtectionEfficiencyPoint
+from repro.core.protection import EccProtection, MsbProtection
 from repro.core.results import SweepTable
 from repro.experiments.scales import Scale
+from repro.memory.power import AreaModel
 from repro.runner.parallel import ParallelRunner
 from repro.scenarios.engine import ScenarioOutcome, run_scenario_grid
 from repro.scenarios.spec import ScenarioSpec, SweepAxis
@@ -29,18 +31,68 @@ from repro.utils.rng import RngLike
 DEFAULT_PROTECTED_BITS = (1, 2, 3, 4, 6, 8, 10)
 
 
+@dataclass
+class ProtectionEfficiencyPoint:
+    """Outcome for one number of protected MSBs.
+
+    Attributes
+    ----------
+    protected_bits:
+        Number of MSBs stored in robust cells.
+    throughput:
+        Normalized throughput at the evaluated (SNR, defect-rate) point.
+    throughput_gain:
+        Throughput relative to the defect-free reference (<= 1 in practice).
+    area_overhead:
+        Hybrid-array area overhead over the all-6T array.
+    efficiency:
+        ``throughput_gain / area_overhead`` (the paper's Fig. 8 y-axis);
+        infinite for zero overhead, reported as ``nan`` there.
+    """
+
+    protected_bits: int
+    throughput: float
+    throughput_gain: float
+    area_overhead: float
+    efficiency: float
+
+
+def optimum_protection_depth(
+    points: Sequence[ProtectionEfficiencyPoint], gain_tolerance: float = 0.05
+) -> int:
+    """Smallest protection depth within *gain_tolerance* of the best gain.
+
+    The paper's reading of Fig. 8: once throughput has (essentially)
+    recovered, adding more protected bits only adds area.
+    """
+    if not points:
+        raise ValueError("points must not be empty")
+    best_gain = max(p.throughput_gain for p in points)
+    eligible = [p for p in points if p.throughput_gain >= best_gain - gain_tolerance]
+    return min(p.protected_bits for p in eligible)
+
+
+def ecc_comparison(llr_bits: int, area_model: AreaModel) -> dict:
+    """Area overhead of full-word ECC versus MSB protection (Section 6.2)."""
+    ecc = EccProtection(bits_per_word=llr_bits)
+    msb4 = MsbProtection(bits_per_word=llr_bits, protected_msbs=4)
+    return {
+        "ecc_overhead": ecc.area_overhead(area_model),
+        "msb4_overhead": msb4.area_overhead(area_model),
+        "ecc_parity_bits": ecc.ecc.num_parity_bits,
+    }
+
+
 def _present(outcome: ScenarioOutcome) -> dict:
     """Build the Fig. 8 tables (sweep, optimum depth, ECC comparison)."""
     config = outcome.base_config
     spec = outcome.spec
-    analysis = ProtectionEfficiencyAnalysis(
-        config, num_fault_maps=outcome.scale.num_fault_maps
-    )
+    area_model = AreaModel()
     reference = outcome.points[0].normalized_throughput
     counts = [int(cell.values["protected_bits"]) for cell in outcome.cells[1:]]
     points = []
     for count, merged in zip(counts, outcome.points[1:]):
-        overhead = analysis.area_model.hybrid_overhead(config.llr_bits, count)
+        overhead = area_model.hybrid_overhead(config.llr_bits, count)
         gain = merged.normalized_throughput / reference if reference > 0 else float("nan")
         points.append(
             ProtectionEfficiencyPoint(
@@ -72,8 +124,8 @@ def _present(outcome: ScenarioOutcome) -> dict:
         )
     return {
         "table": table,
-        "optimum_bits": analysis.optimum_protection_depth(points),
-        "ecc": analysis.ecc_comparison(),
+        "optimum_bits": optimum_protection_depth(points),
+        "ecc": ecc_comparison(config.llr_bits, area_model),
     }
 
 

@@ -1,19 +1,17 @@
 """Hybrid automatic repeat request (HARQ) subsystem.
 
 Implements the LLR soft buffer (backed by the unreliable-memory model), the
-soft-combining schemes (chase and incremental redundancy), the stop-and-wait
-HARQ process controller and the throughput/retransmission metrics the paper
-evaluates.
+soft-combining schemes (chase and incremental redundancy) and the
+throughput/retransmission metrics the paper evaluates.  The HARQ state
+machine itself is the batched packet loop of :mod:`repro.link.system`.
 """
 
 from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer
 from repro.harq.combining import CombiningScheme, chase_combine, incremental_redundancy_combine
-from repro.harq.controller import HarqController, HarqPacketResult
-from repro.harq.metrics import HarqStatistics, aggregate_results
+from repro.harq.metrics import HarqPacketResult, HarqStatistics, aggregate_results
 
 __all__ = [
     "CombiningScheme",
-    "HarqController",
     "HarqPacketResult",
     "HarqStatistics",
     "LlrSoftBuffer",

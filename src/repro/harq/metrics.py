@@ -8,9 +8,32 @@ The paper's two headline system metrics are the *normalized throughput*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
+
+
+@dataclass
+class HarqPacketResult:
+    """Outcome of one packet's HARQ lifetime.
+
+    Attributes
+    ----------
+    success:
+        Whether the CRC passed within the transmission budget.
+    num_transmissions:
+        Transmissions used (including the successful one).
+    decoded_bits:
+        Final decoder hard decisions (payload including CRC).
+    failure_history:
+        ``failure_history[t]`` is ``True`` when decoding still failed after
+        transmission ``t + 1``.
+    """
+
+    success: bool
+    num_transmissions: int
+    decoded_bits: Optional[np.ndarray] = None
+    failure_history: List[bool] = field(default_factory=list)
 
 
 @dataclass
@@ -128,10 +151,8 @@ def merge_statistics(parts: Sequence[HarqStatistics]) -> HarqStatistics:
     )
 
 
-def aggregate_results(results: Sequence["HarqPacketResult"], info_bits_per_packet: int) -> HarqStatistics:
+def aggregate_results(results: Sequence[HarqPacketResult], info_bits_per_packet: int) -> HarqStatistics:
     """Build :class:`HarqStatistics` from individual packet results."""
-    from repro.harq.controller import HarqPacketResult  # circular-safe import
-
     if not results:
         return HarqStatistics(
             num_packets=0,

@@ -45,8 +45,7 @@ import numpy as np
 from repro.channel.fading import jakes_gains_batch
 from repro.channel.multipath import MultipathChannel
 from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer, combined_mother_rows
-from repro.harq.controller import HarqPacketResult
-from repro.harq.metrics import HarqStatistics, aggregate_results
+from repro.harq.metrics import HarqPacketResult, HarqStatistics, aggregate_results
 from repro.link.config import LinkConfig
 from repro.link.receiver import Receiver
 from repro.link.transmitter import EncodedPacket, Transmitter

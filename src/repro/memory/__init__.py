@@ -1,6 +1,5 @@
 """Unreliable-silicon substrate: SRAM bit-cell failure models, fault maps,
-memory arrays, ECC, redundancy repair, hybrid 6T/8T organisation, yield and
-area/power models.
+memory arrays, ECC, hybrid 6T/8T organisation, yield and area/power models.
 
 This package models everything Section 3 and 4 of the paper need: the
 failure probability of 6T / upsized-6T / 8T bit-cells as a function of supply
@@ -8,7 +7,7 @@ voltage at the 65 nm slow-fast corner (parametric variations), the voltage
 dependence of soft errors, the yield of an array accepting up to ``Nf``
 faulty cells (Eq. 1 and 2), and the read-path behaviour of an array with an
 explicit fault-location map (bit-flips on read) that the system-level fault
-simulator injects into the HARQ LLR storage.
+simulation injects into the HARQ LLR storage.
 """
 
 from repro.memory.cells import (
@@ -19,11 +18,9 @@ from repro.memory.cells import (
     CELL_TYPES,
     SoftErrorModel,
 )
-from repro.memory.failure_model import FailureModel
 from repro.memory.faults import FaultMap, FaultModel, FaultModelSpec, coerce_fault_model
 from repro.memory.array import MemoryArray
 from repro.memory.ecc import HammingCode
-from repro.memory.redundancy import RedundancyRepair
 from repro.memory.hybrid import HybridArrayConfig
 from repro.memory.power import AreaModel, PowerModel
 from repro.memory.yield_model import (
@@ -40,7 +37,6 @@ __all__ = [
     "CELL_6T_UPSIZED",
     "CELL_8T",
     "CELL_TYPES",
-    "FailureModel",
     "FaultMap",
     "FaultModel",
     "FaultModelSpec",
@@ -48,7 +44,6 @@ __all__ = [
     "HybridArrayConfig",
     "MemoryArray",
     "PowerModel",
-    "RedundancyRepair",
     "SoftErrorModel",
     "acceptance_yield",
     "coerce_fault_model",

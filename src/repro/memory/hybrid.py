@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.memory.cells import BitCellType, CELL_6T, CELL_8T
-from repro.memory.faults import FaultMap, FaultModel
 from repro.memory.power import AreaModel, PowerModel
-from repro.utils.rng import RngLike
 from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
 
@@ -75,59 +73,6 @@ class HybridArrayConfig:
         probabilities = np.full(self.bits_per_word, baseline_p)
         probabilities[: self.protected_msbs] = robust_p
         return probabilities
-
-    def fault_map_with_exact_faults(
-        self,
-        num_words: int,
-        num_faults: int,
-        rng: RngLike = None,
-        fault_model: FaultModel = FaultModel.BIT_FLIP,
-        faults_in_protected: int = 0,
-    ) -> FaultMap:
-        """Worst-case accepted die: *num_faults* faults in the unprotected columns.
-
-        The selection criterion of Section 6.1 tolerates a high number of
-        defects in the 6T columns (``Nf_6T``) and essentially none in the 8T
-        columns; *faults_in_protected* allows the latter to be non-zero for
-        sensitivity studies (``Nf_8T`` in the paper's notation).
-        """
-        base = FaultMap.with_exact_fault_count(
-            num_words,
-            self.bits_per_word,
-            num_faults,
-            rng=rng,
-            fault_model=fault_model,
-            protected_columns=self.protected_columns if self.protected_msbs else None,
-        )
-        if faults_in_protected and self.protected_msbs:
-            protected_only = FaultMap.with_exact_fault_count(
-                num_words,
-                self.bits_per_word,
-                faults_in_protected,
-                rng=rng,
-                fault_model=fault_model,
-                protected_columns=~self.protected_columns,
-            )
-            mask = base.fault_mask | protected_only.fault_mask
-            return FaultMap(num_words, self.bits_per_word, mask, fault_model, base.stuck_values)
-        return base
-
-    def fault_map_at_voltage(
-        self,
-        num_words: int,
-        vdd: float,
-        rng: RngLike = None,
-        fault_model: FaultModel = FaultModel.BIT_FLIP,
-    ) -> FaultMap:
-        """Random die drawn from the population at supply voltage *vdd*."""
-        return FaultMap.from_cell_failure_probability(
-            num_words,
-            self.bits_per_word,
-            0.0,
-            rng=rng,
-            fault_model=fault_model,
-            column_failure_probabilities=self.column_failure_probabilities(vdd),
-        )
 
     # ------------------------------------------------------------------ #
     def area_overhead(self, area_model: AreaModel | None = None) -> float:

@@ -108,27 +108,6 @@ def max_cell_failure_probability(
     return float(brentq(gap, low, high, xtol=1e-15, rtol=1e-12))
 
 
-def yield_with_redundancy(
-    cell_failure_probability: float,
-    num_rows: int,
-    num_columns: int,
-    spare_rows: int,
-) -> float:
-    """Yield of an array repaired with spare rows (conventional technique).
-
-    A row is bad when any of its cells fails; the array is good when the
-    number of bad rows does not exceed the number of spare rows.  Provided as
-    the conventional-repair reference the paper contrasts with ("as the size
-    of memory and the number of defects increases they are insufficient").
-    """
-    p = ensure_probability(cell_failure_probability, "cell_failure_probability")
-    rows = ensure_positive_int(num_rows, "num_rows")
-    cols = ensure_positive_int(num_columns, "num_columns")
-    spares = ensure_non_negative_int(spare_rows, "spare_rows")
-    row_fail = 1.0 - (1.0 - p) ** cols
-    return float(binom.cdf(spares, rows, row_fail))
-
-
 def expected_faulty_cells(cell_failure_probability: float, array_size: int) -> float:
     """Mean number of faulty cells in the array (binomial mean)."""
     p = ensure_probability(cell_failure_probability, "cell_failure_probability")

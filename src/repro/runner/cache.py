@@ -105,6 +105,11 @@ def canonicalize(value: Any) -> Any:
     return repr(value)
 
 
+#: Subdirectory of a cache dir that holds :class:`QuarantineStore` records
+#: (``--on-task-error quarantine``); it is not an experiment's run directory.
+QUARANTINE_DIRNAME = "quarantine"
+
+
 class ResultCache:
     """A directory of cached experiment runs.
 
@@ -217,11 +222,15 @@ class ResultCache:
             yield experiment, path.stem, path
 
     def _files(self, pattern: str) -> Iterator[Tuple[str, Path]]:
-        """Yield ``(experiment, path)`` for files matching *pattern*."""
+        """Yield ``(experiment, path)`` for files matching *pattern*.
+
+        The quarantine subdirectory holds poisoned-task records, not runs,
+        so it is neither listed nor cleared.
+        """
         if not self.root.exists():
             return
         for directory in sorted(self.root.iterdir()):
-            if directory.is_dir():
+            if directory.is_dir() and directory.name != QUARANTINE_DIRNAME:
                 for path in sorted(directory.glob(pattern)):
                     yield directory.name, path
 

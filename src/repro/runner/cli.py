@@ -65,6 +65,7 @@ from repro.runner.backends import (
     run_worker,
 )
 from repro.runner.cache import (
+    QUARANTINE_DIRNAME,
     QuarantineStore,
     ResultCache,
     config_digest,
@@ -498,7 +499,7 @@ def make_runner(args: argparse.Namespace) -> ParallelRunner:
         )
     quarantine_store = None
     if args.on_task_error == "quarantine" and getattr(args, "cache_dir", None) is not None:
-        quarantine_store = QuarantineStore(Path(args.cache_dir) / "quarantine")
+        quarantine_store = QuarantineStore(Path(args.cache_dir) / QUARANTINE_DIRNAME)
     return ParallelRunner(workers, backend=backend, quarantine_store=quarantine_store)
 
 

@@ -36,7 +36,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.core.fault_simulator import FaultSimulationPoint
 from repro.harq.metrics import HarqStatistics
 from repro.runner import telemetry
 from repro.runner.point_store import (
@@ -45,7 +44,7 @@ from repro.runner.point_store import (
     statistics_from_json,
     statistics_to_json,
 )
-from repro.runner.tasks import FaultMapOutcome
+from repro.runner.tasks import FaultMapOutcome, FaultSimulationPoint
 
 #: Bump when the entry layout changes so stale journals are discarded.
 JOURNAL_FORMAT_VERSION = 1

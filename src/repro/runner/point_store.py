@@ -33,7 +33,6 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fault_simulator import FaultSimulationPoint
 from repro.harq.metrics import HarqStatistics
 from repro.runner import telemetry
 from repro.runner.cache import (
@@ -42,6 +41,7 @@ from repro.runner.cache import (
     config_digest,
     decoder_backend_identity,
 )
+from repro.runner.tasks import FaultSimulationPoint
 
 #: Bump when the payload or identity layout changes so stale entries miss.
 POINT_STORE_FORMAT_VERSION = 1

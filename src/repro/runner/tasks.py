@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fault_simulator import FaultSimulationPoint
 from repro.core.protection import ProtectionScheme
 from repro.harq.metrics import HarqStatistics, merge_statistics
 from repro.link.config import LinkConfig
@@ -219,11 +218,9 @@ def group_tasks_for_batching(
 class FaultMapTask:
     """Simulate one fault map (die) at one (SNR, defect-rate) operating point.
 
-    Mirrors one iteration of the fault-map loop in
-    :meth:`repro.core.fault_simulator.SystemLevelFaultSimulator.evaluate`:
-    draw a worst-case accepted die with exactly ``Nf`` faults in the fallible
-    cells, install it in the HARQ soft buffer, and push a packet batch
-    through the link.
+    Draw a worst-case accepted die with exactly ``Nf`` faults in the
+    fallible cells, install it in the HARQ soft buffer, and push a packet
+    batch through the link.
 
     ``fault_model`` carries the read-out semantics and the spatial placement
     (a plain :class:`~repro.memory.faults.FaultModel` for the historical
@@ -337,6 +334,50 @@ def simulate_fault_map_batch(tasks: Sequence[FaultMapTask]) -> List[FaultMapOutc
     ]
 
 
+@dataclass
+class FaultSimulationPoint:
+    """Result of evaluating one (SNR, defect, protection) operating point.
+
+    Attributes
+    ----------
+    snr_db:
+        Receive SNR of the point.
+    num_faults:
+        Number of faulty cells injected per die (the acceptance criterion).
+    defect_rate:
+        ``num_faults`` over the number of fallible LLR-storage cells.
+    statistics:
+        Aggregate HARQ statistics over all packets and fault maps.
+    per_map_throughput:
+        Normalized throughput of each individual fault map (die), exposing
+        die-to-die variation.
+    protection_name:
+        Name of the evaluated protection scheme.
+    """
+
+    snr_db: float
+    num_faults: int
+    defect_rate: float
+    statistics: HarqStatistics
+    per_map_throughput: List[float] = field(default_factory=list)
+    protection_name: str = "unprotected-6T"
+
+    @property
+    def normalized_throughput(self) -> float:
+        """Normalized throughput aggregated over all simulated dies."""
+        return self.statistics.normalized_throughput
+
+    @property
+    def average_transmissions(self) -> float:
+        """Average number of transmissions per packet."""
+        return self.statistics.average_transmissions
+
+    @property
+    def block_error_rate(self) -> float:
+        """Residual BLER after the HARQ budget."""
+        return self.statistics.block_error_rate
+
+
 def merge_fault_outcomes(
     outcomes: Sequence[FaultMapOutcome],
     *,
@@ -345,10 +386,8 @@ def merge_fault_outcomes(
 ) -> FaultSimulationPoint:
     """Reduce per-die outcomes into one :class:`FaultSimulationPoint`.
 
-    The reduction matches what
-    :meth:`~repro.core.fault_simulator.SystemLevelFaultSimulator.evaluate`
-    produces when it runs the same dies serially: packet statistics are
-    summed and the per-die throughputs are kept for die-to-die variation.
+    Packet statistics are summed over the dies and the per-die throughputs
+    are kept for die-to-die variation.
     """
     outcomes = list(outcomes)
     if not outcomes:
@@ -393,6 +432,13 @@ class GridPoint:
     defect_rate: float
     fault_model: "FaultModel | FaultModelSpec" = FaultModel.BIT_FLIP
     soft_error_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.protection.bits_per_word != self.config.llr_bits:
+            raise ValueError(
+                f"protection word width {self.protection.bits_per_word} does not match "
+                f"the link's llr_bits {self.config.llr_bits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -751,7 +797,7 @@ def fault_map_tasks_for_point(
 ) -> List[FaultMapTask]:
     """The standard sharding of one operating point: one task per die.
 
-    Packets are split across dies exactly as the serial fault simulator does
+    Packets are split evenly across dies
     (``max(1, num_packets // num_fault_maps)`` per die); die ``m`` gets spawn
     key ``key_prefix + (m,)``.
     """

@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.fault_simulator import FaultSimulationPoint
 from repro.core.results import SweepTable
 from repro.experiments.scales import Scale, get_scale
 from repro.harq.metrics import HarqStatistics, merge_statistics
@@ -35,6 +34,7 @@ from repro.memory.faults import coerce_fault_model
 from repro.runner.backends.base import TaskQuarantined
 from repro.runner.parallel import ParallelRunner, runner_scope
 from repro.runner.tasks import (
+    FaultSimulationPoint,
     GridPoint,
     LinkChunkTask,
     group_tasks_for_batching,
@@ -97,7 +97,7 @@ class ScenarioOutcome:
         The expanded grid, in execution order.
     points:
         ``kind="fault"``: one merged
-        :class:`~repro.core.fault_simulator.FaultSimulationPoint` per cell.
+        :class:`~repro.runner.tasks.FaultSimulationPoint` per cell.
     statistics:
         ``kind="bler"``: one merged
         :class:`~repro.harq.metrics.HarqStatistics` per cell.

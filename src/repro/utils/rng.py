@@ -8,7 +8,7 @@ seed is given and independent streams can be derived for sub-components.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -92,15 +92,3 @@ def resolve_entropy(rng: RngLike) -> int:
         return int(np.random.default_rng(rng).integers(0, 2**63 - 1))
     return int(as_rng(rng).integers(0, 2**63 - 1))
 
-
-def spawn_seeds(rng: RngLike, count: int) -> list[int]:
-    """Return *count* integer seeds derived from *rng* (for serialisation)."""
-    base = as_rng(rng)
-    return [int(s) for s in base.integers(0, 2**63 - 1, size=count, dtype=np.int64)]
-
-
-def iter_child_rngs(rng: RngLike) -> Iterable[np.random.Generator]:
-    """Yield an unbounded stream of independent child generators."""
-    base = as_rng(rng)
-    while True:
-        yield np.random.default_rng(int(base.integers(0, 2**63 - 1)))

@@ -11,7 +11,9 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:  # pragma: no cover - environment dependent
     sys.path.insert(0, str(_SRC))
 
-from repro.link import LinkConfig  # noqa: E402  (path setup must come first)
+from repro.experiments.scales import SMOKE  # noqa: E402  (path setup must come first)
+from repro.link import LinkConfig  # noqa: E402
+from repro.scenarios import ScenarioSpec, run_scenario_grid  # noqa: E402
 
 
 @pytest.fixture
@@ -44,3 +46,26 @@ def tiny_64qam_config() -> LinkConfig:
         turbo_iterations=3,
         max_transmissions=4,
     )
+
+
+@pytest.fixture
+def run_fault_grid():
+    """Run a small fault-map scenario grid and return its merged points.
+
+    The link is ``tiny_64qam_config``'s 64QAM, 104-bit-payload, 3-iteration
+    mode as a scale preset (the scenario engine keeps the preset's 0.75 code
+    rate); *fields* are :class:`~repro.scenarios.spec.ScenarioSpec` fields
+    such as ``snr_db``, ``defect_rate``, ``protection`` and ``axes``.
+    """
+
+    def run(*, num_packets: int, num_fault_maps: int, seed: int, **fields):
+        spec = ScenarioSpec(name="test-grid", title="test grid", summary="test grid", **fields)
+        scale = SMOKE.with_updates(
+            payload_bits=104,
+            turbo_iterations=3,
+            num_packets=num_packets,
+            num_fault_maps=num_fault_maps,
+        )
+        return run_scenario_grid(spec, scale, seed)
+
+    return run

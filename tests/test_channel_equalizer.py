@@ -20,7 +20,6 @@ from repro.channel.multipath import (
     PowerDelayProfile,
     SINGLE_PATH,
 )
-from repro.equalizer.estimation import estimate_channel_ls
 from repro.equalizer.mmse import MmseEqualizer
 from repro.equalizer.rake import RakeReceiver
 from repro.phy.modulation import get_modulator
@@ -209,17 +208,3 @@ class TestEqualizers:
         )
         rake_ber = self._run_link((rake_symbols, rake_noise), modulator, bits)
         assert mmse_ber < rake_ber
-
-    def test_ls_channel_estimation(self, rng):
-        impulse_response = np.array([0.8 + 0.1j, 0.3 - 0.2j, 0.1])
-        pilots = (1 - 2 * rng.integers(0, 2, 200)) + 0j
-        received = np.convolve(pilots, impulse_response)
-        received = received + 0.01 * (
-            rng.normal(size=received.shape) + 1j * rng.normal(size=received.shape)
-        )
-        estimate = estimate_channel_ls(received, pilots, 3)
-        assert np.allclose(estimate, impulse_response, atol=0.02)
-
-    def test_ls_estimation_validation(self):
-        with pytest.raises(ValueError):
-            estimate_channel_ls(np.zeros(5, dtype=complex), np.ones(4, dtype=complex), 3)

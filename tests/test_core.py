@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BitSensitivityAnalysis,
-    BitWidthAnalysis,
     EccProtection,
     FullCellProtection,
     MsbProtection,
     NoProtection,
-    ProtectionEfficiencyAnalysis,
-    ResilienceAnalysis,
     SweepTable,
-    SystemLevelFaultSimulator,
 )
-from repro.core.montecarlo import (
-    mean_confidence_interval,
-    proportion_confidence_interval,
-    required_packets_for_bler,
+from repro.core.montecarlo import proportion_confidence_interval, required_packets_for_bler
+from repro.core.voltage import VoltageScalingAnalysis
+from repro.experiments.fig8_efficiency import (
+    ProtectionEfficiencyPoint,
+    ecc_comparison,
+    optimum_protection_depth,
 )
-from repro.core.voltage import VoltageScalingAnalysis, compare_protection_power
+from repro.experiments.fig9_bitwidth import BitWidthPoint, best_width_per_snr
 from repro.link import LinkConfig
+from repro.memory.power import AreaModel
+from repro.memory.yield_model import acceptance_yield
+from repro.runner.tasks import GridPoint
+from repro.scenarios import SweepAxis, default_tables
 
 
 class TestProtectionSchemes:
@@ -61,12 +62,6 @@ class TestProtectionSchemes:
         probabilities = scheme.column_failure_probabilities(0.7)
         assert probabilities[:4].max() < probabilities[4:].min()
 
-    def test_fault_map_at_voltage(self, rng):
-        scheme = NoProtection(bits_per_word=10)
-        fault_map = scheme.make_fault_map_at_voltage(500, 0.6, rng)
-        # At 0.6 V the 6T Pcell is ~0.1, so a 5000-cell array has many faults.
-        assert fault_map.num_faults > 100
-
     def test_relative_power_orderings(self):
         unprotected = NoProtection(bits_per_word=10)
         protected = MsbProtection(bits_per_word=10, protected_msbs=4)
@@ -101,14 +96,6 @@ class TestSweepTable:
 
 
 class TestMonteCarlo:
-    def test_mean_confidence_interval(self):
-        estimate = mean_confidence_interval([1.0, 2.0, 3.0, 4.0])
-        assert estimate.value == pytest.approx(2.5)
-        assert estimate.lower < 2.5 < estimate.upper
-
-    def test_single_sample_interval_is_infinite(self):
-        assert mean_confidence_interval([1.0]).half_width == float("inf")
-
     def test_proportion_interval(self):
         estimate = proportion_confidence_interval(5, 100)
         assert 0.0 < estimate.lower < 0.05 < estimate.upper < 0.2
@@ -119,123 +106,129 @@ class TestMonteCarlo:
             required_packets_for_bler(0.0)
 
 
-class TestSystemLevelFaultSimulator:
-    @pytest.fixture
-    def simulator(self, tiny_64qam_config):
-        return SystemLevelFaultSimulator(
-            tiny_64qam_config,
-            NoProtection(bits_per_word=tiny_64qam_config.llr_bits),
-            num_fault_maps=2,
-        )
+class TestFaultPointGrid:
+    """The fault-map grid behind every figure, on one small operating point."""
 
-    def test_cell_accounting(self, simulator, tiny_64qam_config):
-        assert simulator.total_cells == tiny_64qam_config.llr_storage_cells
-        assert simulator.fallible_cells == simulator.total_cells
-        assert simulator.faults_for_defect_rate(0.1) == pytest.approx(
-            0.1 * simulator.fallible_cells, abs=1
+    def test_cell_accounting(self, run_fault_grid):
+        outcome = run_fault_grid(
+            num_packets=2, num_fault_maps=2, seed=0, snr_db=28.0, defect_rate=0.1
         )
+        (point,) = outcome.points
+        cells = outcome.base_config.llr_storage_cells
+        # Unprotected: every storage cell is fallible.
+        assert point.num_faults == pytest.approx(0.1 * cells, abs=1)
+        assert point.defect_rate == point.num_faults / cells
 
     def test_word_width_mismatch_rejected(self, tiny_64qam_config):
         with pytest.raises(ValueError):
-            SystemLevelFaultSimulator(tiny_64qam_config, NoProtection(bits_per_word=12))
+            GridPoint(
+                key_prefix=(),
+                config=tiny_64qam_config,
+                protection=NoProtection(bits_per_word=12),
+                snr_db=20.0,
+                defect_rate=0.0,
+            )
 
-    def test_defect_free_point(self, simulator):
-        point = simulator.evaluate(28.0, 0, num_packets=6, rng=0)
+    def test_defect_free_point(self, run_fault_grid):
+        (point,) = run_fault_grid(
+            num_packets=6, num_fault_maps=2, seed=0, snr_db=28.0, defect_rate=0.0
+        ).points
         assert point.num_faults == 0
         assert point.normalized_throughput > 0.5
         assert point.block_error_rate == 0.0
 
-    def test_heavy_defects_degrade(self, simulator):
-        clean = simulator.evaluate_defect_rate(18.0, 0.0, num_packets=8, rng=1)
-        dirty = simulator.evaluate_defect_rate(18.0, 0.10, num_packets=8, rng=1)
+    def test_heavy_defects_degrade(self, run_fault_grid):
+        (clean,) = run_fault_grid(
+            num_packets=8, num_fault_maps=2, seed=1, snr_db=18.0, defect_rate=0.0
+        ).points
+        (dirty,) = run_fault_grid(
+            num_packets=8, num_fault_maps=2, seed=1, snr_db=18.0, defect_rate=0.10
+        ).points
         assert dirty.average_transmissions >= clean.average_transmissions - 1e-9
 
-    def test_msb_protection_recovers_throughput(self, tiny_64qam_config):
-        unprotected = SystemLevelFaultSimulator(
-            tiny_64qam_config, NoProtection(bits_per_word=10), num_fault_maps=2
-        )
-        protected = SystemLevelFaultSimulator(
-            tiny_64qam_config, MsbProtection(bits_per_word=10, protected_msbs=4), num_fault_maps=2
-        )
-        dirty = unprotected.evaluate_defect_rate(24.0, 0.10, num_packets=8, rng=2)
-        fixed = protected.evaluate_defect_rate(24.0, 0.10, num_packets=8, rng=2)
+    def test_msb_protection_recovers_throughput(self, run_fault_grid):
+        (dirty,) = run_fault_grid(
+            num_packets=8, num_fault_maps=2, seed=2, snr_db=24.0, defect_rate=0.10
+        ).points
+        (fixed,) = run_fault_grid(
+            num_packets=8,
+            num_fault_maps=2,
+            seed=2,
+            snr_db=24.0,
+            defect_rate=0.10,
+            protection="msb:4",
+        ).points
         assert fixed.normalized_throughput >= dirty.normalized_throughput
 
-    def test_yield_for_acceptance(self, simulator):
-        strict = simulator.yield_for_acceptance(1e-4, 0)
-        relaxed = simulator.yield_for_acceptance(1e-4, simulator.faults_for_defect_rate(0.01))
+    def test_yield_for_acceptance(self, run_fault_grid):
+        outcome = run_fault_grid(
+            num_packets=2, num_fault_maps=2, seed=0, snr_db=28.0, defect_rate=0.01
+        )
+        cells = outcome.base_config.llr_storage_cells
+        strict = acceptance_yield(1e-4, cells, 0)
+        relaxed = acceptance_yield(1e-4, cells, outcome.points[0].num_faults)
         assert relaxed > strict
 
-    def test_sweeps_and_table(self, simulator):
-        table = simulator.throughput_table([24.0], [0.0, 0.10], num_packets=4, rng=3)
+    def test_sweeps_and_table(self, run_fault_grid):
+        outcome = run_fault_grid(
+            num_packets=4,
+            num_fault_maps=2,
+            seed=3,
+            axes=(SweepAxis("defect_rate", (0.0, 0.10)), SweepAxis("snr_db", (24.0,))),
+        )
+        table = default_tables(outcome)
         assert len(table) == 2
         assert set(table.columns) >= {"defect_rate", "snr_db", "throughput"}
 
-    def test_reproducible(self, simulator):
-        a = simulator.evaluate_defect_rate(20.0, 0.05, num_packets=4, rng=11)
-        b = simulator.evaluate_defect_rate(20.0, 0.05, num_packets=4, rng=11)
-        assert a.normalized_throughput == b.normalized_throughput
+    def test_reproducible(self, run_fault_grid):
+        a = run_fault_grid(num_packets=4, num_fault_maps=2, seed=11, snr_db=20.0, defect_rate=0.05)
+        b = run_fault_grid(num_packets=4, num_fault_maps=2, seed=11, snr_db=20.0, defect_rate=0.05)
+        assert a.points[0].normalized_throughput == b.points[0].normalized_throughput
 
 
 class TestAnalyses:
-    def test_sensitivity_analytical_ranking(self):
-        config = LinkConfig(payload_bits=56, crc_bits=16)
-        analysis = BitSensitivityAnalysis(config.quantizer)
-        sensitivities = analysis.analytical_perturbations()
-        perturbations = [s.worst_llr_perturbation for s in sensitivities]
-        # Monotonically decreasing significance from MSB (sign) to LSB.
-        assert all(a >= b for a, b in zip(perturbations, perturbations[1:]))
-        assert perturbations[0] == pytest.approx(2 * config.llr_max_abs, rel=0.05)
-
-    def test_sensitivity_recommendation_small(self):
-        analysis = BitSensitivityAnalysis(LinkConfig().quantizer)
-        assert 2 <= analysis.recommended_protection_depth() <= 5
-
-    def test_sensitivity_simulation(self, tiny_64qam_config):
-        simulator = SystemLevelFaultSimulator(
-            tiny_64qam_config, NoProtection(bits_per_word=10), num_fault_maps=1
-        )
-        analysis = BitSensitivityAnalysis(tiny_64qam_config.quantizer)
-        results = analysis.simulated_sensitivity(
-            simulator, 26.0, faults_per_position=60, num_packets=4, rng=1, bit_positions=[0, 9]
-        )
-        table = analysis.to_table(results, "sensitivity")
-        assert len(table) == 2
-        sign, lsb = results[0], results[1]
-        # Corrupting the sign bit hurts at least as much as corrupting the LSB.
-        assert sign.throughput <= lsb.throughput + 0.15
-
-    def test_resilience_analysis(self, tiny_64qam_config):
-        simulator = SystemLevelFaultSimulator(
-            tiny_64qam_config, NoProtection(bits_per_word=10), num_fault_maps=1
-        )
-        analysis = ResilienceAnalysis(simulator)
-        table = analysis.sweep_table(26.0, [0.0, 0.10], num_packets=4, rng=5)
-        assert len(table) == 2
-        limit = analysis.find_limit(26.0, [0.0, 0.001], 0.1, num_packets=4, rng=5)
-        assert limit.max_defect_rate >= 0.0
-        assert 0.4 <= limit.min_supply_voltage <= 1.2
-        improvement = analysis.yield_improvement(1e-4, 0.01)
-        assert improvement["yield_accepting_defects"] >= improvement["yield_zero_defects"]
-
-    def test_efficiency_analysis(self, tiny_64qam_config):
-        analysis = ProtectionEfficiencyAnalysis(tiny_64qam_config, num_fault_maps=1)
-        points = analysis.sweep(24.0, 0.10, [2, 4], num_packets=4, rng=6)
-        assert [p.protected_bits for p in points] == [2, 4]
+    def test_efficiency_analysis(self):
+        area_model = AreaModel()
+        points = [
+            ProtectionEfficiencyPoint(
+                protected_bits=bits,
+                throughput=gain,
+                throughput_gain=gain,
+                area_overhead=area_model.hybrid_overhead(10, bits),
+                efficiency=gain / area_model.hybrid_overhead(10, bits),
+            )
+            for bits, gain in ((2, 0.6), (4, 0.9), (6, 0.92))
+        ]
         assert points[1].area_overhead > points[0].area_overhead
-        assert analysis.optimum_protection_depth(points) in (2, 4)
-        comparison = analysis.ecc_comparison()
+        # The smallest depth within the gain tolerance of the best wins.
+        assert optimum_protection_depth(points) == 4
+        assert optimum_protection_depth(points, gain_tolerance=0.5) == 2
+        with pytest.raises(ValueError):
+            optimum_protection_depth([])
+        comparison = ecc_comparison(10, area_model)
         assert comparison["msb4_overhead"] < comparison["ecc_overhead"]
+        assert comparison["ecc_parity_bits"] == 4
 
-    def test_bitwidth_analysis(self, tiny_64qam_config):
-        analysis = BitWidthAnalysis(tiny_64qam_config, num_fault_maps=1)
-        points = analysis.sweep([10, 12], [26.0], 0.10, num_packets=4, rng=7)
-        cells = {p.llr_bits: p.storage_cells for p in points}
-        faults = {p.llr_bits: p.num_faults for p in points}
-        assert cells[12] > cells[10]
-        assert faults[12] >= faults[10]
-        best = analysis.best_width_per_snr(points)
-        assert set(best) == {26.0}
+    def test_bitwidth_analysis(self):
+        assert LinkConfig(llr_bits=12).llr_storage_cells > LinkConfig(llr_bits=10).llr_storage_cells
+        points = [
+            BitWidthPoint(
+                llr_bits=bits,
+                snr_db=snr,
+                defect_rate=0.10,
+                storage_cells=100 * bits,
+                num_faults=10 * bits,
+                throughput=throughput,
+                average_transmissions=1.0 / throughput,
+            )
+            for bits, snr, throughput in (
+                (10, 20.0, 0.5),
+                (12, 20.0, 0.4),
+                (10, 26.0, 0.7),
+                (12, 26.0, 0.8),
+            )
+        ]
+        assert best_width_per_snr(points) == {20.0: 10, 26.0: 12}
 
 
 class TestVoltageScaling:
@@ -259,11 +252,6 @@ class TestVoltageScaling:
         generous = analysis.min_voltage_for_defect_budget(0.10)
         strict = analysis.min_voltage_for_defect_budget(0.0001)
         assert generous.vdd <= strict.vdd
-
-    def test_protection_enables_lower_voltage(self):
-        comparison = compare_protection_power(2000, 0.001, 0.10)
-        assert comparison["protected_min_vdd"] < comparison["unprotected_min_vdd"]
-        assert comparison["protected_power_saving"] > comparison["unprotected_power_saving"]
 
     def test_sweep_table(self):
         analysis = VoltageScalingAnalysis(1000, MsbProtection(bits_per_word=10, protected_msbs=4))

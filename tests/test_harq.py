@@ -1,4 +1,4 @@
-"""Tests for the HARQ subsystem: buffers, combining, controller and metrics."""
+"""Tests for the HARQ subsystem: buffers, combining and metrics."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from repro.harq.combining import (
     effective_snr_gain_db,
     incremental_redundancy_combine,
 )
-from repro.harq.controller import HarqController, HarqPacketResult
-from repro.harq.metrics import aggregate_results
+from repro.harq.metrics import HarqPacketResult, aggregate_results
 from repro.memory.faults import FaultMap
 from repro.phy.quantization import LlrQuantizer
 
@@ -178,67 +177,6 @@ class TestTransmissionSoftBuffer:
         buffer.store_transmission(0, rng.normal(size=10), 0)
         buffer.clear()
         assert buffer.num_stored_transmissions == 0
-
-
-class TestHarqController:
-    def _make_controller(self, max_transmissions=4):
-        buffer = LlrSoftBuffer(num_llrs=30)
-        return HarqController(buffer, max_transmissions=max_transmissions)
-
-    def test_success_on_first_transmission(self):
-        controller = self._make_controller()
-        result = controller.run_packet(
-            lambda t, rv: np.ones(30),
-            lambda combined: (np.ones(10, dtype=np.int8), True),
-        )
-        assert result.success
-        assert result.num_transmissions == 1
-
-    def test_retries_until_success(self):
-        controller = self._make_controller()
-        attempts = {"count": 0}
-
-        def decode(_combined):
-            attempts["count"] += 1
-            return np.zeros(10, dtype=np.int8), attempts["count"] >= 3
-
-        result = controller.run_packet(lambda t, rv: np.ones(30), decode)
-        assert result.success
-        assert result.num_transmissions == 3
-        assert result.failure_history == [True, True, False]
-
-    def test_gives_up_after_budget(self):
-        controller = self._make_controller(max_transmissions=2)
-        result = controller.run_packet(
-            lambda t, rv: np.ones(30),
-            lambda combined: (np.zeros(10, dtype=np.int8), False),
-        )
-        assert not result.success
-        assert result.num_transmissions == 2
-
-    def test_combining_visible_to_decoder(self):
-        controller = self._make_controller(max_transmissions=3)
-        seen = []
-
-        def decode(combined):
-            seen.append(combined.copy())
-            return np.zeros(4, dtype=np.int8), False
-
-        controller.run_packet(lambda t, rv: np.ones(30), decode)
-        # Soft values grow with each combined transmission.
-        assert seen[1].sum() > seen[0].sum()
-        assert seen[2].sum() > seen[1].sum()
-
-    def test_redundancy_versions_follow_schedule(self):
-        controller = self._make_controller(max_transmissions=4)
-        seen_rvs = []
-
-        def transmit(_t, rv):
-            seen_rvs.append(rv)
-            return np.zeros(30)
-
-        controller.run_packet(transmit, lambda c: (np.zeros(4, dtype=np.int8), False))
-        assert seen_rvs == [0, 1, 2, 3]
 
 
 class TestMetrics:

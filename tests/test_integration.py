@@ -12,15 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    MsbProtection,
-    NoProtection,
-    SystemLevelFaultSimulator,
-)
+from repro.core import MsbProtection
 from repro.link import HspaLikeLink, LinkConfig
 from repro.memory.cells import CELL_6T, CELL_8T
 from repro.memory.faults import FaultMap
 from repro.memory.yield_model import acceptance_yield, min_defects_for_yield
+from repro.scenarios import SweepAxis
 
 
 @pytest.fixture(scope="module")
@@ -39,42 +36,60 @@ def small_config():
 class TestEndToEndResilience:
     """The paper's central claims, exercised end to end on a small link."""
 
-    def test_small_defect_rate_is_harmless(self, small_config):
+    def test_small_defect_rate_is_harmless(self, run_fault_grid):
         """Up to ~0.1% defects the throughput matches the defect-free system."""
-        simulator = SystemLevelFaultSimulator(
-            small_config, NoProtection(bits_per_word=10), num_fault_maps=2
-        )
-        clean = simulator.evaluate_defect_rate(26.0, 0.0, num_packets=10, rng=1)
-        mild = simulator.evaluate_defect_rate(26.0, 0.001, num_packets=10, rng=1)
+        (clean,) = run_fault_grid(
+            num_packets=10, num_fault_maps=2, seed=1, snr_db=26.0, defect_rate=0.0
+        ).points
+        (mild,) = run_fault_grid(
+            num_packets=10, num_fault_maps=2, seed=1, snr_db=26.0, defect_rate=0.001
+        ).points
         assert mild.normalized_throughput >= 0.7 * clean.normalized_throughput
 
-    def test_degradation_is_monotone_in_defect_rate(self, small_config):
+    def test_degradation_is_monotone_in_defect_rate(self, run_fault_grid):
         """Average transmissions grow (statistically) with the defect rate."""
-        simulator = SystemLevelFaultSimulator(
-            small_config, NoProtection(bits_per_word=10), num_fault_maps=2
-        )
-        points = simulator.defect_sweep(20.0, [0.0, 0.10], num_packets=10, rng=2)
+        points = run_fault_grid(
+            num_packets=10,
+            num_fault_maps=2,
+            seed=2,
+            snr_db=20.0,
+            axes=(SweepAxis("defect_rate", (0.0, 0.10)),),
+        ).points
         assert points[1].average_transmissions >= points[0].average_transmissions - 1e-9
 
-    def test_preferential_protection_beats_unprotected_at_high_defects(self, small_config):
+    def test_preferential_protection_beats_unprotected_at_high_defects(self, run_fault_grid):
         """Protecting 4 MSBs recovers throughput at a 10% defect rate (Fig. 7)."""
-        unprotected = SystemLevelFaultSimulator(
-            small_config, NoProtection(bits_per_word=10), num_fault_maps=2
-        )
-        protected = SystemLevelFaultSimulator(
-            small_config, MsbProtection(bits_per_word=10, protected_msbs=4), num_fault_maps=2
-        )
-        dirty = unprotected.evaluate_defect_rate(22.0, 0.10, num_packets=12, rng=3)
-        fixed = protected.evaluate_defect_rate(22.0, 0.10, num_packets=12, rng=3)
+        (dirty,) = run_fault_grid(
+            num_packets=12, num_fault_maps=2, seed=3, snr_db=22.0, defect_rate=0.10
+        ).points
+        (fixed,) = run_fault_grid(
+            num_packets=12,
+            num_fault_maps=2,
+            seed=3,
+            snr_db=22.0,
+            defect_rate=0.10,
+            protection="msb:4",
+        ).points
         assert fixed.normalized_throughput >= dirty.normalized_throughput
         assert fixed.average_transmissions <= dirty.average_transmissions + 1e-9
 
-    def test_protected_storage_close_to_defect_free(self, small_config):
-        protected = SystemLevelFaultSimulator(
-            small_config, MsbProtection(bits_per_word=10, protected_msbs=4), num_fault_maps=2
-        )
-        clean = protected.evaluate_defect_rate(26.0, 0.0, num_packets=10, rng=4)
-        dirty = protected.evaluate_defect_rate(26.0, 0.10, num_packets=10, rng=4)
+    def test_protected_storage_close_to_defect_free(self, run_fault_grid):
+        (clean,) = run_fault_grid(
+            num_packets=10,
+            num_fault_maps=2,
+            seed=4,
+            snr_db=26.0,
+            defect_rate=0.0,
+            protection="msb:4",
+        ).points
+        (dirty,) = run_fault_grid(
+            num_packets=10,
+            num_fault_maps=2,
+            seed=4,
+            snr_db=26.0,
+            defect_rate=0.10,
+            protection="msb:4",
+        ).points
         assert dirty.normalized_throughput >= 0.6 * clean.normalized_throughput
 
     def test_harq_rescues_low_snr_packets(self, small_config):
@@ -113,23 +128,26 @@ class TestCrossModuleConsistency:
         buffer = link.make_buffer(fault_map=fault_map)
         assert buffer.defect_rate() == pytest.approx(0.05, abs=0.002)
 
-    def test_simulator_uses_all_packets(self, small_config):
-        simulator = SystemLevelFaultSimulator(
-            small_config, NoProtection(bits_per_word=10), num_fault_maps=2
-        )
-        point = simulator.evaluate(26.0, 0, num_packets=8, rng=6)
+    def test_simulator_uses_all_packets(self, run_fault_grid):
+        (point,) = run_fault_grid(
+            num_packets=8, num_fault_maps=2, seed=6, snr_db=26.0, defect_rate=0.0
+        ).points
         assert point.statistics.num_packets == 8
         assert len(point.per_map_throughput) == 2
 
-    def test_protection_reduces_fallible_cells(self, small_config):
+    def test_protection_reduces_fallible_cells(self, run_fault_grid):
+        # At a 100% defect rate every fallible cell of the die is faulty.
         for protected_bits in (0, 2, 4, 10):
-            if protected_bits == 0:
-                scheme = NoProtection(bits_per_word=10)
-            else:
-                scheme = MsbProtection(bits_per_word=10, protected_msbs=protected_bits)
-            simulator = SystemLevelFaultSimulator(small_config, scheme, num_fault_maps=1)
-            expected = small_config.llr_storage_words * (10 - protected_bits)
-            assert simulator.fallible_cells == expected
+            outcome = run_fault_grid(
+                num_packets=1,
+                num_fault_maps=1,
+                seed=7,
+                snr_db=26.0,
+                defect_rate=1.0,
+                protection=f"msb:{protected_bits}",
+            )
+            expected = outcome.base_config.llr_storage_words * (10 - protected_bits)
+            assert outcome.points[0].num_faults == expected
 
 
 class TestStatisticalProperties:

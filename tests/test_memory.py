@@ -17,11 +17,9 @@ from repro.memory.cells import (
     get_cell_type,
 )
 from repro.memory.ecc import HammingCode
-from repro.memory.failure_model import FailureModel, failure_probability_with_margin
 from repro.memory.faults import FaultMap, FaultModel
 from repro.memory.hybrid import HybridArrayConfig
 from repro.memory.power import AreaModel, PowerModel
-from repro.memory.redundancy import RedundancyRepair
 from repro.memory.yield_model import (
     acceptance_yield,
     acceptance_yield_curve,
@@ -29,7 +27,6 @@ from repro.memory.yield_model import (
     expected_faulty_cells,
     max_cell_failure_probability,
     min_defects_for_yield,
-    yield_with_redundancy,
 )
 
 
@@ -78,35 +75,6 @@ class TestCells:
     def test_voltage_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CELL_6T.failure_probability(0.1)
-
-
-class TestFailureModel:
-    def test_total_combines_mechanisms(self):
-        model = FailureModel()
-        total = model.total_failure_probability(0.8)
-        assert total >= model.parametric_failure_probability(0.8)
-        assert total <= model.parametric_failure_probability(0.8) + model.soft_error_probability(0.8)
-
-    def test_breakdown_sums_to_parametric(self):
-        model = FailureModel()
-        breakdown = model.mechanism_breakdown(0.7)
-        assert sum(breakdown.values()) == pytest.approx(
-            model.parametric_failure_probability(0.7)
-        )
-
-    def test_voltage_sweep_keys(self):
-        sweep = FailureModel().voltage_sweep(np.array([0.7, 0.9]))
-        assert set(sweep) == {"parametric", "soft", "total"}
-
-    def test_expected_defects(self):
-        model = FailureModel(soft_errors=None)
-        assert model.expected_defects(0.8, 10_000) == pytest.approx(
-            CELL_6T.failure_probability(0.8) * 10_000
-        )
-
-    def test_margin_reduces_probability(self):
-        assert failure_probability_with_margin(1e-3, 1.0) < 1e-3
-        assert failure_probability_with_margin(0.0, 1.0) == 0.0
 
 
 class TestFaultMap:
@@ -458,11 +426,6 @@ class TestYieldModel:
     def test_expected_faults(self):
         assert expected_faulty_cells(0.01, 1000) == pytest.approx(10.0)
 
-    def test_redundancy_yield_improves_with_spares(self):
-        no_spares = yield_with_redundancy(1e-4, 256, 10, 0)
-        with_spares = yield_with_redundancy(1e-4, 256, 10, 4)
-        assert with_spares > no_spares
-
     def test_acceptance_yield_bounds(self):
         assert acceptance_yield(0.5, 100, 100) == 1.0
         assert 0.0 <= acceptance_yield(0.5, 100, 10) <= 1.0
@@ -479,32 +442,6 @@ class TestYieldModel:
         assert value >= defect_free_yield(pcell, size) - 1e-12
 
 
-class TestRedundancyRepair:
-    def test_repairs_single_fault(self):
-        mask = np.zeros((10, 4), dtype=bool)
-        mask[3, 2] = True
-        repaired, complete = RedundancyRepair(spare_rows=1).repair(FaultMap(10, 4, mask))
-        assert complete
-        assert repaired.num_faults == 0
-
-    def test_insufficient_spares(self):
-        mask = np.zeros((10, 4), dtype=bool)
-        mask[1, 1] = mask[5, 2] = mask[8, 0] = True
-        _, complete = RedundancyRepair(spare_rows=1).repair(FaultMap(10, 4, mask))
-        assert not complete
-
-    def test_column_repair(self):
-        mask = np.zeros((10, 4), dtype=bool)
-        mask[:, 3] = True
-        repaired, complete = RedundancyRepair(spare_columns=1).repair(FaultMap(10, 4, mask))
-        assert complete
-
-    def test_repair_yield_monotone_in_spares(self):
-        base = RedundancyRepair(0, 0).repair_yield(5e-4, 64, 10, num_trials=60, rng=1)
-        better = RedundancyRepair(4, 1).repair_yield(5e-4, 64, 10, num_trials=60, rng=1)
-        assert better >= base
-
-
 class TestHybridAndPower:
     def test_hybrid_protected_columns(self):
         config = HybridArrayConfig(bits_per_word=10, protected_msbs=4)
@@ -516,11 +453,6 @@ class TestHybridAndPower:
         config = HybridArrayConfig(bits_per_word=10, protected_msbs=3)
         probabilities = config.column_failure_probabilities(0.7)
         assert probabilities[:3].max() < probabilities[3:].min()
-
-    def test_hybrid_fault_map_respects_protection(self, rng):
-        config = HybridArrayConfig(bits_per_word=10, protected_msbs=4)
-        fault_map = config.fault_map_with_exact_faults(300, 200, rng)
-        assert fault_map.faults_per_column()[:4].sum() == 0
 
     def test_hybrid_area_overhead_anchor(self):
         """4 of 10 bits in 8T cells costs ~12% extra area (paper: ~13%)."""

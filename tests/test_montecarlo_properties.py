@@ -9,11 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.montecarlo import (
-    mean_confidence_interval,
-    proportion_confidence_interval,
-    required_packets_for_bler,
-)
+from repro.core.montecarlo import proportion_confidence_interval, required_packets_for_bler
 
 CONFIDENCES = st.floats(min_value=0.5, max_value=0.999)
 
@@ -59,29 +55,6 @@ class TestProportionInterval:
             proportion_confidence_interval(-1, 10)
         with pytest.raises(ValueError):
             proportion_confidence_interval(11, 10)
-
-
-class TestMeanInterval:
-    @given(
-        samples=st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=64
-        ),
-        repeats=st.integers(min_value=2, max_value=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_half_width_shrinks_when_replicating_samples(self, samples, repeats):
-        small = mean_confidence_interval(samples)
-        large = mean_confidence_interval(samples * repeats)
-        assert large.half_width <= small.half_width + 1e-9
-        assert math.isclose(large.value, small.value, rel_tol=0, abs_tol=1e-6)
-
-    def test_single_sample_has_infinite_interval(self):
-        estimate = mean_confidence_interval([1.0])
-        assert math.isinf(estimate.half_width)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([])
 
 
 class TestRequiredPackets:

@@ -1,4 +1,4 @@
-"""Tests for interleaving, rate matching, convolutional and turbo coding."""
+"""Tests for interleaving, rate matching and turbo coding."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.bits import random_bits
-from repro.phy.convolutional import ConvolutionalCode, umts_convolutional_code
 from repro.phy.interleaving import (
     ChannelInterleaver,
     Interleaver,
@@ -141,39 +140,6 @@ class TestRateMatching:
         assert np.array_equal(s, systematic)
         assert np.array_equal(p1, parity1)
         assert np.array_equal(p2, parity2)
-
-
-class TestConvolutional:
-    def test_encode_length(self):
-        code = ConvolutionalCode()
-        assert code.encode(np.zeros(10, dtype=np.int8)).size == code.num_coded_bits(10)
-
-    def test_noiseless_decode(self, rng):
-        code = ConvolutionalCode()
-        bits = random_bits(60, rng)
-        coded = code.encode(bits)
-        decoded = code.decode(1.0 - 2.0 * coded.astype(float))
-        assert np.array_equal(decoded, bits)
-
-    def test_corrects_scattered_errors(self, rng):
-        code = ConvolutionalCode(generators=(0o133, 0o171), constraint_length=7)
-        bits = random_bits(100, rng)
-        coded = code.encode(bits)
-        llrs = 1.0 - 2.0 * coded.astype(float)
-        # Flip a few well separated coded bits.
-        for position in (10, 60, 120, 180):
-            llrs[position] = -llrs[position]
-        assert np.array_equal(code.decode(llrs), bits)
-
-    def test_umts_code_parameters(self):
-        code = umts_convolutional_code()
-        assert code.rate == pytest.approx(1 / 3)
-        assert code.num_states == 256
-
-    def test_hard_decision_decode(self, rng):
-        code = ConvolutionalCode()
-        bits = random_bits(40, rng)
-        assert np.array_equal(code.decode_hard(code.encode(bits)), bits)
 
 
 class TestTurbo:

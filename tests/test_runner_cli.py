@@ -7,6 +7,8 @@ import pytest
 from repro.core.results import SweepTable
 from repro.runner.cache import (
     CACHE_FORMAT_VERSION,
+    QUARANTINE_DIRNAME,
+    QuarantineStore,
     ResultCache,
     config_digest,
     deserialize_tables,
@@ -92,6 +94,19 @@ class TestResultCache:
         cache.store("fig3", "aaaa", identity={}, tables=outcome.tables)
         cache.store("fig3", "bbbb", identity={}, tables=outcome.tables)
         assert cache.entries() == {"fig3": 2}
+
+    def test_quarantine_records_are_not_runs(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        outcome = run_experiment("fig3")
+        cache.store("fig3", "aaaa", identity={}, tables=outcome.tables)
+        record = QuarantineStore(tmp_path / QUARANTINE_DIRNAME).record(
+            "simulate_fault_map_batch", {"key": [0]}, error="boom", attempts=2
+        )
+        assert cache.entries() == {"fig3": 1}
+        assert [e for e, _d, _p in cache.iter_entries()] == ["fig3"]
+        assert cache.clear() == 1
+        assert cache.entries() == {}
+        assert record.exists()
 
 
 class TestExperimentPayload:

@@ -29,7 +29,6 @@ import pytest
 from repro.experiments import fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
 from repro.harq.metrics import HarqStatistics
-from repro.core.fault_simulator import FaultSimulationPoint
 from repro.runner.backends import (
     SocketDistributedBackend,
     WORKER_EXIT_FAILURE,
@@ -54,6 +53,7 @@ from repro.runner.point_store import (
     statistics_to_json,
 )
 from repro.runner.serve import build_server
+from repro.runner.tasks import FaultSimulationPoint
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

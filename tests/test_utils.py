@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, child_rngs, spawn_seeds
+from repro.utils.rng import as_rng, child_rngs
 from repro.utils.validation import (
     ensure_bit_array,
     ensure_choice,
@@ -55,11 +55,6 @@ class TestChildRngs:
 
     def test_zero_count(self):
         assert child_rngs(0, 0) == []
-
-    def test_spawn_seeds_are_ints(self):
-        seeds = spawn_seeds(1, 4)
-        assert len(seeds) == 4
-        assert all(isinstance(s, int) for s in seeds)
 
 
 class TestValidation:
