@@ -1,38 +1,31 @@
-"""Setuptools entry point: package metadata plus the optional native kernel.
+"""Setuptools entry point: package metadata.
 
 The environment used for reproduction has no network access and no ``wheel``
 package, so PEP 517 editable installs (which build a wheel) are unavailable;
-``setup.py develop`` / ``build_ext --inplace`` handle installs and extension
-builds instead.
+``setup.py develop`` handles installs instead.
 
-The C extension is declared ``optional=True``: on a machine without a C
-compiler the build degrades gracefully, the ``native`` decoder-backend
-family simply reports itself unavailable and everything runs on the pure
-numpy backends.  Build it in place for development with::
-
-    python setup.py build_ext --inplace
+The package declares no extension module.  The ``native`` decoder kernel
+(``src/repro/phy/turbo/backends/_native/sisokernel.c``) is compiled with the
+machine's C compiler the first time a process uses it and cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro/native/`` (see
+:mod:`repro.phy.turbo.backends._native`).  Without a compiler the family
+reports itself unavailable and everything runs, bit-identically, on the
+numpy kernel.  The C sources ship as package data so installed copies can
+build it too.
 """
 
-from setuptools import Extension, find_packages, setup
-
-NATIVE_KERNEL = Extension(
-    "repro.phy.turbo.backends._native._sisokernel",
-    sources=["src/repro/phy/turbo/backends/_native/sisokernel.c"],
-    depends=["src/repro/phy/turbo/backends/_native/sisokernel_impl.h"],
-    extra_compile_args=["-O3"],
-    optional=True,
-)
+from setuptools import find_packages, setup
 
 setup(
     name="repro",
     version="0.9.0",
     description=(
         "Reproduction of an HSPA+ turbo-coded link over unreliable memory "
-        "(DAC'12), with batched numpy and native decoder backends"
+        "(DAC'12), with bit-identical numpy and native decoder kernels"
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.phy.turbo.backends._native": ["*.c", "*.h"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
-    ext_modules=[NATIVE_KERNEL],
 )

@@ -90,9 +90,10 @@ class LinkConfig:
         mother-domain sum instead (a virtual-IR-buffer organisation).
     decoder_backend:
         Turbo-decoder backend name (see :mod:`repro.phy.turbo.backends`).
-        The default ``"numpy"`` is the deterministic float64 kernel whose
-        output the golden-seed suite pins; ``"native"``/``"auto"`` select the
-        C-extension kernel when it is built, ``"numpy-f32"`` the float32 mode.
+        The default ``"auto"`` runs the native C kernel where it can be
+        built and numpy elsewhere — both bit-identical at float64, so the
+        golden-seed suite pins the same bytes; ``"numpy-f32"`` selects the
+        float32 mode.
     llr_dtype:
         Floating-point dtype of the end-to-end link LLRs (``"float64"`` or
         ``"float32"``).  The opt-in float32 mode halves the LLR memory
@@ -128,7 +129,7 @@ class LinkConfig:
     spreading_factor: int = 1
     interleaver_columns: int = 30
     buffer_architecture: str = "per-transmission"
-    decoder_backend: str = "numpy"
+    decoder_backend: str = "auto"
     llr_dtype: str = "float64"
     fading: str = "block"
 
@@ -276,13 +277,16 @@ class LinkConfig:
     def describe(self) -> str:
         """Human-readable multi-line summary of the operating mode.
 
-        The default decoder backend is omitted so that run identities (and
-        the golden snapshots that pin them) are unchanged for default runs;
-        any non-default backend is spelled out, which keys caches apart.
+        The decoder is named by the backend results are filed under (see
+        :func:`repro.phy.turbo.backends.identity_spec`) and omitted when
+        that is numpy at float64, so run identities (and the golden
+        snapshots that pin them) do not depend on which exact family ran;
+        any other backend is spelled out, which keys caches apart.
         """
-        backend = (
-            "" if self.decoder_backend == "numpy" else f", decoder {self.decoder_backend}"
-        )
+        from repro.phy.turbo.backends import identity_spec
+
+        decoder = identity_spec(self.decoder_backend).name
+        backend = "" if decoder == "numpy" else f", decoder {decoder}"
         dtype = "" if self.llr_dtype == "float64" else f", llr dtype {self.llr_dtype}"
         fading = "" if self.fading == "block" else f", fading {self.fading}"
         backend += dtype + fading

@@ -3,29 +3,32 @@
 Backends are selected by name:
 
 ``numpy`` / ``numpy-f32``
-    The vectorised numpy kernel (float64 / float32).  ``numpy`` is the
-    default everywhere and is bit-identical to the seed decoder.
+    The vectorised numpy kernel (float64 / float32).  Needs nothing but
+    numpy, so it is the fallback everywhere.
 ``native`` / ``native-f32``
-    The C-extension max-log-MAP kernel, if the compiled module was built
-    (``python setup.py build_ext --inplace`` with a C compiler).
+    The C max-log-MAP kernel, compiled with the machine's C compiler on
+    first use and cached (see :mod:`repro.phy.turbo.backends._native`).
 ``auto``
-    The fastest available family (``native`` > ``numpy``) at float64.
+    The fastest available family (``native`` > ``numpy``) at float64.  This
+    is the default.
 
 Any other token is rejected with ``unknown decoder backend``.  Requesting
-``native`` where the extension was not built **falls back to numpy** at the
-same dtype with a warning instead of failing — results stay correct, only
-slower — so a config written on a machine with the extension still runs
-anywhere.
+``native`` where the kernel cannot be built **falls back to numpy** at the
+same dtype with a warning instead of failing — results stay the same, only
+slower — so a config written on one machine runs anywhere.
 
 :func:`resolve_backend` reduces any of these names to the
-:class:`~repro.phy.turbo.backends.base.BackendSpec` that will actually run,
-which is what result caches must key on (see
+:class:`~repro.phy.turbo.backends.base.BackendSpec` that will actually run;
+:func:`identity_spec` reduces it to the spec results are filed under (see
 :func:`repro.runner.cache.decoder_backend_identity`).
 
-Exactness contract (pinned by the conformance tests): ``numpy`` is the
-bit-exact golden reference (``exact=True``); ``native`` (``exact=False``)
-evaluates the same max-log equations in a different operation order and is
-held to decision-level agreement plus a BLER-delta tolerance instead.
+Exactness contract (pinned by the conformance tests): both families are
+exact (``exact=True``) — at either dtype, ``native`` performs every float
+operation of the numpy kernel on the same operands in the same order, so
+its output is bit-identical to ``numpy``'s.  An exact family therefore
+never enters a run identity, ``config`` string or point-store digest: it is
+filed as ``numpy`` at its dtype, and the two share cache entries and golden
+bytes.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from repro.phy.turbo.backends.base import NEG_INF, BackendSpec, SisoBackend
 from repro.phy.turbo.backends.numpy_backend import NumpySisoBackend
 from repro.phy.turbo.trellis import RscTrellis
 
-#: The backend used when nothing is requested — must stay deterministic and
-#: dependency-free, because the golden-seed suite pins its exact output.
-DEFAULT_BACKEND = "numpy"
+#: The backend used when nothing is requested.  Every family is exact, so the
+#: golden-seed suite pins the same bytes whichever family ``auto`` picks.
+DEFAULT_BACKEND = "auto"
 
 #: ``auto`` preference order (first available wins).
 AUTO_PREFERENCE = ("native", "numpy")
@@ -58,9 +61,9 @@ class FamilyInfo:
         ``() -> (available, reason)``; the reason string is surfaced by
         ``repro backends ls`` so operators can audit heterogeneous fleets.
     exact:
-        Whether the family is bit-identical to the numpy/float64 reference
-        at float64 (max-log families with reordered float arithmetic are
-        tolerance-gated instead).
+        Whether the family is bit-identical to the numpy kernel at the same
+        dtype (a family with reordered float arithmetic would be
+        tolerance-gated instead, and filed under its own identity).
     """
 
     factory: Callable[[RscTrellis, int, BackendSpec], SisoBackend]
@@ -87,7 +90,7 @@ def _make_native(trellis: RscTrellis, block_size: int, spec: BackendSpec) -> Sis
 
 _FAMILIES: Dict[str, FamilyInfo] = {
     "numpy": FamilyInfo(NumpySisoBackend, _probe_numpy, exact=True),
-    "native": FamilyInfo(_make_native, _probe_native, exact=False),
+    "native": FamilyInfo(_make_native, _probe_native, exact=True),
 }
 
 #: Memoised probe results — probes import modules, which is not free, and
@@ -124,6 +127,7 @@ def available_backends() -> Tuple[str, ...]:
 
 def family_listing() -> List[Dict[str, object]]:
     """Availability report of every family, for ``repro backends ls``."""
+    default_family = resolve_backend(DEFAULT_BACKEND, warn=False).family
     listing: List[Dict[str, object]] = []
     for family, info in _FAMILIES.items():
         ok, reason = _probe(family)
@@ -134,7 +138,7 @@ def family_listing() -> List[Dict[str, object]]:
                 "available": ok,
                 "reason": reason,
                 "exact": info.exact,
-                "default": family == DEFAULT_BACKEND,
+                "default": family == default_family,
             }
         )
     return listing
@@ -161,11 +165,10 @@ def parse_backend_name(name: str) -> BackendSpec:
 def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> BackendSpec:
     """Reduce a requested backend to the spec that will actually run.
 
-    ``auto`` picks the fastest available family (native > numpy); an
-    unbuilt ``native`` degrades to numpy at the same dtype (with a
-    warning), so a config written on a machine with the extension still
-    runs — and is cached under the backend that *really* produced the
-    numbers.
+    ``auto`` picks the fastest available family (native > numpy); a
+    ``native`` that cannot be built degrades to numpy at the same dtype
+    (with a warning), so a config written on a machine with a C compiler
+    still runs everywhere.
     """
     spec = parse_backend_name(name) if isinstance(name, str) else name
     if spec.family == "auto":
@@ -184,10 +187,23 @@ def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> Back
 
 
 def backend_is_exact(spec_or_name: Union[str, BackendSpec]) -> bool:
-    """Whether the (resolved) backend is bit-exact at float64 against the
-    numpy reference (as opposed to tolerance-gated max-log parity)."""
+    """Whether the (resolved) backend is bit-exact against the numpy kernel
+    at the same dtype (as opposed to tolerance-gated max-log parity)."""
     spec = resolve_backend(spec_or_name, warn=False)
     return _FAMILIES[spec.family].exact
+
+
+def identity_spec(spec_or_name: Union[str, BackendSpec]) -> BackendSpec:
+    """The backend a result of *spec_or_name* is filed under.
+
+    That is the backend that will actually run, except that an exact family
+    is filed as ``numpy`` at its dtype: its output is bit-identical, so it
+    must share numpy's cache entries, point digests and ``config`` strings.
+    """
+    spec = resolve_backend(spec_or_name, warn=False)
+    if _FAMILIES[spec.family].exact:
+        return BackendSpec("numpy", spec.dtype_name)
+    return spec
 
 
 def create_backend(
@@ -215,6 +231,7 @@ __all__ = [
     "backend_names",
     "create_backend",
     "family_listing",
+    "identity_spec",
     "parse_backend_name",
     "resolve_backend",
 ]

@@ -6,6 +6,11 @@
  * tables, batch-last (step-major, batch-inner) layout, per-step max
  * normalisation of the state metrics.  Every inner loop runs contiguously
  * over the column range [lo, hi) of the batch so gcc -O3 auto-vectorises it.
+ *
+ * Every add and multiply takes the numpy kernel's operands in the numpy
+ * kernel's order (max is exact, so its grouping is free).  Built with
+ * -ffp-contract=off (no fused multiply-add), the output is bit-identical to
+ * the numpy backend's at the same dtype.
  */
 
 #ifndef SISO_NEG_INF
@@ -141,9 +146,10 @@ static int KERNEL_NAME(
                 REAL *restrict gb_row = gb_plane + (Py_ssize_t)s * w;
                 for (Py_ssize_t b = 0; b < w; b++) {
                     const REAL branch = c[b] * isg + hp[b] * psg;
-                    const REAL branch_beta = branch + beta_next[b];
-                    const REAL metric = alpha_row[b] + branch_beta;
-                    gb_row[b] = branch_beta;
+                    /* (alpha + branch) + beta_next: the numpy kernel's
+                     * operation order, which keeps the APPs bit-exact. */
+                    const REAL metric = (alpha_row[b] + branch) + beta_next[b];
+                    gb_row[b] = branch + beta_next[b];
                     best[b] = metric > best[b] ? metric : best[b];
                 }
             }

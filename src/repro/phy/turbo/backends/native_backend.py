@@ -1,7 +1,7 @@
 """Python wrapper around the native (C) max-log-MAP SISO kernel.
 
-The compiled extension (:mod:`repro.phy.turbo.backends._native`) runs the
-forward/backward recursion over the columns of a step-major
+The compiled kernel (:mod:`repro.phy.turbo.backends._native`, built on
+first use) runs the forward/backward recursion over the columns of a step-major
 ``(block_size, batch)`` layout with the GIL released.  This wrapper owns
 
 * the flat trellis tables (the same plane-major layout as the numpy
@@ -10,13 +10,13 @@ forward/backward recursion over the columns of a step-major
   arrays, the kernel wants contiguous step-major planes so its inner loops
   run over the batch.
 
-Exactness contract: ``native`` is a max-log family.  It evaluates the same
-max-log-MAP equations as the numpy reference but in a different operation
-order (fused per-step branch computation instead of shared tables), so its
-LLRs may differ in the last float ulps; decisions agree on all confident
-bits and BLER parity is tolerance-gated by
-``tests/test_decoder_backends.py::TestNativeBackend``.  The
-``numpy``/float64 family remains the bit-exact golden reference.
+Exactness contract: ``native`` is exact.  It computes each branch metric
+per step instead of gathering it from a shared table, but every add and
+multiply takes the numpy kernel's operands in the numpy kernel's order, and
+the kernel is compiled with ``-ffp-contract=off`` so no multiply-add is
+fused.  Its APP LLRs are therefore bit-identical to the numpy backend's at
+the same dtype, signed zeros included — pinned with ``array_equal`` by
+``tests/test_decoder_backends.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class _Workspace:
 
 
 class NativeSisoBackend(SisoBackend):
-    """C-extension max-log-MAP kernel over the whole batch in one call."""
+    """Native (C) max-log-MAP kernel over the whole batch in one call."""
 
     def __init__(
         self,

@@ -34,7 +34,7 @@ class TurboCode:
     interleaver_kind: str = "qpp"
     trellis: RscTrellis = field(default_factory=lambda: UMTS_TRELLIS)
     extrinsic_scale: float = 0.75
-    backend: str = "numpy"
+    backend: str = "auto"
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.block_size, "block_size")

@@ -10,9 +10,10 @@ Performance notes
 Monte-Carlo link simulation decodes many packets per operating point, so the
 decoder processes a *batch* of packets simultaneously and the hot
 forward/backward kernel is pluggable (see :mod:`repro.phy.turbo.backends`):
-the default vectorised numpy backend precomputes per-step branch metrics
-once and runs the trellis loop allocation-free; the optional native backend
-runs the same recursion in a compiled C kernel.
+the default ``auto`` runs the recursion in a C kernel compiled on first use
+(``native``), or, where no compiler is available, in the vectorised numpy
+kernel, which precomputes per-step branch metrics once and runs the trellis
+loop allocation-free.  The two are bit-identical.
 
 Early stopping is *per packet*: once a packet's hard decisions are stable
 over a full iteration its result is frozen and the packet leaves the active
@@ -99,8 +100,8 @@ class TurboDecoder:
         value slightly below 1 (0.75) compensates the optimism of the max-log
         approximation (standard practice in hardware decoders).
     backend:
-        Backend name (``"numpy"``, ``"numpy-f32"``, ``"native"``, ``"auto"``,
-        ...) or a pre-built :class:`~repro.phy.turbo.backends.SisoBackend`.
+        Backend name (``"auto"``, the default, ``"numpy"``, ``"numpy-f32"``,
+        ``"native"``, ...) or a pre-built :class:`~repro.phy.turbo.backends.SisoBackend`.
         See :mod:`repro.phy.turbo.backends`.
     """
 
@@ -116,7 +117,7 @@ class TurboDecoder:
         freeze_min_llr: Optional[float] = 2.0,
         extrinsic_scale: float = 0.75,
         interleaver: Optional[TurboInterleaver] = None,
-        backend: Union[str, SisoBackend] = "numpy",
+        backend: Union[str, SisoBackend] = "auto",
     ) -> None:
         self.block_size = ensure_positive_int(block_size, "block_size")
         self.num_iterations = ensure_positive_int(num_iterations, "num_iterations")

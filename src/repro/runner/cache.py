@@ -69,14 +69,14 @@ def decoder_backend_identity(requested: str) -> Dict[str, str]:
 
     Resolves the request to the backend that will *actually* run on this
     machine (``auto`` detection, unavailable-family fallback to numpy) and
-    records its name **and** compute dtype, so results produced by
-    different backends or precisions are never conflated — and a request
-    that silently fell back to numpy shares the numpy entry instead of
-    poisoning the native one.
+    records its name **and** compute dtype, so results of different
+    precisions are never conflated.  An exact family is recorded as numpy
+    at its dtype (:func:`repro.phy.turbo.backends.identity_spec`): its
+    results are bit-identical, so they share numpy's entries.
     """
-    from repro.phy.turbo.backends import resolve_backend
+    from repro.phy.turbo.backends import identity_spec
 
-    spec = resolve_backend(requested, warn=False)
+    spec = identity_spec(requested)
     return {"name": spec.name, "dtype": spec.dtype_name}
 
 

@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_decoder_backend_token,
         metavar="BACKEND",
         help="turbo-decoder backend, e.g. "
-        f"{', '.join(sorted(backend_names()))} (default: the deterministic "
-        "numpy kernel; see `repro backends ls`)",
+        f"{', '.join(sorted(backend_names()))} (default: auto, the native "
+        "kernel where it builds, else numpy; see `repro backends ls`)",
     )
     run_p.add_argument(
         "--adaptive",
@@ -512,9 +512,9 @@ def run_identity(experiment: str, scale_name: str, seed: int, kwargs: Dict[str, 
     ``LinkConfig`` default) invalidates stale cache entries instead of
     silently serving pre-change results.  A requested decoder backend is
     replaced by the backend that will *actually* run — name and compute
-    dtype (see :func:`repro.runner.cache.decoder_backend_identity`) — so
-    results from different backends are never conflated, while a native
-    request that falls back to numpy shares the numpy entry.
+    dtype (see :func:`repro.runner.cache.decoder_backend_identity`), with an
+    exact family filed as numpy — so results of different precisions are
+    never conflated, while bit-identical families share one entry.
     """
     scale = get_scale(scale_name)
     return {
@@ -533,9 +533,9 @@ def _normalise_identity_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
     if kwargs.get("decoder_backend") is not None:
         resolved_backend = decoder_backend_identity(kwargs["decoder_backend"])
         if resolved_backend == decoder_backend_identity("numpy"):
-            # An explicit request for the default backend (or a native request
-            # that fell back to it) computes byte-identical results — share
-            # the default cache entry instead of recomputing it.
+            # Any exact family at float64 (the default included) computes
+            # byte-identical results — share the default cache entry
+            # instead of recomputing it.
             del kwargs["decoder_backend"]
         else:
             kwargs["decoder_backend"] = resolved_backend
@@ -1002,14 +1002,13 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_backends(args: argparse.Namespace) -> int:
     """``repro backends ls [--json]`` — all three registries, with reasons.
 
-    Decoder families carry a real availability probe (compiled extension,
-    importable package); execution backends are stdlib-only topology and are
+    Decoder families carry a real availability probe (the native family
+    reports whether its kernel compiled and loaded, or why not); execution backends are stdlib-only topology and are
     always available; scenarios are listed by name so one command answers
     "what can this machine run".
     """
     import json
 
-    from repro.phy.turbo.backends import DEFAULT_BACKEND as DECODER_DEFAULT
     from repro.phy.turbo.backends import family_listing
 
     decoder = family_listing()
@@ -1041,7 +1040,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     for entry in decoder:
         status = "available" if entry["available"] else "unavailable"
         flags = []
-        if entry["family"] == DECODER_DEFAULT:
+        if entry["default"]:
             flags.append("default")
         flags.append("exact" if entry["exact"] else "max-log")
         print(

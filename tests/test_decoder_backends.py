@@ -3,15 +3,18 @@
 The contracts pinned here are the ones the rest of the system builds on:
 
 * the registry resolves names, auto-detects the native kernel, falls back
-  cleanly when it is not built and rejects every other token;
+  cleanly when it cannot be built and rejects every other token;
 * every backend decodes rows independently (batch composition never changes
   a row's output) — the invariant behind cross-work-item batch aggregation;
-* the float32 and native paths agree with the default numpy/float64 backend
-  within tolerance;
+* the native kernel is bit-identical (``array_equal``, signed zeros
+  included) to the numpy kernel at each dtype, and float32 agrees with
+  float64 within tolerance;
 * ``converged`` is meaningful for ``num_iterations == 1`` (measured against
   the pre-iteration hard decisions);
 * the result cache keys on the backend that actually ran (name + dtype).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from repro.experiments.scales import get_scale
 from repro.link.system import HspaLikeLink
 from repro.phy.turbo import TurboCode, TurboDecoder
+from repro.phy.turbo import backends
 from repro.phy.turbo.backends import (
     AUTO_PREFERENCE,
     BackendSpec,
@@ -27,16 +31,28 @@ from repro.phy.turbo.backends import (
     backend_is_exact,
     backend_names,
     create_backend,
+    family_listing,
     parse_backend_name,
     resolve_backend,
 )
 from repro.phy.turbo.trellis import UMTS_TRELLIS
-from repro.runner.cache import config_digest, decoder_backend_identity
-from repro.runner.cli import run_identity
+from repro.link import LinkConfig
+from repro.runner.cache import ResultCache, config_digest, decoder_backend_identity
+from repro.runner.cli import main, run_identity
+from repro.runner.point_store import bler_cell_identity
+
+GOLDEN_FIG6 = Path(__file__).resolve().parent / "golden" / "fig6.json"
 
 
 def _native_available() -> bool:
     return "native" in available_backends()
+
+
+def _without_compiler(monkeypatch, tmp_path) -> None:
+    """Make this process see an empty kernel cache and a failing compiler."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setattr(backends, "_PROBE_CACHE", {})
 
 
 def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6, 1.4, 2.4, 3.2)):
@@ -53,44 +69,6 @@ def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6
     par1 = np.ascontiguousarray(llrs[:, k::2])
     par2 = np.ascontiguousarray(llrs[:, k + 1 :: 2])
     return sys_llrs, par1, par2
-
-
-def _run_decoder_bler_parity(
-    candidate: str,
-    scale: str = "smoke",
-    base_seed: int = 2012,
-    num_packets: int = 64,
-    tolerance: float = 0.05,
-):
-    """Paired seeded SNR sweep: *candidate* backend vs the numpy reference.
-
-    Both sweeps consume identical seed streams, so every packet sees the
-    same payload, channel and noise; the only difference is the decoder
-    kernel.  Exact families would produce ``ΔBLER == 0``; max-log families
-    are held to ``max |ΔBLER| <= tolerance`` — the same contract the
-    float32-LLR mode is held to.
-    """
-    link_scale = get_scale(scale)
-    blers = {}
-    for backend in ("numpy", candidate):
-        link = HspaLikeLink(link_scale.link_config(decoder_backend=backend))
-        results = link.snr_sweep(
-            link_scale.snr_points_db, num_packets, rng=base_seed
-        )
-        blers[backend] = [r.statistics.block_error_rate for r in results]
-    deltas = [abs(a - b) for a, b in zip(blers["numpy"], blers[candidate])]
-    return {
-        "reference": "numpy",
-        "candidate": candidate,
-        "snr_points_db": [float(s) for s in link_scale.snr_points_db],
-        "num_packets": int(num_packets),
-        "seed": int(base_seed),
-        "bler_reference": blers["numpy"],
-        "bler_candidate": blers[candidate],
-        "max_abs_delta_bler": max(deltas),
-        "tolerance": float(tolerance),
-        "within_tolerance": max(deltas) <= tolerance,
-    }
 
 
 class TestRegistry:
@@ -120,21 +98,24 @@ class TestRegistry:
         if not _native_available():
             assert spec.family == "numpy"
 
-    def test_native_falls_back_to_numpy_when_missing(self):
-        if _native_available():
-            pytest.skip("native extension built; fallback path not reachable")
+    def test_native_falls_back_to_numpy_when_missing(self, monkeypatch, tmp_path):
+        _without_compiler(monkeypatch, tmp_path)
+        assert "native" not in available_backends()
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
             spec = resolve_backend("native-f32")
         assert spec.family == "numpy" and spec.dtype_name == "float32"
+        assert resolve_backend("auto") == BackendSpec("numpy", "float64")
+        decoder = TurboDecoder(40, 2)
+        assert decoder.backend.spec == BackendSpec("numpy", "float64")
 
     def test_exactness_classification(self):
-        assert backend_is_exact("numpy") and backend_is_exact("numpy-f32")
-        # native requests resolve before classification, so when the
-        # family is unavailable the verdict describes the numpy fallback.
-        if _native_available():
-            assert not backend_is_exact("native")
-        else:
-            assert backend_is_exact("native")
+        for token in ("numpy", "numpy-f32", "native", "native-f32", "auto"):
+            assert backend_is_exact(token), token
+        # The registry record itself, whether or not native built here.
+        assert {e["family"]: e["exact"] for e in family_listing()} == {
+            "numpy": True,
+            "native": True,
+        }
 
     def test_create_backend_passes_instances_through(self):
         backend = NumpySisoBackend(UMTS_TRELLIS, 40)
@@ -180,11 +161,8 @@ class TestBackendEquivalence:
 class TestFamilyConformance:
     """One sweep, every available family, the exactness contract applied.
 
-    Exact families must reproduce the numpy/float64 reference bit-for-bit at
-    float64; the max-log family (``native``) evaluates the same
-    equations in a different operation order and are held to decision-level
-    agreement on confidently-decoded bits plus an APP tolerance — and, in
-    :class:`TestNativeBackend`, a paired-seed BLER delta bound.
+    Every family is exact: it must reproduce the numpy reference of its
+    dtype bit-for-bit through whole turbo decodes.
     """
 
     @pytest.fixture(scope="class")
@@ -205,16 +183,11 @@ class TestFamilyConformance:
         result = TurboDecoder(
             104, 4, interleaver=code.encoder.interleaver, backend=family
         ).decode(*inputs)
-        if backend_is_exact(family):
-            assert np.array_equal(reference.app_llrs, result.app_llrs)
-            assert np.array_equal(reference.decoded_bits, result.decoded_bits)
-        else:
-            confident = np.abs(reference.app_llrs) > 0.05
-            assert np.array_equal(
-                reference.decoded_bits[confident], result.decoded_bits[confident]
-            )
-            scale = np.maximum(np.abs(reference.app_llrs), 1.0)
-            assert np.max(np.abs(reference.app_llrs - result.app_llrs) / scale) < 1e-6
+        assert backend_is_exact(family)
+        assert np.array_equal(reference.app_llrs, result.app_llrs)
+        assert np.array_equal(np.signbit(reference.app_llrs), np.signbit(result.app_llrs))
+        assert np.array_equal(reference.decoded_bits, result.decoded_bits)
+        assert np.array_equal(reference.converged, result.converged)
 
     @pytest.mark.parametrize("family", ["numpy", "native"])
     def test_family_f32_decisions_agree(self, conformance_workload, family):
@@ -229,9 +202,14 @@ class TestFamilyConformance:
         assert np.array_equal(
             reference.decoded_bits[confident], result.decoded_bits[confident]
         )
+        reference_f32 = TurboDecoder(
+            104, 4, interleaver=code.encoder.interleaver, backend="numpy-f32"
+        ).decode(*inputs)
+        assert np.array_equal(reference_f32.app_llrs, result.app_llrs)
+        assert np.array_equal(np.signbit(reference_f32.app_llrs), np.signbit(result.app_llrs))
 
 
-@pytest.mark.skipif(not _native_available(), reason="native extension not built")
+@pytest.mark.skipif(not _native_available(), reason="native kernel cannot be built here")
 class TestNativeBackend:
     def test_batch_one_and_uneven_batches(self, rng):
         """Row independence holds for the native kernel too."""
@@ -247,31 +225,52 @@ class TestNativeBackend:
             )
             assert np.array_equal(solo.app_llrs[0], batched.app_llrs[row]), row
 
-    def test_unterminated_start_supported(self, rng):
-        """The second constituent decoder starts unterminated — both values
-        of the flag must flow through the C kernel."""
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_siso_bit_identical_to_numpy(self, dtype):
+        """One SISO half-iteration, swept over block sizes, batch sizes and
+        both start states (the second constituent decoder starts
+        unterminated): ``array_equal`` to numpy, signed zeros included."""
         from repro.phy.turbo.backends.native_backend import NativeSisoBackend
 
-        code = TurboCode(48, num_iterations=2)
-        sys_llrs, par1, _ = _noisy_batch(code, 5, rng)
-        native = NativeSisoBackend(UMTS_TRELLIS, 48, BackendSpec("native", "float64"))
-        ref = NumpySisoBackend(UMTS_TRELLIS, 48, BackendSpec("numpy", "float64"))
-        apriori = np.zeros_like(sys_llrs)
-        for terminated in (True, False):
-            got = native.siso(
-                sys_llrs, par1, apriori, np.empty_like(sys_llrs),
-                terminated_start=terminated,
-            )
-            want = ref.siso(
-                sys_llrs, par1, apriori, np.empty_like(sys_llrs),
-                terminated_start=terminated,
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        rng = np.random.default_rng(2012)
+        for k in (40, 104, 336, 512, 5114):
+            native = NativeSisoBackend(UMTS_TRELLIS, k, BackendSpec("native", dtype))
+            numpy_ref = NumpySisoBackend(UMTS_TRELLIS, k, BackendSpec("numpy", dtype))
+            for batch in (1, 3, 17, 64):
+                sys_llrs, par_llrs, apriori = rng.normal(0.0, 3.0, (3, batch, k)).astype(dtype)
+                # Exact zeros of both signs reach the branch metrics.
+                apriori[:, ::7] = 0.0
+                sys_llrs[:, ::11] = -0.0
+                for terminated in (True, False):
+                    got = native.siso(
+                        sys_llrs, par_llrs, apriori, np.empty_like(sys_llrs),
+                        terminated_start=terminated,
+                    )
+                    want = numpy_ref.siso(
+                        sys_llrs, par_llrs, apriori, np.empty_like(sys_llrs),
+                        terminated_start=terminated,
+                    )
+                    case = (k, batch, terminated)
+                    assert np.array_equal(got, want), case
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), case
 
-    def test_bler_parity_with_reference(self):
-        """Paired-seed sweep: native BLER within tolerance of numpy's."""
-        parity = _run_decoder_bler_parity("native-f32", num_packets=16)
-        assert parity["within_tolerance"], parity
+    def test_link_sweep_identical_to_numpy(self):
+        """Paired-seed SNR sweep through the whole link: every packet sees
+        the same payload, channel and noise, so the statistics must match."""
+        scale = get_scale("smoke")
+        statistics = {}
+        for backend in ("numpy", "native"):
+            link = HspaLikeLink(scale.link_config(decoder_backend=backend))
+            results = link.snr_sweep(scale.snr_points_db, 16, rng=2012)
+            statistics[backend] = [
+                (
+                    r.statistics.num_successful,
+                    r.statistics.total_transmissions,
+                    r.statistics.failures_per_transmission.tolist(),
+                )
+                for r in results
+            ]
+        assert statistics["native"] == statistics["numpy"]
 
 
 class TestBatchCompositionIndependence:
@@ -331,6 +330,43 @@ class TestCacheIdentity:
     def test_backend_identity_records_name_and_dtype(self):
         identity = decoder_backend_identity("numpy-f32")
         assert identity == {"name": "numpy-f32", "dtype": "float32"}
+
+    def test_exact_families_share_the_numpy_identity(self):
+        for token in ("auto", "numpy", "native", "native-f64"):
+            assert decoder_backend_identity(token) == {"name": "numpy", "dtype": "float64"}
+        assert decoder_backend_identity("native-f32") == decoder_backend_identity("numpy-f32")
+        base = run_identity("fig6", "smoke", 2012, {})
+        native = run_identity("fig6", "smoke", 2012, {"decoder_backend": "native"})
+        assert config_digest(native) == config_digest(base)
+        assert LinkConfig(decoder_backend="native").describe() == LinkConfig().describe()
+        assert "decoder numpy-f32" in LinkConfig(decoder_backend="native-f32").describe()
+
+    def test_default_digests_unchanged(self):
+        """The digests a default run had while numpy was the default, so
+        existing result caches and point stores keep hitting."""
+        assert config_digest(run_identity("fig6", "smoke", 2012, {})) == "5372a48cc0d0da9188ac"
+        for backend in ("auto", "numpy", "native"):
+            identity = bler_cell_identity(
+                LinkConfig(decoder_backend=backend),
+                snr_db=6.0,
+                chunk_sizes=[8, 8],
+                entropy=2012,
+                key=(0, 1),
+                use_rake=False,
+            )
+            assert config_digest(identity) == "b34612a1e7a4eea1bff7", backend
+
+    def test_native_run_is_golden_and_shares_the_default_entry(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache_dir = tmp_path / "cache"
+        common = ["run", "fig6", "--scale", "smoke", "--cache-dir", str(cache_dir)]
+        assert main([*common, "--decoder-backend", "native", "--out", "native.json"]) == 0
+        assert (tmp_path / "native.json").read_bytes() == GOLDEN_FIG6.read_bytes()
+        assert ResultCache(cache_dir).entries() == {"fig6": 1}
+        # The default run is served from the entry the native run wrote.
+        assert main([*common, "--out", "default.json"]) == 0
+        assert ResultCache(cache_dir).entries() == {"fig6": 1}
+        assert (tmp_path / "default.json").read_bytes() == GOLDEN_FIG6.read_bytes()
 
     def test_run_identity_distinguishes_backends(self):
         base = run_identity("fig6", "smoke", 2012, {})
