@@ -93,18 +93,6 @@ _FAMILIES: Dict[str, FamilyInfo] = {
     "native": FamilyInfo(_make_native, _probe_native, exact=True),
 }
 
-#: Memoised probe results — probes import modules, which is not free, and
-#: the answer cannot change within one process.
-_PROBE_CACHE: Dict[str, Tuple[bool, str]] = {}
-
-
-def _probe(family: str) -> Tuple[bool, str]:
-    cached = _PROBE_CACHE.get(family)
-    if cached is None:
-        cached = _FAMILIES[family].probe()
-        _PROBE_CACHE[family] = cached
-    return cached
-
 
 def backend_names() -> Tuple[str, ...]:
     """Every selectable backend token, including ``auto``."""
@@ -119,7 +107,7 @@ def available_backends() -> Tuple[str, ...]:
     """Backend tokens whose family is importable on this machine."""
     names = []
     for family in _FAMILIES:
-        if _probe(family)[0]:
+        if _FAMILIES[family].probe()[0]:
             names.append(family)
             names.append(f"{family}-f32")
     return tuple(names)
@@ -130,7 +118,7 @@ def family_listing() -> List[Dict[str, object]]:
     default_family = resolve_backend(DEFAULT_BACKEND, warn=False).family
     listing: List[Dict[str, object]] = []
     for family, info in _FAMILIES.items():
-        ok, reason = _probe(family)
+        ok, reason = _FAMILIES[family].probe()
         listing.append(
             {
                 "family": family,
@@ -172,13 +160,14 @@ def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> Back
     """
     spec = parse_backend_name(name) if isinstance(name, str) else name
     if spec.family == "auto":
-        family = next((f for f in AUTO_PREFERENCE if _probe(f)[0]), "numpy")
-        spec = BackendSpec(family, spec.dtype_name)
-    elif not _probe(spec.family)[0]:
+        family = next((f for f in AUTO_PREFERENCE if _FAMILIES[f].probe()[0]), "numpy")
+        return BackendSpec(family, spec.dtype_name)
+    available, reason = _FAMILIES[spec.family].probe()
+    if not available:
         if warn:
             warnings.warn(
                 f"decoder backend {spec.name!r} is not available "
-                f"({_probe(spec.family)[1]}); falling back to numpy",
+                f"({reason}); falling back to numpy",
                 RuntimeWarning,
                 stacklevel=2,
             )

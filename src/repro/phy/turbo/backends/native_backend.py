@@ -1,8 +1,8 @@
 """Python wrapper around the native (C) max-log-MAP SISO kernel.
 
 The compiled kernel (:mod:`repro.phy.turbo.backends._native`, built on
-first use) runs the forward/backward recursion over the columns of a step-major
-``(block_size, batch)`` layout with the GIL released.  This wrapper owns
+first use) runs the forward/backward recursion over the columns of a
+step-major ``(block_size, batch)`` layout with the GIL released.  This wrapper owns
 
 * the flat trellis tables (the same plane-major layout as the numpy
   backend, converted to the kernel's dtype once per instance), and

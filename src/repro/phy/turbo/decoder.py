@@ -101,8 +101,9 @@ class TurboDecoder:
         approximation (standard practice in hardware decoders).
     backend:
         Backend name (``"auto"``, the default, ``"numpy"``, ``"numpy-f32"``,
-        ``"native"``, ...) or a pre-built :class:`~repro.phy.turbo.backends.SisoBackend`.
-        See :mod:`repro.phy.turbo.backends`.
+        ``"native"``, ...) or a pre-built
+        :class:`~repro.phy.turbo.backends.SisoBackend`.  See
+        :mod:`repro.phy.turbo.backends`.
     """
 
     def __init__(

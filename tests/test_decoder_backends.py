@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.scales import get_scale
+from repro.link import LinkConfig
 from repro.link.system import HspaLikeLink
 from repro.phy.turbo import TurboCode, TurboDecoder
-from repro.phy.turbo import backends
 from repro.phy.turbo.backends import (
     AUTO_PREFERENCE,
     BackendSpec,
@@ -36,7 +36,6 @@ from repro.phy.turbo.backends import (
     resolve_backend,
 )
 from repro.phy.turbo.trellis import UMTS_TRELLIS
-from repro.link import LinkConfig
 from repro.runner.cache import ResultCache, config_digest, decoder_backend_identity
 from repro.runner.cli import main, run_identity
 from repro.runner.point_store import bler_cell_identity
@@ -46,13 +45,6 @@ GOLDEN_FIG6 = Path(__file__).resolve().parent / "golden" / "fig6.json"
 
 def _native_available() -> bool:
     return "native" in available_backends()
-
-
-def _without_compiler(monkeypatch, tmp_path) -> None:
-    """Make this process see an empty kernel cache and a failing compiler."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setenv("CC", "false")
-    monkeypatch.setattr(backends, "_PROBE_CACHE", {})
 
 
 def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6, 1.4, 2.4, 3.2)):
@@ -99,7 +91,9 @@ class TestRegistry:
             assert spec.family == "numpy"
 
     def test_native_falls_back_to_numpy_when_missing(self, monkeypatch, tmp_path):
-        _without_compiler(monkeypatch, tmp_path)
+        # An empty kernel cache and a compiler that always fails.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("CC", "false")
         assert "native" not in available_backends()
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
             spec = resolve_backend("native-f32")

@@ -34,17 +34,10 @@ def _intact(entry: Path) -> bool:
 @pytest.fixture(scope="module")
 def built_entry(tmp_path_factory):
     """One cache entry built with the real compiler, to copy from."""
-    root = tmp_path_factory.mktemp("xdg-built")
-    saved = os.environ.get("XDG_CACHE_HOME")
-    os.environ["XDG_CACHE_HOME"] = str(root)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-built")))
         module, reason = load_kernel_module()
         entry = cache_entry()
-    finally:
-        if saved is None:
-            del os.environ["XDG_CACHE_HOME"]
-        else:
-            os.environ["XDG_CACHE_HOME"] = saved
     if module is None:
         pytest.skip(f"no working C compiler here: {reason}")
     return entry
@@ -52,10 +45,10 @@ def built_entry(tmp_path_factory):
 
 @pytest.fixture
 def cache_home(tmp_path, monkeypatch):
-    """A fresh, empty cache root for this test."""
+    """A fresh, empty cache root; load results are memoised per entry, so
+    this test sees only its own."""
     root = tmp_path / "xdg"
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))
-    monkeypatch.setattr(backends, "_PROBE_CACHE", {})
     return root
 
 
@@ -152,10 +145,10 @@ def test_changed_source_gets_a_new_entry(cache_home, built_entry, tmp_path, monk
 _LOAD_AFTER_GO = """
 import sys, time
 from pathlib import Path
+from repro.phy.turbo.backends._native import load_kernel_module
 go = Path(sys.argv[1])
 while not go.exists():
     time.sleep(0.005)
-from repro.phy.turbo.backends._native import load_kernel_module
 module, reason = load_kernel_module()
 assert module is not None, reason
 print(reason)
