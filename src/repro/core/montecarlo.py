@@ -10,10 +10,10 @@ their point estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
+from math import inf, sqrt
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import ensure_positive_int
 
@@ -53,6 +53,25 @@ class EstimateWithConfidence:
         return f"{self.value:.4f} ± {self.half_width:.4f} ({self.confidence:.0%})"
 
 
+@lru_cache(maxsize=64)
+def two_sided_z(confidence: float) -> float:
+    """Standard-normal quantile ``z`` of a two-sided *confidence* interval.
+
+    ``scipy.special.ndtri`` is the ufunc behind ``scipy.stats.norm.ppf``,
+    imported on first use; the result is memoised, so a sweep pays the
+    import and the quantile once.  Raises :class:`ValueError` unless
+    *confidence* lies in ``(0, 1)`` and gives a finite, positive ``z``.
+    """
+    from scipy.special import ndtri
+
+    if not 0.0 < confidence < 1.0:  # rejects NaN too
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    z = float(ndtri(0.5 + confidence / 2.0))
+    if not 0.0 < z < inf:
+        raise ValueError(f"confidence {confidence!r} gives a degenerate quantile z={z}")
+    return z
+
+
 def proportion_confidence_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> EstimateWithConfidence:
@@ -60,7 +79,7 @@ def proportion_confidence_interval(
     ensure_positive_int(trials, "trials")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be between 0 and trials")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = two_sided_z(confidence)
     p_hat = successes / trials
     denominator = 1.0 + z**2 / trials
     centre = (p_hat + z**2 / (2 * trials)) / denominator

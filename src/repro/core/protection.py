@@ -12,8 +12,9 @@ Section 6 of the paper compares four ways of implementing the LLR memory:
 
 Every scheme knows how to build the fault maps the system-level fault
 simulator needs (worst-case accepted die with exactly ``Nf`` faults in the
-cells that *can* fail, or a population draw at a supply voltage), what ECC to
-attach to the soft buffer, and what it costs in area and power.
+cells that *can* fail), its per-column cell failure probabilities at a supply
+voltage, what ECC to attach to the soft buffer, and what it costs in area and
+power.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from repro.memory.cells import BitCellType, CELL_6T, CELL_8T
 from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel, FaultModelSpec
-from repro.memory.hybrid import HybridArrayConfig
 from repro.memory.power import AreaModel, PowerModel
 from repro.utils.rng import RngLike
 from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
@@ -180,16 +180,6 @@ class MsbProtection(ProtectionScheme):
     @property
     def name(self) -> str:
         return f"msb-{self.protected_msbs}-of-{self.bits_per_word}"
-
-    @property
-    def hybrid_config(self) -> HybridArrayConfig:
-        """The equivalent :class:`~repro.memory.hybrid.HybridArrayConfig`."""
-        return HybridArrayConfig(
-            bits_per_word=self.bits_per_word,
-            protected_msbs=self.protected_msbs,
-            baseline_cell=self.baseline_cell,
-            robust_cell=self.robust_cell,
-        )
 
     def protected_columns(self) -> np.ndarray:
         mask = np.zeros(self.bits_per_word, dtype=bool)

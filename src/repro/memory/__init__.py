@@ -1,5 +1,5 @@
 """Unreliable-silicon substrate: SRAM bit-cell failure models, fault maps,
-memory arrays, ECC, hybrid 6T/8T organisation, yield and area/power models.
+memory arrays, ECC, yield and area/power models.
 
 This package models everything Section 3 and 4 of the paper need: the
 failure probability of 6T / upsized-6T / 8T bit-cells as a function of supply
@@ -21,12 +21,10 @@ from repro.memory.cells import (
 from repro.memory.faults import FaultMap, FaultModel, FaultModelSpec, coerce_fault_model
 from repro.memory.array import MemoryArray
 from repro.memory.ecc import HammingCode
-from repro.memory.hybrid import HybridArrayConfig
 from repro.memory.power import AreaModel, PowerModel
 from repro.memory.yield_model import (
     acceptance_yield,
     defect_free_yield,
-    max_cell_failure_probability,
     min_defects_for_yield,
 )
 
@@ -41,13 +39,11 @@ __all__ = [
     "FaultModel",
     "FaultModelSpec",
     "HammingCode",
-    "HybridArrayConfig",
     "MemoryArray",
     "PowerModel",
     "SoftErrorModel",
     "acceptance_yield",
     "coerce_fault_model",
     "defect_free_yield",
-    "max_cell_failure_probability",
     "min_defects_for_yield",
 ]

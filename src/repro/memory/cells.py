@@ -10,7 +10,9 @@ produced by a calibrated analytical model:
   fluctuation (RDF) induced threshold-voltage mismatch — becomes negative.
   With Gaussian Vth mismatch this yields ``Pcell = Q(margin / sigma)``, i.e. a
   Gaussian tail probability whose argument shrinks as the supply voltage is
-  lowered.
+  lowered.  ``Q(x)`` is evaluated as ``scipy.special.ndtr(-x)``, the ufunc
+  behind ``scipy.stats.norm.sf``, imported on first use so that runs which
+  never ask for ``Pcell`` do not load scipy.
 * The model is calibrated to the published anchor points: roughly 1e-9
   failure probability for a 6T cell at the nominal 1.0 V, an increase of
   about nine orders of magnitude over a 500 mV down-scaling ("increase by
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.utils.validation import ensure_in_range
 
@@ -67,22 +68,11 @@ class BitCellType:
 
         The slow-fast corner worst case of the paper's Fig. 3.
         """
+        from scipy.special import ndtr
+
         vdd = ensure_in_range(vdd, "vdd", 0.3, 1.4)
         margin_sigmas = self.margin_slope_per_volt * (vdd - self.zero_margin_voltage)
-        return float(norm.sf(margin_sigmas))
-
-    def failure_probabilities(self, vdd: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`failure_probability`."""
-        voltages = np.asarray(vdd, dtype=np.float64)
-        margins = self.margin_slope_per_volt * (voltages - self.zero_margin_voltage)
-        return norm.sf(margins)
-
-    def min_voltage_for_failure_probability(self, target_pcell: float) -> float:
-        """Lowest supply voltage keeping the cell failure probability <= target."""
-        if not 0.0 < target_pcell < 1.0:
-            raise ValueError("target_pcell must be in (0, 1)")
-        margin_sigmas = float(norm.isf(target_pcell))
-        return self.zero_margin_voltage + margin_sigmas / self.margin_slope_per_volt
+        return float(ndtr(-margin_sigmas))
 
 
 #: Medium-sized 6T cell: ~1e-9 at 1.0 V, ~50 % at 0.5 V (nine orders / 500 mV).

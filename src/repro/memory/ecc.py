@@ -174,17 +174,3 @@ class HammingCode:
             uncorrectable |= double_error
             corrected &= ~double_error
         return data, corrected, uncorrectable
-
-    # ------------------------------------------------------------------ #
-    def word_failure_probability(self, cell_failure_probability: float) -> float:
-        """Probability that a word is *not* fully corrected.
-
-        With SEC protection a stored word fails only when two or more of its
-        cells are faulty — the standard reliability-improvement computation
-        the paper cites for ECC-protected arrays.
-        """
-        from scipy.stats import binom
-
-        n = self.codeword_bits
-        p = float(cell_failure_probability)
-        return float(1.0 - binom.cdf(1, n, p))

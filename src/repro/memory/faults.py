@@ -3,8 +3,8 @@
 The system-level fault simulator (paper Section 4) creates, "for various
 number of defects Nf, an array instance with random fault locations"; when a
 stored bit maps to a faulty cell "the bit is inverted to indicate a
-bit-error".  This module generates those fault maps (exactly-Nf, Bernoulli
-per-cell, or clustered) and applies the chosen fault semantics (bit-flip,
+bit-error".  This module generates those fault maps (exactly-Nf, uniform or
+clustered) and applies the chosen fault semantics (bit-flip,
 stuck-at-0/1) to stored data.
 """
 
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
-from repro.utils.validation import ensure_non_negative_int, ensure_positive_int, ensure_probability
+from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
 
 class FaultModel(str, Enum):
@@ -218,45 +218,6 @@ class FaultMap:
             cols = eligible_columns[flat_choice % eligible_columns.size]
             mask[rows, cols] = True
 
-        stuck = None
-        if fault_model is FaultModel.STUCK_AT_RANDOM:
-            stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)
-        return cls(num_words, bits_per_word, mask, fault_model, stuck)
-
-    @classmethod
-    def from_cell_failure_probability(
-        cls,
-        num_words: int,
-        bits_per_word: int,
-        cell_failure_probability: float,
-        rng: RngLike = None,
-        fault_model: FaultModel = FaultModel.BIT_FLIP,
-        column_failure_probabilities: Optional[np.ndarray] = None,
-    ) -> "FaultMap":
-        """Draw each cell independently faulty with probability ``Pcell``.
-
-        Models the population of manufactured dies at a given operating point
-        (rather than the worst accepted die).
-
-        Parameters
-        ----------
-        column_failure_probabilities:
-            Optional per-bit-position probabilities overriding the scalar
-            (used for hybrid 6T/8T arrays where columns differ).
-        """
-        ensure_positive_int(num_words, "num_words")
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        generator = as_rng(rng)
-        if column_failure_probabilities is None:
-            p = ensure_probability(cell_failure_probability, "cell_failure_probability")
-            probabilities = np.full(bits_per_word, p)
-        else:
-            probabilities = np.asarray(column_failure_probabilities, dtype=np.float64)
-            if probabilities.shape != (bits_per_word,):
-                raise ValueError(
-                    "column_failure_probabilities must have length bits_per_word"
-                )
-        mask = generator.random((num_words, bits_per_word)) < probabilities[None, :]
         stuck = None
         if fault_model is FaultModel.STUCK_AT_RANDOM:
             stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)

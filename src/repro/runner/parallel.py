@@ -48,6 +48,7 @@ from repro.core.montecarlo import (
     EstimateWithConfidence,
     proportion_confidence_interval,
     required_packets_for_bler,
+    two_sided_z,
 )
 from repro.runner import telemetry
 from repro.runner.backends import (
@@ -339,7 +340,12 @@ class ParallelRunner:
         (``min_trials`` and ``budget`` are positive) — but a *resumed* run
         whose replayed state already meets a stop condition must terminate
         without scheduling another round, or resume would change results.
+
+        *confidence* is validated, and its quantile resolved, before the
+        first round is scheduled: a bad value fails without simulating a
+        packet, and the first interval costs no work inside the rounds.
         """
+        two_sided_z(confidence)
         errors, trials, num_items = initial if initial is not None else (0, 0, 0)
         errors, trials, num_items = int(errors), int(trials), int(num_items)
         while True:

@@ -18,14 +18,11 @@ from repro.memory.cells import (
 )
 from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel
-from repro.memory.hybrid import HybridArrayConfig
 from repro.memory.power import AreaModel, PowerModel
 from repro.memory.yield_model import (
     acceptance_yield,
     acceptance_yield_curve,
     defect_free_yield,
-    expected_faulty_cells,
-    max_cell_failure_probability,
     min_defects_for_yield,
 )
 
@@ -48,16 +45,6 @@ class TestCells:
     def test_6t_billion_fold_increase_over_500mv(self):
         ratio = CELL_6T.failure_probability(0.5) / CELL_6T.failure_probability(1.0)
         assert ratio > 1e6
-
-    def test_min_voltage_inverse(self):
-        voltage = CELL_6T.min_voltage_for_failure_probability(1e-3)
-        assert CELL_6T.failure_probability(voltage) == pytest.approx(1e-3, rel=1e-6)
-
-    def test_vectorised_matches_scalar(self):
-        voltages = np.array([0.6, 0.8, 1.0])
-        vector = CELL_6T.failure_probabilities(voltages)
-        scalar = [CELL_6T.failure_probability(v) for v in voltages]
-        assert np.allclose(vector, scalar)
 
     def test_area_ordering(self):
         assert CELL_6T.relative_area < CELL_6T_UPSIZED.relative_area < CELL_8T.relative_area
@@ -99,19 +86,6 @@ class TestFaultMap:
         )
         assert fault_map.faults_per_column()[:4].sum() == 0
         assert fault_map.num_faults == 150
-
-    def test_bernoulli_rate(self, rng):
-        fault_map = FaultMap.from_cell_failure_probability(2000, 10, 0.05, rng)
-        assert fault_map.defect_rate == pytest.approx(0.05, abs=0.01)
-
-    def test_column_probabilities(self, rng):
-        probabilities = np.array([0.0, 0.0, 0.5, 0.5])
-        fault_map = FaultMap.from_cell_failure_probability(
-            4000, 4, 0.0, rng, column_failure_probabilities=probabilities
-        )
-        per_column = fault_map.faults_per_column()
-        assert per_column[0] == 0 and per_column[1] == 0
-        assert per_column[2] > 1500
 
     def test_bit_flip_semantics(self, rng):
         fault_map = FaultMap.with_exact_fault_count(50, 8, 30, rng)
@@ -318,11 +292,6 @@ class TestHammingCode:
         _, _, uncorrectable = code.decode(codewords)
         assert uncorrectable.mean() > 0.9
 
-    def test_word_failure_probability(self):
-        code = HammingCode(10)
-        assert code.word_failure_probability(1e-3) < 14 * 1e-3
-        assert code.word_failure_probability(0.0) == 0.0
-
     def test_invalid_shapes_rejected(self):
         code = HammingCode(10)
         with pytest.raises(ValueError):
@@ -414,18 +383,6 @@ class TestYieldModel:
         if needed > 0:
             assert acceptance_yield(1e-3, 10_000, needed - 1) < 0.9
 
-    def test_max_pcell_inverse(self):
-        pcell = max_cell_failure_probability(10_000, 50, 0.95)
-        assert acceptance_yield(pcell, 10_000, 50) == pytest.approx(0.95, rel=1e-3)
-
-    def test_max_pcell_monotone_in_defect_budget(self):
-        small = max_cell_failure_probability(10_000, 10, 0.95)
-        large = max_cell_failure_probability(10_000, 100, 0.95)
-        assert large > small
-
-    def test_expected_faults(self):
-        assert expected_faulty_cells(0.01, 1000) == pytest.approx(10.0)
-
     def test_acceptance_yield_bounds(self):
         assert acceptance_yield(0.5, 100, 100) == 1.0
         assert 0.0 <= acceptance_yield(0.5, 100, 10) <= 1.0
@@ -443,26 +400,6 @@ class TestYieldModel:
 
 
 class TestHybridAndPower:
-    def test_hybrid_protected_columns(self):
-        config = HybridArrayConfig(bits_per_word=10, protected_msbs=4)
-        assert config.protected_columns.sum() == 4
-        assert config.cell_for_column(0) is CELL_8T
-        assert config.cell_for_column(9) is CELL_6T
-
-    def test_hybrid_column_probabilities(self):
-        config = HybridArrayConfig(bits_per_word=10, protected_msbs=3)
-        probabilities = config.column_failure_probabilities(0.7)
-        assert probabilities[:3].max() < probabilities[3:].min()
-
-    def test_hybrid_area_overhead_anchor(self):
-        """4 of 10 bits in 8T cells costs ~12% extra area (paper: ~13%)."""
-        config = HybridArrayConfig(bits_per_word=10, protected_msbs=4)
-        assert 0.10 <= config.area_overhead() <= 0.14
-
-    def test_hybrid_describe(self):
-        assert "8T" in HybridArrayConfig(protected_msbs=2).describe()
-        assert "unprotected" in HybridArrayConfig(protected_msbs=0).describe()
-
     def test_area_model_orderings(self):
         model = AreaModel()
         assert model.robust_array_area(100, 10) > model.plain_array_area(100, 10)

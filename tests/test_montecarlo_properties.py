@@ -56,6 +56,13 @@ class TestProportionInterval:
         with pytest.raises(ValueError):
             proportion_confidence_interval(11, 10)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan, 1e-300])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        # 1e-300 lies in (0, 1) but its quantile is exactly zero: a
+        # zero-width interval that would stop any sweep at its first error.
+        with pytest.raises(ValueError, match="confidence"):
+            proportion_confidence_interval(5, 10, confidence)
+
 
 class TestRequiredPackets:
     @given(

@@ -273,6 +273,20 @@ class TestAdaptiveStopping:
                 _identity_task, _never_errors, chunks_per_round=0
             )
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_bad_confidence_fails_before_any_round(self, confidence):
+        scheduled = []
+
+        def make_task(chunk_index):
+            scheduled.append(chunk_index)
+            return chunk_index
+
+        with pytest.raises(ValueError, match="confidence"):
+            ParallelRunner.serial().run_adaptive_proportion(
+                make_task, _always_one_error, confidence=confidence
+            )
+        assert scheduled == []
+
 
 class TestLinkCacheLru:
     """The per-thread link memo is a bounded LRU (long-lived workers)."""

@@ -239,6 +239,14 @@ class TestCliMain:
         assert "BLER at 26.0 dB" in output
         assert "stop=" in output
 
+    @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "-0.5", "nan"])
+    def test_bler_rejects_confidence_outside_unit_interval(self, confidence, capsys):
+        # Rejected before the first round is scheduled: no estimate is printed.
+        assert main(["bler", "--snr", "6", "--confidence", confidence]) == 2
+        captured = capsys.readouterr()
+        assert "confidence must be in (0, 1)" in captured.err
+        assert "BLER at" not in captured.out
+
     def test_cache_subcommand(self, tmp_path, capsys):
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         assert "empty" in capsys.readouterr().out

@@ -15,8 +15,12 @@ theory:
 * the CRC's error-detection guarantees and its undetected-error rate;
 * a Hamming-SEC protected :class:`~repro.memory.array.MemoryArray` over
   i.i.d. bit-flip cells: every word with at most one faulty cell reads back
-  exactly, and words with two or more occur at
-  :meth:`~repro.memory.ecc.HammingCode.word_failure_probability`.
+  exactly, and words with two or more occur at the binomial rate
+  ``1 - (1 - p)^n - n p (1 - p)^(n - 1)``;
+* the ``scipy.special`` ufuncs the package evaluates in place of
+  ``scipy.stats.norm`` (``ndtr(-x)`` for ``norm.sf(x)``, ``ndtri(q)`` for
+  ``norm.ppf(q)``) return the same bits, so a scipy release that breaks the
+  identity fails here instead of moving a golden.
 
 Every Monte-Carlo estimate is seeded and must fall inside a five-sigma
 binomial interval around the theoretical value.
@@ -27,11 +31,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
+from repro.core.montecarlo import two_sided_z
 from repro.link import LinkConfig
 from repro.link.receiver import Receiver
 from repro.link.transmitter import Transmitter
 from repro.memory.array import MemoryArray
+from repro.memory.cells import CELL_6T, CELL_TYPES
 from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel
 from repro.phy.crc import CRC_8, CRC_24A
@@ -223,15 +230,12 @@ class TestCrcGuarantees:
 # --------------------------------------------------------------------------- #
 class TestHammingProtectedArray:
     def test_sec_array_fails_exactly_on_multi_fault_words(self):
-        num_words, cell_failure_probability = 40_000, 0.02
+        num_words, p = 40_000, 0.02
         code = HammingCode(10)
-        fault_map = FaultMap.from_cell_failure_probability(
-            num_words,
-            code.codeword_bits,
-            cell_failure_probability,
-            rng=2012,
-            fault_model=FaultModel.BIT_FLIP,
-        )
+        n = code.codeword_bits
+        # Every cell is faulty independently with probability p.
+        mask = np.random.default_rng(2012).random((num_words, n)) < p
+        fault_map = FaultMap(num_words, n, mask, FaultModel.BIT_FLIP)
         array = MemoryArray(num_words, code.data_bits, fault_map=fault_map, ecc=code)
         written = np.random.default_rng(7).integers(0, 1 << code.data_bits, num_words)
         array.write_words(written)
@@ -239,8 +243,55 @@ class TestHammingProtectedArray:
 
         multi_fault = fault_map.fault_mask.sum(axis=1) >= 2
         assert not wrong[~multi_fault].any()
-        assert_binomial(
-            int(multi_fault.sum()),
-            num_words,
-            code.word_failure_probability(cell_failure_probability),
+        word_failure = 1.0 - (1.0 - p) ** n - n * p * (1.0 - p) ** (n - 1)
+        assert_binomial(int(multi_fault.sum()), num_words, word_failure)
+
+
+# --------------------------------------------------------------------------- #
+def assert_same_bits(actual, expected) -> None:
+    """Bitwise equality of float64 arrays: signed zeros and NaNs included."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    different = actual.view(np.uint64) != expected.view(np.uint64)
+    assert not different.any(), (actual[different][:5], expected[different][:5])
+
+
+#: Supply voltages of the ``ecc-low-voltage`` scenario axis.
+SCENARIO_VDDS = (0.60, 0.66, 0.70, 0.75, 0.80)
+
+
+class TestScipySubstitutions:
+    """``scipy.special`` ufuncs stand in for ``scipy.stats.norm``, bit for bit."""
+
+    def _margins(self) -> np.ndarray:
+        vdds = np.concatenate([np.linspace(0.3, 1.4, 1101), SCENARIO_VDDS, [1.0]])
+        margins = [
+            cell.margin_slope_per_volt * (vdds - cell.zero_margin_voltage)
+            for cell in CELL_TYPES.values()
+        ]
+        grid = np.linspace(-10.0, 10.0, 200_001)
+        return np.concatenate(margins + [grid, [0.0, -0.0, 1e-300, -1e-300]])
+
+    def test_ndtr_of_minus_x_is_norm_sf(self):
+        margins = self._margins()
+        assert_same_bits(special.ndtr(-margins), stats.norm.sf(margins))
+
+    def test_cell_failure_probability_keeps_norm_sf_bits(self):
+        # The 1e-9 tail of the 6T cell at nominal supply is in the grid.
+        assert 1e-10 < CELL_6T.failure_probability(1.0) < 1e-8
+        for cell in CELL_TYPES.values():
+            for vdd in (*SCENARIO_VDDS, 0.3, 0.5, 1.0, 1.4):
+                margin = cell.margin_slope_per_volt * (vdd - cell.zero_margin_voltage)
+                assert_same_bits(cell.failure_probability(vdd), float(stats.norm.sf(margin)))
+
+    def test_ndtri_is_norm_ppf_over_accepted_confidences(self):
+        confidences = np.concatenate(
+            [np.linspace(0.0, 1.0, 100_001)[1:-1], [1e-12, 0.5, 0.9, 0.95, 0.99, 0.999]]
         )
+        quantiles = 0.5 + confidences / 2.0
+        assert_same_bits(special.ndtri(quantiles), stats.norm.ppf(quantiles))
+        for confidence in (0.5, 0.9, 0.95, 0.99, 0.999):
+            assert_same_bits(
+                two_sided_z(confidence), float(stats.norm.ppf(0.5 + confidence / 2.0))
+            )
