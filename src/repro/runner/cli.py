@@ -106,6 +106,7 @@ GOLDEN_SCENARIOS = (
     "soft-vs-hard-faults",
     "clustered-interleaver-depth",
     "ecc-low-voltage",
+    "stuckat-vs-bitflip",
 )
 #: Fault-map sweeps that support ``--adaptive`` early stopping.
 ADAPTIVE_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9")

@@ -179,6 +179,70 @@ class TestTransmissionSoftBuffer:
         assert buffer.num_stored_transmissions == 0
 
 
+class TestSmokeFaultRunPins:
+    """Exact HARQ statistics of smoke-scale fault runs no golden covers.
+
+    The goldens reach the per-transmission buffer with plain or SEC storage
+    only; these pins cover the ``combined`` buffer architecture
+    (:class:`LlrSoftBuffer`), SEC-DED storage and stuck-at read-out with
+    transient upsets, through the same task path the sweeps use.  Each case
+    lists, per die, ``(num_faults, num_successful, total_transmissions,
+    failures_per_transmission)``.
+    """
+
+    CASES = [
+        (
+            ("combined", "ecc-ded", "bit-flip", 0.14, 20.0, 0.0),
+            [(857, 8, 32, (8, 8, 8, 0)), (857, 7, 27, (8, 8, 3, 1))],
+        ),
+        (
+            ("combined", "ecc-ded", "stuck-at-random", 0.14, 14.0, 1e-3),
+            [(857, 5, 32, (8, 8, 8, 3)), (857, 6, 31, (8, 8, 7, 2))],
+        ),
+        (
+            ("combined", "none", "stuck-at-1", 0.1, 14.0, 0.0),
+            [(408, 4, 32, (8, 8, 8, 4)), (408, 2, 32, (8, 8, 8, 6))],
+        ),
+        (
+            ("per-transmission", "ecc-ded", "stuck-at-random", 0.1, 14.0, 1e-3),
+            [(1116, 7, 26, (8, 8, 2, 1)), (1116, 8, 27, (8, 8, 3, 0))],
+        ),
+    ]
+
+    @pytest.mark.parametrize("case, expected", CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_die_statistics(self, case, expected):
+        from repro.experiments.scales import SMOKE
+        from repro.runner.tasks import FaultMapTask, simulate_fault_map_batch
+        from repro.scenarios.spec import resolve_protection
+
+        architecture, protection, fault_model, defect_rate, snr_db, soft_rate = case
+        config = SMOKE.link_config(buffer_architecture=architecture)
+        tasks = [
+            FaultMapTask(
+                config=config,
+                protection=resolve_protection(protection, config.llr_bits),
+                snr_db=snr_db,
+                defect_rate=defect_rate,
+                num_packets=8,
+                entropy=2012,
+                key=(die,),
+                fault_model=fault_model,
+                soft_error_rate=soft_rate,
+            )
+            for die in range(2)
+        ]
+        outcomes = [
+            (
+                outcome.num_faults,
+                outcome.statistics.num_successful,
+                outcome.statistics.total_transmissions,
+                tuple(int(n) for n in outcome.statistics.failures_per_transmission),
+            )
+            for outcome in simulate_fault_map_batch(tasks)
+        ]
+        assert outcomes == expected
+
+
 class TestMetrics:
     def _results(self):
         return [
