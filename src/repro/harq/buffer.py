@@ -5,11 +5,21 @@ packets are buffered in the LLR storage prior to decoding ... the HARQ
 operation combines the retransmitted data packet with the (stored)
 information (i.e., LLRs) of previous transmissions."
 
-The buffer quantizes combined LLRs with the configured
-:class:`~repro.phy.quantization.LlrQuantizer`, writes the resulting words
-into a :class:`~repro.memory.array.MemoryArray`, and every read-back goes
-through the array's fault map — so memory defects corrupt exactly the bits
-the paper's fault simulator corrupts.
+Both buffer kinds quantize LLRs with the configured
+:class:`~repro.phy.quantization.LlrQuantizer` and keep the integer words in
+one :class:`~repro.memory.array.MemoryArray` laid over the die's fault map.
+Every read-back goes through the die's word masks — ``((word & and_) |
+or_) ^ xor`` per word — so memory defects corrupt exactly the bits the
+paper's fault simulator corrupts, and the words decode to LLRs with one
+gather from the quantizer's value table.  A per-transmission slot is a row
+range of that array and of the die's masks, not an array of its own.
+
+:func:`store_transmission_rows` and :func:`combined_mother_rows` serve a
+whole HARQ round of per-transmission buffers: the round's rows are quantized
+and stored in one call, and each slot read applies every die's masks once to
+that die's rows.  The per-buffer methods are the same functions for one row.
+Transient upsets are drawn per buffer, per read, in ascending slot order, so
+a buffer's upset stream does not depend on the rows it is read with.
 """
 
 from __future__ import annotations
@@ -19,11 +29,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.memory.array import MemoryArray
+from repro.memory.array import MemoryArray, read_rows, write_rows
 from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap
 from repro.phy.quantization import LlrQuantizer
-from repro.utils.rng import RngLike, as_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import ensure_positive_int
 
 
@@ -72,11 +82,6 @@ class LlrSoftBuffer:
 
     # ------------------------------------------------------------------ #
     @property
-    def array(self) -> MemoryArray:
-        """The underlying memory-array model."""
-        return self._array
-
-    @property
     def num_cells(self) -> int:
         """Number of bit cells the buffer occupies."""
         return self._array.num_cells
@@ -92,8 +97,7 @@ class LlrSoftBuffer:
         values = np.asarray(llrs, dtype=np.float64).reshape(-1)
         if values.size != self.num_llrs:
             raise ValueError(f"expected {self.num_llrs} LLRs, got {values.size}")
-        words = self.quantizer.llrs_to_words(values)
-        self._array.write_words(words)
+        self._array.write_words(self.quantizer.llrs_to_words(values))
         self._occupied = True
 
     def load(self) -> np.ndarray:
@@ -103,8 +107,7 @@ class LlrSoftBuffer:
         """
         if not self._occupied:
             return np.zeros(self.num_llrs, dtype=np.float64)
-        words = self._array.read_words()
-        return self.quantizer.words_to_llrs(words)
+        return np.take(self.quantizer.word_values(), self._array.read_words())
 
     def combine_and_store(self, new_llrs: np.ndarray) -> np.ndarray:
         """Add *new_llrs* to the stored soft values, store and return the result.
@@ -121,11 +124,6 @@ class LlrSoftBuffer:
         """Flush the soft buffer (ACK received or process re-used)."""
         self._array.clear()
         self._occupied = False
-
-    # ------------------------------------------------------------------ #
-    def stored_bit_matrix(self) -> np.ndarray:
-        """Raw stored data bits (before fault injection), for analyses."""
-        return self._array._stored_bits.copy()
 
     def defect_rate(self) -> float:
         """Fraction of faulty cells in the underlying array."""
@@ -181,33 +179,14 @@ class TransmissionSoftBuffer:
     def __post_init__(self) -> None:
         ensure_positive_int(self.words_per_transmission, "words_per_transmission")
         ensure_positive_int(self.num_slots, "num_slots")
-        total_words = self.words_per_transmission * self.num_slots
-        stored_bits = (
-            self.ecc.codeword_bits if self.ecc is not None else self.quantizer.num_bits
+        self._array = MemoryArray(
+            num_words=self.words_per_transmission * self.num_slots,
+            bits_per_word=self.quantizer.num_bits,
+            fault_map=self.fault_map,
+            ecc=self.ecc,
+            soft_error_rate=self.soft_error_rate,
+            soft_error_rng=self.soft_error_rng,
         )
-        if self.fault_map is None:
-            die_map = FaultMap.empty(total_words, stored_bits)
-        else:
-            die_map = self.fault_map
-        if die_map.num_words != total_words:
-            raise ValueError(
-                f"fault map covers {die_map.num_words} words, buffer needs {total_words}"
-            )
-        soft_rng = as_rng(self.soft_error_rng) if self.soft_error_rate > 0.0 else None
-        self._slot_arrays = []
-        for slot in range(self.num_slots):
-            start = slot * self.words_per_transmission
-            stop = start + self.words_per_transmission
-            self._slot_arrays.append(
-                MemoryArray(
-                    num_words=self.words_per_transmission,
-                    bits_per_word=self.quantizer.num_bits,
-                    fault_map=die_map.row_slice(start, stop),
-                    ecc=self.ecc,
-                    soft_error_rate=self.soft_error_rate,
-                    soft_error_rng=soft_rng,
-                )
-            )
         self._slot_redundancy_versions: list[Optional[int]] = [None] * self.num_slots
         self._occupied = [False] * self.num_slots
 
@@ -220,22 +199,25 @@ class TransmissionSoftBuffer:
     @property
     def num_cells(self) -> int:
         """Total number of bit cells in the buffer."""
-        return sum(array.num_cells for array in self._slot_arrays)
+        return self._array.num_cells
 
     @property
     def num_stored_transmissions(self) -> int:
         """How many transmissions are currently buffered."""
         return sum(self._occupied)
 
-    def slot_occupied(self, slot: int) -> bool:
-        """Whether *slot* currently holds a transmission."""
+    def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot must be in [0, {self.num_slots})")
+
+    def slot_occupied(self, slot: int) -> bool:
+        """Whether *slot* currently holds a transmission."""
+        self._check_slot(slot)
         return bool(self._occupied[slot])
 
     def slot_redundancy_version(self, slot: int) -> int:
         """Redundancy version stored in *slot* (which must be occupied)."""
-        if not self._occupied[slot]:
+        if not self.slot_occupied(slot):
             raise ValueError(f"slot {slot} is empty")
         return int(self._slot_redundancy_versions[slot])
 
@@ -244,27 +226,18 @@ class TransmissionSoftBuffer:
         self, slot: int, llrs: np.ndarray, redundancy_version: int
     ) -> None:
         """Quantize and store one transmission's channel LLRs into *slot*."""
-        if not 0 <= slot < self.num_slots:
-            raise ValueError(f"slot must be in [0, {self.num_slots})")
-        values = np.asarray(llrs, dtype=np.float64).reshape(-1)
-        if values.size != self.words_per_transmission:
-            raise ValueError(
-                f"expected {self.words_per_transmission} LLRs, got {values.size}"
-            )
-        words = self.quantizer.llrs_to_words(values)
-        self._slot_arrays[slot].write_words(words)
-        self._slot_redundancy_versions[slot] = int(redundancy_version)
-        self._occupied[slot] = True
+        rows = np.asarray(llrs, dtype=np.float64).reshape(1, -1)
+        store_transmission_rows([self], slot, rows, redundancy_version)
 
     def load_transmission(self, slot: int) -> tuple[np.ndarray, int]:
         """Read one stored transmission back (fault injection applied).
 
         Returns ``(llrs, redundancy_version)``.
         """
-        if not self._occupied[slot]:
-            raise ValueError(f"slot {slot} is empty")
-        words = self._slot_arrays[slot].read_words()
-        return self.quantizer.words_to_llrs(words), self._slot_redundancy_versions[slot]
+        version = self.slot_redundancy_version(slot)
+        start = slot * self.words_per_transmission
+        words = self._array.read_words(start, start + self.words_per_transmission)
+        return np.take(self.quantizer.word_values(), words), version
 
     def combined_mother_llrs(self, to_mother_domain_batch) -> np.ndarray:
         """:func:`combined_mother_rows` for this buffer alone."""
@@ -272,15 +245,50 @@ class TransmissionSoftBuffer:
 
     def clear(self) -> None:
         """Flush all slots (ACK received or process re-used)."""
-        for array in self._slot_arrays:
-            array.clear()
+        self._array.clear()
         self._slot_redundancy_versions = [None] * self.num_slots
         self._occupied = [False] * self.num_slots
 
     def defect_rate(self) -> float:
         """Fraction of faulty cells across the whole buffer."""
-        total_faults = sum(a.fault_map.num_faults for a in self._slot_arrays)
-        return total_faults / self.num_cells
+        return self._array.defect_rate
+
+
+# --------------------------------------------------------------------------- #
+def _shared(buffers: Sequence, attribute: str):
+    """The value of *attribute* every buffer of a batch must share."""
+    if not buffers:
+        raise ValueError("no buffers given")
+    value = getattr(buffers[0], attribute)
+    for buffer in buffers:
+        other = getattr(buffer, attribute)
+        if other is not value and other != value:
+            raise ValueError(f"batched buffers must share one {attribute}")
+    return value
+
+
+def store_transmission_rows(
+    buffers: Sequence[TransmissionSoftBuffer],
+    slot: int,
+    llr_rows: np.ndarray,
+    redundancy_version: int,
+) -> None:
+    """Quantize and store row ``i`` of *llr_rows* into ``buffers[i]``'s *slot*.
+
+    One HARQ round's transmissions, quantized in one call and written as one
+    batch (one ECC encode per run of rows sharing a code).
+    """
+    width = _shared(buffers, "words_per_transmission")
+    values = np.asarray(llr_rows, dtype=np.float64)
+    if values.shape != (len(buffers), width):
+        raise ValueError(f"expected {len(buffers)} rows of {width} LLRs, got {values.shape}")
+    for buffer in buffers:
+        buffer._check_slot(slot)
+    words = _shared(buffers, "quantizer").llrs_to_words(values)
+    write_rows([buffer._array for buffer in buffers], slot * width, words)
+    for buffer in buffers:
+        buffer._slot_redundancy_versions[slot] = int(redundancy_version)
+        buffer._occupied[slot] = True
 
 
 def combined_mother_rows(
@@ -289,11 +297,13 @@ def combined_mother_rows(
     """Read back and sum every stored transmission in the mother-code domain.
 
     This is the HARQ read-combine: one output row per buffer.  Slots are
-    visited in ascending order, so each buffer's transient-upset stream
-    advances in the same order whether it is read alone or with others, and
-    each row accumulates its transmissions in ascending-slot order.  Rows
-    read from the same slot with the same redundancy version share one
-    de-interleave / de-rate-match call.
+    visited in ascending order; each slot's active rows are read in one
+    batch (each die's masks applied once to that die's rows), so each
+    buffer's transient-upset stream advances in the same order whether it
+    is read alone or with others, and each row accumulates its
+    transmissions in ascending-slot order.  Rows read from the same slot
+    with the same redundancy version share one de-interleave /
+    de-rate-match call.
 
     Parameters
     ----------
@@ -303,6 +313,8 @@ def combined_mother_rows(
         Callable ``(channel_llr_rows, redundancy_version) -> mother_rows``
         (typically the receiver's de-interleave + de-rate-match stage).
     """
+    width = _shared(buffers, "words_per_transmission")
+    values = _shared(buffers, "quantizer").word_values()
     batch = len(buffers)
     combined: Optional[np.ndarray] = None
     seen = np.zeros(batch, dtype=bool)
@@ -310,31 +322,42 @@ def combined_mother_rows(
         rows = [
             index
             for index, buffer in enumerate(buffers)
-            if slot < buffer.num_slots and buffer.slot_occupied(slot)
+            if slot < buffer.num_slots and buffer._occupied[slot]
         ]
         if not rows:
             continue
-        loaded = [buffers[index].load_transmission(slot) for index in rows]
-        stacked = np.stack([llrs for llrs, _version in loaded])
-        versions = [version for _llrs, version in loaded]
-        mother: Optional[np.ndarray] = None
-        for version in dict.fromkeys(versions):
-            selector = [j for j, rv in enumerate(versions) if rv == version]
-            part = np.asarray(
-                to_mother_domain_batch(stacked[selector], version), dtype=np.float64
-            )
-            if mother is None:
-                mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
-            mother[selector] = part
-        if combined is None:
-            combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
-        row_indices = np.asarray(rows)
-        first = ~seen[row_indices]
-        if first.any():
-            combined[row_indices[first]] = mother[first]
-        if not first.all():
-            combined[row_indices[~first]] += mother[~first]
-        seen[row_indices] = True
+        words = read_rows(
+            [buffers[index]._array for index in rows], slot * width, (slot + 1) * width
+        )
+        stacked = np.take(values, words)
+        versions = [buffers[index]._slot_redundancy_versions[slot] for index in rows]
+        if len(set(versions)) == 1:
+            mother = np.asarray(to_mother_domain_batch(stacked, versions[0]), dtype=np.float64)
+        else:
+            mother = None
+            for version in dict.fromkeys(versions):
+                selector = [j for j, rv in enumerate(versions) if rv == version]
+                part = np.asarray(
+                    to_mother_domain_batch(stacked[selector], version), dtype=np.float64
+                )
+                if mother is None:
+                    mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
+                mother[selector] = part
+        if len(rows) == batch and not seen.any():
+            combined = np.array(mother)
+        elif len(rows) == batch and seen.all():
+            combined += mother
+        else:
+            if combined is None:
+                combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
+            row_indices = np.asarray(rows)
+            first = ~seen[row_indices]
+            if first.any():
+                combined[row_indices[first]] = mother[first]
+            if not first.all():
+                combined[row_indices[~first]] += mother[~first]
+        seen[rows] = True
     if combined is None or not seen.all():
         raise ValueError("no transmissions stored yet")
     return combined
+

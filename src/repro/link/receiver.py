@@ -177,23 +177,6 @@ class Receiver:
         )
         return self.demap_batch(symbols, effective_noise)
 
-    def process_transmission_batch(
-        self,
-        received: np.ndarray,
-        impulse_responses: np.ndarray,
-        noise_variances: np.ndarray,
-        redundancy_version: int,
-        fading_gains: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Full front-end processing of one HARQ round's (re)transmissions.
-
-        Returns the mother-code-domain LLRs ready for HARQ combining.
-        """
-        channel_llrs = self.front_end_batch(
-            received, impulse_responses, noise_variances, fading_gains=fading_gains
-        )
-        return self.to_mother_domain_batch(channel_llrs, redundancy_version)
-
     def decode_batch(self, combined_rows: np.ndarray):
         """Turbo-decode a batch of combined LLR rows and CRC-check each.
 

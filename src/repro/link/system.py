@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.channel.fading import jakes_gains_batch
 from repro.channel.multipath import MultipathChannel
-from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer, combined_mother_rows
+from repro.harq.buffer import (
+    LlrSoftBuffer,
+    TransmissionSoftBuffer,
+    combined_mother_rows,
+    store_transmission_rows,
+)
 from repro.harq.metrics import HarqPacketResult, HarqStatistics, aggregate_results
 from repro.link.config import LinkConfig
 from repro.link.receiver import Receiver
@@ -274,29 +279,12 @@ class HspaLikeLink:
             [state.rng for state in states],
             mean_signal_powers=mean_signal_powers,
         )
-        if self.config.buffer_architecture == "per-transmission":
-            channel_llrs = self.receiver.front_end_batch(
-                received, impulse_responses, noise_variances, fading_gains=fading_gains
-            )
-            for row, state in enumerate(states):
-                state.buffer.store_transmission(
-                    transmission_index, channel_llrs[row], redundancy_version
-                )
-            combined = self._combined_mother_rows(states)
-        else:
-            mother_llrs = self.receiver.process_transmission_batch(
-                received,
-                impulse_responses,
-                noise_variances,
-                redundancy_version,
-                fading_gains=fading_gains,
-            )
-            combined = np.stack(
-                [
-                    state.buffer.combine_and_store(mother_llrs[row])
-                    for row, state in enumerate(states)
-                ]
-            )
+        channel_llrs = self.receiver.front_end_batch(
+            received, impulse_responses, noise_variances, fading_gains=fading_gains
+        )
+        combined = self._combined_mother_rows(
+            states, channel_llrs, transmission_index, redundancy_version
+        )
         for state in states:
             state.transmissions += 1
         dtype = self.config.llr_numpy_dtype
@@ -304,10 +292,29 @@ class HspaLikeLink:
             combined = combined.astype(dtype)
         return combined
 
-    def _combined_mother_rows(self, states: Sequence[_PacketState]) -> np.ndarray:
-        """HARQ read-combine of the per-transmission buffers of *states*."""
-        return combined_mother_rows(
-            [state.buffer for state in states], self.receiver.to_mother_domain_batch
+    def _combined_mother_rows(
+        self,
+        states: Sequence[_PacketState],
+        channel_llrs: np.ndarray,
+        transmission_index: int,
+        redundancy_version: int,
+    ) -> np.ndarray:
+        """HARQ store and read-combine of one round's channel-LLR rows.
+
+        Per-transmission buffers store the round's rows in slot
+        *transmission_index* in one call, then read-combine every stored
+        slot; combined buffers de-rate-match the rows first and add each to
+        its stored sum.  Returns the mother-domain rows for decoding.
+        """
+        buffers = [state.buffer for state in states]
+        if self.config.buffer_architecture == "per-transmission":
+            store_transmission_rows(
+                buffers, transmission_index, channel_llrs, redundancy_version
+            )
+            return combined_mother_rows(buffers, self.receiver.to_mother_domain_batch)
+        mother_llrs = self.receiver.to_mother_domain_batch(channel_llrs, redundancy_version)
+        return np.stack(
+            [buffer.combine_and_store(row) for buffer, row in zip(buffers, mother_llrs)]
         )
 
     def _finish_group(self, states: Sequence[_PacketState], snr_db: float) -> LinkSimulationResult:

@@ -1,20 +1,31 @@
 """Behavioural model of an SRAM array with an explicit fault map.
 
 The :class:`MemoryArray` is what the HARQ soft buffer is built on: it stores
-fixed-width words (one per LLR), and reads them back through the array's
-fault map, flipping (or forcing) the bits that land on faulty cells — exactly
-the injection mechanism of the paper's system-level fault simulator.
+fixed-width words (one per LLR) as integers, MSB first, and reads them back
+through the die's fault map.  The fault map reduces to three integer masks
+per word (:meth:`~repro.memory.faults.FaultMap.word_masks`), so a read-out
+is ``((word & and_) | or_) ^ xor`` — the injection mechanism of the paper's
+system-level fault simulator (bit-flip cells invert the stored bit, stuck-at
+cells force it), as one integer operation per word, like the word-organised
+array of an SRAM compiler.
 
 Optionally the array can protect its words with a Hamming code
 (:class:`~repro.memory.ecc.HammingCode`), modelling the conventional
 full-ECC alternative of Section 6.2: the parity bits are stored in (and read
-back through) additional columns of the same unreliable fabric.
+back through) additional columns of the same unreliable fabric, and the
+code encodes and decodes the integer codewords directly.
+
+:func:`write_rows` and :func:`read_rows` serve many arrays at once (one row
+per array, the same word range in each): masks are applied once per run of
+rows that share a die, and the code once per run that shares an ECC.  The
+per-array methods are those functions for one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +71,7 @@ class MemoryArray:
     soft_error_rate: float = 0.0
     soft_error_rng: object = None
 
-    _stored_bits: np.ndarray = field(init=False, repr=False, default=None)
+    _words: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.num_words, "num_words")
@@ -84,9 +95,7 @@ class MemoryArray:
                 f"fault map covers {self.fault_map.bits_per_word} bit columns, "
                 f"array stores {self.stored_bits_per_word}"
             )
-        self._stored_bits = np.zeros(
-            (self.num_words, self.stored_bits_per_word), dtype=np.int8
-        )
+        self._words = np.zeros(self.num_words, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     @property
@@ -105,76 +114,99 @@ class MemoryArray:
         return self.fault_map.defect_rate
 
     # ------------------------------------------------------------------ #
-    def write_words(self, words: np.ndarray, word_bits: np.ndarray | None = None) -> None:
-        """Write unsigned word values into the array.
+    def write_words(self, words: np.ndarray, start: int = 0) -> None:
+        """Write unsigned word values into ``[start, start + len(words))``.
 
-        Parameters
-        ----------
-        words:
-            Integer array of length :attr:`num_words` (each fitting in
-            ``bits_per_word`` bits).  Ignored when *word_bits* is given.
-        word_bits:
-            Alternative interface: a ``(num_words, bits_per_word)`` bit
-            matrix (MSB first), avoiding a redundant pack/unpack round trip.
+        Each value must fit in ``bits_per_word`` bits.
         """
-        if word_bits is not None:
-            bits = np.asarray(word_bits, dtype=np.int8)
-            if bits.shape != (self.num_words, self.bits_per_word):
-                raise ValueError(
-                    f"expected shape ({self.num_words}, {self.bits_per_word}), got {bits.shape}"
-                )
-        else:
-            values = np.asarray(words, dtype=np.int64)
-            if values.shape != (self.num_words,):
-                raise ValueError(f"expected {self.num_words} words, got {values.shape}")
-            if values.size and (values.min() < 0 or values.max() >= (1 << self.bits_per_word)):
-                raise ValueError(f"word values must fit in {self.bits_per_word} bits")
-            shifts = np.arange(self.bits_per_word - 1, -1, -1, dtype=np.int64)
-            bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        if self.ecc is not None:
-            bits = self.ecc.encode(bits)
-        self._stored_bits = bits.astype(np.int8)
+        write_rows([self], start, np.asarray(words)[None])
 
-    def read_bits(self) -> np.ndarray:
-        """Read the raw stored bits back through the fault map (no ECC decode).
+    def read_words(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Read back the words of ``[start, stop)`` (default: all of them).
 
-        Transient soft errors (if enabled) are drawn independently on every
-        read, *after* the persistent fault map is applied.
+        Fault injection, transient upsets and ECC correction are applied.
         """
-        read = self.fault_map.apply_to_bits(self._stored_bits)
-        if self.soft_error_rate > 0.0:
-            upsets = self.soft_error_rng.random(read.shape) < self.soft_error_rate
-            read[upsets] ^= 1
-        return read
-
-    def read_words(self) -> np.ndarray:
-        """Read back word values, applying fault injection and ECC correction."""
-        read = self.read_bits()
-        if self.ecc is not None:
-            data_bits, _, _ = self.ecc.decode(read)
-        else:
-            data_bits = read
-        weights = 1 << np.arange(self.bits_per_word - 1, -1, -1, dtype=np.int64)
-        return data_bits.astype(np.int64) @ weights
-
-    def read_word_bits(self) -> np.ndarray:
-        """Read back the data-bit matrix (fault injection + ECC correction applied)."""
-        read = self.read_bits()
-        if self.ecc is not None:
-            data_bits, _, _ = self.ecc.decode(read)
-            return data_bits
-        return read
-
-    # ------------------------------------------------------------------ #
-    def corrupted_word_count(self) -> int:
-        """Number of words whose read-back data differs from what was written."""
-        written_data = (
-            self._stored_bits[:, : self.bits_per_word]
-            if self.ecc is not None
-            else self._stored_bits
-        )
-        return int(np.any(self.read_word_bits() != written_data, axis=1).sum())
+        return read_rows([self], start, self.num_words if stop is None else stop)[0]
 
     def clear(self) -> None:
         """Reset the stored contents to all zeros (fault map unchanged)."""
-        self._stored_bits = np.zeros_like(self._stored_bits)
+        self._words.fill(0)
+
+
+# --------------------------------------------------------------------------- #
+def _runs(arrays: Sequence[MemoryArray], key):
+    """``(lo, hi, arrays[lo])`` for each maximal run of equal ``key(array)``.
+
+    Rows of one die (or one code) are contiguous in a batch, so each die's
+    masks and each code are applied once per batch.
+    """
+    keys = [key(array) for array in arrays]
+    lo = 0
+    for hi in range(1, len(keys) + 1):
+        if hi == len(keys) or keys[hi] != keys[lo]:
+            yield lo, hi, arrays[lo]
+            lo = hi
+
+
+def _die(array: MemoryArray) -> int:
+    """Identity of the array's die read-out (shared masks, shared die)."""
+    return id(array.fault_map.word_masks())
+
+
+def _check_rows(arrays: Sequence[MemoryArray], start: int, stop: int) -> None:
+    if not arrays:
+        raise ValueError("no arrays given")
+    width = arrays[0].bits_per_word
+    if any(array.bits_per_word != width for array in arrays):
+        raise ValueError("arrays must share one word width")
+    if not 0 <= start <= stop <= min(array.num_words for array in arrays):
+        raise ValueError(f"invalid word range [{start}, {stop})")
+
+
+def write_rows(arrays: Sequence[MemoryArray], start: int, words: np.ndarray) -> None:
+    """Write row ``i`` of the *words* matrix into ``arrays[i]`` at *start*.
+
+    *words* has one row per array, of unsigned values that fit in the
+    arrays' common ``bits_per_word``; protected arrays store the codewords.
+    """
+    values = np.array(words, dtype=np.int64)
+    if values.ndim != 2 or values.shape[0] != len(arrays):
+        raise ValueError(f"expected {len(arrays)} rows of words, got shape {values.shape}")
+    stop = start + values.shape[1]
+    _check_rows(arrays, start, stop)
+    if values.size and (values.min() < 0 or values.max() >> arrays[0].bits_per_word):
+        raise ValueError(f"word values must fit in {arrays[0].bits_per_word} bits")
+    for lo, hi, array in _runs(arrays, attrgetter("ecc")):
+        if array.ecc is not None:
+            values[lo:hi] = array.ecc.encode(values[lo:hi])
+    for array, row in zip(arrays, values):
+        array._words[start:stop] = row
+
+
+def read_rows(arrays: Sequence[MemoryArray], start: int, stop: int) -> np.ndarray:
+    """Read ``[start, stop)`` of every array, one row per array.
+
+    Each run of rows sharing a die reads through that die's word masks in
+    one operation.  Arrays with transient upsets then draw theirs, in row
+    order, as ``rng.random((words, stored_bits)) < rate`` packed MSB first
+    and XORed on; finally each run sharing a code is ECC-decoded at once.
+    Returns the data words as an ``int64`` matrix.
+    """
+    _check_rows(arrays, start, stop)
+    words = np.stack([array._words[start:stop] for array in arrays])
+    for lo, hi, array in _runs(arrays, _die):
+        and_, or_, xor = (mask[start:stop] for mask in array.fault_map.word_masks())
+        block = words[lo:hi]
+        np.bitwise_and(block, and_, out=block)
+        np.bitwise_or(block, or_, out=block)
+        np.bitwise_xor(block, xor, out=block)
+    for row, array in enumerate(arrays):
+        if array.soft_error_rate > 0.0:
+            width = array.stored_bits_per_word
+            upsets = array.soft_error_rng.random((stop - start, width)) < array.soft_error_rate
+            words[row] ^= upsets @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+    for lo, hi, array in _runs(arrays, attrgetter("ecc")):
+        if array.ecc is not None:
+            words[lo:hi] = array.ecc.decode(words[lo:hi])[0]
+    return words
+

@@ -25,9 +25,15 @@ def _num_parity_bits(data_bits: int) -> int:
     return r
 
 
+#: Width of the codeword chunks the syndrome is looked up in; linearity of
+#: the syndrome lets one table of ``2**_CHUNK_BITS`` entries per chunk stand
+#: in for a table over every codeword.
+_CHUNK_BITS = 8
+
+
 @dataclass(frozen=True)
 class HammingCode:
-    """Systematic Hamming single-error-correcting code.
+    """Systematic Hamming single-error-correcting code over integer words.
 
     Parameters
     ----------
@@ -40,8 +46,10 @@ class HammingCode:
     Notes
     -----
     The code is built in systematic form: the generator matrix is
-    ``[I | P]`` and codewords are ``[data | parity]``.  Decoding computes the
-    syndrome, corrects at most one flipped bit and reports whether a
+    ``[I | P]`` and codewords are ``[data | parity]``, with an overall parity
+    bit appended for SEC-DED.  Words are integers read MSB first, so the
+    data word is the codeword's top ``data_bits`` bits.  Decoding computes
+    the syndrome, corrects at most one flipped bit and reports whether a
     correction was applied / an uncorrectable error was detected, by looking
     the syndrome up in tables built once per code.
     """
@@ -50,7 +58,7 @@ class HammingCode:
     extended: bool = False
 
     _parity_matrix: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _column_syndromes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _chunk_syndromes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _flip_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _corrects: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _uncorrectable: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -67,24 +75,35 @@ class HammingCode:
         data_syndromes = np.array(data_syndromes[: self.data_bits])
         weights = 1 << np.arange(r - 1, -1, -1)
         parity_matrix = ((data_syndromes & weights[:, None]) != 0).astype(np.int8)
-        # Stored in the smallest signed dtype that holds every syndrome (int8,
-        # the received bits' own width, up to r = 7) to keep decode narrow.
-        column_syndromes = np.concatenate([data_syndromes, weights]).astype(
-            np.min_scalar_type(-(1 << r))
-        )
+        # Syndrome of each Hamming column, MSB first: data columns, then the
+        # identity columns of the parity bits.
+        column_syndromes = np.concatenate([data_syndromes, weights])
+
+        # The syndrome is the XOR of the column syndromes at the word's
+        # 1-bits, so it is linear: the syndrome of a Hamming word is the XOR
+        # of its chunks' syndromes, each looked up in a 2**_CHUNK_BITS table.
+        body_bits = column_syndromes.size
+        num_chunks = -(-body_bits // _CHUNK_BITS)
+        values = np.arange(1 << _CHUNK_BITS)
+        chunk_syndromes = np.zeros((num_chunks, 1 << _CHUNK_BITS), dtype=np.intp)
+        for column, syndrome in enumerate(column_syndromes):
+            position = body_bits - 1 - column  # bit weight of the column
+            chunk, bit = divmod(position, _CHUNK_BITS)
+            chunk_syndromes[chunk] ^= np.where((values >> bit) & 1, syndrome, 0)
 
         # Syndrome -> outcome tables of length 2**r.  A syndrome equal to a
-        # data column flips that column; a weight-1 syndrome is a parity-bit
-        # error (data unaffected); any other nonzero syndrome -- including
-        # those a shortened code leaves unused -- is uncorrectable.
-        flip_rows = np.zeros((1 << r, self.data_bits), dtype=np.int8)
-        flip_rows[data_syndromes, np.arange(self.data_bits)] = 1
-        corrects = flip_rows.any(axis=1)
+        # data column flips that column (``_flip_rows`` holds the data-word
+        # XOR mask); a weight-1 syndrome is a parity-bit error (data
+        # unaffected); any other nonzero syndrome -- including those a
+        # shortened code leaves unused -- is uncorrectable.
+        flip_rows = np.zeros(1 << r, dtype=np.int64)
+        flip_rows[data_syndromes] = 1 << np.arange(self.data_bits - 1, -1, -1)
+        corrects = flip_rows != 0
         corrects[weights] = True
         uncorrectable = ~corrects
         uncorrectable[0] = False
         object.__setattr__(self, "_parity_matrix", parity_matrix)  # (r, data_bits)
-        object.__setattr__(self, "_column_syndromes", column_syndromes)
+        object.__setattr__(self, "_chunk_syndromes", chunk_syndromes)
         object.__setattr__(self, "_flip_rows", flip_rows)
         object.__setattr__(self, "_corrects", corrects)
         object.__setattr__(self, "_uncorrectable", uncorrectable)
@@ -106,39 +125,54 @@ class HammingCode:
         return (self.codeword_bits - self.data_bits) / self.data_bits
 
     # ------------------------------------------------------------------ #
+    def _syndromes(self, body: np.ndarray) -> np.ndarray:
+        """Hamming syndrome of every word of *body* (codewords without DED bit)."""
+        tables = self._chunk_syndromes
+        syndrome = np.take(tables[0], body & ((1 << _CHUNK_BITS) - 1))
+        for chunk in range(1, tables.shape[0]):
+            part = (body >> (chunk * _CHUNK_BITS)) & ((1 << _CHUNK_BITS) - 1)
+            syndrome ^= np.take(tables[chunk], part)
+        return syndrome
+
     def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode data words.
+        """Encode integer data words into integer codewords.
 
         Parameters
         ----------
         data:
-            Bit array of shape ``(num_words, data_bits)``.
+            Integer array (any shape) of words below ``2**data_bits``.
 
         Returns
         -------
         numpy.ndarray
-            Codeword bits of shape ``(num_words, codeword_bits)``.
+            ``int64`` codewords of :attr:`codeword_bits` bits, same shape.
         """
-        bits = np.asarray(data, dtype=np.int8)
-        if bits.ndim != 2 or bits.shape[1] != self.data_bits:
-            raise ValueError(f"expected shape (n, {self.data_bits}), got {bits.shape}")
-        parity = (bits @ self._parity_matrix.T) % 2
-        codewords = np.concatenate([bits, parity], axis=1)
+        words = np.asarray(data, dtype=np.int64)
+        if words.size and (words.min() < 0 or words.max() >> self.data_bits):
+            raise ValueError(f"data words must fit in {self.data_bits} bits")
+        body = words << self.num_parity_bits
+        # The parity columns are the identity, so the parity bits that zero
+        # the syndrome are the syndrome of the data part itself.
+        body |= self._syndromes(body)
         if self.extended:
-            overall = codewords.sum(axis=1, keepdims=True) % 2
-            codewords = np.concatenate([codewords, overall], axis=1)
-        return codewords.astype(np.int8)
+            body = (body << 1) | (np.bitwise_count(body) & 1)
+        return body
 
     def decode(self, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode (possibly corrupted) codewords.
+        """Decode (possibly corrupted) integer codewords.
+
+        Parameters
+        ----------
+        codewords:
+            Integer array (any shape) of words below ``2**codeword_bits``.
 
         Returns
         -------
         tuple
-            ``(data, corrected, uncorrectable)`` — decoded data bits, a
-            boolean flag per word indicating whether a single-bit correction
-            was applied, and a boolean flag per word for detected-but-
-            uncorrectable errors.
+            ``(data, corrected, uncorrectable)`` — decoded ``int64`` data
+            words, a boolean flag per word indicating whether a single-bit
+            correction was applied, and a boolean flag per word for
+            detected-but-uncorrectable errors; all shaped like *codewords*.
 
         Notes
         -----
@@ -151,26 +185,16 @@ class HammingCode:
         cleared); the data it returns still carries the flip that syndrome
         selects.
         """
-        received = np.asarray(codewords, dtype=np.int8)
-        if received.ndim != 2 or received.shape[1] != self.codeword_bits:
-            raise ValueError(
-                f"expected shape (n, {self.codeword_bits}), got {received.shape}"
-            )
-        body = received[:, :-1] if self.extended else received
-        # The syndrome is the XOR of the parity-check columns at the received
-        # 1-bits; reducing a (bits, words) product keeps the XOR vectorised
-        # across words.
-        index = np.bitwise_xor.reduce(
-            np.multiply(body.T, self._column_syndromes[:, None], order="C"), axis=0
-        )
-        data = body[:, : self.data_bits] ^ np.take(self._flip_rows, index, axis=0)
-        corrected = self._corrects[index]
-        uncorrectable = self._uncorrectable[index]
+        received = np.asarray(codewords, dtype=np.int64)
+        body = received >> 1 if self.extended else received
+        index = self._syndromes(body)
+        data = (body >> self.num_parity_bits) ^ np.take(self._flip_rows, index)
+        corrected = np.take(self._corrects, index)
+        uncorrectable = np.take(self._uncorrectable, index)
 
         if self.extended:
-            overall_parity = (body.sum(axis=1) + received[:, -1]) % 2
             # Even overall parity with nonzero syndrome indicates a double error.
-            double_error = (index != 0) & (overall_parity == 0)
+            double_error = (index != 0) & ((np.bitwise_count(received) & 1) == 0)
             uncorrectable |= double_error
             corrected &= ~double_error
         return data, corrected, uncorrectable

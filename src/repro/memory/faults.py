@@ -4,15 +4,17 @@ The system-level fault simulator (paper Section 4) creates, "for various
 number of defects Nf, an array instance with random fault locations"; when a
 stored bit maps to a faulty cell "the bit is inverted to indicate a
 bit-error".  This module generates those fault maps (exactly-Nf, uniform or
-clustered) and applies the chosen fault semantics (bit-flip,
-stuck-at-0/1) to stored data.
+clustered) and reduces the chosen fault semantics (bit-flip,
+stuck-at-0/1/random) to three integer masks per stored word, so a read-out
+is ``((word & and_mask) | or_mask) ^ xor_mask``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -133,8 +135,8 @@ class FaultMap:
     fault_model:
         Read-out semantics of faulty cells.
     stuck_values:
-        For stuck-at models, the value each faulty cell is stuck at (same
-        shape as :attr:`fault_mask`; ignored for bit-flip faults).
+        For stuck-at models, the value (0 or 1) each faulty cell is stuck at
+        (same shape as :attr:`fault_mask`; ignored for bit-flip faults).
     """
 
     num_words: int
@@ -142,6 +144,10 @@ class FaultMap:
     fault_mask: np.ndarray
     fault_model: FaultModel = FaultModel.BIT_FLIP
     stuck_values: Optional[np.ndarray] = None
+
+    _word_masks: Optional["WordMasks"] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.num_words, "num_words")
@@ -157,8 +163,17 @@ class FaultMap:
         if self.fault_model in (FaultModel.STUCK_AT_0, FaultModel.STUCK_AT_1):
             value = 0 if self.fault_model is FaultModel.STUCK_AT_0 else 1
             self.stuck_values = np.full(mask.shape, value, dtype=np.int8)
-        elif self.fault_model is FaultModel.STUCK_AT_RANDOM and self.stuck_values is None:
-            raise ValueError("stuck_values required for the stuck-at-random fault model")
+        elif self.fault_model is FaultModel.STUCK_AT_RANDOM:
+            if self.stuck_values is None:
+                raise ValueError("stuck_values required for the stuck-at-random fault model")
+            stuck = np.asarray(self.stuck_values)
+            if stuck.shape != mask.shape:
+                raise ValueError(
+                    f"stuck_values shape {stuck.shape} does not match fault_mask {mask.shape}"
+                )
+            if not ((stuck == 0) | (stuck == 1)).all():
+                raise ValueError("stuck_values must be 0 or 1")
+            self.stuck_values = stuck.astype(np.int8)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -168,6 +183,14 @@ class FaultMap:
         """A defect-free array instance."""
         mask = np.zeros((num_words, bits_per_word), dtype=bool)
         return cls(num_words, bits_per_word, mask)
+
+    @classmethod
+    def _placed(cls, mask: np.ndarray, fault_model: FaultModel, generator) -> "FaultMap":
+        """The map of placed faults; stuck-at-random draws its values after placement."""
+        stuck = None
+        if fault_model is FaultModel.STUCK_AT_RANDOM:
+            stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)
+        return cls(mask.shape[0], mask.shape[1], mask, fault_model, stuck)
 
     @classmethod
     def with_exact_fault_count(
@@ -193,24 +216,11 @@ class FaultMap:
             ``num_faults`` faults are then distributed over the unprotected
             columns only (the hybrid-array acceptance criterion of Section 6).
         """
-        ensure_positive_int(num_words, "num_words")
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        num_faults = ensure_non_negative_int(num_faults, "num_faults")
+        eligible_columns = _eligible_columns(
+            num_words, bits_per_word, num_faults, protected_columns
+        )
         generator = as_rng(rng)
-
-        if protected_columns is None:
-            eligible_columns = np.arange(bits_per_word)
-        else:
-            protected = np.asarray(protected_columns, dtype=bool)
-            if protected.shape != (bits_per_word,):
-                raise ValueError("protected_columns must have length bits_per_word")
-            eligible_columns = np.nonzero(~protected)[0]
-
         num_eligible = num_words * eligible_columns.size
-        if num_faults > num_eligible:
-            raise ValueError(
-                f"cannot place {num_faults} faults in {num_eligible} eligible cells"
-            )
         mask = np.zeros((num_words, bits_per_word), dtype=bool)
         if num_faults and eligible_columns.size:
             flat_choice = generator.choice(num_eligible, size=num_faults, replace=False)
@@ -218,10 +228,7 @@ class FaultMap:
             cols = eligible_columns[flat_choice % eligible_columns.size]
             mask[rows, cols] = True
 
-        stuck = None
-        if fault_model is FaultModel.STUCK_AT_RANDOM:
-            stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)
-        return cls(num_words, bits_per_word, mask, fault_model, stuck)
+        return cls._placed(mask, fault_model, generator)
 
     @classmethod
     def with_clustered_fault_count(
@@ -255,25 +262,12 @@ class FaultMap:
             robust bit positions that cannot fail (clusters flow around
             them).
         """
-        ensure_positive_int(num_words, "num_words")
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        num_faults = ensure_non_negative_int(num_faults, "num_faults")
+        eligible_columns = _eligible_columns(
+            num_words, bits_per_word, num_faults, protected_columns
+        )
         cluster_radius = ensure_positive_int(cluster_radius, "cluster_radius")
         generator = as_rng(rng)
-
-        if protected_columns is None:
-            eligible_columns = np.arange(bits_per_word)
-        else:
-            protected = np.asarray(protected_columns, dtype=bool)
-            if protected.shape != (bits_per_word,):
-                raise ValueError("protected_columns must have length bits_per_word")
-            eligible_columns = np.nonzero(~protected)[0]
-
         num_eligible = num_words * eligible_columns.size
-        if num_faults > num_eligible:
-            raise ValueError(
-                f"cannot place {num_faults} faults in {num_eligible} eligible cells"
-            )
         mask = np.zeros((num_words, bits_per_word), dtype=bool)
         placed = 0
         while placed < num_faults:
@@ -301,42 +295,7 @@ class FaultMap:
             mask[grid_rows[take], grid_cols[take]] = True
             placed += take.size
 
-        stuck = None
-        if fault_model is FaultModel.STUCK_AT_RANDOM:
-            stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)
-        return cls(num_words, bits_per_word, mask, fault_model, stuck)
-
-    @classmethod
-    def clustered(
-        cls,
-        num_words: int,
-        bits_per_word: int,
-        num_clusters: int,
-        cluster_size: int,
-        rng: RngLike = None,
-        fault_model: FaultModel = FaultModel.BIT_FLIP,
-    ) -> "FaultMap":
-        """Faults grouped in word-adjacent clusters (e.g. shared-well defects).
-
-        Each cluster corrupts ``cluster_size`` consecutive words in one random
-        bit column.  Used to study whether spatial correlation of defects
-        changes the resilience conclusions (it should not, thanks to the
-        channel interleaver).
-        """
-        ensure_positive_int(num_words, "num_words")
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        ensure_non_negative_int(num_clusters, "num_clusters")
-        ensure_positive_int(cluster_size, "cluster_size")
-        generator = as_rng(rng)
-        mask = np.zeros((num_words, bits_per_word), dtype=bool)
-        for _ in range(num_clusters):
-            col = int(generator.integers(0, bits_per_word))
-            start = int(generator.integers(0, max(num_words - cluster_size + 1, 1)))
-            mask[start : start + cluster_size, col] = True
-        stuck = None
-        if fault_model is FaultModel.STUCK_AT_RANDOM:
-            stuck = generator.integers(0, 2, size=mask.shape, dtype=np.int8)
-        return cls(num_words, bits_per_word, mask, fault_model, stuck)
+        return cls._placed(mask, fault_model, generator)
 
     # ------------------------------------------------------------------ #
     # properties and application
@@ -356,49 +315,66 @@ class FaultMap:
         """Fraction of faulty cells."""
         return self.num_faults / self.num_cells
 
-    def faults_per_column(self) -> np.ndarray:
-        """Number of faulty cells in each bit position (column)."""
-        return self.fault_mask.sum(axis=0)
+    def word_masks(self) -> "WordMasks":
+        """The die's read-out as per-word integer masks (computed once).
 
-    def apply_to_bits(self, stored_bits: np.ndarray) -> np.ndarray:
-        """Return the bits as read out through the faulty cells.
-
-        Parameters
-        ----------
-        stored_bits:
-            Array of shape ``(num_words, bits_per_word)`` of written values.
+        Column 0 is the most significant bit of a stored word.  A bit-flip
+        cell sets its bit in ``xor``; a stuck-at cell clears its bit in
+        ``and_`` and sets it in ``or_`` when stuck at 1.  A map without
+        faults yields the identity masks, shared by every such map of the
+        same shape.  The masks are computed on the first call and cached:
+        the map is treated as fixed from then on, as a die is.
         """
-        bits = np.asarray(stored_bits, dtype=np.int8)
-        if bits.shape != self.fault_mask.shape:
-            raise ValueError(
-                f"stored_bits shape {bits.shape} does not match fault map "
-                f"{self.fault_mask.shape}"
-            )
-        out = bits.copy()
-        if self.fault_model is FaultModel.BIT_FLIP:
-            out[self.fault_mask] ^= 1
-        else:
-            out[self.fault_mask] = self.stuck_values[self.fault_mask]
-        return out
+        if self._word_masks is None:
+            num_words, full = self.num_words, (1 << self.bits_per_word) - 1
+            weights = 1 << np.arange(self.bits_per_word - 1, -1, -1, dtype=np.int64)
+            if not self.fault_mask.any():
+                masks = _identity_masks(num_words, full)
+            elif self.fault_model is FaultModel.BIT_FLIP:
+                faulty = self.fault_mask @ weights
+                masks = WordMasks(_constant(full, num_words), _constant(0, num_words), faulty)
+            else:
+                faulty = self.fault_mask @ weights
+                stuck = (self.fault_mask & (self.stuck_values == 1)) @ weights
+                masks = WordMasks(full ^ faulty, stuck, _constant(0, num_words))
+            self._word_masks = masks
+        return self._word_masks
 
-    def row_slice(self, start: int, stop: int) -> "FaultMap":
-        """Return the fault map of a contiguous word range ``[start, stop)``.
 
-        Used to partition one physical array among regions (e.g. one region
-        per stored HARQ transmission) while keeping a single die-wide fault
-        map.
-        """
-        if not 0 <= start < stop <= self.num_words:
-            raise ValueError(f"invalid row range [{start}, {stop}) for {self.num_words} words")
-        mask = self.fault_mask[start:stop].copy()
-        stuck = self.stuck_values[start:stop].copy() if self.stuck_values is not None else None
-        return FaultMap(stop - start, self.bits_per_word, mask, self.fault_model, stuck)
+def _eligible_columns(
+    num_words: int, bits_per_word: int, num_faults: int, protected_columns
+) -> np.ndarray:
+    """Columns that can fail, once *num_faults* is known to fit in their cells."""
+    ensure_positive_int(num_words, "num_words")
+    ensure_positive_int(bits_per_word, "bits_per_word")
+    ensure_non_negative_int(num_faults, "num_faults")
+    if protected_columns is None:
+        eligible_columns = np.arange(bits_per_word)
+    else:
+        protected = np.asarray(protected_columns, dtype=bool)
+        if protected.shape != (bits_per_word,):
+            raise ValueError("protected_columns must have length bits_per_word")
+        eligible_columns = np.nonzero(~protected)[0]
+    num_eligible = num_words * eligible_columns.size
+    if num_faults > num_eligible:
+        raise ValueError(f"cannot place {num_faults} faults in {num_eligible} eligible cells")
+    return eligible_columns
 
-    def restrict_to_columns(self, columns: np.ndarray) -> "FaultMap":
-        """Return a copy with faults only in the selected bit positions."""
-        cols = np.asarray(columns, dtype=np.int64)
-        mask = np.zeros_like(self.fault_mask)
-        mask[:, cols] = self.fault_mask[:, cols]
-        return FaultMap(
-            self.num_words, self.bits_per_word, mask, self.fault_model, self.stuck_values
-        )
+
+class WordMasks(NamedTuple):
+    """Read-out of every stored word: ``((word & and_) | or_) ^ xor``."""
+
+    and_: np.ndarray
+    or_: np.ndarray
+    xor: np.ndarray
+
+
+def _constant(value: int, num_words: int) -> np.ndarray:
+    """A read-only length-*num_words* mask of one value (no per-word storage)."""
+    return np.broadcast_to(np.int64(value), (num_words,))
+
+
+@lru_cache(maxsize=16)
+def _identity_masks(num_words: int, full: int) -> WordMasks:
+    """Masks that read every word of ``full``'s width back unchanged."""
+    return WordMasks(_constant(full, num_words), _constant(0, num_words), _constant(0, num_words))

@@ -19,6 +19,7 @@ Two word formats are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,12 +132,20 @@ class LlrQuantizer:
         """Decode unsigned memory words directly into real LLR values."""
         return self.index_to_value(self.words_to_index(words))
 
+    def word_values(self) -> np.ndarray:
+        """:meth:`words_to_llrs` of every word value, as a read-only table.
+
+        The decode is elementwise, so ``np.take(table, words)`` equals it
+        exactly.  Built on first use and shared by equal quantizers.
+        """
+        return _word_value_table(self)
+
     def words_to_bits(self, words: np.ndarray) -> np.ndarray:
         """Expand memory words into a (num_words, num_bits) bit matrix, MSB first.
 
         Bit column 0 is the most significant stored bit — the sign bit for the
-        sign-magnitude format.  This is the layout the fault-injection and
-        preferential-protection machinery operates on.
+        sign-magnitude format — matching the column order of a fault map and
+        of the preferential-protection masks.
         """
         w = np.asarray(words, dtype=np.int64)
         shifts = np.arange(self.num_bits - 1, -1, -1, dtype=np.int64)
@@ -155,3 +164,10 @@ class LlrQuantizer:
     def quantization_noise_power(self) -> float:
         """Variance of the quantization error for uniformly distributed inputs."""
         return self.step**2 / 12.0
+
+
+@lru_cache(maxsize=16)
+def _word_value_table(quantizer: LlrQuantizer) -> np.ndarray:
+    table = quantizer.words_to_llrs(np.arange(1 << quantizer.num_bits))
+    table.setflags(write=False)
+    return table

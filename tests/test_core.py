@@ -55,7 +55,7 @@ class TestProtectionSchemes:
         scheme = MsbProtection(bits_per_word=10, protected_msbs=3)
         fault_map = scheme.make_fault_map(200, 150, rng)
         assert fault_map.num_faults == 150
-        assert fault_map.faults_per_column()[:3].sum() == 0
+        assert fault_map.fault_mask[:, :3].sum() == 0
 
     def test_column_failure_probabilities_ordering(self):
         scheme = MsbProtection(bits_per_word=10, protected_msbs=4)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer, combined_mother_rows
+from repro.harq.buffer import (
+    LlrSoftBuffer,
+    TransmissionSoftBuffer,
+    combined_mother_rows,
+    store_transmission_rows,
+)
 from repro.harq.combining import (
     CombiningScheme,
     chase_combine,
@@ -11,7 +16,8 @@ from repro.harq.combining import (
     incremental_redundancy_combine,
 )
 from repro.harq.metrics import HarqPacketResult, aggregate_results
-from repro.memory.faults import FaultMap
+from repro.memory.ecc import HammingCode
+from repro.memory.faults import FaultMap, FaultModel
 from repro.phy.quantization import LlrQuantizer
 
 
@@ -177,6 +183,71 @@ class TestTransmissionSoftBuffer:
         buffer.store_transmission(0, rng.normal(size=10), 0)
         buffer.clear()
         assert buffer.num_stored_transmissions == 0
+
+    @pytest.mark.parametrize("slot", [-1, 3, 4])
+    def test_out_of_range_slot_rejected_on_every_accessor(self, rng, slot):
+        # Slot -1 used to read the last slot back silently, and slot
+        # num_slots raised IndexError, on load and on the version lookup.
+        buffer = TransmissionSoftBuffer(words_per_transmission=10, num_slots=3)
+        for stored in range(3):
+            buffer.store_transmission(stored, rng.normal(size=10), stored)
+        with pytest.raises(ValueError, match="slot must be"):
+            buffer.load_transmission(slot)
+        with pytest.raises(ValueError, match="slot must be"):
+            buffer.slot_redundancy_version(slot)
+        with pytest.raises(ValueError, match="slot must be"):
+            buffer.slot_occupied(slot)
+        with pytest.raises(ValueError, match="slot must be"):
+            buffer.store_transmission(slot, rng.normal(size=10), 0)
+
+    def test_round_store_equals_storing_each_row(self):
+        """Storing a round's rows in one call equals storing them one by one.
+
+        Two dies (one SEC-DED protected) with transient upsets: every slot
+        read back must be byte-identical either way.
+        """
+        ecc = HammingCode(10, extended=True)
+
+        def build():
+            rng = np.random.default_rng(11)
+            plain = FaultMap.with_exact_fault_count(60, 10, 90, rng)
+            protected = FaultMap.with_exact_fault_count(
+                60, ecc.codeword_bits, 120, rng, fault_model=FaultModel.STUCK_AT_RANDOM
+            )
+            return [
+                TransmissionSoftBuffer(
+                    words_per_transmission=20,
+                    num_slots=3,
+                    fault_map=fault_map,
+                    ecc=code,
+                    soft_error_rate=0.01,
+                    soft_error_rng=index,
+                )
+                for index, (fault_map, code) in enumerate(
+                    [(plain, None), (plain, None), (protected, ecc), (protected, ecc)]
+                )
+            ]
+
+        rows = [np.random.default_rng(slot).normal(0, 8, (4, 20)) for slot in range(3)]
+        batched, single = build(), build()
+        for slot in range(3):
+            store_transmission_rows(batched, slot, rows[slot], slot + 1)
+            for buffer, row in zip(single, rows[slot]):
+                buffer.store_transmission(slot, row, slot + 1)
+        for slot in range(3):
+            for one, other in zip(batched, single):
+                llrs, version = one.load_transmission(slot)
+                assert version == other.slot_redundancy_version(slot) == slot + 1
+                assert llrs.tobytes() == other.load_transmission(slot)[0].tobytes()
+
+    def test_round_store_validates_rows(self):
+        buffers = [TransmissionSoftBuffer(words_per_transmission=10, num_slots=2)] * 2
+        with pytest.raises(ValueError):
+            store_transmission_rows(buffers, 0, np.zeros((3, 10)), 0)
+        with pytest.raises(ValueError):
+            store_transmission_rows(buffers, 0, np.zeros((2, 11)), 0)
+        with pytest.raises(ValueError):
+            store_transmission_rows(buffers, 2, np.zeros((2, 10)), 0)
 
 
 class TestSmokeFaultRunPins:

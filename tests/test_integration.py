@@ -171,5 +171,5 @@ class TestStatisticalProperties:
     def test_fault_maps_never_touch_protected_columns_property(self, num_faults):
         scheme = MsbProtection(bits_per_word=10, protected_msbs=4)
         fault_map = scheme.make_fault_map(100, num_faults, rng=num_faults)
-        assert fault_map.faults_per_column()[:4].sum() == 0
+        assert fault_map.fault_mask[:, :4].sum() == 0
         assert fault_map.num_faults == num_faults

@@ -115,9 +115,8 @@ class TestReceiverAndLink:
         payload = transmitter.random_payload(rng)
         packet = transmitter.encode(payload)
         symbols = transmitter.transmit(packet, 0)
-        mother = receiver.process_transmission_batch(
-            symbols[None], np.array([[1.0]]), [1e-4], 0
-        )
+        channel_llrs = receiver.front_end_batch(symbols[None], np.array([[1.0]]), [1e-4])
+        mother = receiver.to_mother_domain_batch(channel_llrs, 0)
         decoded_payload, crc_ok, _ = receiver.decode(mother[0])
         assert crc_ok
         assert np.array_equal(decoded_payload, payload)

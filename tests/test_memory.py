@@ -84,49 +84,58 @@ class TestFaultMap:
         fault_map = FaultMap.with_exact_fault_count(
             200, 10, 150, rng, protected_columns=protected
         )
-        assert fault_map.faults_per_column()[:4].sum() == 0
+        assert fault_map.fault_mask[:, :4].sum() == 0
         assert fault_map.num_faults == 150
 
     def test_bit_flip_semantics(self, rng):
         fault_map = FaultMap.with_exact_fault_count(50, 8, 30, rng)
-        stored = np.zeros((50, 8), dtype=np.int8)
-        read = fault_map.apply_to_bits(stored)
-        assert read.sum() == 30
+        array = MemoryArray(50, 8, fault_map=fault_map)
+        array.write_words(np.zeros(50, dtype=np.int64))
+        assert np.bitwise_count(array.read_words()).sum() == 30
 
     def test_stuck_at_zero_semantics(self, rng):
         fault_map = FaultMap.with_exact_fault_count(
             50, 8, 30, rng, fault_model=FaultModel.STUCK_AT_0
         )
-        stored = np.ones((50, 8), dtype=np.int8)
-        read = fault_map.apply_to_bits(stored)
-        assert (read == 0).sum() == 30
+        array = MemoryArray(50, 8, fault_map=fault_map)
+        array.write_words(np.full(50, 0xFF))
+        assert 8 * 50 - np.bitwise_count(array.read_words()).sum() == 30
 
     def test_stuck_at_one_semantics(self, rng):
         fault_map = FaultMap.with_exact_fault_count(
             50, 8, 30, rng, fault_model=FaultModel.STUCK_AT_1
         )
-        stored = np.zeros((50, 8), dtype=np.int8)
-        assert fault_map.apply_to_bits(stored).sum() == 30
+        array = MemoryArray(50, 8, fault_map=fault_map)
+        array.write_words(np.zeros(50, dtype=np.int64))
+        assert np.bitwise_count(array.read_words()).sum() == 30
 
-    def test_clustered_faults(self, rng):
-        fault_map = FaultMap.clustered(1000, 10, num_clusters=5, cluster_size=20, rng=rng)
-        assert 0 < fault_map.num_faults <= 100
+    def test_stuck_at_random_requires_stuck_values(self):
+        with pytest.raises(ValueError, match="required"):
+            FaultMap(4, 3, np.ones((4, 3), dtype=bool), FaultModel.STUCK_AT_RANDOM)
 
-    def test_row_slice(self, rng):
-        fault_map = FaultMap.with_exact_fault_count(100, 4, 40, rng)
-        top = fault_map.row_slice(0, 50)
-        bottom = fault_map.row_slice(50, 100)
-        assert top.num_faults + bottom.num_faults == 40
+    def test_stuck_values_of_the_wrong_shape_rejected(self):
+        # Used to pass construction and fail at the first read.
+        with pytest.raises(ValueError, match="shape"):
+            FaultMap(
+                4,
+                3,
+                np.ones((4, 3), dtype=bool),
+                FaultModel.STUCK_AT_RANDOM,
+                np.zeros((3, 4), dtype=np.int8),
+            )
 
-    def test_row_slice_invalid(self):
-        fault_map = FaultMap.empty(10, 4)
-        with pytest.raises(ValueError):
-            fault_map.row_slice(5, 20)
+    @pytest.mark.parametrize("bad", [7, 2, -1])
+    def test_stuck_values_outside_zero_one_rejected(self, bad):
+        # Used to be read out as a word bit; as a mask it would OR in extra bits.
+        stuck = np.zeros((4, 3), dtype=np.int8)
+        stuck[2, 1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            FaultMap(4, 3, np.ones((4, 3), dtype=bool), FaultModel.STUCK_AT_RANDOM, stuck)
 
-    def test_restrict_to_columns(self, rng):
-        fault_map = FaultMap.with_exact_fault_count(100, 10, 80, rng)
-        restricted = fault_map.restrict_to_columns(np.array([0, 1]))
-        assert restricted.num_faults == fault_map.faults_per_column()[:2].sum()
+    def test_word_masks_are_computed_once_and_shared_when_fault_free(self, rng):
+        fault_map = FaultMap.with_exact_fault_count(20, 6, 9, rng)
+        assert fault_map.word_masks() is fault_map.word_masks()
+        assert FaultMap.empty(20, 6).word_masks() is FaultMap.empty(20, 6).word_masks()
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
@@ -149,7 +158,6 @@ class TestMemoryArray:
         array.write_words(words)
         corrupted = array.read_words()
         assert np.any(corrupted != words)
-        assert array.corrupted_word_count() > 0
 
     def test_faults_are_deterministic(self, rng):
         fault_map = FaultMap.with_exact_fault_count(100, 8, 50, rng)
@@ -178,11 +186,17 @@ class TestMemoryArray:
         with pytest.raises(ValueError):
             MemoryArray(10, 8, fault_map=FaultMap.empty(10, 10))
 
-    def test_write_bits_interface(self, rng):
+    def test_word_ranges_write_and_read_in_place(self, rng):
         array = MemoryArray(50, 6)
-        bits = rng.integers(0, 2, (50, 6)).astype(np.int8)
-        array.write_words(None, word_bits=bits)
-        assert np.array_equal(array.read_word_bits(), bits)
+        words = rng.integers(0, 64, 50)
+        array.write_words(words)
+        array.write_words(words[:10] ^ 63, start=20)
+        assert np.array_equal(array.read_words(20, 30), words[:10] ^ 63)
+        assert np.array_equal(array.read_words(0, 20), words[:20])
+        with pytest.raises(ValueError):
+            array.read_words(40, 60)
+        with pytest.raises(ValueError):
+            array.write_words(np.full(3, 64))
 
     def test_clear(self, rng):
         array = MemoryArray(20, 4)
@@ -252,6 +266,16 @@ def _all_words(num_bits: int) -> np.ndarray:
     return ((np.arange(1 << num_bits)[:, None] >> shifts) & 1).astype(np.int8)
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of an MSB-first bit matrix as integer words."""
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+def _column(code: HammingCode, position: int) -> int:
+    """Integer weight of codeword column *position* (column 0 is the MSB)."""
+    return 1 << (code.codeword_bits - 1 - position)
+
+
 EXHAUSTIVE_CODES = pytest.mark.parametrize("extended", [False, True])
 EXHAUSTIVE_WIDTHS = pytest.mark.parametrize("data_bits", [4, 8, 10, 11, 12])
 
@@ -260,7 +284,7 @@ class TestHammingCode:
     @pytest.mark.parametrize("data_bits", [4, 8, 10, 11, 12, 16])
     def test_roundtrip(self, data_bits, rng):
         code = HammingCode(data_bits)
-        data = rng.integers(0, 2, (64, data_bits)).astype(np.int8)
+        data = rng.integers(0, 1 << data_bits, 64)
         decoded, corrected, uncorrectable = code.decode(code.encode(data))
         assert np.array_equal(decoded, data)
         assert not corrected.any()
@@ -269,10 +293,8 @@ class TestHammingCode:
     @pytest.mark.parametrize("data_bits", [8, 10, 12])
     def test_single_error_correction(self, data_bits, rng):
         code = HammingCode(data_bits)
-        data = rng.integers(0, 2, (128, data_bits)).astype(np.int8)
-        codewords = code.encode(data)
-        for i in range(codewords.shape[0]):
-            codewords[i, rng.integers(0, code.codeword_bits)] ^= 1
+        data = rng.integers(0, 1 << data_bits, 128)
+        codewords = code.encode(data) ^ (1 << rng.integers(0, code.codeword_bits, 128))
         decoded, corrected, _ = code.decode(codewords)
         assert np.array_equal(decoded, data)
         assert corrected.all()
@@ -284,26 +306,30 @@ class TestHammingCode:
 
     def test_extended_detects_double_errors(self, rng):
         code = HammingCode(10, extended=True)
-        data = rng.integers(0, 2, (64, 10)).astype(np.int8)
-        codewords = code.encode(data)
+        codewords = code.encode(rng.integers(0, 1 << 10, 64))
         for i in range(codewords.shape[0]):
-            positions = rng.choice(code.codeword_bits - 1, size=2, replace=False)
-            codewords[i, positions] ^= 1
+            for position in rng.choice(code.codeword_bits - 1, size=2, replace=False):
+                codewords[i] ^= _column(code, position)
         _, _, uncorrectable = code.decode(codewords)
         assert uncorrectable.mean() > 0.9
 
-    def test_invalid_shapes_rejected(self):
+    def test_out_of_range_data_rejected(self):
         code = HammingCode(10)
         with pytest.raises(ValueError):
-            code.encode(np.zeros((4, 9), dtype=np.int8))
+            code.encode(np.array([0, 1 << 10]))
         with pytest.raises(ValueError):
-            code.decode(np.zeros((4, 10), dtype=np.int8))
+            code.encode(np.array([-1]))
+
+    def test_codewords_are_data_then_parity(self, rng):
+        code = HammingCode(10, extended=True)
+        data = rng.integers(0, 1 << 10, 64)
+        assert np.array_equal(code.encode(data) >> (code.codeword_bits - 10), data)
 
     @EXHAUSTIVE_WIDTHS
     @EXHAUSTIVE_CODES
     def test_every_clean_word_decodes_to_itself(self, data_bits, extended):
         code = HammingCode(data_bits, extended=extended)
-        data = _all_words(data_bits)
+        data = np.arange(1 << data_bits)
         decoded, corrected, uncorrectable = code.decode(code.encode(data))
         assert np.array_equal(decoded, data)
         assert not corrected.any()
@@ -313,11 +339,10 @@ class TestHammingCode:
     @EXHAUSTIVE_CODES
     def test_every_single_bit_error_is_corrected(self, data_bits, extended):
         code = HammingCode(data_bits, extended=extended)
-        data = _all_words(data_bits)
+        data = np.arange(1 << data_bits)
         codewords = code.encode(data)
         for position in range(code.codeword_bits):
-            received = codewords.copy()
-            received[:, position] ^= 1
+            received = codewords ^ _column(code, position)
             decoded, corrected, uncorrectable = code.decode(received)
             assert np.array_equal(decoded, data), position
             assert not uncorrectable.any(), position
@@ -331,10 +356,9 @@ class TestHammingCode:
     @EXHAUSTIVE_WIDTHS
     def test_sec_ded_flags_every_double_error(self, data_bits):
         code = HammingCode(data_bits, extended=True)
-        codewords = code.encode(_all_words(data_bits))
+        codewords = code.encode(np.arange(1 << data_bits))
         for first, second in combinations(range(code.codeword_bits), 2):
-            received = codewords.copy()
-            received[:, [first, second]] ^= 1
+            received = codewords ^ _column(code, first) ^ _column(code, second)
             _, corrected, uncorrectable = code.decode(received)
             assert uncorrectable.all(), (first, second)
             assert not corrected.any(), (first, second)
@@ -344,18 +368,39 @@ class TestHammingCode:
     def test_table_decoder_equals_frozen_loop_on_every_received_word(
         self, data_bits, extended
     ):
+        """The integer-codeword decode is the bit-matrix decode, word for word.
+
+        Every ``codeword_bits``-bit received word goes through the integer
+        decoder and, unpacked MSB first, through the frozen bit-matrix loop
+        decoder; data, ``corrected`` and ``uncorrectable`` must be equal.
+        """
         code = HammingCode(data_bits, extended=extended)
         received = _all_words(code.codeword_bits)
-        for table, loop in zip(code.decode(received), _loop_decode(code, received)):
-            assert table.dtype == loop.dtype
-            assert np.array_equal(table, loop)
+        data, corrected, uncorrectable = code.decode(np.arange(1 << code.codeword_bits))
+        loop_data, loop_corrected, loop_uncorrectable = _loop_decode(code, received)
+        assert np.array_equal(data, _pack(loop_data))
+        assert corrected.dtype == loop_corrected.dtype
+        assert np.array_equal(corrected, loop_corrected)
+        assert uncorrectable.dtype == loop_uncorrectable.dtype
+        assert np.array_equal(uncorrectable, loop_uncorrectable)
+
+    @EXHAUSTIVE_WIDTHS
+    @EXHAUSTIVE_CODES
+    def test_encode_equals_the_generator_matrix_on_every_data_word(
+        self, data_bits, extended
+    ):
+        code = HammingCode(data_bits, extended=extended)
+        bits = _all_words(data_bits)
+        codewords = np.concatenate([bits, (bits @ code._parity_matrix.T) % 2], axis=1)
+        if extended:
+            codewords = np.concatenate([codewords, codewords.sum(axis=1, keepdims=True) % 2], axis=1)
+        assert np.array_equal(code.encode(np.arange(1 << data_bits)), _pack(codewords))
 
     def test_shortened_sec_flags_its_unused_syndrome(self):
         # 10 data bits use 10 of the 11 weight>=2 syndromes of r = 4; the
         # remaining one, 0b1111, is reported rather than miscorrected.
         code = HammingCode(10)
-        received = code.encode(np.zeros((1, 10), dtype=np.int8))
-        received[0, 10:] = 1  # all four parity bits flipped: syndrome 0b1111
+        received = code.encode(np.zeros(1, dtype=np.int64)) ^ 0b1111  # all four parity bits
         decoded, corrected, uncorrectable = code.decode(received)
         assert uncorrectable[0] and not corrected[0]
         assert not decoded.any()

@@ -13,6 +13,10 @@ theory:
   against ``0.5 * (1 - sqrt(g / (1 + g)))`` and its diversity slope of one
   decade per 10 dB;
 * the CRC's error-detection guarantees and its undetected-error rate;
+* the fault-injection read-out of a :class:`~repro.memory.array.MemoryArray`
+  (integer word masks) against a cell-by-cell reference for every fault
+  model and every 10-bit word value: a bit-flip cell inverts its bit, a
+  stuck-at cell forces it, and transient upsets XOR after both;
 * a Hamming-SEC protected :class:`~repro.memory.array.MemoryArray` over
   i.i.d. bit-flip cells: every word with at most one faulty cell reads back
   exactly, and words with two or more occur at the binomial rate
@@ -225,6 +229,72 @@ class TestCrcGuarantees:
         words = np.random.default_rng(2012).integers(0, 2, (trials, 48), dtype=np.int8)
         passes = int(np.count_nonzero(CRC_8.check_batch(words)))
         assert_binomial(passes, trials, 2.0**-CRC_8.num_check_bits)
+
+
+# --------------------------------------------------------------------------- #
+WORD_BITS = 10
+
+
+def cell_by_cell_read(words, fault_mask, stuck, model, upsets):
+    """Read-out of each stored word, one cell at a time (column 0 = MSB).
+
+    A faulty cell inverts its stored bit (bit-flip) or reads its stuck value
+    (stuck-at); a transient upset then inverts whatever the cell read.
+    """
+    read = np.zeros_like(words)
+    for column in range(WORD_BITS):
+        shift = WORD_BITS - 1 - column
+        for word in range(words.size):
+            bit = (int(words[word]) >> shift) & 1
+            if fault_mask[word, column]:
+                if model is FaultModel.BIT_FLIP:
+                    bit = 1 - bit
+                elif model is FaultModel.STUCK_AT_0:
+                    bit = 0
+                elif model is FaultModel.STUCK_AT_1:
+                    bit = 1
+                else:
+                    bit = int(stuck[word, column])
+            if upsets[word, column]:
+                bit = 1 - bit
+            read[word] |= bit << shift
+    return read
+
+
+class TestWordMaskReadOut:
+    """The word-mask read-out equals the cell semantics, for every word value."""
+
+    @pytest.mark.parametrize("model", list(FaultModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("soft_error_rate", [0.0, 0.2])
+    def test_every_word_value_reads_as_its_cells_do(self, model, soft_error_rate):
+        rng = np.random.default_rng(2012)
+        words = np.tile(np.arange(1 << WORD_BITS), 2)  # every value, two fault patterns
+        num_words = words.size
+        fault_mask = rng.random((num_words, WORD_BITS)) < 0.3
+        stuck = rng.integers(0, 2, (num_words, WORD_BITS), dtype=np.int8)
+        fault_map = FaultMap(
+            num_words,
+            WORD_BITS,
+            fault_mask,
+            model,
+            stuck if model is FaultModel.STUCK_AT_RANDOM else None,
+        )
+        array = MemoryArray(
+            num_words,
+            WORD_BITS,
+            fault_map=fault_map,
+            soft_error_rate=soft_error_rate,
+            soft_error_rng=7,
+        )
+        array.write_words(words)
+        # The upset draw per read: one uniform per stored cell, row-major.
+        upset_rng = np.random.default_rng(7)
+        for _read in range(2):
+            upsets = np.zeros((num_words, WORD_BITS), dtype=bool)
+            if soft_error_rate > 0.0:
+                upsets = upset_rng.random((num_words, WORD_BITS)) < soft_error_rate
+            expected = cell_by_cell_read(words, fault_mask, stuck, model, upsets)
+            np.testing.assert_array_equal(array.read_words(), expected)
 
 
 # --------------------------------------------------------------------------- #
