@@ -331,31 +331,23 @@ def combined_mother_rows(
         )
         stacked = np.take(values, words)
         versions = [buffers[index]._slot_redundancy_versions[slot] for index in rows]
-        if len(set(versions)) == 1:
-            mother = np.asarray(to_mother_domain_batch(stacked, versions[0]), dtype=np.float64)
-        else:
-            mother = None
-            for version in dict.fromkeys(versions):
-                selector = [j for j, rv in enumerate(versions) if rv == version]
-                part = np.asarray(
-                    to_mother_domain_batch(stacked[selector], version), dtype=np.float64
-                )
-                if mother is None:
-                    mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
-                mother[selector] = part
-        if len(rows) == batch and not seen.any():
-            combined = np.array(mother)
-        elif len(rows) == batch and seen.all():
-            combined += mother
-        else:
-            if combined is None:
-                combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
-            row_indices = np.asarray(rows)
-            first = ~seen[row_indices]
-            if first.any():
-                combined[row_indices[first]] = mother[first]
-            if not first.all():
-                combined[row_indices[~first]] += mother[~first]
+        mother: Optional[np.ndarray] = None
+        for version in dict.fromkeys(versions):
+            selector = [j for j, rv in enumerate(versions) if rv == version]
+            part = np.asarray(
+                to_mother_domain_batch(stacked[selector], version), dtype=np.float64
+            )
+            if mother is None:
+                mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
+            mother[selector] = part
+        if combined is None:
+            combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
+        row_indices = np.asarray(rows)
+        first = ~seen[row_indices]
+        if first.any():
+            combined[row_indices[first]] = mother[first]
+        if not first.all():
+            combined[row_indices[~first]] += mother[~first]
         seen[rows] = True
     if combined is None or not seen.all():
         raise ValueError("no transmissions stored yet")

@@ -114,12 +114,12 @@ class MemoryArray:
         return self.fault_map.defect_rate
 
     # ------------------------------------------------------------------ #
-    def write_words(self, words: np.ndarray, start: int = 0) -> None:
-        """Write unsigned word values into ``[start, start + len(words))``.
-
-        Each value must fit in ``bits_per_word`` bits.
-        """
-        write_rows([self], start, np.asarray(words)[None])
+    def write_words(self, words: np.ndarray) -> None:
+        """Write :attr:`num_words` unsigned word values, each of ``bits_per_word`` bits."""
+        values = np.asarray(words)
+        if values.shape != (self.num_words,):
+            raise ValueError(f"expected {self.num_words} words, got {values.shape}")
+        write_rows([self], 0, values[None])
 
     def read_words(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Read back the words of ``[start, stop)`` (default: all of them).
