@@ -393,7 +393,8 @@ class TestHammingCode:
         bits = _all_words(data_bits)
         codewords = np.concatenate([bits, (bits @ code._parity_matrix.T) % 2], axis=1)
         if extended:
-            codewords = np.concatenate([codewords, codewords.sum(axis=1, keepdims=True) % 2], axis=1)
+            overall = codewords.sum(axis=1, keepdims=True) % 2
+            codewords = np.concatenate([codewords, overall], axis=1)
         assert np.array_equal(code.encode(np.arange(1 << data_bits)), _pack(codewords))
 
     def test_shortened_sec_flags_its_unused_syndrome(self):
