@@ -236,7 +236,7 @@ class TransmissionSoftBuffer:
         """
         version = self.slot_redundancy_version(slot)
         start = slot * self.words_per_transmission
-        words = self._array.read_words(start, start + self.words_per_transmission)
+        words = read_rows([self._array], start, start + self.words_per_transmission)[0]
         return np.take(self.quantizer.word_values(), words), version
 
     def combined_mother_llrs(self, to_mother_domain_batch) -> np.ndarray:
@@ -255,18 +255,6 @@ class TransmissionSoftBuffer:
 
 
 # --------------------------------------------------------------------------- #
-def _shared(buffers: Sequence, attribute: str):
-    """The value of *attribute* every buffer of a batch must share."""
-    if not buffers:
-        raise ValueError("no buffers given")
-    value = getattr(buffers[0], attribute)
-    for buffer in buffers:
-        other = getattr(buffer, attribute)
-        if other is not value and other != value:
-            raise ValueError(f"batched buffers must share one {attribute}")
-    return value
-
-
 def store_transmission_rows(
     buffers: Sequence[TransmissionSoftBuffer],
     slot: int,
@@ -276,15 +264,17 @@ def store_transmission_rows(
     """Quantize and store row ``i`` of *llr_rows* into ``buffers[i]``'s *slot*.
 
     One HARQ round's transmissions, quantized in one call and written as one
-    batch (one ECC encode per run of rows sharing a code).
+    batch (one ECC encode per run of rows sharing a code).  The buffers of a
+    batch share one ``words_per_transmission`` and quantizer format (those
+    of ``buffers[0]`` are used), as the buffers of one link do.
     """
-    width = _shared(buffers, "words_per_transmission")
+    width = buffers[0].words_per_transmission
     values = np.asarray(llr_rows, dtype=np.float64)
     if values.shape != (len(buffers), width):
         raise ValueError(f"expected {len(buffers)} rows of {width} LLRs, got {values.shape}")
     for buffer in buffers:
         buffer._check_slot(slot)
-    words = _shared(buffers, "quantizer").llrs_to_words(values)
+    words = buffers[0].quantizer.llrs_to_words(values)
     write_rows([buffer._array for buffer in buffers], slot * width, words)
     for buffer in buffers:
         buffer._slot_redundancy_versions[slot] = int(redundancy_version)
@@ -308,13 +298,15 @@ def combined_mother_rows(
     Parameters
     ----------
     buffers:
-        Per-transmission soft buffers, one per output row.
+        Per-transmission soft buffers, one per output row, sharing one
+        ``words_per_transmission`` and quantizer format as in
+        :func:`store_transmission_rows`.
     to_mother_domain_batch:
         Callable ``(channel_llr_rows, redundancy_version) -> mother_rows``
         (typically the receiver's de-interleave + de-rate-match stage).
     """
-    width = _shared(buffers, "words_per_transmission")
-    values = _shared(buffers, "quantizer").word_values()
+    width = buffers[0].words_per_transmission
+    values = buffers[0].quantizer.word_values()
     batch = len(buffers)
     combined: Optional[np.ndarray] = None
     seen = np.zeros(batch, dtype=bool)

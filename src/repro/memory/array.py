@@ -121,12 +121,9 @@ class MemoryArray:
             raise ValueError(f"expected {self.num_words} words, got {values.shape}")
         write_rows([self], 0, values[None])
 
-    def read_words(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Read back the words of ``[start, stop)`` (default: all of them).
-
-        Fault injection, transient upsets and ECC correction are applied.
-        """
-        return read_rows([self], start, self.num_words if stop is None else stop)[0]
+    def read_words(self) -> np.ndarray:
+        """Read back every word (fault injection, upsets and ECC applied)."""
+        return read_rows([self], 0, self.num_words)[0]
 
     def clear(self) -> None:
         """Reset the stored contents to all zeros (fault map unchanged)."""

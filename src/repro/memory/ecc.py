@@ -58,7 +58,7 @@ class HammingCode:
     extended: bool = False
 
     _parity_matrix: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _chunk_syndromes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _chunk_tables: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _flip_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _corrects: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _uncorrectable: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -80,16 +80,17 @@ class HammingCode:
         column_syndromes = np.concatenate([data_syndromes, weights])
 
         # The syndrome is the XOR of the column syndromes at the word's
-        # 1-bits, so it is linear: the syndrome of a Hamming word is the XOR
-        # of its chunks' syndromes, each looked up in a 2**_CHUNK_BITS table.
+        # 1-bits, and the overall parity the XOR of the bits themselves, so
+        # both are linear: the XOR of per-chunk entries of 2**_CHUNK_BITS
+        # tables, each holding ``(syndrome << 1) | parity`` of its chunk.
         body_bits = column_syndromes.size
         num_chunks = -(-body_bits // _CHUNK_BITS)
         values = np.arange(1 << _CHUNK_BITS)
-        chunk_syndromes = np.zeros((num_chunks, 1 << _CHUNK_BITS), dtype=np.intp)
+        chunk_tables = np.zeros((num_chunks, 1 << _CHUNK_BITS), dtype=np.intp)
         for column, syndrome in enumerate(column_syndromes):
             position = body_bits - 1 - column  # bit weight of the column
             chunk, bit = divmod(position, _CHUNK_BITS)
-            chunk_syndromes[chunk] ^= np.where((values >> bit) & 1, syndrome, 0)
+            chunk_tables[chunk] ^= np.where((values >> bit) & 1, (syndrome << 1) | 1, 0)
 
         # Syndrome -> outcome tables of length 2**r.  A syndrome equal to a
         # data column flips that column (``_flip_rows`` holds the data-word
@@ -103,7 +104,7 @@ class HammingCode:
         uncorrectable = ~corrects
         uncorrectable[0] = False
         object.__setattr__(self, "_parity_matrix", parity_matrix)  # (r, data_bits)
-        object.__setattr__(self, "_chunk_syndromes", chunk_syndromes)
+        object.__setattr__(self, "_chunk_tables", chunk_tables)
         object.__setattr__(self, "_flip_rows", flip_rows)
         object.__setattr__(self, "_corrects", corrects)
         object.__setattr__(self, "_uncorrectable", uncorrectable)
@@ -126,13 +127,13 @@ class HammingCode:
 
     # ------------------------------------------------------------------ #
     def _syndromes(self, body: np.ndarray) -> np.ndarray:
-        """Hamming syndrome of every word of *body* (codewords without DED bit)."""
-        tables = self._chunk_syndromes
-        syndrome = np.take(tables[0], body & ((1 << _CHUNK_BITS) - 1))
+        """``(syndrome << 1) | parity`` of every word of *body* (no DED bit)."""
+        tables = self._chunk_tables
+        packed = np.take(tables[0], body & ((1 << _CHUNK_BITS) - 1))
         for chunk in range(1, tables.shape[0]):
             part = (body >> (chunk * _CHUNK_BITS)) & ((1 << _CHUNK_BITS) - 1)
-            syndrome ^= np.take(tables[chunk], part)
-        return syndrome
+            packed ^= np.take(tables[chunk], part)
+        return packed
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode integer data words into integer codewords.
@@ -153,9 +154,10 @@ class HammingCode:
         body = words << self.num_parity_bits
         # The parity columns are the identity, so the parity bits that zero
         # the syndrome are the syndrome of the data part itself.
-        body |= self._syndromes(body)
+        body |= self._syndromes(body) >> 1
         if self.extended:
-            body = (body << 1) | (np.bitwise_count(body) & 1)
+            # The body's syndrome is now zero: what remains is its parity.
+            body = (body << 1) | self._syndromes(body)
         return body
 
     def decode(self, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,15 +188,18 @@ class HammingCode:
         selects.
         """
         received = np.asarray(codewords, dtype=np.int64)
+        if received.size and (received.min() < 0 or received.max() >> self.codeword_bits):
+            raise ValueError(f"codewords must fit in {self.codeword_bits} bits")
         body = received >> 1 if self.extended else received
-        index = self._syndromes(body)
+        packed = self._syndromes(body)
+        index = packed >> 1
         data = (body >> self.num_parity_bits) ^ np.take(self._flip_rows, index)
         corrected = np.take(self._corrects, index)
         uncorrectable = np.take(self._uncorrectable, index)
 
         if self.extended:
             # Even overall parity with nonzero syndrome indicates a double error.
-            double_error = (index != 0) & ((np.bitwise_count(received) & 1) == 0)
+            double_error = (index != 0) & (((packed ^ received) & 1) == 0)
             uncorrectable |= double_error
             corrected &= ~double_error
         return data, corrected, uncorrectable
