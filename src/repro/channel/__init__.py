@@ -1,12 +1,11 @@
-"""Wireless channel substrate: AWGN, Rayleigh fading and ITU multipath models."""
+"""Wireless channel substrate: ITU multipath Rayleigh channels with AWGN.
 
-from repro.channel.awgn import (
-    AwgnChannel,
-    awgn_noise,
-    ebn0_to_esn0_db,
-    esn0_to_ebn0_db,
-    snr_db_to_noise_variance,
-)
+:meth:`~repro.channel.multipath.MultipathChannel.apply_batch` passes each
+row of a ``(packets, samples)`` matrix through its own channel realisation;
+Jakes fading waveforms and block Rayleigh gains model the time variation.
+"""
+
+from repro.channel.awgn import awgn_noise
 from repro.channel.fading import (
     JakesFadingProcess,
     JakesFadingRealization,
@@ -22,7 +21,6 @@ from repro.channel.multipath import (
 )
 
 __all__ = [
-    "AwgnChannel",
     "ITU_PEDESTRIAN_A",
     "ITU_PEDESTRIAN_B",
     "ITU_VEHICULAR_A",
@@ -33,7 +31,4 @@ __all__ = [
     "SINGLE_PATH",
     "awgn_noise",
     "block_rayleigh_gains",
-    "ebn0_to_esn0_db",
-    "esn0_to_ebn0_db",
-    "snr_db_to_noise_variance",
 ]

@@ -2,38 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
-
-
-def snr_db_to_noise_variance(snr_db: float, signal_power: float = 1.0) -> float:
-    """Complex-noise variance N0 for a given SNR (dB) and signal power."""
-    snr_linear = 10.0 ** (float(snr_db) / 10.0)
-    return float(signal_power) / snr_linear
-
-
-def noise_variance_to_snr_db(noise_variance: float, signal_power: float = 1.0) -> float:
-    """Inverse of :func:`snr_db_to_noise_variance`."""
-    if noise_variance <= 0:
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    return float(10.0 * np.log10(signal_power / noise_variance))
-
-
-def ebn0_to_esn0_db(ebn0_db: float, bits_per_symbol: int, code_rate: float) -> float:
-    """Convert Eb/N0 (dB) to Es/N0 (dB) for a given modulation and code rate."""
-    if bits_per_symbol <= 0 or code_rate <= 0:
-        raise ValueError("bits_per_symbol and code_rate must be positive")
-    return float(ebn0_db + 10.0 * np.log10(bits_per_symbol * code_rate))
-
-
-def esn0_to_ebn0_db(esn0_db: float, bits_per_symbol: int, code_rate: float) -> float:
-    """Convert Es/N0 (dB) to Eb/N0 (dB)."""
-    if bits_per_symbol <= 0 or code_rate <= 0:
-        raise ValueError("bits_per_symbol and code_rate must be positive")
-    return float(esn0_db - 10.0 * np.log10(bits_per_symbol * code_rate))
 
 
 def awgn_noise(shape, noise_variance: float, rng: RngLike = None) -> np.ndarray:
@@ -41,31 +12,3 @@ def awgn_noise(shape, noise_variance: float, rng: RngLike = None) -> np.ndarray:
     generator = as_rng(rng)
     sigma = np.sqrt(noise_variance / 2.0)
     return generator.normal(0.0, sigma, shape) + 1j * generator.normal(0.0, sigma, shape)
-
-
-@dataclass
-class AwgnChannel:
-    """Memoryless AWGN channel operating at a configurable SNR.
-
-    Parameters
-    ----------
-    snr_db:
-        Ratio of average signal power to total complex noise power, in dB.
-        This matches the paper's definition ("the ratio of the user signal
-        power over the noise and interference power").
-    signal_power:
-        Average transmit signal power (1.0 for normalised constellations).
-    """
-
-    snr_db: float
-    signal_power: float = 1.0
-
-    @property
-    def noise_variance(self) -> float:
-        """Total complex noise variance N0."""
-        return snr_db_to_noise_variance(self.snr_db, self.signal_power)
-
-    def apply(self, signal: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Add AWGN to *signal*."""
-        sig = np.asarray(signal, dtype=np.complex128)
-        return sig + awgn_noise(sig.shape, self.noise_variance, rng)

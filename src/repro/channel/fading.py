@@ -88,10 +88,6 @@ class JakesFadingRealization:
     phases_i: np.ndarray
     phases_q: np.ndarray
 
-    def gains(self, start_sample: int, num_samples: int) -> np.ndarray:
-        """Complex gains of samples ``[start_sample, start_sample + num_samples)``."""
-        return jakes_gains_batch([self], start_sample, num_samples)[0]
-
 
 def jakes_gains_batch(
     realizations, start_sample: int, num_samples: int
@@ -146,9 +142,8 @@ class JakesFadingProcess:
         """Draw one waveform realisation (random arrival angles and phases).
 
         The draw order (angles, then in-phase phases, then quadrature phases)
-        is part of the determinism contract: :meth:`generate` delegates here,
-        so seeded waveforms are unchanged across the refactoring that split
-        drawing from evaluation.
+        is part of the determinism contract: seeded waveforms are unchanged
+        across the refactoring that split drawing from evaluation.
         """
         generator = as_rng(rng)
         n = self.num_sinusoids
@@ -162,14 +157,3 @@ class JakesFadingProcess:
             phases_i=phi_i,
             phases_q=phi_q,
         )
-
-    def generate(self, num_samples: int, rng: RngLike = None) -> np.ndarray:
-        """Return a unit-power complex fading waveform of *num_samples* samples."""
-        num_samples = ensure_positive_int(num_samples, "num_samples")
-        return self.realization(rng).gains(0, num_samples)
-
-    def coherence_time(self) -> float:
-        """Approximate channel coherence time (0.423 / fD) in seconds."""
-        if self.doppler_hz == 0:
-            return float("inf")
-        return 0.423 / self.doppler_hz

@@ -107,9 +107,10 @@ class MultipathChannel:
     """Quasi-static frequency-selective Rayleigh channel with AWGN.
 
     Each call to :meth:`realize` draws a new set of complex tap gains from
-    the configured power delay profile; :meth:`apply` convolves a transmit
-    sequence with a realisation and adds noise.  HARQ retransmissions see
-    independent realisations, modelling the rapidly varying mobile channel.
+    the configured power delay profile; :meth:`apply_batch` convolves each
+    transmit sequence with a realisation and adds noise.  HARQ
+    retransmissions see independent realisations, modelling the rapidly
+    varying mobile channel.
 
     Parameters
     ----------
@@ -149,49 +150,6 @@ class MultipathChannel:
         response[self._tap_indices] = gains
         return response
 
-    def apply(
-        self,
-        signal: np.ndarray,
-        snr_db: float,
-        rng: RngLike = None,
-        impulse_response: np.ndarray | None = None,
-        mean_signal_power: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Pass *signal* through one channel realisation and add AWGN.
-
-        Parameters
-        ----------
-        signal:
-            Transmit samples (unit average power assumed for SNR accounting).
-        snr_db:
-            Receive SNR in dB (signal power over noise power).
-        rng:
-            Seed or generator (controls both fading and noise).
-        impulse_response:
-            Optional pre-drawn impulse response (for reuse across code paths).
-        mean_signal_power:
-            Average transmit sample power used for the SNR accounting;
-            defaults to the empirical mean of *signal*.  Callers that
-            modulate the samples with an extra fading waveform pass the
-            *unfaded* power here, so a deep fade lowers the instantaneous
-            SNR instead of being renormalised away.
-
-        Returns
-        -------
-        tuple
-            ``(received, impulse_response, noise_variance)`` where *received*
-            has length ``len(signal) + L - 1``.
-        """
-        sig = np.asarray(signal, dtype=np.complex128).reshape(1, -1)
-        received, responses, noise_variances = self.apply_batch(
-            sig,
-            [snr_db],
-            [as_rng(rng)],
-            impulse_responses=None if impulse_response is None else [impulse_response],
-            mean_signal_powers=None if mean_signal_power is None else [mean_signal_power],
-        )
-        return received[0], responses[0], float(noise_variances[0])
-
     def mean_signal_powers(self, signals: np.ndarray) -> np.ndarray:
         """Row-wise mean ``|x|^2`` of a ``(batch, n)`` sample matrix.
 
@@ -217,11 +175,11 @@ class MultipathChannel:
         impulse_responses=None,
         mean_signal_powers=None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-wise :meth:`apply` for a batch of independent packets.
+        """Pass each row through its own channel realisation and add AWGN.
 
         Every packet draws its fading gains and noise from its *own*
         generator in exactly the serial order (realisation first, then
-        noise), so a batch of N is byte-identical to N serial calls.  The
+        noise), so a batch of N is byte-identical to N batches of one.  The
         received matrix is preallocated and filled row by row; the
         convolution stays per-packet (``np.convolve``) because a shifted
         tap-accumulation differs bitwise.
@@ -237,7 +195,11 @@ class MultipathChannel:
         impulse_responses:
             Optional pre-drawn per-packet impulse responses.
         mean_signal_powers:
-            Optional per-packet average transmit powers (see :meth:`apply`).
+            Optional per-packet average transmit sample powers used for
+            the SNR accounting; default to each row's empirical mean.
+            Callers that modulate the samples with an extra fading waveform
+            pass the *unfaded* power here, so a deep fade lowers the
+            instantaneous SNR instead of being renormalised away.
 
         Returns
         -------

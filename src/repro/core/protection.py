@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -117,13 +118,6 @@ class ProtectionScheme(ABC):
             fault_model=spec.model,
             protected_columns=protected_columns,
         )
-
-    def column_failure_probabilities(self, vdd: float) -> np.ndarray:
-        """Per-bit-position cell failure probability at supply voltage *vdd*."""
-        protected = self.protected_columns()
-        baseline_p = self.baseline_cell.failure_probability(vdd)
-        robust_p = self.robust_cell.failure_probability(vdd)
-        return np.where(protected, robust_p, baseline_p)
 
     def relative_power(self, vdd: float, power_model: Optional[PowerModel] = None) -> float:
         """Array power at *vdd* relative to the unprotected array at nominal Vdd."""
@@ -222,6 +216,17 @@ class FullCellProtection(ProtectionScheme):
         return model.hybrid_overhead(self.bits_per_word, self.bits_per_word)
 
 
+@lru_cache(maxsize=None)
+def _hamming_code(data_bits: int, extended: bool) -> HammingCode:
+    """One immutable code per ``(data_bits, extended)`` and process.
+
+    Building a code builds its syndrome tables, and ``stored_bits_per_word``
+    reads :attr:`EccProtection.ecc` on every fault map.  The cache sits
+    outside the protection dataclass, so equality, hashing, pickles and the
+    ``asdict`` run identity do not see it.
+    """
+    return HammingCode(data_bits, extended=extended)
+
 @dataclass(frozen=True)
 class EccProtection(ProtectionScheme):
     """Hamming SEC(-DED) over every stored word, kept in baseline cells.
@@ -240,7 +245,7 @@ class EccProtection(ProtectionScheme):
 
     @property
     def ecc(self) -> Optional[HammingCode]:
-        return HammingCode(self.bits_per_word, extended=self.extended)
+        return _hamming_code(self.bits_per_word, self.extended)
 
     def protected_columns(self) -> np.ndarray:
         # Every physical cell can fail; protection comes from the code, not

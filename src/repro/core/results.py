@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -65,15 +63,6 @@ class SweepTable:
             lines.append("| " + " | ".join(fmt(row.get(c, "")) for c in self.columns) + " |")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        """Render the table as CSV text."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=self.columns)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({c: row.get(c, "") for c in self.columns})
-        return buffer.getvalue()
-
     def print(self) -> None:
         """Print the markdown rendering (used by example scripts and benches)."""
         print(self.to_markdown())
@@ -111,11 +100,6 @@ class SweepTable:
             table.add_row(**row)
         return table
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepTable":
-        """Rebuild a table from :meth:`to_json` output."""
-        return cls.from_json_dict(json.loads(text))
-
 
 def _jsonable(value: Any):
     """Coerce numpy scalars (and sequences thereof) to plain JSON types."""
@@ -126,16 +110,3 @@ def _jsonable(value: Any):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def summarize_series(name: str, values: Sequence[float]) -> Dict[str, float]:
-    """Mean / min / max summary of a numeric series (for quick reporting)."""
-    data = [float(v) for v in values]
-    if not data:
-        return {"name": name, "mean": float("nan"), "min": float("nan"), "max": float("nan")}
-    return {
-        "name": name,
-        "mean": sum(data) / len(data),
-        "min": min(data),
-        "max": max(data),
-    }

@@ -12,13 +12,12 @@ answer the paper's Sections 5/6.3 questions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.protection import NoProtection, ProtectionScheme
-from repro.core.results import SweepTable
-from repro.memory.cells import BitCellType, CELL_6T, CELL_8T
+from repro.memory.cells import CELL_6T, CELL_8T
 from repro.memory.power import PowerModel
 from repro.memory.yield_model import acceptance_yield, min_defects_for_yield
 from repro.utils.validation import ensure_positive_int
@@ -106,37 +105,6 @@ class VoltageScalingAnalysis:
             yield_zero_defects=acceptance_yield(pcell, cells, 0),
             relative_power=self.protection.relative_power(vdd, self.power_model),
         )
-
-    def voltage_sweep(self, voltages: Sequence[float]) -> List[VoltageOperatingPoint]:
-        """Evaluate a list of supply voltages."""
-        return [self.operating_point(float(v)) for v in voltages]
-
-    def sweep_table(self, voltages: Sequence[float]) -> SweepTable:
-        """Voltage sweep rendered as a table."""
-        table = SweepTable(
-            title=f"Voltage scaling ({self.protection.name}, yield target {self.yield_target:.0%})",
-            columns=[
-                "vdd",
-                "pcell",
-                "expected_defects",
-                "defects_for_yield",
-                "defect_rate_for_yield",
-                "yield_zero_defects",
-                "relative_power",
-            ],
-            metadata={"fallible_cells": self.fallible_cells},
-        )
-        for point in self.voltage_sweep(voltages):
-            table.add_row(
-                vdd=point.vdd,
-                pcell=point.cell_failure_probability,
-                expected_defects=point.expected_defects,
-                defects_for_yield=point.defects_for_yield,
-                defect_rate_for_yield=point.defect_rate_for_yield,
-                yield_zero_defects=point.yield_zero_defects,
-                relative_power=point.relative_power,
-            )
-        return table
 
     # ------------------------------------------------------------------ #
     def min_voltage_for_defect_budget(

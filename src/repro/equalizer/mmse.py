@@ -22,7 +22,7 @@ class MmseEqualizerOutput:
     """Result of equalizing received blocks.
 
     :meth:`MmseEqualizer.equalize_batch` stacks one row per packet in every
-    field; :meth:`MmseEqualizer.equalize` returns a single packet's row.
+    field.
 
     Attributes
     ----------
@@ -265,27 +265,4 @@ class MmseEqualizer:
         )
         return MmseEqualizerOutput(
             symbols=symbols, effective_noise_variance=effective_noise, sinr=sinr, taps=taps
-        )
-
-    def equalize(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        num_symbols: int,
-        signal_power: float = 1.0,
-    ) -> MmseEqualizerOutput:
-        """:meth:`equalize_batch` for one received block."""
-        out = self.equalize_batch(
-            np.asarray(received, dtype=np.complex128).reshape(1, -1),
-            np.asarray(impulse_response, dtype=np.complex128).reshape(1, -1),
-            [noise_variance],
-            num_symbols,
-            signal_power,
-        )
-        return MmseEqualizerOutput(
-            symbols=out.symbols[0],
-            effective_noise_variance=float(out.effective_noise_variance[0]),
-            sinr=float(out.sinr[0]),
-            taps=out.taps[0],
         )

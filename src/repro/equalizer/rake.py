@@ -90,19 +90,3 @@ class RakeReceiver:
             symbols[rows] = combined / total_gain[:, None]
             effective_noise[rows] = nv[rows] / total_gain
         return symbols, effective_noise
-
-    def combine(
-        self,
-        received: np.ndarray,
-        impulse_response: np.ndarray,
-        noise_variance: float,
-        num_symbols: int,
-    ) -> tuple[np.ndarray, float]:
-        """:meth:`combine_batch` for one packet."""
-        symbols, effective_noise = self.combine_batch(
-            np.asarray(received, dtype=np.complex128).reshape(1, -1),
-            np.asarray(impulse_response, dtype=np.complex128).reshape(1, -1),
-            [noise_variance],
-            num_symbols,
-        )
-        return symbols[0], float(effective_noise[0])

@@ -95,17 +95,5 @@ def run(
     return _present(outcome)
 
 
-def run_both_subfigures(
-    scale: Union[str, Scale] = "smoke",
-    seed: RngLike = 2012,
-    runner: Union[ParallelRunner, str, None] = None,
-) -> dict:
-    """Run Fig. 7(a) (1 % defects) and Fig. 7(b) (10 % defects)."""
-    return {
-        name: run(scale, seed, defect_rate=rate, runner=runner)
-        for name, rate in SUBFIGURE_DEFECT_RATES.items()
-    }
-
-
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper
     run("default").print()

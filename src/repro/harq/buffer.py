@@ -86,11 +86,6 @@ class LlrSoftBuffer:
         """Number of bit cells the buffer occupies."""
         return self._array.num_cells
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether the buffer holds no packet yet (start of a HARQ process)."""
-        return not self._occupied
-
     # ------------------------------------------------------------------ #
     def store(self, llrs: np.ndarray) -> None:
         """Quantize and store *llrs* (length must equal ``num_llrs``)."""
@@ -116,8 +111,10 @@ class LlrSoftBuffer:
         through the faulty memory *after* the combined value has been written,
         matching the hardware dataflow (decoder reads from the LLR SRAM).
         """
-        combined = self.load() + np.asarray(new_llrs, dtype=np.float64).reshape(-1)
-        self.store(combined)
+        values = np.asarray(new_llrs, dtype=np.float64).reshape(-1)
+        if values.size != self.num_llrs:
+            raise ValueError(f"expected {self.num_llrs} LLRs, got {values.size}")
+        self.store(self.load() + values)
         return self.load()
 
     def clear(self) -> None:
@@ -201,48 +198,11 @@ class TransmissionSoftBuffer:
         """Total number of bit cells in the buffer."""
         return self._array.num_cells
 
-    @property
-    def num_stored_transmissions(self) -> int:
-        """How many transmissions are currently buffered."""
-        return sum(self._occupied)
-
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot must be in [0, {self.num_slots})")
 
-    def slot_occupied(self, slot: int) -> bool:
-        """Whether *slot* currently holds a transmission."""
-        self._check_slot(slot)
-        return bool(self._occupied[slot])
-
-    def slot_redundancy_version(self, slot: int) -> int:
-        """Redundancy version stored in *slot* (which must be occupied)."""
-        if not self.slot_occupied(slot):
-            raise ValueError(f"slot {slot} is empty")
-        return int(self._slot_redundancy_versions[slot])
-
     # ------------------------------------------------------------------ #
-    def store_transmission(
-        self, slot: int, llrs: np.ndarray, redundancy_version: int
-    ) -> None:
-        """Quantize and store one transmission's channel LLRs into *slot*."""
-        rows = np.asarray(llrs, dtype=np.float64).reshape(1, -1)
-        store_transmission_rows([self], slot, rows, redundancy_version)
-
-    def load_transmission(self, slot: int) -> tuple[np.ndarray, int]:
-        """Read one stored transmission back (fault injection applied).
-
-        Returns ``(llrs, redundancy_version)``.
-        """
-        version = self.slot_redundancy_version(slot)
-        start = slot * self.words_per_transmission
-        words = read_rows([self._array], start, start + self.words_per_transmission)[0]
-        return np.take(self.quantizer.word_values(), words), version
-
-    def combined_mother_llrs(self, to_mother_domain_batch) -> np.ndarray:
-        """:func:`combined_mother_rows` for this buffer alone."""
-        return combined_mother_rows([self], to_mother_domain_batch)[0]
-
     def clear(self) -> None:
         """Flush all slots (ACK received or process re-used)."""
         self._array.clear()

@@ -11,17 +11,14 @@ Two standard schemes are modelled:
   the effective code rate by filling in previously punctured bits.
 
 Both reduce to the same primitive — element-wise addition in the mother-code
-domain — because the rate matcher's :meth:`derate_match` already scatters a
-transmission's LLRs onto mother-code positions.  They are kept as distinct
-named entry points to make experiment configurations self-describing and to
-allow scheme-specific bookkeeping.
+domain, done by the HARQ buffer's read-combine — because the rate matcher's
+de-rate-matching already scatters a transmission's LLRs onto mother-code
+positions.  The schemes differ only in their redundancy-version schedule.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-import numpy as np
 
 
 class CombiningScheme(str, Enum):
@@ -39,30 +36,3 @@ class CombiningScheme(str, Enum):
         if self is CombiningScheme.CHASE:
             return 0
         return transmission_index % num_versions
-
-
-def chase_combine(stored_llrs: np.ndarray, new_llrs: np.ndarray) -> np.ndarray:
-    """Add the LLRs of a retransmission carrying identical coded bits."""
-    stored = np.asarray(stored_llrs, dtype=np.float64)
-    new = np.asarray(new_llrs, dtype=np.float64)
-    if stored.shape != new.shape:
-        raise ValueError(f"shape mismatch: {stored.shape} vs {new.shape}")
-    return stored + new
-
-
-def incremental_redundancy_combine(
-    stored_mother_llrs: np.ndarray, new_mother_llrs: np.ndarray
-) -> np.ndarray:
-    """Combine in the mother-code domain (new positions fill in as erasure updates)."""
-    stored = np.asarray(stored_mother_llrs, dtype=np.float64)
-    new = np.asarray(new_mother_llrs, dtype=np.float64)
-    if stored.shape != new.shape:
-        raise ValueError(f"shape mismatch: {stored.shape} vs {new.shape}")
-    return stored + new
-
-
-def effective_snr_gain_db(num_transmissions: int) -> float:
-    """Idealised chase-combining SNR gain after *num_transmissions* transmissions."""
-    if num_transmissions <= 0:
-        raise ValueError("num_transmissions must be positive")
-    return float(10.0 * np.log10(num_transmissions))

@@ -93,11 +93,6 @@ class HarqStatistics:
             return 0.0
         return self.num_successful / self.total_transmissions
 
-    @property
-    def throughput_bits_per_transmission(self) -> float:
-        """Delivered information bits per transmission opportunity."""
-        return self.normalized_throughput * self.info_bits_per_packet
-
     def failure_probability_per_transmission(self) -> np.ndarray:
         """Decoding-failure probability after each transmission (Fig. 2).
 
@@ -109,16 +104,6 @@ class HarqStatistics:
         with np.errstate(divide="ignore", invalid="ignore"):
             probability = np.where(attempts > 0, failures / attempts, np.nan)
         return probability
-
-    def as_dict(self) -> dict:
-        """Plain-dict summary for tabulation / CSV export."""
-        return {
-            "num_packets": self.num_packets,
-            "num_successful": self.num_successful,
-            "block_error_rate": self.block_error_rate,
-            "average_transmissions": self.average_transmissions,
-            "normalized_throughput": self.normalized_throughput,
-        }
 
 
 def merge_statistics(parts: Sequence[HarqStatistics]) -> HarqStatistics:

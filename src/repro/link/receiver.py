@@ -138,14 +138,6 @@ class Receiver:
             llrs = llrs.astype(dtype)
         return llrs
 
-    def demap(
-        self, symbols: np.ndarray, effective_noise_variance: "float | np.ndarray"
-    ) -> np.ndarray:
-        """:meth:`demap_batch` for one packet (scalar or per-symbol noise)."""
-        noise = np.asarray(effective_noise_variance, dtype=np.float64)
-        noise = noise[None] if noise.ndim else noise.reshape(1)
-        return self.demap_batch(np.asarray(symbols)[None], noise)[0]
-
     def to_mother_domain_batch(
         self, channel_llrs: np.ndarray, redundancy_version: int
     ) -> np.ndarray:
@@ -154,10 +146,6 @@ class Receiver:
         return self.transmitter.rate_matcher.derate_match_batch(
             deinterleaved, redundancy_version
         )
-
-    def to_mother_domain(self, channel_llrs: np.ndarray, redundancy_version: int) -> np.ndarray:
-        """:meth:`to_mother_domain_batch` for one transmission."""
-        return self.to_mother_domain_batch(np.asarray(channel_llrs)[None], redundancy_version)[0]
 
     # ------------------------------------------------------------------ #
     def front_end_batch(
@@ -198,14 +186,3 @@ class Receiver:
         decoded = result.decoded_bits
         crc_ok = self.config.crc.check_batch(np.asarray(decoded))
         return decoded, crc_ok, result
-
-    def decode(self, combined_mother_llrs: np.ndarray):
-        """:meth:`decode_batch` for one packet.
-
-        Returns
-        -------
-        tuple
-            ``(payload_bits, crc_ok, decoder_result)``.
-        """
-        decoded, crc_ok, result = self.decode_batch(np.asarray(combined_mother_llrs)[None])
-        return decoded[0][: self.config.payload_bits], bool(crc_ok[0]), result

@@ -333,35 +333,6 @@ class HspaLikeLink:
             snr_db=float(snr_db), statistics=statistics, packet_results=packet_results
         )
 
-    # ------------------------------------------------------------------ #
-    def snr_sweep(
-        self,
-        snr_points_db,
-        num_packets: int,
-        rng: RngLike = None,
-        buffer_factory: Optional[BufferFactory] = None,
-        payloads: Optional[List[np.ndarray]] = None,
-    ) -> List[LinkSimulationResult]:
-        """Run :meth:`simulate_packets` over a list of SNR points.
-
-        When *payloads* is given, every SNR point transmits that same packet
-        set (channel realisations and noise still vary per point).  An empty
-        *snr_points_db* is a caller bug — it used to return ``[]`` silently —
-        and now raises.
-        """
-        points = [float(s) for s in snr_points_db]
-        if not points:
-            raise ValueError("snr_points_db must not be empty")
-        sweep_rngs = child_rngs(rng, len(points))
-        results = []
-        for point_rng, snr_db in zip(sweep_rngs, points):
-            results.append(
-                self.simulate_packets(
-                    num_packets, snr_db, point_rng, buffer_factory, payloads=payloads
-                )
-            )
-        return results
-
 
 # --------------------------------------------------------------------------- #
 def simulate_packet_groups(

@@ -2,7 +2,7 @@
 
 Implements the transmit side of the paper's Fig. 1(a): CRC attachment, turbo
 encoding, rate matching with a redundancy version, channel interleaving,
-QAM mapping and (optionally) OVSF spreading and RRC pulse shaping.
+QAM mapping and (optionally) OVSF spreading.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.link.config import LinkConfig
 from repro.phy.interleaving import ChannelInterleaver
-from repro.phy.pulse_shaping import PulseShaper
 from repro.phy.rate_matching import RateMatcher
 from repro.phy.spreading import Spreader
 from repro.phy.turbo import TurboCode
@@ -62,7 +61,6 @@ class Transmitter:
         self.spreader = (
             Spreader(config.spreading_factor) if config.spreading_factor > 1 else None
         )
-        self.pulse_shaper: Optional[PulseShaper] = None
 
     # ------------------------------------------------------------------ #
     def random_payload(self, rng: RngLike = None) -> np.ndarray:
@@ -102,10 +100,6 @@ class Transmitter:
             for i in range(stacked.shape[0])
         ]
 
-    def encode(self, payload: np.ndarray) -> EncodedPacket:
-        """:meth:`encode_batch` for one payload."""
-        return self.encode_batch([payload])[0]
-
     # ------------------------------------------------------------------ #
     def transmission_bits_batch(
         self, packets: list[EncodedPacket], redundancy_version: int
@@ -130,8 +124,6 @@ class Transmitter:
         symbols = symbols.reshape(batch, -1)
         if self.spreader is not None:
             symbols = self.spreader.spread_batch(symbols)
-        if self.pulse_shaper is not None:
-            symbols = np.stack([self.pulse_shaper.shape(row) for row in symbols])
         return symbols
 
     def transmit_batch(
@@ -139,11 +131,3 @@ class Transmitter:
     ) -> np.ndarray:
         """Produce the transmit sample matrix of one batched (re)transmission."""
         return self.modulate_batch(self.transmission_bits_batch(packets, redundancy_version))
-
-    def transmission_bits(self, packet: EncodedPacket, redundancy_version: int) -> np.ndarray:
-        """:meth:`transmission_bits_batch` for one packet."""
-        return self.transmission_bits_batch([packet], redundancy_version)[0]
-
-    def transmit(self, packet: EncodedPacket, redundancy_version: int) -> np.ndarray:
-        """:meth:`transmit_batch` for one packet."""
-        return self.transmit_batch([packet], redundancy_version)[0]

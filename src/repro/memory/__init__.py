@@ -24,7 +24,6 @@ from repro.memory.ecc import HammingCode
 from repro.memory.power import AreaModel, PowerModel
 from repro.memory.yield_model import (
     acceptance_yield,
-    defect_free_yield,
     min_defects_for_yield,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "SoftErrorModel",
     "acceptance_yield",
     "coerce_fault_model",
-    "defect_free_yield",
     "min_defects_for_yield",
 ]

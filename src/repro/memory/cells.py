@@ -109,16 +109,6 @@ CELL_8T = BitCellType(
 CELL_TYPES = {cell.name: cell for cell in (CELL_6T, CELL_6T_UPSIZED, CELL_8T)}
 
 
-def get_cell_type(name: str) -> BitCellType:
-    """Look up a built-in cell type by name."""
-    try:
-        return CELL_TYPES[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown cell type {name!r}; choose from {sorted(CELL_TYPES)}"
-        ) from exc
-
-
 @dataclass(frozen=True)
 class SoftErrorModel:
     """Radiation-induced (non-persistent) bit-flip rate model.

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.memory.cells import BitCellType, CELL_6T, CELL_8T
 from repro.utils.validation import ensure_non_negative_int, ensure_positive_int
 
@@ -55,13 +53,6 @@ class AreaModel:
         ensure_positive_int(bits_per_word, "bits_per_word")
         cells = num_words * bits_per_word
         return cells * self.baseline_cell.relative_area * (1.0 + self.peripheral_overhead)
-
-    def robust_array_area(self, num_words: int, bits_per_word: int) -> float:
-        """Area of an all-robust-cell (e.g. all-8T) array."""
-        ensure_positive_int(num_words, "num_words")
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        cells = num_words * bits_per_word
-        return cells * self.robust_cell.relative_area * (1.0 + self.peripheral_overhead)
 
     def hybrid_array_area(
         self, num_words: int, bits_per_word: int, protected_bits: int
@@ -154,31 +145,8 @@ class PowerModel:
         )
         return float(dynamic + leakage)
 
-    def hybrid_relative_power(
-        self,
-        vdd: float,
-        bits_per_word: int,
-        protected_bits: int,
-        baseline_cell: BitCellType = CELL_6T,
-        robust_cell: BitCellType = CELL_8T,
-    ) -> float:
-        """Power of a hybrid array at *vdd*, relative to the all-6T array at nominal Vdd."""
-        ensure_positive_int(bits_per_word, "bits_per_word")
-        protected_bits = ensure_non_negative_int(protected_bits, "protected_bits")
-        if protected_bits > bits_per_word:
-            raise ValueError("protected_bits cannot exceed bits_per_word")
-        fraction_protected = protected_bits / bits_per_word
-        return float(
-            fraction_protected * self.relative_power(vdd, robust_cell)
-            + (1.0 - fraction_protected) * self.relative_power(vdd, baseline_cell)
-        )
-
     def power_saving(self, vdd: float, cell: BitCellType = CELL_6T) -> float:
         """Fractional power saving of operating at *vdd* versus nominal voltage."""
         return 1.0 - self.relative_power(vdd, cell) / self.relative_power(
             self.nominal_vdd, CELL_6T
         )
-
-    def voltage_sweep(self, voltages: np.ndarray, cell: BitCellType = CELL_6T) -> np.ndarray:
-        """Vectorised :meth:`relative_power` over an array of voltages."""
-        return np.array([self.relative_power(float(v), cell) for v in np.asarray(voltages)])

@@ -26,16 +26,6 @@ from repro.utils.validation import (
 )
 
 
-def defect_free_yield(cell_failure_probability: float, array_size: int) -> float:
-    """Eq. (1): probability that an array of *array_size* cells has zero defects."""
-    p = ensure_probability(cell_failure_probability, "cell_failure_probability")
-    m = ensure_positive_int(array_size, "array_size")
-    # Computed in log space to stay accurate for large arrays.
-    if p >= 1.0:
-        return 0.0
-    return float(np.exp(m * np.log1p(-p)))
-
-
 def acceptance_yield(
     cell_failure_probability: float, array_size: int, max_faulty_cells: int
 ) -> float:

@@ -47,7 +47,7 @@ class Crc:
 
     @property
     def num_check_bits(self) -> int:
-        """Number of parity bits appended by :meth:`attach`."""
+        """Number of parity bits appended by :meth:`attach_batch`."""
         return len(self.polynomial) - 1
 
     def _remainder_matrix(self, num_bits: int) -> np.ndarray:
@@ -98,14 +98,6 @@ class Crc:
             )
         expected = self.compute_batch(data[:, : -self.num_check_bits])
         return np.all(expected == data[:, -self.num_check_bits :], axis=1)
-
-    def attach(self, bits: np.ndarray) -> np.ndarray:
-        """Append the CRC parity bits to one bit vector."""
-        return self.attach_batch(ensure_bit_array(bits)[None])[0]
-
-    def check(self, bits_with_crc: np.ndarray) -> bool:
-        """Return ``True`` when the trailing CRC of one bit vector is valid."""
-        return bool(self.check_batch(ensure_bit_array(bits_with_crc)[None])[0])
 
     def strip(self, bits_with_crc: np.ndarray) -> np.ndarray:
         """Remove the CRC parity bits (without checking them)."""

@@ -10,11 +10,8 @@ memory faults — before they reach the channel decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
-from repro.utils.rng import as_rng
 from repro.utils.validation import ensure_positive_int
 
 
@@ -60,26 +57,6 @@ class Interleaver:
         out[:, self.permutation] = arr
         return out
 
-    def interleave(self, sequence: np.ndarray) -> np.ndarray:
-        """:meth:`interleave_batch` for one sequence."""
-        return self.interleave_batch(np.asarray(sequence)[None])[0]
-
-    def deinterleave(self, sequence: np.ndarray) -> np.ndarray:
-        """:meth:`deinterleave_batch` for one sequence."""
-        return self.deinterleave_batch(np.asarray(sequence)[None])[0]
-
-    @property
-    def inverse(self) -> "Interleaver":
-        """The inverse permutation as an :class:`Interleaver`."""
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.permutation] = np.arange(self.size)
-        return Interleaver(inv)
-
-
-def identity_interleaver(size: int) -> Interleaver:
-    """The trivial (no-op) interleaver."""
-    return Interleaver(np.arange(ensure_positive_int(size, "size")))
-
 
 def block_interleaver(size: int, num_columns: int = 30) -> Interleaver:
     """Row-in / column-out rectangular block interleaver (3GPP 2nd interleaver style).
@@ -106,12 +83,6 @@ def block_interleaver(size: int, num_columns: int = 30) -> Interleaver:
     read_out = indices[:, col_order].T.reshape(-1)
     permutation = read_out[read_out < size]
     return Interleaver(permutation)
-
-
-def random_interleaver(size: int, seed: Optional[int] = 0) -> Interleaver:
-    """Uniformly random interleaver (useful as an idealised reference)."""
-    size = ensure_positive_int(size, "size")
-    return Interleaver(as_rng(seed).permutation(size))
 
 
 @dataclass(frozen=True)

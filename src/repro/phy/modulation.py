@@ -19,8 +19,21 @@ from typing import Dict
 
 import numpy as np
 
-from repro.phy.bits import bits_to_symbols_matrix
 from repro.utils.validation import ensure_bit_array, ensure_positive_int
+
+
+def bits_to_symbols_matrix(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
+    """Reshape a flat bit stream into a (num_symbols, bits_per_symbol) matrix.
+
+    Pads with zeros if the length is not a multiple of *bits_per_symbol*.
+    """
+    arr = ensure_bit_array(bits)
+    bits_per_symbol = ensure_positive_int(bits_per_symbol, "bits_per_symbol")
+    remainder = arr.size % bits_per_symbol
+    if remainder:
+        pad = bits_per_symbol - remainder
+        arr = np.concatenate([arr, np.zeros(pad, dtype=np.int8)])
+    return arr.reshape(-1, bits_per_symbol)
 
 
 def _gray_pam_levels(bits_per_axis: int) -> np.ndarray:
@@ -76,11 +89,6 @@ class Modulator:
         return self.bits_per_symbol // 2
 
     @property
-    def constellation_size(self) -> int:
-        """Number of points in the constellation."""
-        return 1 << self.bits_per_symbol
-
-    @property
     def normalization(self) -> float:
         """Scale factor giving unit average symbol energy."""
         m_axis = 1 << self.bits_per_axis
@@ -90,23 +98,6 @@ class Modulator:
 
     def _axis_levels(self) -> np.ndarray:
         return _gray_pam_levels(self.bits_per_axis)
-
-    def constellation(self) -> np.ndarray:
-        """Return the complex constellation indexed by the symbol bit pattern."""
-        k = self.bits_per_symbol
-        points = np.empty(1 << k, dtype=np.complex128)
-        for pattern in range(1 << k):
-            bits = [(pattern >> (k - 1 - i)) & 1 for i in range(k)]
-            points[pattern] = self._map_bit_group(np.array(bits, dtype=np.int8))
-        return points
-
-    def _map_bit_group(self, bits: np.ndarray) -> complex:
-        levels = self._axis_levels()
-        i_bits = bits[0::2]
-        q_bits = bits[1::2]
-        i_idx = int("".join(str(int(b)) for b in i_bits), 2)
-        q_idx = int("".join(str(int(b)) for b in q_bits), 2)
-        return self.normalization * complex(levels[i_idx], levels[q_idx])
 
     # ------------------------------------------------------------------ #
     # modulation
@@ -128,11 +119,6 @@ class Modulator:
     # ------------------------------------------------------------------ #
     # demodulation
     # ------------------------------------------------------------------ #
-    def demodulate_hard(self, symbols: np.ndarray) -> np.ndarray:
-        """Hard-decision demapping: nearest constellation point per symbol."""
-        llrs = self.demodulate_soft(symbols, noise_variance=1.0)
-        return (llrs < 0).astype(np.int8)
-
     def demodulate_soft(
         self,
         symbols: np.ndarray,
@@ -183,11 +169,6 @@ class Modulator:
             max1 = metrics[:, ~mask0].max(axis=1)
             llrs[:, bit] = max0 - max1
         return llrs
-
-    def average_symbol_energy(self) -> float:
-        """Average energy of the (normalised) constellation — should be 1.0."""
-        points = self.constellation()
-        return float(np.mean(np.abs(points) ** 2))
 
 
 #: Modulators keyed by their 3GPP-style names.

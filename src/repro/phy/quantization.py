@@ -82,10 +82,6 @@ class LlrQuantizer:
         """Map signed integer codes back to real LLR values."""
         return np.asarray(indices, dtype=np.float64) * self.step
 
-    def quantize(self, llrs: np.ndarray) -> np.ndarray:
-        """Round-trip a real LLR array through the quantizer (float output)."""
-        return self.index_to_value(self.quantize_to_index(llrs))
-
     # ------------------------------------------------------------------ #
     # integer code <-> stored word bits
     # ------------------------------------------------------------------ #
@@ -160,10 +156,6 @@ class LlrQuantizer:
             )
         weights = 1 << np.arange(self.num_bits - 1, -1, -1, dtype=np.int64)
         return mat @ weights
-
-    def quantization_noise_power(self) -> float:
-        """Variance of the quantization error for uniformly distributed inputs."""
-        return self.step**2 / 12.0
 
 
 @lru_cache(maxsize=16)

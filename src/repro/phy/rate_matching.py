@@ -87,10 +87,6 @@ class RateMatcher:
             )
         return bits[:, self.output_indices(redundancy_version)]
 
-    def rate_match(self, coded_bits: np.ndarray, redundancy_version: int = 0) -> np.ndarray:
-        """:meth:`rate_match_batch` for one coded vector."""
-        return self.rate_match_batch(np.asarray(coded_bits)[None], redundancy_version)[0]
-
     # ------------------------------------------------------------------ #
     # receiver side
     # ------------------------------------------------------------------ #
@@ -124,13 +120,6 @@ class RateMatcher:
             rows = np.arange(llr_arr.shape[0])
             np.add.at(buffer, (rows[:, None], indices[None, :]), llr_arr)
         return buffer
-
-    def derate_match(
-        self, llrs: np.ndarray, redundancy_version: int = 0
-    ) -> np.ndarray:
-        """:meth:`derate_match_batch` for one LLR vector."""
-        llr_arr = np.asarray(llrs, dtype=np.float64).reshape(1, -1)
-        return self.derate_match_batch(llr_arr, redundancy_version)[0]
 
     # ------------------------------------------------------------------ #
     # bookkeeping

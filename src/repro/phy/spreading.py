@@ -40,21 +40,6 @@ def ovsf_code(spreading_factor: int, index: int) -> np.ndarray:
     return code
 
 
-def ovsf_code_tree(spreading_factor: int) -> np.ndarray:
-    """Return all OVSF codes of a given SF as a (SF, SF) ±1 matrix."""
-    sf = ensure_positive_int(spreading_factor, "spreading_factor")
-    if sf & (sf - 1):
-        raise ValueError(f"spreading_factor must be a power of two, got {sf}")
-    tree = np.array([[1.0]])
-    while tree.shape[1] < sf:
-        upper = np.hstack([tree, tree])
-        lower = np.hstack([tree, -tree])
-        tree = np.empty((2 * tree.shape[0], 2 * tree.shape[1]))
-        tree[0::2] = upper
-        tree[1::2] = lower
-    return tree
-
-
 def scrambling_sequence(length: int, seed: int = 0) -> np.ndarray:
     """Pseudo-random complex scrambling sequence of unit-modulus chips.
 
@@ -130,24 +115,3 @@ class Spreader:
         descrambled = chip_arr * np.conj(scramble)[None, :]
         mat = descrambled.reshape(-1, sf)
         return (mat @ self.code / sf).reshape(batch, -1)
-
-    def spread(self, symbols: np.ndarray) -> np.ndarray:
-        """:meth:`spread_batch` for one symbol vector."""
-        return self.spread_batch(np.asarray(symbols).reshape(1, -1))[0]
-
-    def despread(self, chips: np.ndarray) -> np.ndarray:
-        """:meth:`despread_batch` for one chip vector."""
-        return self.despread_batch(np.asarray(chips).reshape(1, -1))[0]
-
-    def processing_gain_db(self) -> float:
-        """Processing gain of the despreading correlation in dB."""
-        return float(10.0 * np.log10(self.spreading_factor))
-
-
-def cross_correlation(code_a: np.ndarray, code_b: np.ndarray) -> float:
-    """Normalised cross-correlation between two codes of equal length."""
-    a = np.asarray(code_a, dtype=np.float64)
-    b = np.asarray(code_b, dtype=np.float64)
-    if a.size != b.size:
-        raise ValueError(f"code length mismatch: {a.size} vs {b.size}")
-    return float(np.dot(a, b) / a.size)

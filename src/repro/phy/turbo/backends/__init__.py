@@ -103,16 +103,6 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(names)
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Backend tokens whose family is importable on this machine."""
-    names = []
-    for family in _FAMILIES:
-        if _FAMILIES[family].probe()[0]:
-            names.append(family)
-            names.append(f"{family}-f32")
-    return tuple(names)
-
-
 def family_listing() -> List[Dict[str, object]]:
     """Availability report of every family, for ``repro backends ls``."""
     default_family = resolve_backend(DEFAULT_BACKEND, warn=False).family
@@ -175,13 +165,6 @@ def resolve_backend(name: Union[str, BackendSpec], *, warn: bool = True) -> Back
     return spec
 
 
-def backend_is_exact(spec_or_name: Union[str, BackendSpec]) -> bool:
-    """Whether the (resolved) backend is bit-exact against the numpy kernel
-    at the same dtype (as opposed to tolerance-gated max-log parity)."""
-    spec = resolve_backend(spec_or_name, warn=False)
-    return _FAMILIES[spec.family].exact
-
-
 def identity_spec(spec_or_name: Union[str, BackendSpec]) -> BackendSpec:
     """The backend a result of *spec_or_name* is filed under.
 
@@ -215,8 +198,6 @@ __all__ = [
     "NEG_INF",
     "NumpySisoBackend",
     "SisoBackend",
-    "available_backends",
-    "backend_is_exact",
     "backend_names",
     "create_backend",
     "family_listing",

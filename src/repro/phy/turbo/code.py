@@ -66,10 +66,6 @@ class TurboCode:
         circular-buffer ordered sequence."""
         return self.encoder.encode_batch(bits)
 
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """:meth:`encode_batch` for one bit vector."""
-        return self.encoder.encode(bits)
-
     def decode_buffer(self, buffer_llrs: np.ndarray) -> TurboDecoderResult:
         """Decode LLRs arranged in the circular-buffer order.
 

@@ -9,7 +9,7 @@ import numpy as np
 from repro.phy.rate_matching import make_systematic_priority_buffer_batch
 from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
-from repro.utils.validation import ensure_bit_array, ensure_positive_int
+from repro.utils.validation import ensure_positive_int
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,3 @@ class TurboEncoder:
         :func:`repro.phy.rate_matching.make_systematic_priority_buffer_batch`).
         """
         return make_systematic_priority_buffer_batch(*self.encode_streams_batch(bits))
-
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """:meth:`encode_batch` for one bit vector."""
-        return self.encode_batch(ensure_bit_array(bits)[None])[0]

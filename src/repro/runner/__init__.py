@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`~repro.runner.parallel.ParallelRunner` — the streaming scheduler
   (deterministic sharding, ordered collection, adaptive stopping).
-* :mod:`repro.runner.backends` — pluggable execution backends (``serial``,
+* :mod:`repro.runner.backends` — the execution backends (``serial``,
   ``process``, ``socket``) the scheduler hands work items to; all of them
   produce bit-identical results for the same plan.
 * :mod:`repro.runner.tasks` — the picklable work items drivers decompose
@@ -22,7 +22,6 @@ from repro.runner.backends import (
     ExecutionBackend,
     create_execution_backend,
     execution_backend_names,
-    register_execution_backend,
 )
 from repro.runner.cache import ResultCache, config_digest
 from repro.runner.parallel import (
@@ -65,7 +64,6 @@ __all__ = [
     "execution_backend_names",
     "experiment_names",
     "get_experiment",
-    "register_execution_backend",
     "resolve_runner",
     "run_experiment",
     "runner_scope",

@@ -15,8 +15,7 @@ Backends are selected by name (mirroring the decoder-backend registry in
 Because every work item is seeded by its sweep coordinates, all backends
 produce **bit-identical results** for the same plan; the choice is pure
 execution topology and is therefore excluded from the run identity (caches
-and golden files never record it).  Additional families — an asyncio or an
-MPI backend, say — plug in via :func:`register_execution_backend`.
+and golden files never record it).
 """
 
 from __future__ import annotations
@@ -76,19 +75,6 @@ _FAMILIES: Dict[str, Callable[..., ExecutionBackend]] = {
 }
 
 
-def register_execution_backend(
-    family: str, factory: Callable[..., ExecutionBackend]
-) -> None:
-    """Register an additional backend family (rejecting duplicates).
-
-    The factory is called as ``factory(workers, mp_context, **options)`` and
-    must return an :class:`ExecutionBackend`.
-    """
-    if family in _FAMILIES:
-        raise ValueError(f"duplicate execution backend family {family!r}")
-    _FAMILIES[family] = factory
-
-
 def execution_backend_names() -> Tuple[str, ...]:
     """Every selectable execution-backend token."""
     return tuple(_FAMILIES)
@@ -130,7 +116,6 @@ __all__ = [
     "create_execution_backend",
     "default_workers",
     "execution_backend_names",
-    "register_execution_backend",
     "run_worker",
     "validate_task_error_policy",
 ]

@@ -109,11 +109,6 @@ class ExecutionBackend(ABC):
         """Release pools / sockets / worker daemons (idempotent)."""
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_serial(self) -> bool:
-        """Whether work runs inline in the calling process."""
-        return False
-
     def __enter__(self) -> "ExecutionBackend":
         return self
 

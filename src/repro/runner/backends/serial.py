@@ -54,7 +54,3 @@ class SerialBackend(ExecutionBackend):
                     workers=("serial",),
                 )
             yield index, result
-
-    @property
-    def is_serial(self) -> bool:
-        return True

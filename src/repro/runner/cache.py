@@ -317,11 +317,3 @@ def serialize_payload(
         "extras": canonicalize(extras or {}),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def deserialize_tables(payload: Dict[str, Any]) -> Dict[str, SweepTable]:
-    """Rebuild the :class:`SweepTable` mapping from a stored payload."""
-    return {
-        name: SweepTable.from_json_dict(table)
-        for name, table in payload.get("tables", {}).items()
-    }

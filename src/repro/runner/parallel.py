@@ -163,11 +163,6 @@ class ParallelRunner:
         """The execution backend work is scheduled onto."""
         return self._backend
 
-    @property
-    def is_serial(self) -> bool:
-        """Whether work runs in-process (no executor involved)."""
-        return self._backend.is_serial
-
     def close(self) -> None:
         """Release the backend's resources (pools, sockets, worker daemons)."""
         self._backend.close()

@@ -82,13 +82,6 @@ class ExperimentRun:
     tables: Dict[str, SweepTable]
     extras: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def primary_table(self) -> SweepTable:
-        """The main table (``"table"`` if present, else the first by name)."""
-        if "table" in self.tables:
-            return self.tables["table"]
-        return self.tables[sorted(self.tables)[0]]
-
 
 #: All registered experiments by CLI name, in paper order.
 EXPERIMENTS: Dict[str, ExperimentSpec] = {}

@@ -257,11 +257,6 @@ class FaultMapOutcome:
         return self.statistics.normalized_throughput
 
 
-def simulate_fault_map(task: FaultMapTask) -> FaultMapOutcome:
-    """Run one :class:`FaultMapTask` and return the die's outcome."""
-    return simulate_fault_map_batch((task,))[0]
-
-
 def _fault_map_group(link: HspaLikeLink, task: FaultMapTask) -> Tuple[PacketGroup, int, int]:
     """Build one die's packet group (fault map installed) from its task.
 

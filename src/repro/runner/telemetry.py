@@ -147,18 +147,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # read paths
     # ------------------------------------------------------------------ #
-    def counter_value(self, name: str, **labels: Any) -> float:
-        """One counter's value (0 when it never fired)."""
-        with self._lock:
-            return self._counters.get((name, _label_key(labels)), 0)
-
-    def counter_total(self, name: str) -> float:
-        """Sum of a counter over every label set (0 when it never fired)."""
-        with self._lock:
-            return sum(
-                value for (n, _), value in self._counters.items() if n == name
-            )
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able view of everything recorded so far."""
         with self._lock:

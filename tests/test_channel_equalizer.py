@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel.awgn import (
-    AwgnChannel,
-    awgn_noise,
-    ebn0_to_esn0_db,
-    esn0_to_ebn0_db,
-    noise_variance_to_snr_db,
-    snr_db_to_noise_variance,
-)
-from repro.channel.fading import JakesFadingProcess, block_rayleigh_gains
+from repro.channel.awgn import awgn_noise
+from repro.channel.fading import JakesFadingProcess, block_rayleigh_gains, jakes_gains_batch
 from repro.channel.multipath import (
     ITU_PEDESTRIAN_A,
     ITU_PEDESTRIAN_B,
@@ -26,31 +19,20 @@ from repro.phy.modulation import get_modulator
 
 
 class TestAwgn:
-    def test_snr_conversion_roundtrip(self):
-        assert noise_variance_to_snr_db(snr_db_to_noise_variance(13.0)) == pytest.approx(13.0)
-
-    def test_ebn0_esn0_roundtrip(self):
-        esn0 = ebn0_to_esn0_db(5.0, 6, 0.75)
-        assert esn0_to_ebn0_db(esn0, 6, 0.75) == pytest.approx(5.0)
-
-    def test_ebn0_to_esn0_increases_with_bits(self):
-        assert ebn0_to_esn0_db(3.0, 6, 0.5) > ebn0_to_esn0_db(3.0, 2, 0.5)
-
     def test_noise_variance_statistics(self, rng):
         noise = awgn_noise(200_000, 0.4, rng)
         assert np.var(noise) == pytest.approx(0.4, rel=0.03)
         assert np.abs(np.mean(noise)) < 0.01
 
     def test_awgn_channel_snr(self, rng):
-        channel = AwgnChannel(snr_db=10.0)
-        signal = np.ones(100_000, dtype=complex)
-        received = channel.apply(signal, rng)
-        measured_noise_power = np.var(received - signal)
-        assert measured_noise_power == pytest.approx(0.1, rel=0.05)
-
-    def test_invalid_noise_variance(self):
-        with pytest.raises(ValueError):
-            noise_variance_to_snr_db(0.0)
+        """The noise a flat channel adds has the variance its SNR implies."""
+        channel = MultipathChannel(SINGLE_PATH)
+        signal = np.ones((1, 100_000), dtype=complex)
+        received, responses, noise_variances = channel.apply_batch(signal, 10.0, [rng])
+        path_power = np.abs(responses[0, 0]) ** 2
+        assert noise_variances[0] == pytest.approx(path_power / 10.0, rel=1e-12)
+        noise = received[0] - responses[0, 0] * signal[0]
+        assert np.var(noise) == pytest.approx(noise_variances[0], rel=0.03)
 
 
 class TestFading:
@@ -70,19 +52,15 @@ class TestFading:
 
     def test_jakes_unit_power(self, rng):
         process = JakesFadingProcess(doppler_hz=50.0, sample_rate_hz=10_000.0)
-        waveform = process.generate(50_000, rng)
+        waveform = jakes_gains_batch([process.realization(rng)], 0, 50_000)[0]
         assert np.mean(np.abs(waveform) ** 2) == pytest.approx(1.0, rel=0.15)
 
     def test_jakes_correlation_decays(self, rng):
         process = JakesFadingProcess(doppler_hz=100.0, sample_rate_hz=10_000.0)
-        waveform = process.generate(20_000, rng)
+        waveform = jakes_gains_batch([process.realization(rng)], 0, 20_000)[0]
         lag_short = np.abs(np.vdot(waveform[:-1], waveform[1:])) / (waveform.size - 1)
         lag_long = np.abs(np.vdot(waveform[:-400], waveform[400:])) / (waveform.size - 400)
         assert lag_short > lag_long
-
-    def test_coherence_time(self):
-        assert JakesFadingProcess(10.0, 1000.0).coherence_time() == pytest.approx(0.0423)
-        assert JakesFadingProcess(0.0, 1000.0).coherence_time() == float("inf")
 
 
 class TestMultipath:
@@ -110,8 +88,8 @@ class TestMultipath:
 
     def test_apply_output_length_and_snr(self, rng):
         channel = MultipathChannel(ITU_PEDESTRIAN_A)
-        signal = np.exp(1j * rng.uniform(0, 2 * np.pi, 20_000))
-        received, impulse_response, noise_variance = channel.apply(signal, 15.0, rng)
+        signal = np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 20_000)))
+        received, impulse_response, noise_variance = channel.apply_batch(signal, 15.0, [rng])
         assert received.size == signal.size + impulse_response.size - 1
         signal_power = np.mean(np.abs(signal) ** 2) * np.sum(np.abs(impulse_response) ** 2)
         assert signal_power / noise_variance == pytest.approx(10 ** 1.5, rel=1e-9)
@@ -134,8 +112,8 @@ class TestEqualizers:
         bits = rng.integers(0, 2, 4 * 500).astype(np.int8)
         symbols = modulator.modulate(bits)
         equalizer = MmseEqualizer(num_taps=8)
-        output = equalizer.equalize(symbols, np.array([1.0]), 1e-6, symbols.size)
-        assert np.allclose(output.symbols, symbols, atol=1e-3)
+        output = equalizer.equalize_batch(symbols[None], np.ones((1, 1)), [1e-6], symbols.size)
+        assert np.allclose(output.symbols[0], symbols, atol=1e-3)
 
     def test_mmse_removes_isi(self, rng):
         modulator = get_modulator("16QAM")
@@ -148,10 +126,14 @@ class TestEqualizers:
             rng.normal(size=received.shape) + 1j * rng.normal(size=received.shape)
         )
         equalizer = MmseEqualizer(num_taps=16)
-        output = equalizer.equalize(received, impulse_response, noise_variance, symbols.size)
-        ber = self._run_link((output.symbols, output.effective_noise_variance), modulator, bits)
+        output = equalizer.equalize_batch(
+            received[None], impulse_response[None], [noise_variance], symbols.size
+        )
+        ber = self._run_link(
+            (output.symbols[0], output.effective_noise_variance[0]), modulator, bits
+        )
         assert ber < 0.01
-        assert output.sinr > 10.0
+        assert output.sinr[0] > 10.0
 
     def test_mmse_sinr_tracks_snr(self, rng):
         modulator = get_modulator("QPSK")
@@ -160,26 +142,32 @@ class TestEqualizers:
         channel = MultipathChannel(ITU_PEDESTRIAN_A)
         sinrs = []
         for snr_db in (5.0, 20.0):
-            received, impulse_response, noise_variance = channel.apply(symbols, snr_db, rng)
-            output = MmseEqualizer(num_taps=12).equalize(
-                received, impulse_response, noise_variance, symbols.size
+            received, responses, noise_variances = channel.apply_batch(
+                symbols[None], snr_db, [rng]
             )
-            sinrs.append(output.sinr)
+            output = MmseEqualizer(num_taps=12).equalize_batch(
+                received, responses, noise_variances, symbols.size
+            )
+            sinrs.append(output.sinr[0])
         assert sinrs[1] > sinrs[0]
 
     def test_mmse_zero_channel_degenerate(self):
         equalizer = MmseEqualizer(num_taps=4)
-        output = equalizer.equalize(np.zeros(50, dtype=complex), np.zeros(3), 0.1, 10)
-        assert output.sinr == 0.0
+        output = equalizer.equalize_batch(
+            np.zeros((1, 50), dtype=complex), np.zeros((1, 3)), [0.1], 10
+        )
+        assert output.sinr[0] == 0.0
 
     def test_rake_single_path(self, rng):
         modulator = get_modulator("QPSK")
         bits = rng.integers(0, 2, 2 * 500).astype(np.int8)
         symbols = modulator.modulate(bits)
         rake = RakeReceiver()
-        recovered, noise = rake.combine(symbols * 0.7, np.array([0.7]), 0.01, symbols.size)
-        assert np.allclose(recovered, symbols, atol=1e-9)
-        assert noise == pytest.approx(0.01 / 0.49)
+        recovered, noise = rake.combine_batch(
+            symbols[None] * 0.7, np.full((1, 1), 0.7), [0.01], symbols.size
+        )
+        assert np.allclose(recovered[0], symbols, atol=1e-9)
+        assert noise[0] == pytest.approx(0.01 / 0.49)
 
     def test_rake_selects_strongest_fingers(self):
         rake = RakeReceiver(max_fingers=2)
@@ -197,14 +185,14 @@ class TestEqualizers:
         received = received + np.sqrt(noise_variance / 2) * (
             rng.normal(size=received.shape) + 1j * rng.normal(size=received.shape)
         )
-        mmse_out = MmseEqualizer(num_taps=16).equalize(
-            received, impulse_response, noise_variance, symbols.size
+        mmse_out = MmseEqualizer(num_taps=16).equalize_batch(
+            received[None], impulse_response[None], [noise_variance], symbols.size
         )
-        rake_symbols, rake_noise = RakeReceiver().combine(
-            received, impulse_response, noise_variance, symbols.size
+        rake_symbols, rake_noise = RakeReceiver().combine_batch(
+            received[None], impulse_response[None], [noise_variance], symbols.size
         )
         mmse_ber = self._run_link(
-            (mmse_out.symbols, mmse_out.effective_noise_variance), modulator, bits
+            (mmse_out.symbols[0], mmse_out.effective_noise_variance[0]), modulator, bits
         )
-        rake_ber = self._run_link((rake_symbols, rake_noise), modulator, bits)
+        rake_ber = self._run_link((rake_symbols[0], rake_noise[0]), modulator, bits)
         assert mmse_ber < rake_ber

@@ -1,5 +1,8 @@
 """Tests for the core fault-simulation framework and its analyses."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core import (
     NoProtection,
     SweepTable,
 )
+from repro.core import protection as protection_module
 from repro.core.montecarlo import proportion_confidence_interval, required_packets_for_bler
 from repro.core.voltage import VoltageScalingAnalysis
 from repro.experiments.fig8_efficiency import (
@@ -19,8 +23,10 @@ from repro.experiments.fig8_efficiency import (
 )
 from repro.experiments.fig9_bitwidth import BitWidthPoint, best_width_per_snr
 from repro.link import LinkConfig
+from repro.memory.ecc import HammingCode
 from repro.memory.power import AreaModel
 from repro.memory.yield_model import acceptance_yield
+from repro.runner.cli import main
 from repro.runner.tasks import GridPoint
 from repro.scenarios import SweepAxis, default_tables
 
@@ -51,16 +57,36 @@ class TestProtectionSchemes:
         assert scheme.area_overhead() >= 0.35
         assert scheme.ecc is not None
 
+    def test_ecc_code_is_built_once(self):
+        scheme = EccProtection(bits_per_word=10)
+        assert scheme.ecc is scheme.ecc
+        assert EccProtection(bits_per_word=10).ecc is scheme.ecc
+        assert EccProtection(bits_per_word=10, extended=True).ecc is not scheme.ecc
+        # The cached code stays out of the run identity.
+        assert "ecc" not in dataclasses.asdict(scheme)
+
+    def test_ecc_smoke_run_builds_one_code_per_distinct_code(self, monkeypatch, tmp_path):
+        built = []
+        build = HammingCode.__post_init__
+
+        def counting(code):
+            built.append((code.data_bits, code.extended))
+            build(code)
+
+        monkeypatch.setattr(HammingCode, "__post_init__", counting)
+        protection_module._hamming_code.cache_clear()
+        out = tmp_path / "ecc.json"
+        args = ["run", "scenario", "ecc-low-voltage", "--scale", "smoke", "--no-cache"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert built and len(built) == len(set(built)), built
+        golden = Path(__file__).parent / "golden" / "scenario-ecc-low-voltage.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_fault_map_respects_protection(self, rng):
         scheme = MsbProtection(bits_per_word=10, protected_msbs=3)
         fault_map = scheme.make_fault_map(200, 150, rng)
         assert fault_map.num_faults == 150
         assert fault_map.fault_mask[:, :3].sum() == 0
-
-    def test_column_failure_probabilities_ordering(self):
-        scheme = MsbProtection(bits_per_word=10, protected_msbs=4)
-        probabilities = scheme.column_failure_probabilities(0.7)
-        assert probabilities[:4].max() < probabilities[4:].min()
 
     def test_relative_power_orderings(self):
         unprotected = NoProtection(bits_per_word=10)
@@ -87,12 +113,11 @@ class TestSweepTable:
         with pytest.raises(KeyError):
             table.column("z")
 
-    def test_markdown_and_csv(self):
+    def test_markdown(self):
         table = SweepTable("title", ["x", "y"])
         table.add_row(x=1, y=0.5)
         markdown = table.to_markdown()
         assert "title" in markdown and "| x | y |" in markdown
-        assert "x,y" in table.to_csv()
 
 
 class TestMonteCarlo:
@@ -252,12 +277,6 @@ class TestVoltageScaling:
         generous = analysis.min_voltage_for_defect_budget(0.10)
         strict = analysis.min_voltage_for_defect_budget(0.0001)
         assert generous.vdd <= strict.vdd
-
-    def test_sweep_table(self):
-        analysis = VoltageScalingAnalysis(1000, MsbProtection(bits_per_word=10, protected_msbs=4))
-        table = analysis.sweep_table([1.0, 0.8, 0.6])
-        assert len(table) == 3
-        assert table.column("relative_power")[0] > table.column("relative_power")[-1]
 
     def test_power_saving_positive_below_nominal(self):
         analysis = VoltageScalingAnalysis(1000, NoProtection(bits_per_word=10))

@@ -27,11 +27,10 @@ from repro.phy.turbo.backends import (
     AUTO_PREFERENCE,
     BackendSpec,
     NumpySisoBackend,
-    available_backends,
-    backend_is_exact,
     backend_names,
     create_backend,
     family_listing,
+    identity_spec,
     parse_backend_name,
     resolve_backend,
 )
@@ -39,12 +38,17 @@ from repro.phy.turbo.trellis import UMTS_TRELLIS
 from repro.runner.cache import ResultCache, config_digest, decoder_backend_identity
 from repro.runner.cli import main, run_identity
 from repro.runner.point_store import bler_cell_identity
+from repro.utils.rng import child_rngs
 
 GOLDEN_FIG6 = Path(__file__).resolve().parent / "golden" / "fig6.json"
 
 
+def _available_families() -> set:
+    return {entry["family"] for entry in family_listing() if entry["available"]}
+
+
 def _native_available() -> bool:
-    return "native" in available_backends()
+    return "native" in _available_families()
 
 
 def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6, 1.4, 2.4, 3.2)):
@@ -53,7 +57,7 @@ def _noisy_batch(code: TurboCode, batch: int, rng, amp: float = 2.0, sigmas=(0.6
     rows = []
     for i in range(batch):
         bits = rng.integers(0, 2, k, dtype=np.int8)
-        coded = code.encode(bits)
+        coded = code.encode_batch(bits[None])[0]
         noise = rng.normal(0.0, sigmas[i % len(sigmas)], coded.size)
         rows.append((1.0 - 2.0 * coded.astype(np.float64)) * amp + noise)
     llrs = np.stack(rows)
@@ -84,7 +88,7 @@ class TestRegistry:
     def test_auto_resolves_to_an_available_family(self):
         spec = resolve_backend("auto")
         expected = next(
-            f for f in AUTO_PREFERENCE if f in {t for t in available_backends()}
+            f for f in AUTO_PREFERENCE if f in _available_families()
         )
         assert spec.family == expected
         if not _native_available():
@@ -94,7 +98,7 @@ class TestRegistry:
         # An empty kernel cache and a compiler that always fails.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("CC", "false")
-        assert "native" not in available_backends()
+        assert "native" not in _available_families()
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
             spec = resolve_backend("native-f32")
         assert spec.family == "numpy" and spec.dtype_name == "float32"
@@ -104,7 +108,7 @@ class TestRegistry:
 
     def test_exactness_classification(self):
         for token in ("numpy", "numpy-f32", "native", "native-f32", "auto"):
-            assert backend_is_exact(token), token
+            assert identity_spec(token).family == "numpy", token
         # The registry record itself, whether or not native built here.
         assert {e["family"]: e["exact"] for e in family_listing()} == {
             "numpy": True,
@@ -171,13 +175,13 @@ class TestFamilyConformance:
 
     @pytest.mark.parametrize("family", ["numpy", "native"])
     def test_family_agrees_with_reference(self, conformance_workload, family):
-        if family not in available_backends():
+        if family not in _available_families():
             pytest.skip(f"{family} family unavailable on this machine")
         code, inputs, reference = conformance_workload
         result = TurboDecoder(
             104, 4, interleaver=code.encoder.interleaver, backend=family
         ).decode(*inputs)
-        assert backend_is_exact(family)
+        assert identity_spec(family).family == "numpy"
         assert np.array_equal(reference.app_llrs, result.app_llrs)
         assert np.array_equal(np.signbit(reference.app_llrs), np.signbit(result.app_llrs))
         assert np.array_equal(reference.decoded_bits, result.decoded_bits)
@@ -185,7 +189,7 @@ class TestFamilyConformance:
 
     @pytest.mark.parametrize("family", ["numpy", "native"])
     def test_family_f32_decisions_agree(self, conformance_workload, family):
-        if family not in available_backends():
+        if family not in _available_families():
             pytest.skip(f"{family} family unavailable on this machine")
         code, inputs, reference = conformance_workload
         result = TurboDecoder(
@@ -255,7 +259,11 @@ class TestNativeBackend:
         statistics = {}
         for backend in ("numpy", "native"):
             link = HspaLikeLink(scale.link_config(decoder_backend=backend))
-            results = link.snr_sweep(scale.snr_points_db, 16, rng=2012)
+            point_rngs = child_rngs(2012, len(scale.snr_points_db))
+            results = [
+                link.simulate_packets(16, snr_db, point_rng)
+                for snr_db, point_rng in zip(scale.snr_points_db, point_rngs)
+            ]
             statistics[backend] = [
                 (
                     r.statistics.num_successful,

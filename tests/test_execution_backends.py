@@ -22,7 +22,6 @@ from repro.runner.backends import (
     SocketDistributedBackend,
     create_execution_backend,
     execution_backend_names,
-    register_execution_backend,
     run_worker,
 )
 from repro.runner.backends.wire import parse_address, recv_message, send_message
@@ -80,10 +79,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="serial"):
             create_execution_backend("teleport")
 
-    def test_duplicate_family_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            register_execution_backend("serial", lambda *a, **k: SerialBackend())
-
     def test_serial_rejects_socket_options(self):
         with pytest.raises(TypeError, match="bind"):
             create_execution_backend("serial", bind="127.0.0.1:0")
@@ -93,8 +88,8 @@ class TestRegistry:
         assert create_execution_backend(backend) is backend
 
     def test_resolve_runner_accepts_names_and_instances(self):
-        assert resolve_runner(None).is_serial
-        assert resolve_runner("serial").is_serial
+        assert resolve_runner(None).backend.name == "serial"
+        assert resolve_runner("serial").backend.name == "serial"
         runner = ParallelRunner(2)
         assert resolve_runner(runner) is runner
         with pytest.raises(TypeError):
@@ -120,7 +115,8 @@ class TestRegistry:
         assert not closed  # caller-provided runner stays open
 
         with runner_scope(None) as resolved:
-            assert resolved.is_serial  # built here; closed (a no-op) on exit
+            # Built here; closed (a no-op) on exit.
+            assert resolved.backend.name == "serial"
 
     def test_drivers_close_runners_built_from_backend_names(self, monkeypatch):
         """runner=\"socket\" in a driver must not leak coordinator daemons."""

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from repro.channel.fading import JakesFadingProcess
+from repro.channel.fading import JakesFadingProcess, jakes_gains_batch
 from repro.link.config import LinkConfig, parse_fading_token
 from repro.link.system import HspaLikeLink
 
@@ -34,12 +34,8 @@ def process():
 def ensemble(process):
     """A fixed-seed ensemble of waveforms, one row per realization."""
     rng = np.random.default_rng(ENSEMBLE_SEED)
-    return np.stack(
-        [
-            process.realization(rng).gains(0, SAMPLES_PER_REALIZATION)
-            for _ in range(NUM_REALIZATIONS)
-        ]
-    )
+    realizations = [process.realization(rng) for _ in range(NUM_REALIZATIONS)]
+    return jakes_gains_batch(realizations, 0, SAMPLES_PER_REALIZATION)
 
 
 class TestRayleighStatistics:
@@ -78,35 +74,42 @@ class TestRayleighStatistics:
 
 class TestRealizationDeterminism:
     def test_same_seed_same_waveform(self, process):
-        a = process.realization(np.random.default_rng(7)).gains(0, 64)
-        b = process.realization(np.random.default_rng(7)).gains(0, 64)
+        a = jakes_gains_batch([process.realization(np.random.default_rng(7))], 0, 64)[0]
+        b = jakes_gains_batch([process.realization(np.random.default_rng(7))], 0, 64)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self, process):
-        a = process.realization(np.random.default_rng(7)).gains(0, 64)
-        b = process.realization(np.random.default_rng(8)).gains(0, 64)
+        a = jakes_gains_batch([process.realization(np.random.default_rng(7))], 0, 64)[0]
+        b = jakes_gains_batch([process.realization(np.random.default_rng(8))], 0, 64)[0]
         assert not np.allclose(a, b)
+
+    def test_batch_rows_match_each_realization_alone(self, process):
+        rng = np.random.default_rng(7)
+        realizations = [process.realization(rng) for _ in range(3)]
+        together = jakes_gains_batch(realizations, 5, 64)
+        for index, realization in enumerate(realizations):
+            alone = jakes_gains_batch([realization], 5, 64)[0]
+            np.testing.assert_array_equal(together[index], alone)
 
     def test_chunked_generation_is_boundary_invariant(self, process):
         realization = process.realization(np.random.default_rng(7))
-        whole = realization.gains(0, 100)
+        whole = jakes_gains_batch([realization], 0, 100)
         for split in (1, 13, 50, 99):
             chunked = np.concatenate(
-                [realization.gains(0, split), realization.gains(split, 100 - split)]
+                [
+                    jakes_gains_batch([realization], 0, split),
+                    jakes_gains_batch([realization], split, 100 - split),
+                ],
+                axis=1,
             )
             np.testing.assert_array_equal(chunked, whole)
-
-    def test_generate_delegates_to_realization(self, process):
-        direct = process.generate(64, np.random.default_rng(7))
-        via_realization = process.realization(np.random.default_rng(7)).gains(0, 64)
-        np.testing.assert_array_equal(direct, via_realization)
 
     def test_gains_rejects_bad_windows(self, process):
         realization = process.realization(np.random.default_rng(7))
         with pytest.raises(ValueError):
-            realization.gains(-1, 10)
+            jakes_gains_batch([realization], -1, 10)
         with pytest.raises(ValueError):
-            realization.gains(0, 0)
+            jakes_gains_batch([realization], 0, 0)
 
 
 class TestFadingTokens:

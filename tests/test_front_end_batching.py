@@ -1,8 +1,7 @@
 """Batch-axis properties of the link front end.
 
-Every link stage has one implementation, a batch kernel; the single-packet
-names are ``[None]...[0]`` wrappers over it.  These tests pin what that
-design has to guarantee:
+Every link stage has one implementation, a batch kernel; a single packet
+is a batch of one.  These tests pin what that design has to guarantee:
 
 * each bit-domain kernel against an independent reference — the CRC's
   GF(2) matrix product against polynomial long division, the turbo encoder
@@ -30,9 +29,10 @@ from repro.equalizer.mmse import MmseEqualizer
 from repro.equalizer.rake import RakeReceiver
 from repro.experiments.scales import get_scale
 from repro.link import HspaLikeLink, LinkConfig
+from repro.harq.buffer import combined_mother_rows, store_transmission_rows
 from repro.link.system import PacketGroup, simulate_packet_groups
 from repro.phy.crc import CRC_8, CRC_16, CRC_24A
-from repro.phy.interleaving import random_interleaver
+from repro.phy.interleaving import Interleaver
 from repro.phy.rate_matching import RateMatcher
 from repro.phy.spreading import Spreader
 from repro.phy.turbo import TurboCode
@@ -168,8 +168,8 @@ def _seed_front_end_pass(link: HspaLikeLink, inputs, snr_db: float):
     redundancy_version = config.combining.redundancy_version(0)
     rows = []
     for packet_rng, payload, soft_buffer in zip(packet_rngs, payloads, buffers):
-        packet = link.transmitter.encode(payload)
-        samples = link.transmitter.transmit(packet, redundancy_version)
+        [packet] = link.transmitter.encode_batch([payload])
+        samples = link.transmitter.transmit_batch([packet], redundancy_version)[0]
         received, impulse_response, noise_variance = _seed_channel_apply(
             link.channel, samples, snr_db, as_rng(packet_rng)
         )
@@ -177,15 +177,15 @@ def _seed_front_end_pass(link: HspaLikeLink, inputs, snr_db: float):
             received, impulse_response, noise_variance, num_samples
         )
         if spreader is not None:
-            symbols = spreader.despread(symbols)
+            symbols = spreader.despread_batch(symbols[None])[0]
             effective_noise = effective_noise / spreader.spreading_factor
-        channel_llrs = receiver.demap(symbols, effective_noise)
+        channel_llrs = receiver.demap_batch(symbols[None], np.array([effective_noise]))
         if config.buffer_architecture == "per-transmission":
-            soft_buffer.store_transmission(0, channel_llrs, redundancy_version)
-            combined = soft_buffer.combined_mother_llrs(receiver.to_mother_domain_batch)
+            store_transmission_rows([soft_buffer], 0, channel_llrs, redundancy_version)
+            combined = combined_mother_rows([soft_buffer], receiver.to_mother_domain_batch)[0]
         else:
-            mother = receiver.to_mother_domain(channel_llrs, redundancy_version)
-            combined = soft_buffer.combine_and_store(mother)
+            mother = receiver.to_mother_domain_batch(channel_llrs, redundancy_version)
+            combined = soft_buffer.combine_and_store(mother[0])
         dtype = config.llr_numpy_dtype
         if combined.dtype != dtype:
             combined = combined.astype(dtype)
@@ -294,8 +294,8 @@ class TestBitKernels:
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=15, deadline=None)
     def test_deinterleave_inverts_interleave(self, batch, seed):
-        interleaver = random_interleaver(36, seed=seed)
         rng = np.random.default_rng(seed)
+        interleaver = Interleaver(rng.permutation(36))
         values = rng.normal(0.0, 1.0, (batch, 36))
         forward = interleaver.interleave_batch(values)
         assert np.array_equal(forward, values[:, interleaver.permutation])
@@ -303,7 +303,6 @@ class TestBitKernels:
         assert np.array_equal(
             interleaver.interleave_batch(interleaver.deinterleave_batch(values)), values
         )
-        assert np.array_equal(interleaver.inverse.interleave_batch(forward), values)
 
 
 # --------------------------------------------------------------------------- #
@@ -336,14 +335,14 @@ class TestSampleKernels:
             snrs,
             [np.random.default_rng(seed + 1 + i) for i in range(batch)],
         )
-        serial = MultipathChannel(ITU_PEDESTRIAN_A, 260.417)
+        alone = MultipathChannel(ITU_PEDESTRIAN_A, 260.417)
         for row in range(batch):
-            r, h, nv = serial.apply(
-                signals[row], float(snrs[row]), np.random.default_rng(seed + 1 + row)
+            r, h, nv = alone.apply_batch(
+                signals[row : row + 1], snrs[row], [np.random.default_rng(seed + 1 + row)]
             )
-            assert received[row].tobytes() == r.tobytes()
-            assert responses[row].tobytes() == h.tobytes()
-            assert float(variances[row]) == nv
+            assert received[row].tobytes() == r[0].tobytes()
+            assert responses[row].tobytes() == h[0].tobytes()
+            assert float(variances[row]) == float(nv[0])
 
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -354,7 +353,8 @@ class TestSampleKernels:
         ]
         gains = jakes_gains_batch(realizations, 3, 25)
         for row in range(batch):
-            assert gains[row].tobytes() == realizations[row].gains(3, 25).tobytes()
+            alone = jakes_gains_batch([realizations[row]], 3, 25)
+            assert gains[row].tobytes() == alone[0].tobytes()
 
     @given(batch=BATCHES, seed=SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -371,20 +371,19 @@ class TestSampleKernels:
         variances = rng.uniform(0.01, 1.0, batch)
         equalizer = MmseEqualizer(num_taps=8)
         # Two passes: the second is served from the design cache and must
-        # still match a fresh single-packet design exactly.
+        # still match a fresh design for a batch of one exactly.
         for _ in range(2):
             output = equalizer.equalize_batch(received, responses, variances, num_symbols)
             alone = MmseEqualizer(num_taps=8)
             for row in range(batch):
-                single = alone.equalize(
-                    received[row], responses[row], float(variances[row]), num_symbols
+                rows = slice(row, row + 1)
+                single = alone.equalize_batch(
+                    received[rows], responses[rows], variances[rows], num_symbols
                 )
-                assert output.symbols[row].tobytes() == single.symbols.tobytes()
-                assert output.taps[row].tobytes() == single.taps.tobytes()
-                assert float(output.effective_noise_variance[row]) == (
-                    single.effective_noise_variance
-                )
-                assert float(output.sinr[row]) == single.sinr
+                assert output.symbols[row].tobytes() == single.symbols[0].tobytes()
+                assert output.taps[row].tobytes() == single.taps[0].tobytes()
+                assert output.effective_noise_variance[row] == single.effective_noise_variance[0]
+                assert output.sinr[row] == single.sinr[0]
 
     @given(batch=BATCHES, seed=SEEDS, zero_tap=st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -409,11 +408,12 @@ class TestSampleKernels:
         rake = RakeReceiver(max_fingers=3)
         symbols, noise = rake.combine_batch(received, responses, variances, num_symbols)
         for row in range(batch):
-            expected, expected_noise = rake.combine(
-                received[row], responses[row], float(variances[row]), num_symbols
+            rows = slice(row, row + 1)
+            expected, expected_noise = rake.combine_batch(
+                received[rows], responses[rows], variances[rows], num_symbols
             )
-            assert symbols[row].tobytes() == expected.tobytes()
-            assert float(noise[row]) == expected_noise
+            assert symbols[row].tobytes() == expected[0].tobytes()
+            assert noise[row] == expected_noise[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -441,8 +441,9 @@ class TestLinkComposition:
         for rv in (0, 1):
             samples = transmitter.transmit_batch(packets, rv)
             for row in range(batch):
-                expected = transmitter.transmit(transmitter.encode(payloads[row]), rv)
-                assert samples[row].tobytes() == expected.tobytes()
+                alone = transmitter.encode_batch([payloads[row]])
+                expected = transmitter.transmit_batch(alone, rv)
+                assert samples[row].tobytes() == expected[0].tobytes()
 
     @given(seed=SEEDS, case=st.just((_SMALL_16QAM_CONFIG, 12.0, (5,))))
     @example(seed=2012, case=(get_scale("smoke").link_config(), 14.0, (1, 8, 32)))

@@ -12,9 +12,9 @@ from repro.memory.cells import (
     CELL_6T,
     CELL_6T_UPSIZED,
     CELL_8T,
+    CELL_TYPES,
     BitCellType,
     SoftErrorModel,
-    get_cell_type,
 )
 from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel
@@ -22,7 +22,6 @@ from repro.memory.power import AreaModel, PowerModel
 from repro.memory.yield_model import (
     acceptance_yield,
     acceptance_yield_curve,
-    defect_free_yield,
     min_defects_for_yield,
 )
 
@@ -55,9 +54,7 @@ class TestCells:
         assert CELL_6T.relative_area < CELL_6T_UPSIZED.relative_area < CELL_8T.relative_area
 
     def test_registry(self):
-        assert get_cell_type("8T") is CELL_8T
-        with pytest.raises(ValueError):
-            get_cell_type("12T")
+        assert CELL_TYPES["8T"] is CELL_8T
 
     def test_soft_error_scaling(self):
         model = SoftErrorModel()
@@ -330,6 +327,19 @@ class TestHammingCode:
         with pytest.raises(ValueError):
             code.decode(np.array([-1]))
 
+    @EXHAUSTIVE_CODES
+    @pytest.mark.parametrize("data_bits", [4, 10])
+    def test_minimum_distance(self, data_bits, extended):
+        """Hamming codes have minimum distance 3; the overall parity bit makes it 4.
+
+        The code is linear, so its minimum distance is the least weight of a
+        nonzero codeword.
+        """
+        code = HammingCode(data_bits, extended=extended)
+        codewords = code.encode(np.arange(1, 1 << data_bits))
+        least_weight = min(bin(int(word)).count("1") for word in codewords)
+        assert least_weight == (4 if extended else 3)
+
     def test_codewords_are_data_then_parity(self, rng):
         code = HammingCode(10, extended=True)
         data = rng.integers(0, 1 << 10, 64)
@@ -419,7 +429,8 @@ class TestHammingCode:
 
 class TestYieldModel:
     def test_eq1_matches_eq2_at_zero_defects(self):
-        assert defect_free_yield(1e-4, 10_000) == pytest.approx(
+        """Eq. (1), Y = (1 - Pcell)^M, is Eq. (2) with no accepted defect."""
+        assert (1.0 - 1e-4) ** 10_000 == pytest.approx(
             acceptance_yield(1e-4, 10_000, 0), rel=1e-9
         )
 
@@ -452,13 +463,12 @@ class TestYieldModel:
     def test_yield_is_probability_property(self, pcell, size, defects):
         value = acceptance_yield(pcell, size, defects)
         assert 0.0 <= value <= 1.0
-        assert value >= defect_free_yield(pcell, size) - 1e-12
+        assert value >= (1.0 - pcell) ** size - 1e-12
 
 
 class TestHybridAndPower:
     def test_area_model_orderings(self):
         model = AreaModel()
-        assert model.robust_array_area(100, 10) > model.plain_array_area(100, 10)
         assert model.hybrid_overhead(10, 0) == pytest.approx(0.0)
         assert model.hybrid_overhead(10, 10) == pytest.approx(0.30, abs=0.01)
         assert model.ecc_overhead(10, 14) > 0.35
@@ -471,13 +481,6 @@ class TestHybridAndPower:
         model = PowerModel()
         saving = model.power_saving(0.8)
         assert 0.25 <= saving <= 0.45
-
-    def test_hybrid_power_between_pure_arrays(self):
-        model = PowerModel()
-        hybrid = model.hybrid_relative_power(0.8, 10, 4)
-        all_6t = model.relative_power(0.8, CELL_6T)
-        all_8t = model.relative_power(0.8, CELL_8T)
-        assert all_6t <= hybrid <= all_8t
 
     def test_invalid_power_model(self):
         with pytest.raises(ValueError):

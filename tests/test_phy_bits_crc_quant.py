@@ -1,102 +1,69 @@
-"""Tests for bit utilities, CRC codes and the LLR quantizer."""
+"""Tests for the bit-to-symbol reshape, word bit matrices, CRC codes and the LLR quantizer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.bits import (
-    bit_error_rate,
-    bits_to_int,
-    bits_to_symbols_matrix,
-    gray_code,
-    gray_to_binary,
-    hamming_distance,
-    int_to_bits,
-    pack_bits,
-    random_bits,
-    unpack_bits,
-)
 from repro.phy.crc import CRC_8, CRC_16, CRC_24A, Crc
+from repro.phy.modulation import bits_to_symbols_matrix
 from repro.phy.quantization import LlrQuantizer
 
 
-class TestBits:
-    def test_random_bits_are_binary(self, rng):
-        bits = random_bits(1000, rng)
-        assert set(np.unique(bits)).issubset({0, 1})
+def test_symbols_matrix_pads():
+    matrix = bits_to_symbols_matrix(np.ones(5, dtype=np.int8), 4)
+    assert matrix.shape == (2, 4)
+    assert matrix[1, -1] == 0
 
-    def test_random_bits_reproducible(self):
-        assert np.array_equal(random_bits(64, 3), random_bits(64, 3))
 
-    @pytest.mark.parametrize("value,width", [(0, 1), (5, 3), (255, 8), (1023, 10)])
+class TestWordBits:
+    """Stored words to and from the MSB-first bit matrix a fault map covers."""
+
+    @pytest.mark.parametrize("value,width", [(0, 2), (5, 3), (255, 8), (1023, 10)])
     def test_int_bits_roundtrip(self, value, width):
-        assert bits_to_int(int_to_bits(value, width)) == value
+        quantizer = LlrQuantizer(num_bits=width)
+        bits = quantizer.words_to_bits(np.array([value]))
+        assert bits.shape == (1, width)
+        assert quantizer.bits_to_words(bits).tolist() == [value]
+
+    def test_int_to_bits_msb_first(self):
+        bits = LlrQuantizer(num_bits=3).words_to_bits(np.array([4, 1]))
+        assert bits.tolist() == [[1, 0, 0], [0, 0, 1]]
 
     def test_int_to_bits_overflow(self):
-        with pytest.raises(ValueError):
-            int_to_bits(8, 3)
-
-    def test_int_to_bits_lsb_first(self):
-        assert int_to_bits(4, 3, msb_first=False).tolist() == [0, 0, 1]
-
-    def test_pack_unpack_roundtrip(self, rng):
-        bits = random_bits(120, rng)
-        assert np.array_equal(unpack_bits(pack_bits(bits, 10), 10), bits)
+        quantizer = LlrQuantizer(num_bits=3)
+        with pytest.raises(ValueError, match="fit in 3 bits"):
+            quantizer.words_to_index(np.array([8]))
+        with pytest.raises(ValueError, match="fit in 3 bits"):
+            quantizer.words_to_index(np.array([-1]))
 
     def test_pack_bits_wrong_length(self):
-        with pytest.raises(ValueError):
-            pack_bits(np.zeros(7, dtype=np.int8), 4)
-
-    def test_symbols_matrix_pads(self):
-        matrix = bits_to_symbols_matrix(np.ones(5, dtype=np.int8), 4)
-        assert matrix.shape == (2, 4)
-        assert matrix[1, -1] == 0
-
-    def test_hamming_distance(self):
-        assert hamming_distance([0, 1, 1], [1, 1, 0]) == 2
-
-    def test_hamming_distance_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance([0, 1], [0, 1, 1])
-
-    def test_bit_error_rate(self):
-        assert bit_error_rate([0, 0, 0, 0], [1, 0, 0, 1]) == 0.5
-
-    def test_gray_code_adjacent_differ_by_one_bit(self):
-        code = gray_code(4)
-        for a, b in zip(code, code[1:]):
-            assert bin(int(a) ^ int(b)).count("1") == 1
-
-    def test_gray_roundtrip(self):
-        values = np.arange(16)
-        assert np.array_equal(gray_to_binary(values ^ (values >> 1), 4), values)
-
-    @given(st.integers(min_value=0, max_value=2**16 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_int_bits_roundtrip_property(self, value):
-        assert bits_to_int(int_to_bits(value, 16)) == value
+        quantizer = LlrQuantizer(num_bits=4)
+        with pytest.raises(ValueError, match="expected shape"):
+            quantizer.bits_to_words(np.zeros((2, 5), dtype=np.int8))
+        with pytest.raises(ValueError, match="expected shape"):
+            quantizer.bits_to_words(np.zeros(4, dtype=np.int8))
 
 
 class TestCrc:
     @pytest.mark.parametrize("crc", [CRC_8, CRC_16, CRC_24A])
     def test_attach_check_roundtrip(self, crc, rng):
-        data = random_bits(100, rng)
-        assert crc.check(crc.attach(data))
+        data = rng.integers(0, 2, (3, 100), dtype=np.int8)
+        assert crc.check_batch(crc.attach_batch(data)).all()
 
     @pytest.mark.parametrize("crc", [CRC_8, CRC_16, CRC_24A])
     def test_single_bit_error_detected(self, crc, rng):
-        codeword = crc.attach(random_bits(64, rng))
-        for position in [0, codeword.size // 2, codeword.size - 1]:
+        codeword = crc.attach_batch(rng.integers(0, 2, (1, 64), dtype=np.int8))
+        for position in [0, codeword.shape[1] // 2, codeword.shape[1] - 1]:
             corrupted = codeword.copy()
-            corrupted[position] ^= 1
-            assert not crc.check(corrupted)
+            corrupted[0, position] ^= 1
+            assert not crc.check_batch(corrupted)[0]
 
     def test_burst_error_detected(self, rng):
-        codeword = CRC_16.attach(random_bits(200, rng))
+        codeword = CRC_16.attach_batch(rng.integers(0, 2, (1, 200), dtype=np.int8))
         corrupted = codeword.copy()
-        corrupted[10:14] ^= 1
-        assert not CRC_16.check(corrupted)
+        corrupted[0, 10:14] ^= 1
+        assert not CRC_16.check_batch(corrupted)[0]
 
     def test_num_check_bits(self):
         assert CRC_24A.num_check_bits == 24
@@ -104,8 +71,8 @@ class TestCrc:
         assert CRC_8.num_check_bits == 8
 
     def test_strip_recovers_payload(self, rng):
-        data = random_bits(50, rng)
-        assert np.array_equal(CRC_8.strip(CRC_8.attach(data)), data)
+        data = rng.integers(0, 2, (1, 50), dtype=np.int8)
+        assert np.array_equal(CRC_8.strip(CRC_8.attach_batch(data)[0]), data[0])
 
     def test_invalid_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -114,28 +81,28 @@ class TestCrc:
     @given(st.lists(st.integers(0, 1), min_size=8, max_size=64))
     @settings(max_examples=40, deadline=None)
     def test_random_flip_detected_property(self, bits):
-        codeword = CRC_16.attach(np.array(bits, dtype=np.int8))
+        codeword = CRC_16.attach_batch(np.array([bits], dtype=np.int8))
         corrupted = codeword.copy()
-        corrupted[len(bits) // 2] ^= 1
-        assert not CRC_16.check(corrupted)
+        corrupted[0, len(bits) // 2] ^= 1
+        assert not CRC_16.check_batch(corrupted)[0]
 
 
 class TestLlrQuantizer:
     def test_roundtrip_within_step(self):
         quantizer = LlrQuantizer(num_bits=10, max_abs=32.0)
         llrs = np.linspace(-30, 30, 257)
-        error = np.abs(quantizer.quantize(llrs) - llrs)
+        error = np.abs(quantizer.index_to_value(quantizer.quantize_to_index(llrs)) - llrs)
         assert error.max() <= quantizer.step / 2 + 1e-12
 
     def test_saturation(self):
         quantizer = LlrQuantizer(num_bits=8, max_abs=8.0)
-        assert quantizer.quantize(np.array([100.0]))[0] == pytest.approx(8.0)
-        assert quantizer.quantize(np.array([-100.0]))[0] == pytest.approx(-8.0)
+        index = quantizer.quantize_to_index(np.array([100.0, -100.0]))
+        assert quantizer.index_to_value(index) == pytest.approx([8.0, -8.0])
 
     def test_sign_preserved(self, rng):
         quantizer = LlrQuantizer(num_bits=10)
         llrs = rng.normal(0, 10, 500)
-        quantized = quantizer.quantize(llrs)
+        quantized = quantizer.index_to_value(quantizer.quantize_to_index(llrs))
         big = np.abs(llrs) > quantizer.step
         assert np.all(np.sign(quantized[big]) == np.sign(llrs[big]))
 
@@ -145,7 +112,8 @@ class TestLlrQuantizer:
         llrs = rng.normal(0, 10, 300)
         words = quantizer.llrs_to_words(llrs)
         assert words.min() >= 0 and words.max() < 2**10
-        assert np.allclose(quantizer.words_to_llrs(words), quantizer.quantize(llrs))
+        quantized = quantizer.index_to_value(quantizer.quantize_to_index(llrs))
+        assert np.allclose(quantizer.words_to_llrs(words), quantized)
 
     @pytest.mark.parametrize("word_format", ["sign-magnitude", "twos-complement"])
     def test_bit_matrix_roundtrip(self, word_format, rng):
@@ -168,12 +136,13 @@ class TestLlrQuantizer:
         bits = quantizer.words_to_bits(words)
         bits[0, 0] ^= 1
         flipped = quantizer.words_to_llrs(quantizer.bits_to_words(bits))
-        assert flipped[0] == pytest.approx(-quantizer.quantize(np.array([20.0]))[0])
+        stored = quantizer.index_to_value(quantizer.quantize_to_index(20.0))
+        assert flipped[0] == pytest.approx(-stored)
 
     def test_monotonicity(self):
         quantizer = LlrQuantizer(num_bits=8, max_abs=16.0)
         llrs = np.linspace(-16, 16, 101)
-        quantized = quantizer.quantize(llrs)
+        quantized = quantizer.index_to_value(quantizer.quantize_to_index(llrs))
         assert np.all(np.diff(quantized) >= -1e-12)
 
     def test_invalid_configuration(self):
@@ -185,10 +154,11 @@ class TestLlrQuantizer:
             LlrQuantizer(word_format="bogus")
 
     def test_quantization_noise_power(self):
+        """Rounding inside the range leaves a uniform error of power step^2 / 12."""
         quantizer = LlrQuantizer(num_bits=10, max_abs=32.0)
-        assert quantizer.quantization_noise_power() == pytest.approx(
-            quantizer.step**2 / 12.0
-        )
+        llrs = np.linspace(-31.0, 31.0, 200_001)
+        error = quantizer.index_to_value(quantizer.quantize_to_index(llrs)) - llrs
+        assert np.mean(error**2) == pytest.approx(quantizer.step**2 / 12.0, rel=0.01)
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
     @settings(max_examples=60, deadline=None)

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.bits import random_bits
-from repro.phy.interleaving import (
-    ChannelInterleaver,
-    Interleaver,
-    block_interleaver,
-    identity_interleaver,
-    random_interleaver,
-)
+from repro.phy.interleaving import ChannelInterleaver, Interleaver, block_interleaver
 from repro.phy.rate_matching import (
     RateMatcher,
     make_systematic_priority_buffer_batch,
@@ -26,25 +19,30 @@ class TestInterleaving:
     @pytest.mark.parametrize("size", [7, 30, 100, 257])
     def test_block_interleaver_roundtrip(self, size, rng):
         interleaver = block_interleaver(size)
-        data = rng.normal(size=size)
-        assert np.allclose(interleaver.deinterleave(interleaver.interleave(data)), data)
+        data = rng.normal(size=(1, size))
+        forward = interleaver.interleave_batch(data)
+        assert np.allclose(interleaver.deinterleave_batch(forward), data)
 
     def test_identity_interleaver(self):
-        interleaver = identity_interleaver(10)
-        data = np.arange(10)
-        assert np.array_equal(interleaver.interleave(data), data)
+        interleaver = Interleaver(np.arange(10))
+        data = np.arange(10)[None]
+        assert np.array_equal(interleaver.interleave_batch(data), data)
 
     def test_random_interleaver_roundtrip(self, rng):
-        interleaver = random_interleaver(64, seed=1)
-        data = rng.normal(size=64)
-        assert np.allclose(interleaver.deinterleave(interleaver.interleave(data)), data)
+        interleaver = Interleaver(rng.permutation(64))
+        data = rng.normal(size=(1, 64))
+        forward = interleaver.interleave_batch(data)
+        assert np.allclose(interleaver.deinterleave_batch(forward), data)
 
-    def test_inverse_property(self):
-        interleaver = random_interleaver(32, seed=5)
-        data = np.arange(32)
-        assert np.array_equal(
-            interleaver.inverse.interleave(interleaver.interleave(data)), data
-        )
+    def test_inverse_property(self, rng):
+        """Deinterleaving is interleaving by the inverse permutation."""
+        interleaver = Interleaver(rng.permutation(32))
+        inverse = Interleaver(np.argsort(interleaver.permutation))
+        data = np.arange(3 * 32).reshape(3, 32)
+        forward = interleaver.interleave_batch(data)
+        assert np.array_equal(inverse.interleave_batch(forward), data)
+        assert np.array_equal(interleaver.deinterleave_batch(forward), data)
+        assert np.array_equal(interleaver.interleave_batch(inverse.interleave_batch(data)), data)
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError):
@@ -52,7 +50,7 @@ class TestInterleaving:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            identity_interleaver(4).interleave(np.zeros(5))
+            Interleaver(np.arange(4)).interleave_batch(np.zeros((1, 5)))
 
     def test_block_interleaver_spreads_bursts(self):
         interleaver = block_interleaver(120, num_columns=30)
@@ -86,21 +84,21 @@ class TestInterleaving:
 class TestRateMatching:
     def test_puncturing_selects_subset(self, rng):
         matcher = RateMatcher(num_coded_bits=300, num_output_bits=200)
-        coded = random_bits(300, rng)
-        out = matcher.rate_match(coded, 0)
-        assert out.size == 200
+        coded = rng.integers(0, 2, (1, 300), dtype=np.int8)
+        out = matcher.rate_match_batch(coded, 0)
+        assert out.shape == (1, 200)
 
     def test_repetition_wraps(self, rng):
         matcher = RateMatcher(num_coded_bits=90, num_output_bits=120)
-        coded = random_bits(90, rng)
-        out = matcher.rate_match(coded, 0)
-        assert np.array_equal(out[:90], coded)
-        assert np.array_equal(out[90:], coded[:30])
+        coded = rng.integers(0, 2, (1, 90), dtype=np.int8)
+        out = matcher.rate_match_batch(coded, 0)
+        assert np.array_equal(out[:, :90], coded)
+        assert np.array_equal(out[:, 90:], coded[:, :30])
 
     def test_derate_match_accumulates(self):
         matcher = RateMatcher(num_coded_bits=10, num_output_bits=15)
-        llrs = np.ones(15)
-        buffer = matcher.derate_match(llrs, 0)
+        llrs = np.ones((1, 15))
+        buffer = matcher.derate_match_batch(llrs, 0)[0]
         assert buffer[:5].tolist() == [2.0] * 5
         assert buffer[5:].tolist() == [1.0] * 5
 
@@ -113,8 +111,8 @@ class TestRateMatching:
     def test_rate_then_derate_identity_positions(self, rng):
         matcher = RateMatcher(num_coded_bits=120, num_output_bits=80)
         llrs = rng.normal(size=120)
-        selected = matcher.rate_match(llrs, 1)
-        buffer = matcher.derate_match(selected, 1)
+        selected = matcher.rate_match_batch(llrs[None], 1)
+        buffer = matcher.derate_match_batch(selected, 1)[0]
         indices = matcher.output_indices(1)
         assert np.allclose(buffer[indices], llrs[indices])
         untouched = np.setdiff1d(np.arange(120), indices)
@@ -127,9 +125,9 @@ class TestRateMatching:
     def test_wrong_lengths_rejected(self):
         matcher = RateMatcher(num_coded_bits=30, num_output_bits=20)
         with pytest.raises(ValueError):
-            matcher.rate_match(np.zeros(29, dtype=np.int8), 0)
+            matcher.rate_match_batch(np.zeros((1, 29), dtype=np.int8), 0)
         with pytest.raises(ValueError):
-            matcher.derate_match(np.zeros(19), 0)
+            matcher.derate_match_batch(np.zeros((1, 19)), 0)
 
     def test_priority_buffer_roundtrip(self, rng):
         systematic = rng.integers(0, 2, (3, 50), dtype=np.int8)
@@ -175,25 +173,25 @@ class TestTurbo:
 
     def test_encoder_output_length(self):
         encoder = TurboEncoder(96)
-        assert encoder.encode(np.zeros(96, dtype=np.int8)).size == 288
+        assert encoder.encode_batch(np.zeros((1, 96), dtype=np.int8)).shape == (1, 288)
 
     def test_encoder_systematic_part(self, rng):
         encoder = TurboEncoder(64)
-        bits = random_bits(64, rng)
-        coded = encoder.encode(bits)
+        bits = rng.integers(0, 2, 64, dtype=np.int8)
+        coded = encoder.encode_batch(bits[None])[0]
         assert np.array_equal(coded[:64], bits)
 
     def test_decoder_noiseless(self, rng):
         code = TurboCode(96, num_iterations=4)
-        bits = random_bits(96, rng)
-        llrs = 8.0 * (1.0 - 2.0 * code.encode(bits).astype(float))
+        bits = rng.integers(0, 2, 96, dtype=np.int8)
+        llrs = 8.0 * (1.0 - 2.0 * code.encode_batch(bits[None])[0].astype(float))
         result = code.decode_buffer(llrs)
         assert np.array_equal(result.decoded_bits[0], bits)
 
     def test_decoder_moderate_awgn(self, rng):
         code = TurboCode(200, num_iterations=6)
         bits = rng.integers(0, 2, (4, 200)).astype(np.int8)
-        coded = np.stack([code.encode(b) for b in bits])
+        coded = code.encode_batch(bits)
         ebn0 = 10 ** (2.5 / 10) / 3.0
         noise_variance = 1.0 / (2.0 * ebn0)
         received = (1.0 - 2.0 * coded) + rng.normal(0, np.sqrt(noise_variance), coded.shape)
@@ -205,7 +203,7 @@ class TestTurbo:
     def test_decoder_beats_uncoded(self, rng):
         code = TurboCode(150, num_iterations=5)
         bits = rng.integers(0, 2, (4, 150)).astype(np.int8)
-        coded = np.stack([code.encode(b) for b in bits])
+        coded = code.encode_batch(bits)
         noise_variance = 0.8
         received = (1.0 - 2.0 * coded) + rng.normal(0, np.sqrt(noise_variance), coded.shape)
         llrs = 2.0 * received / noise_variance
@@ -217,7 +215,7 @@ class TestTurbo:
     def test_batch_matches_single(self, rng):
         code = TurboCode(80, num_iterations=3)
         bits = rng.integers(0, 2, (3, 80)).astype(np.int8)
-        coded = np.stack([code.encode(b) for b in bits])
+        coded = code.encode_batch(bits)
         llrs = 4.0 * (1.0 - 2.0 * coded.astype(float))
         batch = code.decode_buffer(llrs).decoded_bits
         singles = np.stack([code.decode_buffer(llrs[i]).decoded_bits[0] for i in range(3)])
@@ -225,8 +223,8 @@ class TestTurbo:
 
     def test_early_stopping_reports_convergence(self, rng):
         code = TurboCode(80, num_iterations=8)
-        bits = random_bits(80, rng)
-        llrs = 10.0 * (1.0 - 2.0 * code.encode(bits).astype(float))
+        bits = rng.integers(0, 2, 80, dtype=np.int8)
+        llrs = 10.0 * (1.0 - 2.0 * code.encode_batch(bits[None])[0].astype(float))
         result = code.decode_buffer(llrs)
         assert result.iterations_run < 8
         assert result.converged.all()

@@ -13,7 +13,7 @@ from repro.runner.tasks import (
     LinkChunkTask,
     count_block_errors,
     fault_map_tasks_for_point,
-    simulate_fault_map,
+    simulate_fault_map_batch,
     simulate_link_chunk,
     split_packets,
 )
@@ -42,7 +42,7 @@ def _square(value):
 class TestParallelRunnerMap:
     def test_serial_fallback_preserves_order(self):
         runner = ParallelRunner.serial()
-        assert runner.is_serial
+        assert runner.backend.name == "serial"
         assert runner.map(_square, [3, 1, 2]) == [9, 1, 4]
 
     def test_empty_task_list(self):
@@ -177,7 +177,7 @@ class TestFaultMapTasks:
             entropy=5,
             key=(0,),
         )
-        outcome = simulate_fault_map(task)
+        [outcome] = simulate_fault_map_batch((task,))
         assert outcome.fallible_cells == config.llr_storage_cells
         assert outcome.num_faults == int(round(0.1 * config.llr_storage_cells))
 

@@ -11,8 +11,8 @@ from repro.runner.cache import (
     QuarantineStore,
     ResultCache,
     config_digest,
-    deserialize_tables,
 )
+from repro.phy.turbo.backends import resolve_backend
 from repro.runner.cli import experiment_payload, main, run_identity
 from repro.runner.registry import (
     EXPERIMENTS,
@@ -41,12 +41,10 @@ class TestRegistry:
     def test_run_experiment_normalises_single_table(self):
         outcome = run_experiment("fig3")
         assert set(outcome.tables) == {"table"}
-        assert outcome.primary_table is outcome.tables["table"]
 
     def test_run_experiment_normalises_multi_table(self):
         outcome = run_experiment("fig5")
         assert set(outcome.tables) == {"curves", "targets"}
-        assert outcome.primary_table is outcome.tables["curves"]
 
     def test_extras_are_jsonable(self):
         outcome = run_experiment(
@@ -71,8 +69,8 @@ class TestResultCache:
         payload = cache.load("fig3", digest)
         assert payload is not None
         assert payload["cache_format"] == CACHE_FORMAT_VERSION
-        tables = deserialize_tables(payload)
-        assert tables["table"].to_json() == outcome.tables["table"].to_json()
+        table = SweepTable.from_json_dict(payload["tables"]["table"])
+        assert table.to_json() == outcome.tables["table"].to_json()
 
     def test_digest_sensitive_to_identity(self):
         base = run_identity("fig6", "smoke", 2012, {})
@@ -145,8 +143,6 @@ class TestCliMain:
         assert "scenarios:" in output
 
     def test_backends_ls_json_reports_all_three_registries(self, capsys):
-        from repro.phy.turbo.backends import available_backends
-
         assert main(["backends", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         families = {e["family"]: e for e in payload["decoder_backends"]}
@@ -156,10 +152,9 @@ class TestCliMain:
         for entry in families.values():
             # perfbench provenance reads these two keys
             assert {"family", "available"} <= set(entry)
-            # availability in the listing must agree with the live registry
-            assert entry["available"] == (
-                entry["tokens"][0] in available_backends()
-            )
+            # availability in the listing must agree with backend resolution
+            resolved = resolve_backend(entry["family"], warn=False).family
+            assert entry["available"] == (resolved == entry["family"])
             assert isinstance(entry["reason"], str) and entry["reason"]
         execution = {e["name"] for e in payload["execution_backends"]}
         assert execution == {"serial", "process", "socket"}
@@ -306,7 +301,7 @@ class TestCliMain:
 
         args = build_parser().parse_args(["run", "fig2"])
         with make_runner(args) as runner:
-            assert runner.is_serial
+            assert runner.backend.name == "serial"
 
     def test_workers_zero_still_means_parallel_auto(self):
         from repro.runner.backends import default_workers

@@ -45,6 +45,7 @@ from repro.scenarios.spec import (
     resolve_protection,
     scenario_listing,
 )
+from repro.utils.rng import child_rngs
 
 #: The paper's figures, all of which must be registered as scenarios.
 FIGURE_SCENARIOS = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "power_savings")
@@ -420,7 +421,11 @@ class TestFloat32LinkMode:
         blers = {}
         for dtype in ("float64", "float32"):
             link = HspaLikeLink(scale.link_config(llr_dtype=dtype))
-            results = link.snr_sweep([0.0, 4.0, 6.0], 64, rng=2012)
+            snrs = [0.0, 4.0, 6.0]
+            results = [
+                link.simulate_packets(64, snr_db, point_rng)
+                for snr_db, point_rng in zip(snrs, child_rngs(2012, len(snrs)))
+            ]
             blers[dtype] = [r.statistics.block_error_rate for r in results]
         assert any(0.0 < bler < 1.0 for bler in blers["float64"]), blers
         deltas = [abs(a - b) for a, b in zip(blers["float64"], blers["float32"])]

@@ -50,6 +50,11 @@ _NOT_UTF8 = b'\xff\xfe{"cache_format": 1, "torn": \x80\x81'
 _NOT_AN_OBJECT = (b"[]", b"null", b"7")
 
 
+def _total(registry, name, **labels):
+    """A counter summed over the label sets matching *labels*, as scraped."""
+    return telemetry.snapshot_counter_total(registry.snapshot(), name, **labels)
+
+
 @pytest.fixture()
 def fresh_registry():
     """Opt-in isolation from counters left by earlier tests/modules.
@@ -75,9 +80,9 @@ class TestRegistrySemantics:
         registry.observe("round_seconds", 0.003)
         registry.observe("round_seconds", 1e9)  # lands in the +Inf slot
 
-        assert registry.counter_value("hits_total", store="cache") == 3
-        assert registry.counter_total("hits_total") == 4
-        assert registry.counter_value("never_fired_total") == 0
+        assert _total(registry, "hits_total", store="cache") == 3
+        assert _total(registry, "hits_total") == 4
+        assert _total(registry, "never_fired_total") == 0
 
         snapshot = registry.snapshot()
         assert snapshot["metrics_format"] == METRICS_FORMAT_VERSION
@@ -118,8 +123,8 @@ class TestRegistrySemantics:
         for thread in pool:
             thread.join()
 
-        assert registry.counter_total("writes_total") == threads * per_thread
-        assert registry.counter_value("writes_total", worker=0) == (
+        assert _total(registry, "writes_total") == threads * per_thread
+        assert _total(registry, "writes_total", worker=0) == (
             threads // 2 * per_thread
         )
         [histogram] = registry.snapshot()["histograms"]
@@ -198,19 +203,19 @@ class TestTelemetryIsPureTopology:
         """A busy registry changes no payload byte: both runs == the golden."""
         _root, cold, warm = instrumented_smoke
         golden = (GOLDEN_DIR / "fig6.json").read_text()
-        assert telemetry.registry().counter_total("runner_tasks_total") > 0
+        assert _total(telemetry.registry(), "runner_tasks_total") > 0
         assert cold == golden
         assert warm == golden
 
     def test_sweep_counters_recorded(self, instrumented_smoke):
         registry = telemetry.registry()
         # The cold run dispatched real work over the socket backend ...
-        assert registry.counter_total("backend_dispatch_total") > 0
-        assert registry.counter_total("backend_worker_connects_total") >= 2
-        assert registry.counter_value("backend_tasks_total", backend="socket") > 0
-        assert registry.counter_value("store_writes_total", store="point-store") > 0
+        assert _total(registry, "backend_dispatch_total") > 0
+        assert _total(registry, "backend_worker_connects_total") >= 2
+        assert _total(registry, "backend_tasks_total", backend="socket") > 0
+        assert _total(registry, "store_writes_total", store="point-store") > 0
         # ... and the warm rerun answered every point from the shared store.
-        assert registry.counter_value("store_hits_total", store="point-store") > 0
+        assert _total(registry, "store_hits_total", store="point-store") > 0
         [histogram] = [
             h for h in registry.snapshot()["histograms"]
             if h["name"] == "runner_round_seconds"
@@ -308,8 +313,8 @@ class TestClientDisconnect:
         handler._respond(200, {"status": "ok"})  # must not raise
         assert handler.close_connection is True
         registry = telemetry.registry()
-        assert registry.counter_total("serve_client_disconnects_total") == 1
-        assert registry.counter_total("serve_requests_total") == 0
+        assert _total(registry, "serve_client_disconnects_total") == 1
+        assert _total(registry, "serve_requests_total") == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -324,7 +329,7 @@ class TestChaosCounters:
             chaos.activate(None)
         registry = telemetry.registry()
         assert (
-            registry.counter_value("chaos_injected_total", directive="tear-write") == 1
+            _total(registry, "chaos_injected_total", directive="tear-write") == 1
         )
         # The first write was torn mid-payload; the second is intact.
         with pytest.raises(ValueError):
@@ -344,10 +349,10 @@ class TestChaosCounters:
             plan.filter_recv(_Sock(), ("result", 0, 0, None))
         registry = telemetry.registry()
         assert (
-            registry.counter_value("chaos_injected_total", directive="drop-send") == 1
+            _total(registry, "chaos_injected_total", directive="drop-send") == 1
         )
         assert (
-            registry.counter_value("chaos_injected_total", directive="drop-recv") == 1
+            _total(registry, "chaos_injected_total", directive="drop-recv") == 1
         )
         kinds = [e["kind"] for e in registry.snapshot()["events"]]
         assert kinds.count("chaos-injected") == 2
@@ -379,9 +384,8 @@ class TestInvalidUtf8Quarantine:
             assert second == first
             assert cache.load_with_status(experiment, digest)[1] == "ok"
         registry = telemetry.registry()
-        assert registry.counter_value(
-            "store_quarantines_total", store="cache"
-        ) == len(damaged)
+        quarantines = _total(registry, "store_quarantines_total", store="cache")
+        assert quarantines == len(damaged)
 
     def test_point_store_entry_quarantined_and_restorable(self, tmp_path):
         store = PointStore(tmp_path / "points")
@@ -413,9 +417,8 @@ class TestInvalidUtf8Quarantine:
             atomic_write_text(store.path_for(digest), good)
             assert store.load_payload_with_status(digest)[1] == "ok"
         registry = telemetry.registry()
-        assert registry.counter_value(
-            "store_quarantines_total", store="point-store"
-        ) == len(damaged)
+        quarantines = _total(registry, "store_quarantines_total", store="point-store")
+        assert quarantines == len(damaged)
 
     def test_journal_tail_with_invalid_utf8_is_truncated(self, tmp_path):
         journal = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef")
@@ -451,7 +454,7 @@ class TestInvalidUtf8Quarantine:
             restarted.close()
             assert restarted.path.read_bytes() == header
         registry = telemetry.registry()
-        assert registry.counter_total("journal_truncations_total") == len(damaged)
+        assert _total(registry, "journal_truncations_total") == len(damaged)
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,12 @@ theory:
   i.i.d. bit-flip cells: every word with at most one faulty cell reads back
   exactly, and words with two or more occur at the binomial rate
   ``1 - (1 - p)^n - n p (1 - p)^(n - 1)``;
+* the UMTS constituent code: the RSC parity stream of every input of up
+  to 12 bits equals GF(2) power-series division by the octal 13 / 15
+  generators, ``p(D) = u(D) g1(D) / g0(D)``, and the feedback tail drives
+  every state to 0;
+* the QPP internal interleaver of every block size a scale preset uses is
+  a permutation, and its ``(f1, f2)`` meet Takeshita's conditions;
 * the ``scipy.special`` ufuncs the package evaluates in place of
   ``scipy.stats.norm`` (``ndtr(-x)`` for ``norm.sf(x)``, ``ndtri(q)`` for
   ``norm.ppf(q)``) return the same bits, so a scipy release that breaks the
@@ -38,6 +44,7 @@ import pytest
 from scipy import special, stats
 
 from repro.core.montecarlo import two_sided_z
+from repro.experiments.scales import SCALES
 from repro.link import LinkConfig
 from repro.link.receiver import Receiver
 from repro.link.transmitter import Transmitter
@@ -47,6 +54,8 @@ from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel
 from repro.phy.crc import CRC_8, CRC_24A
 from repro.phy.modulation import get_modulator
+from repro.phy.turbo.interleaver import _valid_qpp_parameters
+from repro.phy.turbo.trellis import UMTS_TRELLIS
 
 #: Width of the binomial acceptance interval, in standard deviations.
 SIGMAS = 5.0
@@ -315,6 +324,112 @@ class TestHammingProtectedArray:
         assert not wrong[~multi_fault].any()
         word_failure = 1.0 - (1.0 - p) ** n - n * p * (1.0 - p) ** (n - 1)
         assert_binomial(int(multi_fault.sum()), num_words, word_failure)
+
+
+# --------------------------------------------------------------------------- #
+def _octal_polynomial(octal: int, degree: int = 3) -> np.ndarray:
+    """GF(2) coefficients of an octal generator, ``D^0`` first (13 -> 1+D^2+D^3)."""
+    return np.array([(octal >> (degree - j)) & 1 for j in range(degree + 1)], dtype=np.int64)
+
+
+def _all_inputs(length: int) -> np.ndarray:
+    """Every ``length``-bit input word, one per row, first bit first."""
+    return (np.arange(1 << length)[:, None] >> np.arange(length - 1, -1, -1)) & 1
+
+
+def _series_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Rows ``q`` with ``q(D) * denominator(D) == numerator(D)`` mod ``D^n`` over GF(2).
+
+    Long division of power series, lowest order first; ``denominator[0]``
+    must be 1.
+    """
+    remainder = numerator.copy()
+    quotient = np.zeros_like(remainder)
+    n = remainder.shape[1]
+    for k in range(n):
+        quotient[:, k] = remainder[:, k]
+        for j in np.flatnonzero(denominator):
+            if k + j < n:
+                remainder[:, k + j] ^= quotient[:, k]
+    return quotient
+
+
+def _multiply(rows: np.ndarray, polynomial: np.ndarray) -> np.ndarray:
+    """Rows of ``u(D) * polynomial(D)`` over GF(2), truncated to the row length."""
+    product = np.zeros_like(rows)
+    for j in np.flatnonzero(polynomial):
+        product[:, j:] ^= rows[:, : rows.shape[1] - j]
+    return product
+
+
+def _is_qpp_permutation_pair(f1: int, f2: int, k: int) -> bool:
+    """Takeshita's conditions for ``f1 x + f2 x^2`` to permute ``Z_K``."""
+    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+    if k % 2 == 0 and k % 4:
+        odd = [p for p in primes if p != 2]
+        return (f1 + f2) % 2 == 1 and math.gcd(f1, k // 2) == 1 and all(f2 % p == 0 for p in odd)
+    return math.gcd(f1, k) == 1 and all(f2 % p == 0 for p in primes)
+
+
+class TestTurboCode:
+    #: Feedback and feed-forward polynomials of the UMTS RSC code.
+    G0 = _octal_polynomial(0o13)
+    G1 = _octal_polynomial(0o15)
+
+    def test_generators_are_the_umts_polynomials(self):
+        assert self.G0.tolist() == [1, 0, 1, 1]  # 1 + D^2 + D^3
+        assert self.G1.tolist() == [1, 1, 0, 1]  # 1 + D + D^3
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_rsc_parity_is_polynomial_division(self, length):
+        inputs = _all_inputs(length)
+        parity, final_states = UMTS_TRELLIS.encode_bits_batch(inputs)
+        # The register holds w(D) = u(D) / g0(D); the parity is w(D) g1(D).
+        register = _series_divide(inputs, self.G0)
+        np.testing.assert_array_equal(parity, _multiply(register, self.G1))
+        np.testing.assert_array_equal(parity, _series_divide(_multiply(inputs, self.G1), self.G0))
+        # The state is the last three register bits, most recent first.
+        padded = np.hstack([np.zeros((inputs.shape[0], 3), dtype=np.int64), register])
+        expected_states = 4 * padded[:, -1] + 2 * padded[:, -2] + padded[:, -3]
+        np.testing.assert_array_equal(final_states, expected_states)
+
+    def test_feedback_tail_terminates_every_state(self):
+        """Three tail bits that cancel the feedback reach state 0 from anywhere."""
+        prefixes = _all_inputs(6)
+        words = np.hstack([prefixes, np.zeros((prefixes.shape[0], 3), dtype=np.int64)])
+        register = _series_divide(prefixes, self.G0)
+        for k in range(6, 9):
+            # Choose u_k so the register input w_k = u_k + sum_j g0_j w_(k-j) is 0.
+            feedback = sum(self.G0[j] * register[:, k - j] for j in (1, 2, 3)) % 2
+            words[:, k] = feedback
+            register = np.hstack([register, np.zeros((register.shape[0], 1), dtype=np.int64)])
+        _, start_states = UMTS_TRELLIS.encode_bits_batch(prefixes)
+        assert set(start_states.tolist()) == set(range(UMTS_TRELLIS.num_states))
+        _, final_states = UMTS_TRELLIS.encode_bits_batch(words)
+        assert not final_states.any()
+
+    @pytest.mark.parametrize(
+        "block_size", sorted({s.link_config().block_size for s in SCALES.values()})
+    )
+    def test_qpp_interleaver_is_a_takeshita_permutation(self, block_size):
+        f1, f2 = _valid_qpp_parameters(block_size)
+        assert _is_qpp_permutation_pair(f1, f2, block_size)
+        config = SCALES["smoke"].link_config().with_updates(
+            payload_bits=block_size - 16, crc_bits=16
+        )
+        permutation = Transmitter(config).turbo.encoder.interleaver.permutation
+        i = np.arange(block_size)
+        np.testing.assert_array_equal(permutation, (f1 * i + f2 * i * i) % block_size)
+        np.testing.assert_array_equal(np.sort(permutation), i)
+
+    def test_takeshita_check_rejects_non_permutations(self):
+        """The condition check is not vacuous: it agrees with brute force."""
+        for k in (8, 10, 12, 15, 18, 20):
+            for f1 in range(1, k):
+                for f2 in range(k):
+                    i = np.arange(k)
+                    permutes = np.unique((f1 * i + f2 * i * i) % k).size == k
+                    assert _is_qpp_permutation_pair(f1, f2, k) == permutes, (k, f1, f2)
 
 
 # --------------------------------------------------------------------------- #
