@@ -72,8 +72,8 @@ class TurboCode:
         Parameters
         ----------
         buffer_llrs:
-            1-D array of ``3 * block_size`` LLRs (systematic first, then the
-            interlaced parity streams), or a 2-D batch of such arrays.
+            ``(batch, 3 * block_size)`` LLRs, one block per row (systematic
+            first, then the interlaced parity streams).
         """
         arr = np.asarray(buffer_llrs)
         if arr.dtype != np.float32:
@@ -82,12 +82,10 @@ class TurboCode:
             # historical float64 path bit-for-bit (zero-copy when the input
             # is already float64).
             arr = np.asarray(arr, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.num_coded_bits:
+        if arr.ndim != 2 or arr.shape[1] != self.num_coded_bits:
             raise ValueError(
-                f"expected {self.num_coded_bits} LLRs per block, got {arr.shape[1]}"
+                f"expected a (batch, {self.num_coded_bits}) LLR matrix, "
+                f"got shape {arr.shape}"
             )
         sys_llrs, par1, par2 = split_systematic_priority_buffer_batch(
             arr, self.block_size

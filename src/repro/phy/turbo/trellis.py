@@ -50,9 +50,6 @@ class RscTrellis:
     prev_input:
         ``prev_input[s', k]`` — the input bit on the branch from
         ``prev_state[s', k]`` to ``s'``.
-    termination_input:
-        ``termination_input[s]`` — input bit that drives the encoder from
-        state ``s`` towards the all-zero state (the feedback bit itself).
     """
 
     feedback: int = 0o13
@@ -63,9 +60,6 @@ class RscTrellis:
     parity: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     prev_state: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     prev_input: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    termination_input: np.ndarray = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.constraint_length, "constraint_length")
@@ -76,7 +70,6 @@ class RscTrellis:
 
         next_state = np.zeros((num_states, 2), dtype=np.int64)
         parity = np.zeros((num_states, 2), dtype=np.int8)
-        termination_input = np.zeros(num_states, dtype=np.int8)
 
         for state in range(num_states):
             # Shift register contents, most recent bit first.
@@ -85,7 +78,6 @@ class RscTrellis:
             )
             # The feedback contribution from the register (excluding input tap).
             fb_from_register = int(np.dot(fb_taps[1:], register) % 2)
-            termination_input[state] = fb_from_register
             for u in (0, 1):
                 # Recursive bit entering the register.
                 d = (u ^ fb_from_register) & 1
@@ -114,7 +106,6 @@ class RscTrellis:
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "prev_state", prev_state)
         object.__setattr__(self, "prev_input", prev_input)
-        object.__setattr__(self, "termination_input", termination_input)
 
     @property
     def num_states(self) -> int:

@@ -1,9 +1,16 @@
-"""On-disk JSON cache for experiment results.
+"""Durable JSON stores, and the on-disk cache of experiment results.
 
-Layout: one file per run, ``<root>/<experiment>/<digest>.json``, where the
-digest hashes the full run identity — experiment name, scale parameters,
-seed and any driver keyword overrides.  A cache hit therefore means "this
-exact sweep was already computed" and short-circuits the Monte-Carlo work;
+:class:`JsonStore` is the one durable-store primitive: canonical text, key
+checks, atomic puts, gets that say why they missed, quarantine of damaged
+entries, iteration, clearing and the store counters.  The result cache, the
+point store (:mod:`repro.runner.point_store`) and the quarantine records are
+typed schemas over it.
+
+Result-cache layout: one file per run, ``<root>/<experiment>/<digest>.json``,
+where the digest hashes the full run identity — experiment name, scale
+parameters, seed and any driver keyword overrides.  A cache hit therefore
+means "this exact sweep was already computed" and short-circuits the
+Monte-Carlo work;
 worker count is deliberately *not* part of the key because it cannot change
 the results (see :mod:`repro.runner.parallel`).
 
@@ -17,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import asdict, is_dataclass
@@ -105,13 +113,217 @@ def canonicalize(value: Any) -> Any:
     return repr(value)
 
 
-#: Subdirectory of a cache dir that holds :class:`QuarantineStore` records
-#: (``--on-task-error quarantine``); it is not an experiment's run directory.
+#: Subdirectories of a cache dir that hold non-run state: the records of
+#: :class:`QuarantineStore` (``--on-task-error quarantine``) and the sweep
+#: journal (``--resume``).  No run namespace may take these names.
 QUARANTINE_DIRNAME = "quarantine"
+JOURNAL_DIRNAME = "journal"
+_RESERVED_NAMESPACES = frozenset({QUARANTINE_DIRNAME, JOURNAL_DIRNAME})
+
+#: Keys: a digest is a short sha256 hex prefix (see :func:`config_digest`), a
+#: namespace an experiment name (``fig6``, ``scenario-...``).  Anything else
+#: — separators, dots, an empty string — is rejected before it can touch the
+#: filesystem (the HTTP front end feeds user input through here).
+_DIGEST_RE = re.compile(r"^[0-9a-f]{8,64}$")
+_NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,128}$")
+#: Files a store owns in an entry directory: entries, their quarantined
+#: siblings and the temporary files of interrupted puts.
+_OWNED_FILE_RE = re.compile(
+    r"^(?:[0-9a-f]{8,64}\.json(?:\.corrupt)?|\.[0-9a-f]{8,64}\.json\..+\.tmp)$"
+)
 
 
-class ResultCache:
-    """A directory of cached experiment runs.
+def canonical_text(payload: Dict[str, Any]) -> str:
+    """The canonical text of a stored object (also the golden-file format)."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def parse_object(data: "bytes | str") -> Dict[str, Any]:
+    """Parse one stored JSON object; anything else raises :class:`ValueError`.
+
+    Bytes must be UTF-8.  :class:`ValueError` covers every way a stored
+    object can be damaged: a torn tail (``JSONDecodeError``), invalid UTF-8
+    (``UnicodeDecodeError``) and valid JSON that is not an object.
+    """
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError(f"stored JSON is a {type(value).__name__}, not an object")
+    return value
+
+
+def header_matches(payload: Dict[str, Any], header: Dict[str, Any]) -> bool:
+    """Whether *payload* carries every field of *header* (its format version)."""
+    return all(payload.get(field) == value for field, value in header.items())
+
+
+def _is_namespace(name: str) -> bool:
+    return bool(_NAMESPACE_RE.match(name)) and name not in _RESERVED_NAMESPACES
+
+
+class JsonStore:
+    """A durable directory of JSON objects, one ``<digest>.json`` file each.
+
+    The one primitive under the result cache, the point store and the
+    quarantine records.  Puts are atomic (:func:`atomic_write_text`).  A get
+    answers ``(payload, status)``, where status is one of:
+
+    * ``"ok"``: the entry parsed and carries the store's format header;
+    * ``"missing"``: nothing was ever stored under the key;
+    * ``"corrupt"``: the entry is damaged and has just been quarantined to
+      ``<digest>.json.corrupt`` with a :class:`RuntimeWarning`, or an earlier
+      get quarantined it;
+    * ``"stale-format"``: the entry parsed but its header (format version,
+      or the fields a caller expects) does not match;
+    * ``"unreadable"``: the file exists but cannot be read.
+
+    Every get counts exactly one ``store_hits_total`` or
+    ``store_misses_total``, every put one ``store_writes_total`` and every
+    quarantine one ``store_quarantines_total``, all labelled
+    ``store=<label>``; ``hits``, ``misses`` and ``writes`` count the same for
+    this instance.
+
+    Parameters
+    ----------
+    root:
+        Store directory (created lazily by the first put).
+    label:
+        The ``store`` label of the counters and the name in warnings.
+    header:
+        Fields every valid entry carries, such as its format version.
+    namespaced:
+        Keys are ``(namespace, digest)`` and entries live in
+        ``<root>/<namespace>/``; otherwise keys are ``(digest,)`` and entries
+        live in *root* itself.
+    """
+
+    def __init__(
+        self,
+        root: "Path | str",
+        *,
+        label: str,
+        header: Dict[str, Any],
+        namespaced: bool = False,
+    ) -> None:
+        self.root = Path(root)
+        self.label = label
+        self.header = dict(header)
+        self.namespaced = namespaced
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+
+    # ------------------------------------------------------------------ #
+    def path_for(self, *key: str) -> Path:
+        """File that does / would hold *key* (rejecting malformed keys)."""
+        *namespace, digest = key
+        if (
+            len(namespace) != int(self.namespaced)
+            or not _DIGEST_RE.match(digest)
+            or not all(_is_namespace(name) for name in namespace)
+        ):
+            raise ValueError(f"malformed {self.label} key {'/'.join(key)!r}")
+        return self.root.joinpath(*namespace, f"{digest}.json")
+
+    def put_text(self, text: str, *key: str) -> Path:
+        """Store canonical JSON *text* under *key*, atomically."""
+        path = self.path_for(*key)
+        atomic_write_text(path, text)
+        self.writes += 1
+        telemetry.inc("store_writes_total", store=self.label)
+        return path
+
+    def get(
+        self, *key: str, expect: Optional[Dict[str, Any]] = None
+    ) -> Tuple[Optional[Dict[str, Any]], str]:
+        """``(payload, status)`` of the entry under *key*.
+
+        *expect* adds fields the entry must carry besides the store header;
+        an entry without them reads as ``stale-format``.
+        """
+        path = self.path_for(*key)
+        payload, status = self._read(path, "/".join(key))
+        if payload is not None and not header_matches(
+            payload, {**self.header, **(expect or {})}
+        ):
+            payload, status = None, "stale-format"
+        if payload is None:
+            self.misses += 1
+            telemetry.inc("store_misses_total", store=self.label)
+        else:
+            self.hits += 1
+            telemetry.inc("store_hits_total", store=self.label)
+        return payload, status
+
+    def _read(self, path: Path, entry: str) -> Tuple[Optional[Dict[str, Any]], str]:
+        quarantine = path.with_name(path.name + ".corrupt")
+        try:
+            return parse_object(path.read_bytes()), "ok"
+        except FileNotFoundError:
+            return None, "corrupt" if quarantine.exists() else "missing"
+        except OSError:
+            return None, "unreadable"
+        except ValueError:
+            # Puts are atomic, so an entry that is not a JSON object was
+            # damaged after it was written.  Move it aside rather than let
+            # the next put destroy the evidence, and read it as a miss.
+            try:
+                os.replace(path, quarantine)
+            except OSError:
+                quarantine = path
+            warnings.warn(
+                f"{self.label} entry {entry} is corrupt JSON; "
+                f"quarantined at {quarantine}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            telemetry.inc("store_quarantines_total", store=self.label)
+            telemetry.event("store-quarantine", store=self.label, entry=entry)
+            return None, "corrupt"
+
+    # ------------------------------------------------------------------ #
+    def _directories(self) -> Iterator[Tuple[Tuple[str, ...], Path]]:
+        """``(namespace key prefix, directory)`` of every entry directory."""
+        if not self.root.is_dir():
+            return
+        if not self.namespaced:
+            yield (), self.root
+            return
+        for directory in sorted(self.root.iterdir()):
+            if directory.is_dir() and _is_namespace(directory.name):
+                yield (directory.name,), directory
+
+    def iter_keys(self) -> Iterator[Tuple[Tuple[str, ...], Path]]:
+        """``(key, path)`` of every stored entry, sorted."""
+        for prefix, directory in self._directories():
+            for path in sorted(directory.glob("*.json")):
+                if _DIGEST_RE.match(path.stem):
+                    yield (*prefix, path.stem), path
+
+    def clear(self, namespace: Optional[str] = None) -> int:
+        """Delete every entry (or one namespace's) and return the count.
+
+        Quarantined ``.corrupt`` siblings, the temporary files of puts that
+        were interrupted before their rename, and the namespace directories
+        left empty go too, so a cleared store looks exactly like a fresh
+        one.  Reserved directories (quarantine records, the sweep journal)
+        are left alone.
+        """
+        removed = 0
+        for prefix, directory in self._directories():
+            if namespace is not None and prefix != (namespace,):
+                continue
+            for path in sorted(directory.iterdir()):
+                if _OWNED_FILE_RE.match(path.name):
+                    path.unlink()
+                    removed += path.suffix == ".json"
+            if prefix and not any(directory.iterdir()):
+                directory.rmdir()
+        return removed
+
+
+class ResultCache(JsonStore):
+    """A directory of cached experiment runs, ``<root>/<experiment>/<digest>.json``.
 
     Parameters
     ----------
@@ -120,141 +332,26 @@ class ResultCache:
     """
 
     def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
-
-    # ------------------------------------------------------------------ #
-    def path_for(self, experiment: str, digest: str) -> Path:
-        """File that does / would hold the run with this identity digest."""
-        return self.root / experiment / f"{digest}.json"
-
-    def load(self, experiment: str, digest: str) -> Optional[Dict[str, Any]]:
-        """Return the cached payload for a run identity, or ``None`` on miss."""
-        return self.load_with_status(experiment, digest)[0]
-
-    def load_with_status(
-        self, experiment: str, digest: str
-    ) -> Tuple[Optional[Dict[str, Any]], str]:
-        """Like :meth:`load`, but also say *why* a lookup missed.
-
-        Returns ``(payload, status)`` where status is one of ``"ok"``,
-        ``"missing"``, ``"corrupt"`` (the entry was torn on disk and has
-        just been quarantined — or a ``.corrupt`` sibling from an earlier
-        quarantine exists), ``"stale-format"`` or ``"unreadable"``.  The
-        query server uses the status to answer 404 vs 410 with a reason
-        instead of a bare failure.
-        """
-        path = self.path_for(experiment, digest)
-        if not path.exists():
-            status = (
-                "corrupt"
-                if path.with_name(path.name + ".corrupt").exists()
-                else "missing"
-            )
-            telemetry.inc("store_misses_total", store="cache")
-            return None, status
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not a JSON object")
-        except OSError:
-            telemetry.inc("store_misses_total", store="cache")
-            return None, "unreadable"
-        except ValueError:
-            # A file that exists but is not a JSON object was damaged after
-            # it was written (stores are atomic, so it cannot be a
-            # half-write from a live writer).  ValueError covers
-            # JSONDecodeError, the UnicodeDecodeError a torn entry with
-            # invalid UTF-8 bytes raises from read_text, and valid JSON of
-            # the wrong shape — either way the contract is the same:
-            # quarantine, warn, recompute.  Move it aside rather than
-            # silently letting the next store destroy the evidence.
-            quarantine = path.with_name(path.name + ".corrupt")
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                quarantine = path
-            warnings.warn(
-                f"cache entry {experiment}/{digest} is corrupt JSON; "
-                f"quarantined at {quarantine}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            telemetry.inc("store_quarantines_total", store="cache")
-            telemetry.inc("store_misses_total", store="cache")
-            telemetry.event(
-                "store-quarantine", store="cache", entry=f"{experiment}/{digest}"
-            )
-            return None, "corrupt"
-        if payload.get("cache_format") != CACHE_FORMAT_VERSION:
-            telemetry.inc("store_misses_total", store="cache")
-            return None, "stale-format"
-        telemetry.inc("store_hits_total", store="cache")
-        return payload, "ok"
-
-    def store(
-        self,
-        experiment: str,
-        digest: str,
-        *,
-        identity: Dict[str, Any],
-        tables: Dict[str, SweepTable],
-        extras: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        """Write a run's payload and return the file path."""
-        path = self.path_for(experiment, digest)
-        atomic_write_text(
-            path,
-            serialize_payload(experiment, identity=identity, tables=tables, extras=extras),
+        super().__init__(
+            root,
+            label="cache",
+            header={"cache_format": CACHE_FORMAT_VERSION},
+            namespaced=True,
         )
-        telemetry.inc("store_writes_total", store="cache")
-        return path
+
+    def store(self, experiment: str, digest: str, payload_text: str) -> Path:
+        """Write a run's canonical payload (:func:`serialize_payload`)."""
+        return self.put_text(payload_text, experiment, digest)
 
     def entries(self) -> Dict[str, int]:
         """Number of cached runs per experiment (for ``repro cache ls``)."""
         counts: Dict[str, int] = {}
-        for experiment, _digest, _path in self.iter_entries():
+        for (experiment, _digest), _path in self.iter_keys():
             counts[experiment] = counts.get(experiment, 0) + 1
         return counts
 
-    def iter_entries(self) -> Iterator[Tuple[str, str, Path]]:
-        """Yield ``(experiment, digest, path)`` for every cached run file."""
-        for experiment, path in self._files("*.json"):
-            yield experiment, path.stem, path
 
-    def _files(self, pattern: str) -> Iterator[Tuple[str, Path]]:
-        """Yield ``(experiment, path)`` for files matching *pattern*.
-
-        The quarantine subdirectory holds poisoned-task records, not runs,
-        so it is neither listed nor cleared.
-        """
-        if not self.root.exists():
-            return
-        for directory in sorted(self.root.iterdir()):
-            if directory.is_dir() and directory.name != QUARANTINE_DIRNAME:
-                for path in sorted(directory.glob(pattern)):
-                    yield directory.name, path
-
-    def clear(self, experiment: Optional[str] = None) -> int:
-        """Delete cached runs (all, or one experiment's) and return the count.
-
-        Their quarantined ``.json.corrupt`` siblings and the directories left
-        empty go too, so a cleared cache looks exactly like a fresh one.  The
-        sweep journal (``.jsonl`` resume state) is left alone.
-        """
-        removed = 0
-        doomed = list(self._files("*.json")) + list(self._files("*.json.corrupt"))
-        for entry_experiment, path in doomed:
-            if experiment is not None and entry_experiment != experiment:
-                continue
-            path.unlink()
-            removed += path.suffix == ".json"
-            parent = path.parent
-            if not any(parent.iterdir()):
-                parent.rmdir()
-        return removed
-
-
-class QuarantineStore:
+class QuarantineStore(JsonStore):
     """On-disk records of work items quarantined under ``--on-task-error=quarantine``.
 
     One JSON file per poisoned work item, ``<root>/<digest>.json``, where the
@@ -265,11 +362,7 @@ class QuarantineStore:
     """
 
     def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
-
-    def path_for(self, fn_name: str, task: Any) -> Path:
-        digest = config_digest({"fn": fn_name, "task": canonicalize(task)})
-        return self.root / f"{digest}.json"
+        super().__init__(root, label="quarantine", header={"quarantine_format": 1})
 
     def record(
         self,
@@ -281,23 +374,15 @@ class QuarantineStore:
         workers: Tuple[str, ...] = (),
     ) -> Path:
         """Persist one quarantined item (traceback + task identity)."""
-        path = self.path_for(fn_name, task)
+        identity = {"fn": fn_name, "task": canonicalize(task)}
         payload = {
-            "quarantine_format": 1,
-            "fn": fn_name,
-            "task": canonicalize(task),
+            **self.header,
+            **identity,
             "error": error,
             "attempts": attempts,
             "workers": sorted(workers),
         }
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return path
-
-    def entries(self) -> Tuple[Path, ...]:
-        """All quarantine record files, sorted for stable reporting."""
-        if not self.root.exists():
-            return ()
-        return tuple(sorted(self.root.glob("*.json")))
+        return self.put_text(canonical_text(payload), config_digest(identity))
 
 
 # --------------------------------------------------------------------------- #
@@ -316,4 +401,4 @@ def serialize_payload(
         "tables": {name: table.to_json_dict() for name, table in sorted(tables.items())},
         "extras": canonicalize(extras or {}),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return canonical_text(payload)

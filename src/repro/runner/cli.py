@@ -51,7 +51,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.scales import SCALES, get_scale
 from repro.phy.turbo.backends import backend_names
@@ -65,9 +65,11 @@ from repro.runner.backends import (
     run_worker,
 )
 from repro.runner.cache import (
+    JOURNAL_DIRNAME,
     QUARANTINE_DIRNAME,
     QuarantineStore,
     ResultCache,
+    canonical_text,
     config_digest,
     decoder_backend_identity,
     serialize_payload,
@@ -611,20 +613,50 @@ def experiment_payload(
     is successfully built (the result cache takes over).
     """
     identity = run_identity(experiment, scale_name, seed, dict(sorted(kwargs.items())))
-    digest = config_digest(identity)
-    if cache is not None and not force:
-        hit = cache.load(experiment, digest)
-        if hit is not None:
-            return serialize_from_cache(hit)
     if point_store is not None:
         kwargs = dict(kwargs, point_store=point_store)
-    journal = _open_journal(journal_dir, experiment, digest, resume=resume)
-    if journal is not None:
-        kwargs = dict(kwargs, journal=journal)
-    try:
+
+    def compute(journal):
+        extra = {} if journal is None else {"journal": journal}
         outcome = run_experiment(
-            experiment, scale_name, seed, runner=runner, workers=workers, **kwargs
+            experiment, scale_name, seed, runner=runner, workers=workers, **kwargs, **extra
         )
+        return outcome.tables, outcome.extras
+
+    return _cached_payload(
+        experiment, identity, compute,
+        cache=cache, force=force, journal_dir=journal_dir, resume=resume,
+    )
+
+
+def _cached_payload(
+    label: str,
+    identity: Dict[str, Any],
+    compute: Callable[[Any], Tuple[Dict[str, Any], Dict[str, Any]]],
+    *,
+    cache: Optional[ResultCache],
+    force: bool,
+    journal_dir: Any,
+    resume: bool,
+) -> str:
+    """The canonical payload of one run identity: cached, or computed.
+
+    A cache hit (unless *force*) returns the stored payload's canonical
+    text.  Otherwise the run's journal is opened (when *journal_dir* is
+    set), ``compute(journal)`` returns the run's ``(tables, extras)``, and
+    the serialized payload is stored in the cache.  The journal is deleted
+    once the payload is built, and kept for ``--resume`` when the run fails.
+    *label* is both the payload's ``experiment`` field and the cache
+    directory, so a cache hit re-serialises to exactly the fresh-run bytes.
+    """
+    digest = config_digest(identity)
+    if cache is not None and not force:
+        hit, _status = cache.get(label, digest)
+        if hit is not None:
+            return canonical_text(hit)
+    journal = _open_journal(journal_dir, label, digest, resume=resume)
+    try:
+        tables, extras = compute(journal)
     except BaseException:
         if journal is not None:
             journal.finalize(success=False)
@@ -634,13 +666,9 @@ def experiment_payload(
                 file=sys.stderr,
             )
         raise
-    payload = serialize_payload(
-        experiment, identity=identity, tables=outcome.tables, extras=outcome.extras
-    )
+    payload = serialize_payload(label, identity=identity, tables=tables, extras=extras)
     if cache is not None:
-        cache.store(
-            experiment, digest, identity=identity, tables=outcome.tables, extras=outcome.extras
-        )
+        cache.store(label, digest, payload)
     if journal is not None:
         journal.finalize(success=True)
     return payload
@@ -658,13 +686,6 @@ def _open_journal(journal_dir: Any, experiment: str, digest: str, *, resume: boo
     if resume and journal.replayed_entries:
         print(journal.summary(), file=sys.stderr)
     return journal
-
-
-def serialize_from_cache(payload: Dict[str, Any]) -> str:
-    """Re-serialise a cached payload to the canonical text form."""
-    import json
-
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -753,16 +774,8 @@ def scenario_payload(
         spec = spec.apply_override(field, overrides[field])
 
     identity = scenario_run_identity(spec, scale_name, seed, dict(sorted(kwargs.items())))
-    digest = config_digest(identity)
-    # One label for the payload's experiment field and the cache directory,
-    # so a cache hit re-serialises to exactly the fresh-run bytes.
-    cache_key = f"scenario-{name}"
-    if cache is not None and not force:
-        hit = cache.load(cache_key, digest)
-        if hit is not None:
-            return serialize_from_cache(hit)
-    journal = _open_journal(journal_dir, cache_key, digest, resume=resume)
-    try:
+
+    def compute(journal):
         result = run_scenario(
             spec,
             scale_name,
@@ -772,24 +785,12 @@ def scenario_payload(
             journal=journal,
             **kwargs,
         )
-    except BaseException:
-        if journal is not None:
-            journal.finalize(success=False)
-            print(
-                f"sweep interrupted; resume it with --resume "
-                f"(journal: {journal.path})",
-                file=sys.stderr,
-            )
-        raise
-    tables, extras = _normalise(result)
-    payload = serialize_payload(
-        cache_key, identity=identity, tables=tables, extras=extras
+        return _normalise(result)
+
+    return _cached_payload(
+        f"scenario-{name}", identity, compute,
+        cache=cache, force=force, journal_dir=journal_dir, resume=resume,
     )
-    if cache is not None:
-        cache.store(cache_key, digest, identity=identity, tables=tables, extras=extras)
-    if journal is not None:
-        journal.finalize(success=True)
-    return payload
 
 
 # --------------------------------------------------------------------------- #
@@ -897,7 +898,7 @@ def _journal_dir(args: argparse.Namespace, *, stochastic: bool) -> Optional[Path
         return None
     if args.no_journal:
         return None
-    return Path(args.cache_dir) / "journal"
+    return Path(args.cache_dir) / JOURNAL_DIRNAME
 
 
 def _report_task_failures(runner: ParallelRunner) -> None:
@@ -1134,11 +1135,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} cached run(s){scope} from {args.cache_dir}")
         return 0
     shown = 0
-    for experiment, digest, path in cache.iter_entries():
+    for (experiment, digest), path in cache.iter_keys():
         if args.experiment is not None and experiment != args.experiment:
             continue
         detail = ""
-        payload = cache.load(experiment, digest)
+        payload, _status = cache.get(experiment, digest)
         if payload is not None:
             identity = payload.get("identity", {})
             detail = f" scale={identity.get('scale', '?')} seed={identity.get('seed', '?')}"

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.harq.metrics import HarqStatistics
 from repro.runner import telemetry
+from repro.runner.cache import header_matches, parse_object
 from repro.runner.point_store import (
     fault_point_from_json,
     fault_point_to_json,
@@ -79,8 +80,13 @@ class SweepJournal:
 
     def __init__(self, path: "Path | str", *, experiment: str, digest: str) -> None:
         self.path = Path(path)
-        self.experiment = str(experiment)
-        self.digest = str(digest)
+        #: The first line of the file; a journal whose first line differs
+        #: (another run, or another format) is discarded on resume.
+        self.header = {
+            "journal_format": JOURNAL_FORMAT_VERSION,
+            "experiment": str(experiment),
+            "digest": str(digest),
+        }
         self._handle: Optional[Any] = None
         self._fault_points: Dict[int, FaultSimulationPoint] = {}
         self._bler_cells: Dict[int, HarqStatistics] = {}
@@ -118,13 +124,7 @@ class SweepJournal:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
-            self._append(
-                {
-                    "journal_format": JOURNAL_FORMAT_VERSION,
-                    "experiment": self.experiment,
-                    "digest": self.digest,
-                }
-            )
+            self._append(self.header)
 
     def _replay(self) -> None:
         """Load the intact prefix of an existing journal, dropping torn tails."""
@@ -139,21 +139,17 @@ class SweepJournal:
                 self.recovered_truncation = True
                 break
             try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict):
-                    raise ValueError("journal line is not a JSON object")
+                entry = parse_object(line)
             except ValueError:
                 # Entries are fsynced in order, so a malformed line means
-                # everything after it is unreliable too.  ValueError covers
-                # JSONDecodeError, the UnicodeDecodeError a torn line with
-                # invalid UTF-8 bytes raises, and valid JSON that is not an
-                # object — all truncate, never crash the resume (a bad
-                # header leaves no entries, so the journal is discarded).
+                # everything after it is unreliable too: truncate, never
+                # crash the resume (a bad header leaves no entries, so the
+                # journal is discarded).
                 self.recovered_truncation = True
                 break
             entries.append(entry)
             good_bytes += len(line)
-        if not entries or not self._header_matches(entries[0]):
+        if not entries or not header_matches(entries[0], self.header):
             # Foreign, stale-format or empty journal: recompute from scratch.
             if entries:
                 warnings.warn(
@@ -180,13 +176,6 @@ class SweepJournal:
                 path=str(self.path),
                 kept_entries=self.replayed_entries,
             )
-
-    def _header_matches(self, entry: Dict[str, Any]) -> bool:
-        return (
-            entry.get("journal_format") == JOURNAL_FORMAT_VERSION
-            and entry.get("experiment") == self.experiment
-            and entry.get("digest") == self.digest
-        )
 
     def _ingest(self, entry: Dict[str, Any]) -> None:
         kind = entry.get("type")

@@ -24,19 +24,15 @@ experiment, and mixing the two would pollute ``repro cache ls``.
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.harq.metrics import HarqStatistics
-from repro.runner import telemetry
 from repro.runner.cache import (
-    atomic_write_text,
+    JsonStore,
+    canonical_text,
     canonicalize,
     config_digest,
     decoder_backend_identity,
@@ -45,11 +41,6 @@ from repro.runner.tasks import FaultSimulationPoint
 
 #: Bump when the payload or identity layout changes so stale entries miss.
 POINT_STORE_FORMAT_VERSION = 1
-
-#: Digests are short sha256 hex prefixes (see ``config_digest``); anything
-#: else — path separators, dots, an empty string — is rejected before it can
-#: touch the filesystem (the HTTP front end feeds user input through here).
-_DIGEST_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 
 # --------------------------------------------------------------------------- #
@@ -192,7 +183,7 @@ def fault_point_from_json(data: Dict[str, Any]) -> FaultSimulationPoint:
 
 
 # --------------------------------------------------------------------------- #
-class PointStore:
+class PointStore(JsonStore):
     """A directory of content-addressed grid-point results.
 
     Parameters
@@ -203,111 +194,35 @@ class PointStore:
         JSON, so concurrent writers of the same digest are benign (their
         payloads are byte-identical by construction).
 
-    The ``hits`` / ``misses`` / ``writes`` counters cover this instance's
-    lifetime and back the CLI's ``reused N point(s), computed M point(s)``
-    summary line.
+    The ``hits`` / ``writes`` counters cover this instance's lifetime and
+    back the CLI's ``reused N point(s), computed M point(s)`` summary line.
     """
 
     def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------ #
-    def path_for(self, digest: str) -> Path:
-        """File that does / would hold this digest (rejecting bad tokens)."""
-        if not _DIGEST_RE.match(digest):
-            raise ValueError(f"malformed point digest {digest!r}")
-        return self.root / f"{digest}.json"
+        super().__init__(
+            root,
+            label="point-store",
+            header={"point_store_format": POINT_STORE_FORMAT_VERSION},
+        )
 
     def digest(self, identity: Dict[str, Any]) -> str:
         """The content address of a point identity mapping."""
         return config_digest(identity)
 
-    def load_payload(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The raw stored payload for a digest, or ``None`` on miss.
-
-        Does not touch the hit/miss counters — those belong to the typed
-        loaders the sweep paths use; this is the query-front-end accessor.
-        """
-        return self.load_payload_with_status(digest)[0]
-
-    def load_payload_with_status(
-        self, digest: str
-    ) -> Tuple[Optional[Dict[str, Any]], str]:
-        """Like :meth:`load_payload`, but also say *why* a lookup missed.
-
-        Returns ``(payload, status)`` with status one of ``"ok"``,
-        ``"missing"``, ``"corrupt"``, ``"stale-format"`` or ``"unreadable"``
-        — the same vocabulary as :meth:`ResultCache.load_with_status`.  A
-        torn entry is quarantined to ``<digest>.json.corrupt`` with a
-        :class:`RuntimeWarning` (point stores are written atomically, so a
-        non-JSON file was damaged after the write) and reads as a miss, so
-        the sweep recomputes and re-stores the point instead of failing.
-        """
-        path = self.path_for(digest)
-        if not path.exists():
-            status = (
-                "corrupt"
-                if path.with_name(path.name + ".corrupt").exists()
-                else "missing"
-            )
-            return None, status
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("point-store entry is not a JSON object")
-        except OSError:
-            return None, "unreadable"
-        except ValueError:
-            # ValueError covers JSONDecodeError, the UnicodeDecodeError a
-            # torn entry whose bytes are invalid UTF-8 raises from
-            # read_text, and valid JSON that is not an object — all mean
-            # "damaged after an atomic write", and all quarantine instead
-            # of crashing the coordinator.
-            quarantine = path.with_name(path.name + ".corrupt")
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                quarantine = path
-            warnings.warn(
-                f"point-store entry {digest} is corrupt JSON; "
-                f"quarantined at {quarantine}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            telemetry.inc("store_quarantines_total", store="point-store")
-            telemetry.event("store-quarantine", store="point-store", entry=digest)
-            return None, "corrupt"
-        if payload.get("point_store_format") != POINT_STORE_FORMAT_VERSION:
-            return None, "stale-format"
-        return payload, "ok"
-
     def _load_result(self, digest: str, kind: str) -> Optional[Dict[str, Any]]:
-        payload = self.load_payload(digest)
-        if payload is None or payload.get("kind") != kind:
-            self.misses += 1
-            telemetry.inc("store_misses_total", store="point-store")
-            return None
-        self.hits += 1
-        telemetry.inc("store_hits_total", store="point-store")
-        return payload["result"]
+        payload, _status = self.get(digest, expect={"kind": kind})
+        return None if payload is None else payload["result"]
 
     def _store_result(
         self, digest: str, *, kind: str, identity: Dict[str, Any], result: Dict[str, Any]
     ) -> Path:
         payload = {
-            "point_store_format": POINT_STORE_FORMAT_VERSION,
+            **self.header,
             "kind": kind,
             "identity": canonicalize(identity),
             "result": result,
         }
-        path = self.path_for(digest)
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        self.writes += 1
-        telemetry.inc("store_writes_total", store="point-store")
-        return path
+        return self.put_text(canonical_text(payload), digest)
 
     # ------------------------------------------------------------------ #
     def load_fault_point(self, digest: str) -> Optional[FaultSimulationPoint]:
@@ -338,18 +253,6 @@ class PointStore:
             identity=identity,
             result=statistics_to_json(statistics),
         )
-
-    # ------------------------------------------------------------------ #
-    def iter_digests(self) -> Iterator[str]:
-        """Every stored digest, sorted (for the query front end)."""
-        if not self.root.exists():
-            return
-        for path in sorted(self.root.glob("*.json")):
-            if _DIGEST_RE.match(path.stem):
-                yield path.stem
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_digests())
 
     def summary(self) -> str:
         """One human line for the CLI: what the store saved this run."""

@@ -43,8 +43,6 @@ address only where every client is trusted (there is no authentication).
 
 from __future__ import annotations
 
-import json
-import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -52,16 +50,12 @@ from urllib.parse import parse_qs, unquote
 
 from repro.runner import telemetry
 from repro.runner.backends.wire import format_address
-from repro.runner.cache import ResultCache
+from repro.runner.cache import JsonStore, ResultCache, canonical_text
 from repro.runner.point_store import PointStore
 
-#: Path segments we accept: experiment names (``fig6``, ``scenario-...``)
-#: and hex digests.  Anything else — ``..``, separators, empty — is a 404.
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,128}$")
 
-
-def _json_bytes(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def _count(store: Optional[JsonStore]) -> int:
+    return 0 if store is None else sum(1 for _ in store.iter_keys())
 
 
 class ReproQueryServer(ThreadingHTTPServer):
@@ -98,8 +92,8 @@ class _QueryHandler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         # Split on the *encoded* path first, then percent-decode each
         # segment: a separator smuggled in as %2f decodes inside one
-        # segment, where _SEGMENT_RE rejects it — decoding never turns one
-        # segment into two, so traversal rejection is intact.
+        # segment, where the store's key check rejects it — decoding never
+        # turns one segment into two, so traversal rejection is intact.
         segments = [
             unquote(segment) for segment in path.rstrip("/").split("/") if segment
         ]
@@ -126,7 +120,6 @@ class _QueryHandler(BaseHTTPRequestHandler):
         )
 
     def _index(self) -> Dict[str, Any]:
-        store = self.server.point_store
         return {
             "service": "repro-query",
             "routes": [
@@ -139,20 +132,19 @@ class _QueryHandler(BaseHTTPRequestHandler):
                 "/points/<digest>",
             ],
             "experiments": self.server.cache.entries(),
-            "points": 0 if store is None else len(store),
+            "points": _count(self.server.point_store),
         }
 
     def _healthz(self, rest) -> None:
         """Liveness/readiness probe: cheap, allocation-free counts only."""
         if rest:
             raise ValueError("/".join(rest))
-        store = self.server.point_store
         self._respond(
             200,
             {
                 "status": "ok",
-                "experiments": sum(self.server.cache.entries().values()),
-                "points": 0 if store is None else len(store),
+                "experiments": _count(self.server.cache),
+                "points": _count(self.server.point_store),
             },
         )
 
@@ -178,16 +170,13 @@ class _QueryHandler(BaseHTTPRequestHandler):
         cache = self.server.cache
         if not rest:
             listing: Dict[str, list] = {}
-            for experiment, digest, _path in cache.iter_entries():
+            for (experiment, digest), _path in cache.iter_keys():
                 listing.setdefault(experiment, []).append(digest)
             return self._respond(200, listing)
-        for segment in rest:
-            if not _SEGMENT_RE.match(segment):
-                raise ValueError(segment)
         if len(rest) == 1:
             digests = [
                 digest
-                for experiment, digest, _path in cache.iter_entries()
+                for (experiment, digest), _path in cache.iter_keys()
                 if experiment == rest[0]
             ]
             if not digests:
@@ -197,7 +186,9 @@ class _QueryHandler(BaseHTTPRequestHandler):
                 )
             return self._respond(200, {rest[0]: digests})
         if len(rest) == 2:
-            payload, status = cache.load_with_status(rest[0], rest[1])
+            # The store's key check rejects malformed and reserved names
+            # (ValueError, a 404) before they reach the filesystem.
+            payload, status = cache.get(rest[0], rest[1])
             if payload is None:
                 return self._respond_lost(f"cached run {rest[0]}/{rest[1]}", status)
             return self._respond(200, payload)
@@ -210,12 +201,11 @@ class _QueryHandler(BaseHTTPRequestHandler):
                 404, {"error": "no point store attached", "reason": "not-found"}
             )
         if not rest:
-            return self._respond(200, {"points": list(store.iter_digests())})
+            return self._respond(
+                200, {"points": [digest for (digest,), _path in store.iter_keys()]}
+            )
         if len(rest) == 1:
-            try:
-                payload, status = store.load_payload_with_status(rest[0])
-            except ValueError:
-                payload, status = None, "missing"
+            payload, status = store.get(rest[0])
             if payload is None:
                 return self._respond_lost(f"stored point {rest[0]}", status)
             return self._respond(200, payload)
@@ -237,7 +227,9 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ #
     def _respond(self, status: int, payload: Any) -> None:
-        self._respond_bytes(status, _json_bytes(payload), "application/json")
+        self._respond_bytes(
+            status, canonical_text(payload).encode("utf-8"), "application/json"
+        )
 
     def _respond_bytes(self, status: int, body: bytes, content_type: str) -> None:
         try:

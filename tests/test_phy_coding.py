@@ -151,15 +151,6 @@ class TestTurbo:
                 counts[trellis.next_state[state, bit]] += 1
         assert np.all(counts == 2)
 
-    def test_termination_input_drives_to_zero(self):
-        trellis = UMTS_TRELLIS
-        for state in range(8):
-            current = state
-            for _ in range(3):
-                bit = int(trellis.termination_input[current])
-                current = int(trellis.next_state[current, bit])
-            assert current == 0
-
     def test_qpp_interleaver_is_permutation(self):
         for size in (40, 64, 104, 320):
             interleaver = qpp_interleaver(size)
@@ -184,7 +175,7 @@ class TestTurbo:
     def test_decoder_noiseless(self, rng):
         code = TurboCode(96, num_iterations=4)
         bits = rng.integers(0, 2, 96, dtype=np.int8)
-        llrs = 8.0 * (1.0 - 2.0 * code.encode_batch(bits[None])[0].astype(float))
+        llrs = 8.0 * (1.0 - 2.0 * code.encode_batch(bits[None]).astype(float))
         result = code.decode_buffer(llrs)
         assert np.array_equal(result.decoded_bits[0], bits)
 
@@ -218,13 +209,15 @@ class TestTurbo:
         coded = code.encode_batch(bits)
         llrs = 4.0 * (1.0 - 2.0 * coded.astype(float))
         batch = code.decode_buffer(llrs).decoded_bits
-        singles = np.stack([code.decode_buffer(llrs[i]).decoded_bits[0] for i in range(3)])
+        singles = np.stack(
+            [code.decode_buffer(llrs[i : i + 1]).decoded_bits[0] for i in range(3)]
+        )
         assert np.array_equal(batch, singles)
 
     def test_early_stopping_reports_convergence(self, rng):
         code = TurboCode(80, num_iterations=8)
         bits = rng.integers(0, 2, 80, dtype=np.int8)
-        llrs = 10.0 * (1.0 - 2.0 * code.encode_batch(bits[None])[0].astype(float))
+        llrs = 10.0 * (1.0 - 2.0 * code.encode_batch(bits[None]).astype(float))
         result = code.decode_buffer(llrs)
         assert result.iterations_run < 8
         assert result.converged.all()
@@ -232,7 +225,9 @@ class TestTurbo:
     def test_decoder_wrong_length_rejected(self):
         code = TurboCode(50)
         with pytest.raises(ValueError):
-            code.decode_buffer(np.zeros(100))
+            code.decode_buffer(np.zeros((1, 100)))
+        with pytest.raises(ValueError):
+            code.decode_buffer(np.zeros(150))  # one block, but not a batch
 
     def test_decoder_erasures_give_chance_output(self):
         decoder = TurboDecoder(40, num_iterations=2)

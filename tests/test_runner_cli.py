@@ -7,10 +7,9 @@ import pytest
 from repro.core.results import SweepTable
 from repro.runner.cache import (
     CACHE_FORMAT_VERSION,
-    QUARANTINE_DIRNAME,
-    QuarantineStore,
     ResultCache,
     config_digest,
+    serialize_payload,
 )
 from repro.phy.turbo.backends import resolve_backend
 from repro.runner.cli import experiment_payload, main, run_identity
@@ -62,12 +61,14 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         identity = run_identity("fig3", "smoke", 0, {})
         digest = config_digest(identity)
-        assert cache.load("fig3", digest) is None
+        assert cache.get("fig3", digest) == (None, "missing")
 
         outcome = run_experiment("fig3")
-        cache.store("fig3", digest, identity=identity, tables=outcome.tables)
-        payload = cache.load("fig3", digest)
-        assert payload is not None
+        text = serialize_payload("fig3", identity=identity, tables=outcome.tables)
+        cache.store("fig3", digest, text)
+        payload, status = cache.get("fig3", digest)
+        assert status == "ok"
+        assert cache.path_for("fig3", digest).read_text() == text
         assert payload["cache_format"] == CACHE_FORMAT_VERSION
         table = SweepTable.from_json_dict(payload["tables"]["table"])
         assert table.to_json() == outcome.tables["table"].to_json()
@@ -78,33 +79,13 @@ class TestResultCache:
         assert config_digest(base) != config_digest(run_identity("fig6", "default", 2012, {}))
         assert config_digest(base) != config_digest(run_identity("fig7", "smoke", 2012, {}))
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.path_for("fig3", "deadbeef")
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.load("fig3", "deadbeef") is None
-
     def test_entries_counts_per_experiment(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.entries() == {}
-        outcome = run_experiment("fig3")
-        cache.store("fig3", "aaaa", identity={}, tables=outcome.tables)
-        cache.store("fig3", "bbbb", identity={}, tables=outcome.tables)
+        text = serialize_payload("fig3", identity={}, tables=run_experiment("fig3").tables)
+        cache.store("fig3", "aa" * 10, text)
+        cache.store("fig3", "bb" * 10, text)
         assert cache.entries() == {"fig3": 2}
-
-    def test_quarantine_records_are_not_runs(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        outcome = run_experiment("fig3")
-        cache.store("fig3", "aaaa", identity={}, tables=outcome.tables)
-        record = QuarantineStore(tmp_path / QUARANTINE_DIRNAME).record(
-            "simulate_fault_map_batch", {"key": [0]}, error="boom", attempts=2
-        )
-        assert cache.entries() == {"fig3": 1}
-        assert [e for e, _d, _p in cache.iter_entries()] == ["fig3"]
-        assert cache.clear() == 1
-        assert cache.entries() == {}
-        assert record.exists()
 
 
 class TestExperimentPayload:
@@ -366,9 +347,9 @@ class TestCacheLsClear:
         journal = cache_dir / "journal" / "fig6-0000.jsonl"
         journal.parent.mkdir()
         journal.write_text("{}\n")
-        (cache_dir / "fig3" / "torn.json").write_text("{")
+        (cache_dir / "fig3" / ("ee" * 10 + ".json")).write_text("{")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert ResultCache(cache_dir).load_with_status("fig3", "torn")[1] == "corrupt"
+            assert ResultCache(cache_dir).get("fig3", "ee" * 10)[1] == "corrupt"
         assert ResultCache(cache_dir).entries() == {"fig3": 1, "fig5": 1}
         capsys.readouterr()
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
@@ -377,29 +358,6 @@ class TestCacheLsClear:
         # Quarantined entries go too; the journal is resume state and stays.
         assert list(cache_dir.iterdir()) == [journal.parent]
         assert journal.read_text() == "{}\n"
-
-    def test_resultcache_clear_api(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        outcome = run_experiment("fig3")
-        cache.store("fig3", "aaaa", identity={}, tables=outcome.tables)
-        cache.store("fig6", "bbbb", identity={}, tables=outcome.tables)
-        assert [(e, d) for e, d, _ in cache.iter_entries()] == [
-            ("fig3", "aaaa"),
-            ("fig6", "bbbb"),
-        ]
-        (tmp_path / "journal").mkdir()
-        (tmp_path / "journal" / "fig6-bbbb.jsonl").write_text("{}\n")
-        assert cache.entries() == {"fig3": 1, "fig6": 1}
-        (tmp_path / "fig3" / "cccc.json").write_text("{")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.load_with_status("fig3", "cccc")[1] == "corrupt"
-        assert cache.clear("fig3") == 1
-        assert cache.entries() == {"fig6": 1}
-        assert cache.load_with_status("fig3", "cccc")[1] == "missing"
-        assert not (tmp_path / "fig3").exists()
-        assert cache.clear() == 1
-        assert cache.entries() == {}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal"]
 
 
 class TestExecutionBackendThreading:

@@ -42,7 +42,12 @@ from repro.runner.backends.wire import (
     recv_message,
     send_message,
 )
-from repro.runner.cache import ResultCache, atomic_write_text
+from repro.runner.cache import (
+    QUARANTINE_DIRNAME,
+    QuarantineStore,
+    ResultCache,
+    atomic_write_text,
+)
 from repro.runner.cli import experiment_payload
 from repro.runner.parallel import ParallelRunner
 from repro.runner.point_store import (
@@ -129,26 +134,6 @@ class TestAddressRoundTrip:
 # cache atomicity and quarantine
 # --------------------------------------------------------------------------- #
 class TestCacheAtomicity:
-    def test_corrupt_entry_is_quarantined_with_warning(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.path_for("fig6", "deadbeefdeadbeefdead")
-        path.parent.mkdir(parents=True)
-        path.write_text('{"cache_format": 1, "tables": {tor')  # torn tail
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.load("fig6", "deadbeefdeadbeefdead") is None
-        # The evidence is preserved, and the slot is free for a re-store.
-        assert not path.exists()
-        quarantined = path.with_name(path.name + ".corrupt")
-        assert quarantined.read_text().endswith("tor")
-
-    def test_store_leaves_no_temporary_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.store("fig6", "feedface" * 2, identity={"seed": 1}, tables={})
-        leftovers = [
-            p for p in (tmp_path / "fig6").iterdir() if p.suffix != ".json"
-        ]
-        assert leftovers == []
-
     def test_failed_replace_keeps_old_content_and_cleans_tmp(
         self, tmp_path, monkeypatch
     ):
@@ -526,31 +511,10 @@ class TestPointStore:
         rebuilt = fault_point_from_json(data)
         assert fault_point_to_json(rebuilt) == fault_point_to_json(point)
 
-    @pytest.mark.parametrize(
-        "bad", ["../../etc/passwd", "DEADBEEF", "short", "", "deadbeef.json", "a b"]
-    )
-    def test_malformed_digests_never_touch_the_filesystem(self, tmp_path, bad):
-        store = PointStore(tmp_path)
-        with pytest.raises(ValueError, match="malformed point digest"):
-            store.path_for(bad)
 
-    def test_kind_mismatch_is_a_miss(self, tmp_path):
-        store = PointStore(tmp_path)
-        digest = store.digest({"cross": "kind"})
-        store.store_statistics(digest, _sample_statistics(), identity={"cross": "kind"})
-        assert store.load_fault_point(digest) is None
-        assert store.misses == 1
-
-    def test_corrupt_or_stale_entries_miss(self, tmp_path):
-        store = PointStore(tmp_path)
-        digest = "ab" * 10
-        store.path_for(digest).parent.mkdir(parents=True, exist_ok=True)
-        store.path_for(digest).write_text("{ not json")
-        assert store.load_payload(digest) is None
-        store.path_for(digest).write_text(
-            json.dumps({"point_store_format": -1, "kind": "fault"})
-        )
-        assert store.load_payload(digest) is None
+def _stored(store):
+    """Number of entries in a store."""
+    return sum(1 for _ in store.iter_keys())
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +531,7 @@ class TestPointStoreEndToEnd:
     def test_cold_store_run_matches_golden_bytes(self, fig6_smoke_store):
         _root, store, payload = fig6_smoke_store
         assert payload == (GOLDEN_DIR / "fig6.json").read_text()
-        assert store.writes == len(store) > 0
+        assert store.writes == _stored(store) > 0
         assert store.hits == 0
 
     def test_warm_store_computes_zero_points(self, fig6_smoke_store):
@@ -579,7 +543,7 @@ class TestPointStoreEndToEnd:
         )
         assert again == payload  # byte-identical to the cold run
         assert warm.writes == 0
-        assert warm.hits == len(warm) > 0
+        assert warm.hits == _stored(warm) > 0
         assert "computed 0 point(s)" in warm.summary()
 
     def test_store_never_enters_the_run_identity(self, fig6_smoke_store):
@@ -621,7 +585,7 @@ class TestQueryFrontEnd:
         assert status == 200
         assert index["service"] == "repro-query"
         assert index["experiments"] == {"fig6": 1}
-        assert index["points"] == len(store)
+        assert index["points"] == _stored(store)
 
     def test_experiment_payload_is_byte_identical_over_http(
         self, query_server, fig6_smoke_store
@@ -638,7 +602,7 @@ class TestQueryFrontEnd:
         _root, store, _payload = fig6_smoke_store
         status, body = _get(query_server, "/points")
         assert status == 200
-        assert body["points"] == list(store.iter_digests())
+        assert body["points"] == [digest for (digest,), _path in store.iter_keys()]
         status, point = _get(query_server, f"/points/{body['points'][0]}")
         assert status == 200
         assert point["point_store_format"] == 1
@@ -678,6 +642,35 @@ class TestQueryFrontEnd:
             assert status == 200 and index["points"] == 0
             status, body = _get(server, "/points")
             assert status == 404
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_lost_entries_are_410_and_non_run_records_404(self, tmp_path):
+        """410 only for entries that were stored; quarantine records are not runs."""
+        cache = ResultCache(tmp_path / "cache")
+        text = (GOLDEN_DIR / "fig6.json").read_text()
+        cache.store("fig6", "aa" * 10, text)
+        cache.store("fig6", "bb" * 10, text.replace('"cache_format": 1', '"cache_format": 0'))
+        cache.path_for("fig6", "cc" * 10).write_text(text[:100])
+        record = QuarantineStore(tmp_path / "cache" / QUARANTINE_DIRNAME).record(
+            "simulate_fault_map_batch", {"key": [0]}, error="boom", attempts=2
+        )
+        server = build_server(tmp_path / "cache", bind="127.0.0.1:0")
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            assert _get(server, f"/experiments/fig6/{'aa' * 10}")[0] == 200
+            assert _get(server, f"/experiments/fig6/{'bb' * 10}") == (
+                410,
+                {"error": f"cached run fig6/{'bb' * 10} is no longer servable",
+                 "reason": "stale-format"},
+            )
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                status, body = _get(server, f"/experiments/fig6/{'cc' * 10}")
+            assert (status, body["reason"]) == (410, "quarantined-corrupt")
+            status, body = _get(server, f"/experiments/{QUARANTINE_DIRNAME}/{record.stem}")
+            assert (status, body["reason"]) == (404, "not-found")
+            assert _get(server, "/experiments")[1] == {"fig6": ["aa" * 10, "bb" * 10]}
         finally:
             server.shutdown()
             server.server_close()

@@ -14,11 +14,6 @@ here:
   ``GET /metrics`` reports non-zero dispatch and store-hit counters (JSON
   and Prometheus text), and chaos injections show up as
   ``chaos_injected_total`` counters.
-* **Corruption bugfix regression** — store entries and journal tails torn
-  into *invalid UTF-8 bytes* (not just invalid JSON) are quarantined or
-  truncated and recomputed, never a coordinator crash: both
-  ``UnicodeDecodeError`` and ``JSONDecodeError`` are ``ValueError``\\ s and
-  both must hit the same recovery path.
 """
 
 import json
@@ -31,9 +26,8 @@ from repro.runner import chaos, telemetry
 from repro.runner.cache import ResultCache, atomic_write_text
 from repro.runner.chaos import ChaosInjected, FaultPlan
 from repro.runner.cli import experiment_payload, main
-from repro.runner.journal import SweepJournal
 from repro.runner.parallel import ParallelRunner
-from repro.runner.point_store import POINT_STORE_FORMAT_VERSION, PointStore
+from repro.runner.point_store import PointStore
 from repro.runner.serve import build_server
 from repro.runner.telemetry import (
     EVENT_LOG_LIMIT,
@@ -42,12 +36,6 @@ from repro.runner.telemetry import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-#: Bytes that are invalid UTF-8 (0xFF/0xFE can never appear in UTF-8) — the
-#: shape of a torn entry whose tail landed mid-multibyte-sequence.
-_NOT_UTF8 = b'\xff\xfe{"cache_format": 1, "torn": \x80\x81'
-#: Damaged entries that decode as JSON but are not an object.
-_NOT_AN_OBJECT = (b"[]", b"null", b"7")
 
 
 def _total(registry, name, **labels):
@@ -356,105 +344,6 @@ class TestChaosCounters:
         )
         kinds = [e["kind"] for e in registry.snapshot()["events"]]
         assert kinds.count("chaos-injected") == 2
-
-
-# --------------------------------------------------------------------------- #
-@pytest.mark.usefixtures("fresh_registry")
-class TestInvalidUtf8Quarantine:
-    """Torn entries with invalid UTF-8 bytes — or valid JSON that is not an
-    object — recover exactly like bad JSON."""
-
-    def test_cache_entry_quarantined_and_run_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        first = experiment_payload("fig3", "smoke", 2012, cache=cache)
-        [(experiment, digest, path)] = list(cache.iter_entries())
-        damaged = (_NOT_UTF8, *_NOT_AN_OBJECT)
-        for torn in damaged:
-            path.write_bytes(torn)
-            with pytest.warns(RuntimeWarning, match="corrupt JSON"):
-                payload, status = cache.load_with_status(experiment, digest)
-            assert payload is None and status == "corrupt"
-            assert path.with_name(path.name + ".corrupt").read_bytes() == torn
-            assert not path.exists()
-
-            # The same request recomputes byte-identically and restores the
-            # slot (the quarantined sibling already marks the miss, so no
-            # re-warning).
-            second = experiment_payload("fig3", "smoke", 2012, cache=cache)
-            assert second == first
-            assert cache.load_with_status(experiment, digest)[1] == "ok"
-        registry = telemetry.registry()
-        quarantines = _total(registry, "store_quarantines_total", store="cache")
-        assert quarantines == len(damaged)
-
-    def test_point_store_entry_quarantined_and_restorable(self, tmp_path):
-        store = PointStore(tmp_path / "points")
-        digest = "ab" * 20
-        good = json.dumps(
-            {
-                "point_store_format": POINT_STORE_FORMAT_VERSION,
-                "kind": "fault",
-                "identity": {},
-                "result": {},
-            }
-        )
-        atomic_write_text(store.path_for(digest), good)
-        assert store.load_payload_with_status(digest)[1] == "ok"
-
-        quarantine = store.path_for(digest).with_name(
-            store.path_for(digest).name + ".corrupt"
-        )
-        damaged = (_NOT_UTF8, *_NOT_AN_OBJECT)
-        for torn in damaged:
-            store.path_for(digest).write_bytes(torn)
-            with pytest.warns(RuntimeWarning, match="corrupt JSON"):
-                # The typed loader the sweep paths use reads it as a miss.
-                assert store.load_fault_point(digest) is None
-            assert quarantine.read_bytes() == torn
-            assert store.load_payload_with_status(digest) == (None, "corrupt")
-
-            # A recomputed entry re-occupies the slot cleanly.
-            atomic_write_text(store.path_for(digest), good)
-            assert store.load_payload_with_status(digest)[1] == "ok"
-        registry = telemetry.registry()
-        quarantines = _total(registry, "store_quarantines_total", store="point-store")
-        assert quarantines == len(damaged)
-
-    def test_journal_tail_with_invalid_utf8_is_truncated(self, tmp_path):
-        journal = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef")
-        journal.close()
-        header = journal.path.read_bytes()
-        # Newline-terminated, so each is a *malformed line* (for the first,
-        # the UnicodeDecodeError path inside json.loads), not a torn tail.
-        damaged = (
-            b'{"type": "fault_point", "ind\xff\xfe\x80"}',
-            *_NOT_AN_OBJECT,
-        )
-        for torn in damaged:
-            journal.path.write_bytes(header + torn + b"\n")
-            resumed = SweepJournal.open_for_run(
-                tmp_path, "figx", "deadbeef", resume=True
-            )
-            assert resumed.recovered_truncation
-            assert resumed.replayed_entries == 0
-            assert resumed.path.read_bytes() == header  # tail gone on disk
-            resumed.close()
-
-            again = SweepJournal.open_for_run(tmp_path, "figx", "deadbeef", resume=True)
-            assert not again.recovered_truncation
-            again.close()
-
-            # The same damage in place of the header discards the journal,
-            # which restarts from a fresh header.
-            journal.path.write_bytes(torn + b"\n")
-            restarted = SweepJournal.open_for_run(
-                tmp_path, "figx", "deadbeef", resume=True
-            )
-            assert restarted.replayed_entries == 0
-            restarted.close()
-            assert restarted.path.read_bytes() == header
-        registry = telemetry.registry()
-        assert _total(registry, "journal_truncations_total") == len(damaged)
 
 
 # --------------------------------------------------------------------------- #

@@ -25,6 +25,9 @@ theory:
   to 12 bits equals GF(2) power-series division by the octal 13 / 15
   generators, ``p(D) = u(D) g1(D) / g0(D)``, and the feedback tail drives
   every state to 0;
+* every SISO kernel (numpy and native, float64 and float32) returns, for
+  blocks of up to 10 bits, exactly the max-log APP that brute-force
+  enumeration of every input path through the trellis defines;
 * the QPP internal interleaver of every block size a scale preset uses is
   a permutation, and its ``(f1, f2)`` meet Takeshita's conditions;
 * the ``scipy.special`` ufuncs the package evaluates in place of
@@ -54,6 +57,7 @@ from repro.memory.ecc import HammingCode
 from repro.memory.faults import FaultMap, FaultModel
 from repro.phy.crc import CRC_8, CRC_24A
 from repro.phy.modulation import get_modulator
+from repro.phy.turbo.backends import create_backend, resolve_backend
 from repro.phy.turbo.interleaver import _valid_qpp_parameters
 from repro.phy.turbo.trellis import UMTS_TRELLIS
 
@@ -337,6 +341,29 @@ def _all_inputs(length: int) -> np.ndarray:
     return (np.arange(1 << length)[:, None] >> np.arange(length - 1, -1, -1)) & 1
 
 
+def _brute_force_app(sys_llrs, par_llrs, apriori, terminated_start):
+    """Max-log APP of each bit of one block, by enumerating every input.
+
+    Paths start in state 0, or in any state when *terminated_start* is
+    false, and end anywhere.  A path's metric is
+    ``sum 1/2 (Lsys + La)(1 - 2u) + 1/2 Lpar (1 - 2p)``; bit t's APP is the
+    best metric with ``u_t = 0`` minus the best with ``u_t = 1``.
+    """
+    inputs = _all_inputs(sys_llrs.size)
+    starts = [0] if terminated_start else range(UMTS_TRELLIS.num_states)
+    best = np.full((2, sys_llrs.size), -np.inf)
+    for start in starts:
+        parity, _ = UMTS_TRELLIS.encode_bits_batch(inputs, initial_state=start)
+        metric = (
+            0.5 * (sys_llrs.astype(np.float64) + apriori) * (1 - 2 * inputs)
+            + 0.5 * par_llrs.astype(np.float64) * (1 - 2 * parity)
+        ).sum(axis=1)
+        for bit in (0, 1):
+            candidates = np.where(inputs == bit, metric[:, None], -np.inf)
+            best[bit] = np.maximum(best[bit], candidates.max(axis=0))
+    return best[0] - best[1]
+
+
 def _series_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """Rows ``q`` with ``q(D) * denominator(D) == numerator(D)`` mod ``D^n`` over GF(2).
 
@@ -421,6 +448,37 @@ class TestTurboCode:
         i = np.arange(block_size)
         np.testing.assert_array_equal(permutation, (f1 * i + f2 * i * i) % block_size)
         np.testing.assert_array_equal(np.sort(permutation), i)
+
+    @pytest.mark.parametrize("backend", ["numpy", "native", "numpy-f32", "native-f32"])
+    @pytest.mark.parametrize("terminated_start", [True, False])
+    @pytest.mark.parametrize("block_size", [1, 3, 6, 10])
+    def test_siso_is_the_brute_force_max_log_app(
+        self, backend, terminated_start, block_size
+    ):
+        """Every SISO kernel returns the max-log APP of its definition, exactly.
+
+        With even-integer LLRs every path metric is an exact integer in
+        float32 and float64 alike, so ``array_equal`` holds, not closeness.
+        """
+        spec = resolve_backend(backend, warn=False)
+        if spec.name != backend:
+            pytest.skip(f"{backend} is not available here")
+        rng = np.random.default_rng(block_size + 10 * terminated_start)
+        sys_llrs, par_llrs, apriori = (
+            2.0 * rng.integers(-8, 9, (3, 3, block_size))
+        ).astype(spec.dtype)
+        kernel = create_backend(backend, UMTS_TRELLIS, block_size)
+        got = kernel.siso(
+            sys_llrs, par_llrs, apriori, np.empty_like(sys_llrs),
+            terminated_start=terminated_start,
+        )
+        want = np.stack(
+            [
+                _brute_force_app(sys_llrs[row], par_llrs[row], apriori[row], terminated_start)
+                for row in range(3)
+            ]
+        )
+        assert np.array_equal(got, want.astype(spec.dtype)), (got, want)
 
     def test_takeshita_check_rejects_non_permutations(self):
         """The condition check is not vacuous: it agrees with brute force."""
