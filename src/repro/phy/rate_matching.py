@@ -169,8 +169,8 @@ def split_systematic_priority_buffer_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert :func:`make_systematic_priority_buffer_batch` (rows = blocks).
 
-    The parity streams are returned as contiguous arrays (the decoder's
-    kernels index them heavily); the systematic part is a view.
+    All three are views of *buffers*: the turbo decoder copies them into
+    its own step-major layout anyway.
     """
     buf = np.asarray(buffers)
     num_systematic = ensure_positive_int(num_systematic, "num_systematic")
@@ -180,7 +180,7 @@ def split_systematic_priority_buffer_batch(
     if remaining < 0 or remaining % 2:
         raise ValueError("buffer length inconsistent with num_systematic")
     systematic = buf[:, :num_systematic]
-    parity1 = np.ascontiguousarray(buf[:, num_systematic::2])
-    parity2 = np.ascontiguousarray(buf[:, num_systematic + 1 :: 2])
+    parity1 = buf[:, num_systematic::2]
+    parity2 = buf[:, num_systematic + 1 :: 2]
     return systematic, parity1, parity2
 

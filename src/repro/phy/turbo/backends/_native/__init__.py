@@ -15,6 +15,12 @@ a complete module, and a truncated or otherwise damaged binary is rebuilt
 instead of loaded.  Any failure (no compiler, unwritable cache, a module
 that does not import) leaves the family unavailable with the reason, which
 ``repro backends ls`` shows; the registry then falls back to numpy.
+
+The kernel reads and writes the decoder's step-major ``(block_size,
+batch)`` arrays in place.  On x86-64 compilers with ``target_clones``, the
+source marks each kernel for an AVX2 and a baseline clone, and the dynamic
+loader picks the one the CPU supports; the flags below stay the same for
+both, so both clones are exact (see ``sisokernel.c``).
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ HERE = Path(__file__).resolve().parent
 SOURCES = ("sisokernel.c", "sisokernel_impl.h")
 
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds, which
-#: would round differently from the numpy kernel and break exactness.
+#: would round differently from the numpy kernel and break exactness; it
+#: holds in every ``target_clones`` clone.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Import name of the extension (its ``PyInit__sisokernel`` entry point).

@@ -2,183 +2,180 @@
  *
  * Included twice by sisokernel.c with REAL / KERNEL_NAME defined to float /
  * double variants.  The algorithm mirrors the numpy reference backend
- * (repro/phy/turbo/backends/numpy_backend.py): plane-major flat branch
- * tables, batch-last (step-major, batch-inner) layout, per-step max
- * normalisation of the state metrics.  Every inner loop runs contiguously
- * over the column range [lo, hi) of the batch so gcc -O3 auto-vectorises it.
+ * (repro/phy/turbo/backends/numpy_backend.py): plane-major flat trellis
+ * tables, step-major (k, batch) layout with the batch innermost, per-step
+ * max normalisation of the state metrics.
+ *
+ * Each recursion step is one loop over the batch, one packet per lane, whose
+ * body handles all SISO_STATES states: the state count is a compile-time
+ * constant, so the per-state work unrolls into straight-line code whose
+ * per-lane metrics stay in registers, and gcc -O3 vectorises the lane loop.
+ * (The tables are read through per-step pointer arrays, and `GCC ivdep`
+ * states what the layout guarantees: a step reads one plane and writes
+ * another, so no lane depends on another.)  SISO_CLONES (sisokernel.c)
+ * additionally builds an AVX2 clone of each kernel on x86-64.
  *
  * Every add and multiply takes the numpy kernel's operands in the numpy
- * kernel's order (max is exact, so its grouping is free).  Built with
- * -ffp-contract=off (no fused multiply-add), the output is bit-identical to
- * the numpy backend's at the same dtype.
+ * kernel's order, and every max over states runs in the numpy kernel's
+ * state order (ties between +0 and -0 keep the earlier state, as
+ * np.maximum.reduce does).  Built with -ffp-contract=off (no fused
+ * multiply-add), the output is bit-identical to the numpy backend's at the
+ * same dtype, whatever the vector width: a lane performs the same IEEE
+ * operations as the scalar remainder loop.
  */
 
 #ifndef SISO_NEG_INF
 /* Log-domain "impossible state" metric; matches backends.base.NEG_INF. */
 #define SISO_NEG_INF -1e30
+/* Trellis states the kernel is compiled for: the 8-state UMTS constituent
+ * code (the entry point rejects any other trellis). */
+#define SISO_STATES 8
 #endif
 
-static int KERNEL_NAME(
-    const REAL *restrict sys_t,   /* (k, batch) step-major systematic LLRs */
-    const REAL *restrict par_t,   /* (k, batch) step-major parity LLRs */
-    const REAL *restrict ap_t,    /* (k, batch) step-major a-priori LLRs */
-    REAL *restrict app_t,         /* (k, batch) step-major APP output */
+SISO_CLONES static int KERNEL_NAME(
+    const REAL *restrict sys_t,   /* (k, w) step-major systematic LLRs */
+    const REAL *restrict par_t,   /* (k, w) step-major parity LLRs */
+    const REAL *restrict ap_t,    /* (k, w) step-major a-priori LLRs */
+    REAL *restrict app_t,         /* (k, w) step-major APP output */
     const int32_t *restrict prev_flat,    /* (2S) predecessor state per fwd row */
     const REAL *restrict in_sign_fwd,     /* (2S) input sign per fwd row */
     const REAL *restrict par_sign_fwd,    /* (2S) parity sign per fwd row */
     const int32_t *restrict next_flat,    /* (2S) successor state per bwd row */
     const REAL *restrict par_sign_bwd,    /* (2S) parity sign per bwd row */
-    Py_ssize_t batch,
     Py_ssize_t k,
-    int num_states,
-    int terminated_start,
-    Py_ssize_t lo,
-    Py_ssize_t hi)
+    Py_ssize_t w,                 /* batch width: packets per step */
+    int terminated_start)
 {
-    const Py_ssize_t w = hi - lo;
-    const int s_count = num_states;
-    if (w <= 0 || k <= 0 || s_count <= 0) {
+    enum { S = SISO_STATES };
+    if (w <= 0 || k <= 0) {
         return 0;
     }
 
-    /* One malloc per call: alphas (k+1, S, w), beta (S, w), gb planes
-     * (2, S, w), c/hp/rowmax/best0/best1 (w each). */
-    const size_t alphas_len = (size_t)(k + 1) * (size_t)s_count * (size_t)w;
-    const size_t plane_len = (size_t)s_count * (size_t)w;
-    const size_t total =
-        alphas_len + plane_len + 2 * plane_len + 5 * (size_t)w;
-    REAL *scratch = (REAL *)malloc(total * sizeof(REAL));
+    /* One malloc per call: alphas (k+1, S, w) and two beta planes (S, w),
+     * the current one and the one being written. */
+    const size_t plane_len = (size_t)S * (size_t)w;
+    const size_t alphas_len = (size_t)(k + 1) * plane_len;
+    REAL *scratch = (REAL *)malloc((alphas_len + 2 * plane_len) * sizeof(REAL));
     if (scratch == NULL) {
         return -1;
     }
-    REAL *restrict alphas = scratch;
-    REAL *restrict beta = alphas + alphas_len;
-    REAL *restrict gb = beta + plane_len; /* (2, S, w) branch+beta planes */
-    REAL *restrict c = gb + 2 * plane_len;
-    REAL *restrict hp = c + w;
-    REAL *restrict rowmax = hp + w;
-    REAL *restrict best0 = rowmax + w;
-    REAL *restrict best1 = best0 + w;
+    REAL *alphas = scratch;
+    REAL *beta_cur = alphas + alphas_len;
+    REAL *beta_next_step = beta_cur + plane_len;
+
+    /* Flat forward row j * S + s reads predecessor plane prev_flat[.];
+     * backward row u * S + s reads successor plane next_flat[.]. */
+    Py_ssize_t prev_off[2 * S], next_off[2 * S];
+    for (int r = 0; r < 2 * S; r++) {
+        prev_off[r] = (Py_ssize_t)prev_flat[r] * w;
+        next_off[r] = (Py_ssize_t)next_flat[r] * w;
+    }
 
     /* ---------------- forward recursion ---------------- */
-    {
-        REAL *restrict alpha0 = alphas;
-        for (int s = 0; s < s_count; s++) {
-            const REAL fill =
-                (terminated_start && s != 0) ? (REAL)SISO_NEG_INF : (REAL)0.0;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                alpha0[(Py_ssize_t)s * w + b] = fill;
-            }
+    for (int s = 0; s < S; s++) {
+        const REAL fill =
+            (terminated_start && s != 0) ? (REAL)SISO_NEG_INF : (REAL)0.0;
+        for (Py_ssize_t b = 0; b < w; b++) {
+            alphas[(Py_ssize_t)s * w + b] = fill;
         }
     }
     for (Py_ssize_t t = 0; t < k; t++) {
-        const REAL *restrict sys_row = sys_t + t * batch + lo;
-        const REAL *restrict par_row = par_t + t * batch + lo;
-        const REAL *restrict ap_row = ap_t + t * batch + lo;
+        const REAL *restrict sys_row = sys_t + t * w;
+        const REAL *restrict par_row = par_t + t * w;
+        const REAL *restrict ap_row = ap_t + t * w;
+        const REAL *alpha = alphas + (size_t)t * plane_len;
+        REAL *nxt = alphas + (size_t)(t + 1) * plane_len;
+        const REAL *cand[2 * S];
+        for (int r = 0; r < 2 * S; r++) {
+            cand[r] = alpha + prev_off[r];
+        }
+#pragma GCC ivdep
         for (Py_ssize_t b = 0; b < w; b++) {
-            c[b] = (REAL)0.5 * (sys_row[b] + ap_row[b]);
-            hp[b] = (REAL)0.5 * par_row[b];
-        }
-        const REAL *restrict alpha = alphas + t * (Py_ssize_t)s_count * w;
-        REAL *restrict nxt = alphas + (t + 1) * (Py_ssize_t)s_count * w;
-        for (int s = 0; s < s_count; s++) {
-            /* The two predecessor candidates of target state s live in the
-             * two planes of the flat forward layout (rows s and S + s). */
-            const REAL *restrict a0 = alpha + (Py_ssize_t)prev_flat[s] * w;
-            const REAL *restrict a1 =
-                alpha + (Py_ssize_t)prev_flat[s_count + s] * w;
-            const REAL is0 = in_sign_fwd[s];
-            const REAL ps0 = par_sign_fwd[s];
-            const REAL is1 = in_sign_fwd[s_count + s];
-            const REAL ps1 = par_sign_fwd[s_count + s];
-            REAL *restrict out_row = nxt + (Py_ssize_t)s * w;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                const REAL m0 = a0[b] + (c[b] * is0 + hp[b] * ps0);
-                const REAL m1 = a1[b] + (c[b] * is1 + hp[b] * ps1);
-                out_row[b] = m0 > m1 ? m0 : m1;
+            const REAL c = (REAL)0.5 * (sys_row[b] + ap_row[b]);
+            const REAL hp = (REAL)0.5 * par_row[b];
+            /* The two predecessor candidates of target state s are rows s
+             * and S + s of the flat forward layout. */
+            REAL m[S];
+            for (int s = 0; s < S; s++) {
+                const REAL m0 =
+                    cand[s][b] + (c * in_sign_fwd[s] + hp * par_sign_fwd[s]);
+                const REAL m1 = cand[S + s][b] +
+                                (c * in_sign_fwd[S + s] + hp * par_sign_fwd[S + s]);
+                m[s] = m0 > m1 ? m0 : m1;
             }
-        }
-        /* Per-step normalisation by the per-column state maximum. */
-        for (Py_ssize_t b = 0; b < w; b++) {
-            rowmax[b] = nxt[b];
-        }
-        for (int s = 1; s < s_count; s++) {
-            const REAL *restrict row = nxt + (Py_ssize_t)s * w;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                rowmax[b] = row[b] > rowmax[b] ? row[b] : rowmax[b];
+            /* Per-step normalisation by the per-column state maximum. */
+            REAL mx = m[0];
+            for (int s = 1; s < S; s++) {
+                mx = m[s] > mx ? m[s] : mx;
             }
-        }
-        for (int s = 0; s < s_count; s++) {
-            REAL *restrict row = nxt + (Py_ssize_t)s * w;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                row[b] -= rowmax[b];
+            for (int s = 0; s < S; s++) {
+                nxt[(Py_ssize_t)s * w + b] = m[s] - mx;
             }
         }
     }
 
     /* ------------- backward recursion + APP output ------------- */
-    for (Py_ssize_t i = 0; i < (Py_ssize_t)plane_len; i++) {
-        beta[i] = (REAL)0.0;
+    for (size_t i = 0; i < plane_len; i++) {
+        beta_cur[i] = (REAL)0.0;
     }
     for (Py_ssize_t t = k - 1; t >= 0; t--) {
-        const REAL *restrict sys_row = sys_t + t * batch + lo;
-        const REAL *restrict par_row = par_t + t * batch + lo;
-        const REAL *restrict ap_row = ap_t + t * batch + lo;
-        for (Py_ssize_t b = 0; b < w; b++) {
-            c[b] = (REAL)0.5 * (sys_row[b] + ap_row[b]);
-            hp[b] = (REAL)0.5 * par_row[b];
+        const REAL *restrict sys_row = sys_t + t * w;
+        const REAL *restrict par_row = par_t + t * w;
+        const REAL *restrict ap_row = ap_t + t * w;
+        REAL *restrict app_row = app_t + t * w;
+        const REAL *alpha = alphas + (size_t)t * plane_len;
+        const REAL *succ[2 * S], *alpha_row[S];
+        REAL *beta_row[S];
+        for (int r = 0; r < 2 * S; r++) {
+            succ[r] = beta_cur + next_off[r];
         }
-        const REAL *restrict alpha = alphas + t * (Py_ssize_t)s_count * w;
-        for (Py_ssize_t b = 0; b < w; b++) {
-            best0[b] = (REAL)SISO_NEG_INF;
-            best1[b] = (REAL)SISO_NEG_INF;
+        for (int s = 0; s < S; s++) {
+            alpha_row[s] = alpha + (Py_ssize_t)s * w;
+            beta_row[s] = beta_next_step + (Py_ssize_t)s * w;
         }
-        for (int u = 0; u < 2; u++) {
-            const REAL isg = (u == 0) ? (REAL)1.0 : (REAL)-1.0;
-            REAL *restrict best = (u == 0) ? best0 : best1;
-            REAL *restrict gb_plane = gb + (Py_ssize_t)u * plane_len;
-            for (int s = 0; s < s_count; s++) {
-                const int row_index = u * s_count + s;
-                const REAL *restrict beta_next =
-                    beta + (Py_ssize_t)next_flat[row_index] * w;
-                const REAL psg = par_sign_bwd[row_index];
-                const REAL *restrict alpha_row = alpha + (Py_ssize_t)s * w;
-                REAL *restrict gb_row = gb_plane + (Py_ssize_t)s * w;
-                for (Py_ssize_t b = 0; b < w; b++) {
-                    const REAL branch = c[b] * isg + hp[b] * psg;
-                    /* (alpha + branch) + beta_next: the numpy kernel's
-                     * operation order, which keeps the APPs bit-exact. */
-                    const REAL metric = (alpha_row[b] + branch) + beta_next[b];
-                    gb_row[b] = branch + beta_next[b];
-                    best[b] = metric > best[b] ? metric : best[b];
-                }
+#pragma GCC ivdep
+        for (Py_ssize_t b = 0; b < w; b++) {
+            const REAL c = (REAL)0.5 * (sys_row[b] + ap_row[b]);
+            const REAL hp = (REAL)0.5 * par_row[b];
+            /* gb0/gb1[s]: branch + beta_next of the branch leaving s with
+             * input 0/1; best0/best1: the APP maxima over those branches.
+             * (alpha + branch) + beta_next is the numpy kernel's operation
+             * order, which keeps the APPs bit-exact. */
+            REAL gb0[S], gb1[S];
+            REAL best0 = (REAL)SISO_NEG_INF;
+            REAL best1 = (REAL)SISO_NEG_INF;
+            for (int s = 0; s < S; s++) {
+                const REAL branch = c * (REAL)1.0 + hp * par_sign_bwd[s];
+                const REAL beta_next = succ[s][b];
+                const REAL metric = (alpha_row[s][b] + branch) + beta_next;
+                gb0[s] = branch + beta_next;
+                best0 = metric > best0 ? metric : best0;
+            }
+            for (int s = 0; s < S; s++) {
+                const REAL branch = c * (REAL)-1.0 + hp * par_sign_bwd[S + s];
+                const REAL beta_next = succ[S + s][b];
+                const REAL metric = (alpha_row[s][b] + branch) + beta_next;
+                gb1[s] = branch + beta_next;
+                best1 = metric > best1 ? metric : best1;
+            }
+            app_row[b] = best0 - best1;
+            /* beta update: max over inputs of (branch + beta_next),
+             * normalised. */
+            REAL nb[S];
+            for (int s = 0; s < S; s++) {
+                nb[s] = gb0[s] > gb1[s] ? gb0[s] : gb1[s];
+            }
+            REAL mx = nb[0];
+            for (int s = 1; s < S; s++) {
+                mx = nb[s] > mx ? nb[s] : mx;
+            }
+            for (int s = 0; s < S; s++) {
+                beta_row[s][b] = nb[s] - mx;
             }
         }
-        REAL *restrict app_row = app_t + t * batch + lo;
-        for (Py_ssize_t b = 0; b < w; b++) {
-            app_row[b] = best0[b] - best1[b];
-        }
-        /* beta update: max over inputs of (branch + beta_next), normalised. */
-        const REAL *restrict gb0 = gb;
-        const REAL *restrict gb1 = gb + plane_len;
-        for (Py_ssize_t i = 0; i < (Py_ssize_t)plane_len; i++) {
-            beta[i] = gb0[i] > gb1[i] ? gb0[i] : gb1[i];
-        }
-        for (Py_ssize_t b = 0; b < w; b++) {
-            rowmax[b] = beta[b];
-        }
-        for (int s = 1; s < s_count; s++) {
-            const REAL *restrict row = beta + (Py_ssize_t)s * w;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                rowmax[b] = row[b] > rowmax[b] ? row[b] : rowmax[b];
-            }
-        }
-        for (int s = 0; s < s_count; s++) {
-            REAL *restrict row = beta + (Py_ssize_t)s * w;
-            for (Py_ssize_t b = 0; b < w; b++) {
-                row[b] -= rowmax[b];
-            }
-        }
+        REAL *swap = beta_cur;
+        beta_cur = beta_next_step;
+        beta_next_step = swap;
     }
 
     free(scratch);

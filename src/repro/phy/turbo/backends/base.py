@@ -81,7 +81,6 @@ class SisoBackend(ABC):
         """Compute dtype of this backend instance."""
         return self.spec.dtype
 
-    @abstractmethod
     def siso(
         self,
         sys_llrs: np.ndarray,
@@ -93,12 +92,38 @@ class SisoBackend(ABC):
     ) -> np.ndarray:
         """Write a-posteriori information-bit LLRs for one half-iteration.
 
-        All inputs have shape ``(batch, block_size)`` and the backend's
-        dtype; *out* receives the APP LLRs and is returned.  Rows are
-        decoded independently: the result of any row never depends on which
-        other rows share the batch (the property that makes cross-work-item
-        batch aggregation and per-packet early stopping exact).
+        All four arrays are C-contiguous, step-major ``(block_size, batch)``
+        (one trellis step per row, one packet per column) and of the
+        backend's dtype; *out* receives the APP LLRs and is returned.
+        Columns are decoded independently: the result of any column never
+        depends on which other columns share the batch (the property that
+        makes cross-work-item batch aggregation and per-packet early
+        stopping exact).
         """
+        arrays = (sys_llrs, par_llrs, apriori_llrs, out)
+        shape = sys_llrs.shape
+        if len(shape) != 2 or shape[0] != self.block_size or any(
+            a.shape != shape or a.dtype != self.dtype or not a.flags.c_contiguous
+            for a in arrays
+        ):
+            raise ValueError(
+                f"expected C-contiguous {self.dtype} arrays of one shape "
+                f"({self.block_size}, batch), got "
+                + ", ".join(f"{a.dtype} {a.shape}" for a in arrays)
+            )
+        self._half_iteration(sys_llrs, par_llrs, apriori_llrs, out, bool(terminated_start))
+        return out
+
+    @abstractmethod
+    def _half_iteration(
+        self,
+        sys_llrs: np.ndarray,
+        par_llrs: np.ndarray,
+        apriori_llrs: np.ndarray,
+        out: np.ndarray,
+        terminated_start: bool,
+    ) -> None:
+        """Run the kernel on arrays :meth:`siso` has checked."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.spec.name!r}, K={self.block_size})"

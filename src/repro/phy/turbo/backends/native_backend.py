@@ -2,42 +2,34 @@
 
 The compiled kernel (:mod:`repro.phy.turbo.backends._native`, built on
 first use) runs the forward/backward recursion over the columns of a
-step-major ``(block_size, batch)`` layout with the GIL released.  This wrapper owns
+step-major ``(block_size, batch)`` layout with the GIL released.  That is
+the decoder's own layout, so the kernel reads and writes the decoder's
+arrays in place: this wrapper only owns the flat trellis tables (the same
+plane-major layout as the numpy backend, converted to the kernel's dtype
+once per instance).
 
-* the flat trellis tables (the same plane-major layout as the numpy
-  backend, converted to the kernel's dtype once per instance), and
-* transposed scratch buffers — the decoder hands over ``(batch, block)``
-  arrays, the kernel wants contiguous step-major planes so its inner loops
-  run over the batch.
+The kernel is compiled for the 8-state UMTS constituent code (the only
+trellis the link uses); an instance for any other trellis is refused.
 
 Exactness contract: ``native`` is exact.  It computes each branch metric
 per step instead of gathering it from a shared table, but every add and
-multiply takes the numpy kernel's operands in the numpy kernel's order, and
-the kernel is compiled with ``-ffp-contract=off`` so no multiply-add is
-fused.  Its APP LLRs are therefore bit-identical to the numpy backend's at
-the same dtype, signed zeros included — pinned with ``array_equal`` by
-``tests/test_decoder_backends.py``.
+multiply takes the numpy kernel's operands in the numpy kernel's order,
+every max over states runs in the numpy kernel's state order, and the
+kernel is compiled with ``-ffp-contract=off`` so no multiply-add is
+fused — in the AVX2 clone of the kernel as in the baseline one.  Its APP
+LLRs are therefore bit-identical to the numpy backend's at the same dtype,
+signed zeros included — pinned with ``array_equal`` by
+``tests/test_decoder_backends.py`` for the clone the test machine's CPU
+dispatches to (the other clone is built but not exercised there).
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
 from repro.phy.turbo.backends._native import load_kernel_module
 from repro.phy.turbo.backends.base import BackendSpec, SisoBackend
 from repro.phy.turbo.trellis import RscTrellis
-
-class _Workspace:
-    """Step-major transposed scratch for one block size (grown on demand)."""
-
-    def __init__(self, capacity: int, k: int, dtype: np.dtype) -> None:
-        self.capacity = capacity
-        self.sys_t = np.empty((k, capacity), dtype=dtype)
-        self.par_t = np.empty((k, capacity), dtype=dtype)
-        self.ap_t = np.empty((k, capacity), dtype=dtype)
-        self.app_t = np.empty((k, capacity), dtype=dtype)
 
 
 class NativeSisoBackend(SisoBackend):
@@ -53,9 +45,14 @@ class NativeSisoBackend(SisoBackend):
         kernel, reason = load_kernel_module()
         if kernel is None:
             raise RuntimeError(f"native decoder backend unavailable: {reason}")
+        num_states = trellis.num_states
+        if num_states != kernel.STATES:
+            raise ValueError(
+                f"the native kernel is built for {kernel.STATES}-state trellises, "
+                f"got {num_states} states; use the numpy backend"
+            )
         self._kernel = kernel
         dtype = self.dtype
-        num_states = trellis.num_states
 
         parity_sign = 1.0 - 2.0 * trellis.parity.astype(np.float64)  # (S, 2)
         input_sign = np.array([1.0, -1.0])
@@ -83,58 +80,30 @@ class NativeSisoBackend(SisoBackend):
         self._par_sign_bwd = np.ascontiguousarray(par_sign_bwd, dtype=dtype)
         self._num_states = num_states
         self._is_double = dtype == np.dtype("float64")
-        self._workspaces: Dict[int, _Workspace] = {}
 
     # ------------------------------------------------------------------ #
-    def _workspace(self, batch: int, k: int) -> _Workspace:
-        ws = self._workspaces.get(k)
-        if ws is None or ws.capacity < batch:
-            capacity = batch if ws is None else max(batch, 2 * ws.capacity)
-            ws = _Workspace(capacity, k, self.dtype)
-            self._workspaces[k] = ws
-        return ws
-
-    # ------------------------------------------------------------------ #
-    def siso(
+    def _half_iteration(
         self,
         sys_llrs: np.ndarray,
         par_llrs: np.ndarray,
         apriori_llrs: np.ndarray,
         out: np.ndarray,
-        *,
-        terminated_start: bool = True,
-    ) -> np.ndarray:
-        batch, k = sys_llrs.shape
-        ws = self._workspace(batch, k)
-        sys_t = ws.sys_t[:, :batch]
-        par_t = ws.par_t[:, :batch]
-        ap_t = ws.ap_t[:, :batch]
-        app_t = ws.app_t[:, :batch]
-        np.copyto(sys_t, sys_llrs.T)
-        np.copyto(par_t, par_llrs.T)
-        np.copyto(ap_t, apriori_llrs.T)
-
-        # The scratch views are only contiguous when the batch fills the
-        # workspace; hand the kernel the *backing* buffers plus the true
-        # column stride (= capacity) and decode columns [0, batch) of them
-        # instead of copying again.
+        terminated_start: bool,
+    ) -> None:
+        k, batch = sys_llrs.shape
         self._kernel.siso(
-            ws.sys_t,
-            ws.par_t,
-            ws.ap_t,
-            ws.app_t,
+            sys_llrs,
+            par_llrs,
+            apriori_llrs,
+            out,
             self._prev_flat,
             self._in_sign_fwd,
             self._par_sign_fwd,
             self._next_flat,
             self._par_sign_bwd,
-            ws.capacity,
             k,
-            self._num_states,
-            bool(terminated_start),
-            0,
             batch,
+            self._num_states,
+            terminated_start,
             self._is_double,
         )
-        np.copyto(out, app_t.T)
-        return out

@@ -8,9 +8,11 @@ This is the default backend.  Compared with the seed implementation it
   table with arithmetic: the forward-layout table contains exactly the same
   branch values in a different row order, so it is a single fused row-gather
   of the backward table instead of a second multiply/multiply/add pass,
-* lays all state metrics out *batch-last* (``(num_states, batch)``), so the
+* works in the decoder's step-major ``(block_size, batch)`` layout and lays
+  all state metrics out *batch-last* (``(num_states, batch)``), so the
   per-step max-reductions run over the trellis-state axis with a contiguous,
-  SIMD-friendly inner loop over the batch,
+  SIMD-friendly inner loop over the batch, and the APP LLRs are written
+  straight into the caller's step-major output (no transposes),
 * runs the trellis loop allocation-light with preallocated outputs and the
   minimum number of numpy calls per step, reusing one lazily-grown
   workspace across calls (Monte-Carlo decoding calls the kernel millions of
@@ -53,7 +55,6 @@ class _Workspace:
         "gsum": lambda b, k, s: 2 * s * b,
         "best": lambda b, k, s: 2 * b,
         "rowmax": lambda b, k, s: b,
-        "app_t": lambda b, k, s: k * b,
     }
 
     def __init__(self, capacity: int, k: int, num_states: int, dtype: np.dtype) -> None:
@@ -129,16 +130,15 @@ class NumpySisoBackend(SisoBackend):
         return ws
 
     # ------------------------------------------------------------------ #
-    def siso(
+    def _half_iteration(
         self,
         sys_llrs: np.ndarray,
         par_llrs: np.ndarray,
         apriori_llrs: np.ndarray,
         out: np.ndarray,
-        *,
-        terminated_start: bool = True,
-    ) -> np.ndarray:
-        batch, k = sys_llrs.shape
+        terminated_start: bool,
+    ) -> None:
+        k, batch = sys_llrs.shape
         num_states = self._num_states
         wide = 2 * num_states
         ws = self._workspace(batch, k)
@@ -146,19 +146,19 @@ class NumpySisoBackend(SisoBackend):
         max_reduce = np.maximum.reduce
 
         # gamma components: 0.5 * (Lsys + La) and 0.5 * Lpar, as in the seed.
-        combined = ws.view("combined", (batch, k))
+        combined = ws.view("combined", (k, batch))
         np_add(sys_llrs, apriori_llrs, out=combined)
         combined *= 0.5
-        half_par = np.multiply(par_llrs, 0.5, out=ws.view("half_par", (batch, k)))
+        half_par = np.multiply(par_llrs, 0.5, out=ws.view("half_par", (k, batch)))
 
         # Branch-metric tables for every step at once, shared by both
-        # recursions: branch[t, m, b] = c[b, t] * in_sign[m] + p[b, t] * par_sign[m].
+        # recursions: branch[t, m, b] = c[t, b] * in_sign[m] + p[t, b] * par_sign[m].
         # Only the backward layout is built arithmetically; the forward
         # layout holds the same branch values in permuted row order, so it
         # is one fused gather of the rows just computed (bit-identical to a
         # second multiply/multiply/add build, at a fraction of the cost).
-        c_steps = combined.T[:, None, :]  # (k, 1, batch) view
-        p_steps = half_par.T[:, None, :]
+        c_steps = combined[:, None, :]  # (k, 1, batch) view
+        p_steps = half_par[:, None, :]
         branch_fwd = ws.view("branch_fwd", (k, wide, batch))
         branch_bwd = ws.view("branch_bwd", (k, wide, batch))
         branch_tmp = ws.view("branch_tmp", (k, wide, batch))
@@ -186,8 +186,8 @@ class NumpySisoBackend(SisoBackend):
             nxt -= rowmax
             alpha = nxt
 
-        # Backward recursion with on-the-fly LLR computation; APP LLRs are
-        # produced step-major and transposed once at the end.  The
+        # Backward recursion with on-the-fly LLR computation, written
+        # straight into the step-major output.  The
         # (alpha + branch) part of every step's metric is hoisted out of the
         # loop into one vectorised add (branch_tmp is free again by now).
         absum = branch_tmp.reshape(k, 2, num_states, batch)
@@ -199,19 +199,15 @@ class NumpySisoBackend(SisoBackend):
         metric3 = metric.reshape(2, num_states, batch)
         gsum = ws.view("gsum", (wide, batch))
         best = ws.view("best", (2, batch))
-        app_t = ws.view("app_t", (k, batch))
         next_flat = self._next_flat
         for t in range(k - 1, -1, -1):
             bnext = beta.take(next_flat, axis=0)
             # metric = (alpha + branch) + beta_next, in the seed's add order.
             np_add(absum_flat[t], bnext, out=metric)
             max_reduce(metric3, axis=1, out=best)
-            np_subtract(best[0], best[1], out=app_t[t])
+            np_subtract(best[0], best[1], out=out[t])
             # beta update: max over inputs of (branch + beta_next), normalised.
             np_add(branch_bwd[t], bnext, out=gsum)
             np_maximum(gsum[:num_states], gsum[num_states:], out=beta)
             max_reduce(beta, axis=0, out=rowmax)
             beta -= rowmax
-
-        np.copyto(out, app_t.T)
-        return out

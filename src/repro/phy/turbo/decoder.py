@@ -15,8 +15,17 @@ the default ``auto`` runs the recursion in a C kernel compiled on first use
 kernel, which precomputes per-step branch metrics once and runs the trellis
 loop allocation-free.  The two are bit-identical.
 
+Inside the decoder everything is *step-major*: ``(block_size, batch)``, one
+trellis step per row and one packet per column, so every kernel loop runs
+contiguously over the batch.  :meth:`TurboDecoder.decode` transposes its
+three inputs once on entry and its APPs once on exit (the result keeps the
+``(batch, block_size)`` API); in between, each iteration works on
+contiguous ``(block_size, n)`` views of three preallocated pools,
+interleaving is a row gather (``np.take(..., axis=0, out=...)``) and both
+backends read and write these arrays in place.
+
 Early stopping is *per packet*: once a packet's hard decisions are stable
-over a full iteration its result is frozen and the packet leaves the active
+over a full iteration its result is frozen and its column leaves the active
 batch, so converged packets stop paying for the stragglers.  Every packet is
 decoded exactly as if it were alone in the batch — the property that lets
 the link layer aggregate packets from many work items into one decoder call
@@ -34,8 +43,6 @@ from repro.phy.turbo.backends import SisoBackend, create_backend
 from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
 from repro.utils.validation import ensure_positive_int
-
-_NEG_INF = -1e30
 
 
 @dataclass
@@ -128,6 +135,10 @@ class TurboDecoder:
         self.extrinsic_scale = float(extrinsic_scale)
         self.trellis = trellis
         self.interleaver = interleaver or make_turbo_interleaver(block_size, interleaver_kind)
+        # Interleaving is a row gather in the step-major layout: row i of the
+        # interleaved block is row perm[i] of the natural one, and back.
+        self._perm = self.interleaver.permutation.astype(np.intp)
+        self._inverse = np.argsort(self._perm)
         self._siso = create_backend(backend, trellis, block_size)
 
     @property
@@ -144,107 +155,116 @@ class TurboDecoder:
     ) -> TurboDecoderResult:
         """Decode one batch of code blocks.
 
-        Each input is either 1-D (single block) or 2-D ``(batch, block_size)``.
+        Each input is a ``(batch, block_size)`` matrix, one block per row.
         Every row is decoded independently: batching (and per-packet early
         stopping) never changes a row's output.
         """
         dtype = self._siso.dtype
-        sys_llrs = self._as_batch(systematic_llrs, dtype)
-        par1 = self._as_batch(parity1_llrs, dtype)
-        par2 = self._as_batch(parity2_llrs, dtype)
-        batch, k = sys_llrs.shape
+        sys_a = self._step_major(systematic_llrs, dtype)
+        par1_a = self._step_major(parity1_llrs, dtype)
+        par2_a = self._step_major(parity2_llrs, dtype)
+        k, batch = sys_a.shape
+        perm, inverse = self._perm, self._inverse
+        scale = self.extrinsic_scale
+        sys_i_a = sys_a.take(perm, axis=0)
 
-        perm = self.interleaver.permutation
-        sys_interleaved = sys_llrs[:, perm]
-
-        # Full-batch outputs; active-row work arrays are compacted as
-        # packets converge.
-        app_llrs = np.zeros((batch, k), dtype=dtype)
+        # Full-batch outputs, step-major; a packet's column is written when
+        # it freezes or after the last iteration.
+        app_llrs = np.empty((k, batch), dtype=dtype)
         converged = np.zeros(batch, dtype=bool)
+        # Three flat pools the per-iteration (k, n) work arrays are carved
+        # from; pool 2 carries the extrinsic from decoder 2 to decoder 1
+        # across iterations.
+        pools = np.empty((3, k * batch), dtype=dtype)
+        extrinsic21 = pools[2].reshape(k, batch)
+        extrinsic21.fill(0.0)
         # Pre-iteration hard decisions: the reference the first iteration's
         # stability check compares against.
-        previous_hard = sys_llrs < 0
-
+        prev_hard = sys_a < 0
         active = np.arange(batch)
-        extrinsic12 = np.zeros((batch, k), dtype=dtype)  # from dec2 to dec1
-        app1 = np.empty((batch, k), dtype=dtype)
-        app2 = np.empty((batch, k), dtype=dtype)
-        apriori1 = np.empty((batch, k), dtype=dtype)
-        app_nat = np.empty((batch, k), dtype=dtype)
+        streak = np.zeros(batch, dtype=np.int64)
         iterations_run = 0
-
-        sys_a, par1_a, par2_a, sys_i_a = sys_llrs, par1, par2, sys_interleaved
-        prev_hard_a = previous_hard
-        streak_a = np.zeros(batch, dtype=np.int64)
 
         for iteration in range(self.num_iterations):
             iterations_run = iteration + 1
+            last = iterations_run == self.num_iterations
             n = active.size
+            apriori = pools[0, : k * n].reshape(k, n)
+            app = pools[1, : k * n].reshape(k, n)
 
             # --- Decoder 1: natural order ---------------------------------
-            ap1 = apriori1[:n]
-            ap1[:, perm] = extrinsic12[:n]  # de-interleave extrinsic from dec2
-            a1 = self._siso.siso(sys_a, par1_a, ap1, app1[:n])
-            extrinsic1 = self.extrinsic_scale * (a1 - sys_a - ap1)
+            extrinsic21.take(inverse, axis=0, out=apriori)  # de-interleave
+            self._siso.siso(sys_a, par1_a, apriori, app)
+            # extrinsic = scale * ((app - sys) - apriori), in place in `app`.
+            np.subtract(app, sys_a, out=app)
+            app -= apriori
+            app *= scale
 
             # --- Decoder 2: interleaved order ------------------------------
-            apriori2 = extrinsic1[:, perm]
-            a2 = self._siso.siso(sys_i_a, par2_a, apriori2, app2[:n], terminated_start=True)
-            extrinsic12[:n] = self.extrinsic_scale * (a2 - sys_i_a - apriori2)
-
+            app.take(perm, axis=0, out=apriori)  # interleave
+            self._siso.siso(sys_i_a, par2_a, apriori, extrinsic21, terminated_start=True)
             # A-posteriori LLRs in natural order: the decoder-2 output already
             # contains the systematic channel LLR plus both extrinsics (via its
             # a-priori input), so mapping it back is the complete APP.
-            nat = app_nat[:n]
-            nat[:, perm] = a2
-            app_llrs[active] = nat
+            nat = extrinsic21.take(inverse, axis=0, out=app)
+            np.subtract(extrinsic21, sys_i_a, out=extrinsic21)
+            extrinsic21 -= apriori
+            extrinsic21 *= scale
 
             hard = nat < 0
-            stable = np.all(hard == prev_hard_a, axis=1)
-            converged[active] = stable
-            prev_hard_a = hard
+            stable = (hard == prev_hard).all(axis=0)
+            prev_hard = hard
+            if last:
+                app_llrs[:, active] = nat
+                converged[active] = stable
+                break
 
-            # Per-packet early stopping: freeze rows whose decisions were
+            # Per-packet early stopping: freeze columns whose decisions were
             # stable across `stable_iterations` consecutive full turbo
             # iterations, or stable once with every APP magnitude above the
             # min-LLR threshold.  The iteration-1 comparison against the
             # channel decisions never counts, so the freeze point depends
-            # only on the row's own trajectory.
+            # only on the packet's own trajectory.
             if iteration >= 1:
-                streak_a = np.where(stable, streak_a + 1, 0)
+                streak = np.where(stable, streak + 1, 0)
                 if self.early_stopping:
-                    frozen = streak_a >= self.stable_iterations
+                    frozen = streak >= self.stable_iterations
                     if self.freeze_min_llr is not None:
-                        confident = np.abs(nat).min(axis=1) >= self.freeze_min_llr
+                        confident = np.abs(nat).min(axis=0) >= self.freeze_min_llr
                         frozen |= stable & confident
                     if frozen.any():
-                        keep = ~frozen
-                        if not keep.any():
+                        done = active[frozen]
+                        app_llrs[:, done] = nat[:, frozen]
+                        converged[done] = stable[frozen]
+                        keep = np.flatnonzero(~frozen)
+                        if not keep.size:
                             break
                         active = active[keep]
-                        sys_a = sys_a[keep]
-                        par1_a = par1_a[keep]
-                        par2_a = par2_a[keep]
-                        sys_i_a = sys_i_a[keep]
-                        extrinsic12[: active.size] = extrinsic12[:n][keep]
-                        prev_hard_a = prev_hard_a[keep]
-                        streak_a = streak_a[keep]
+                        streak = streak[keep]
+                        # Column gathers: `take` returns C-contiguous copies.
+                        sys_a = sys_a.take(keep, axis=1)
+                        par1_a = par1_a.take(keep, axis=1)
+                        par2_a = par2_a.take(keep, axis=1)
+                        sys_i_a = sys_i_a.take(keep, axis=1)
+                        prev_hard = prev_hard.take(keep, axis=1)
+                        kept = extrinsic21.take(keep, axis=1)
+                        extrinsic21 = pools[2, : kept.size].reshape(kept.shape)
+                        extrinsic21[...] = kept
 
-        decoded = (app_llrs < 0).astype(np.int8)
+        app_out = np.ascontiguousarray(app_llrs.T, dtype=np.float64)
         return TurboDecoderResult(
-            decoded_bits=decoded,
-            app_llrs=np.asarray(app_llrs, dtype=np.float64),
+            decoded_bits=(app_out < 0).astype(np.int8),
+            app_llrs=app_out,
             iterations_run=iterations_run,
             converged=converged,
         )
 
     # ------------------------------------------------------------------ #
-    def _as_batch(self, llrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        arr = np.asarray(llrs, dtype=dtype)
-        if arr.ndim == 1:
-            arr = arr[None, :]
+    def _step_major(self, llrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """A ``(batch, block_size)`` input as a contiguous ``(block_size, batch)`` copy."""
+        arr = np.asarray(llrs)
         if arr.ndim != 2 or arr.shape[1] != self.block_size:
             raise ValueError(
                 f"expected shape (batch, {self.block_size}), got {arr.shape}"
             )
-        return np.ascontiguousarray(arr)
+        return np.ascontiguousarray(arr.T, dtype=dtype)

@@ -42,6 +42,9 @@ from repro.utils.rng import child_rngs
 
 GOLDEN_FIG6 = Path(__file__).resolve().parent / "golden" / "fig6.json"
 
+#: Every backend token but ``auto``; a case on an unavailable family skips.
+EVERY_BACKEND = ["numpy", "numpy-f32", "native", "native-f32"]
+
 
 def _available_families() -> set:
     return {entry["family"] for entry in family_listing() if entry["available"]}
@@ -114,6 +117,31 @@ class TestRegistry:
             "numpy": True,
             "native": True,
         }
+
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
+    def test_siso_takes_only_step_major_arrays(self, backend):
+        """Every kernel checks the ``(block_size, batch)`` contract itself."""
+        spec = resolve_backend(backend, warn=False)
+        if spec.name != backend:
+            pytest.skip(f"{backend} is not available here")
+        kernel = create_backend(backend, UMTS_TRELLIS, 40)
+        good = np.ones((40, 3), dtype=spec.dtype)
+        assert kernel.siso(good, good, good, np.empty_like(good)).shape == (40, 3)
+        other = np.float32 if spec.dtype == np.float64 else np.float64
+        bad_inputs = {
+            "batch-major": np.ones((3, 40), dtype=spec.dtype),
+            "one-dimensional": np.ones(40, dtype=spec.dtype),
+            "wrong block size": np.ones((41, 3), dtype=spec.dtype),
+            "other batch": np.ones((40, 4), dtype=spec.dtype),
+            "other dtype": good.astype(other),
+            "not contiguous": np.ones((3, 40), dtype=spec.dtype).T,
+        }
+        for bad in bad_inputs.values():
+            for position in range(4):
+                arrays = [good, good, good, np.empty_like(good)]
+                arrays[position] = bad
+                with pytest.raises(ValueError, match=r"\(40, batch\)"):
+                    kernel.siso(*arrays)
 
     def test_create_backend_passes_instances_through(self):
         backend = NumpySisoBackend(UMTS_TRELLIS, 40)
@@ -219,15 +247,47 @@ class TestNativeBackend:
         batched = decoder.decode(*inputs)
         for row in range(7):
             solo = decoder.decode(
-                inputs[0][row], inputs[1][row], inputs[2][row]
+                inputs[0][row : row + 1], inputs[1][row : row + 1], inputs[2][row : row + 1]
             )
             assert np.array_equal(solo.app_llrs[0], batched.app_llrs[row]), row
 
+    def test_kernel_refuses_other_trellises_and_bad_tables(self):
+        """The kernel is compiled for 8 states and follows its tables
+        unchecked, so both the wrapper and the entry point check them."""
+        from repro.phy.turbo.backends.native_backend import NativeSisoBackend
+        from repro.phy.turbo.trellis import RscTrellis
+
+        four_state = RscTrellis(feedback=7, feedforward=5, constraint_length=3)
+        with pytest.raises(ValueError, match="8-state"):
+            NativeSisoBackend(four_state, 40, BackendSpec("native", "float64"))
+        backend = NativeSisoBackend(UMTS_TRELLIS, 40, BackendSpec("native", "float64"))
+        llrs = np.zeros((40, 2))
+        tables = [
+            backend._prev_flat,
+            backend._in_sign_fwd,
+            backend._par_sign_fwd,
+            backend._next_flat,
+            backend._par_sign_bwd,
+        ]
+
+        def call(num_states):
+            # (k, batch, num_states, terminated_start, is_double)
+            backend._kernel.siso(
+                llrs, llrs, llrs, np.empty_like(llrs), *tables, 40, 2, num_states, True, True
+            )
+
+        with pytest.raises(ValueError, match="8 trellis states, got 4"):
+            call(4)
+        tables[3] = backend._next_flat.copy()
+        tables[3][5] = 8
+        with pytest.raises(ValueError, match="out of range"):
+            call(8)
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_siso_bit_identical_to_numpy(self, dtype):
-        """One SISO half-iteration, swept over block sizes, batch sizes and
-        both start states (the second constituent decoder starts
-        unterminated): ``array_equal`` to numpy, signed zeros included."""
+        """One SISO half-iteration on step-major ``(k, batch)`` arrays,
+        swept over block sizes, batch sizes and both start states:
+        ``array_equal`` to numpy, signed zeros included."""
         from repro.phy.turbo.backends.native_backend import NativeSisoBackend
 
         rng = np.random.default_rng(2012)
@@ -235,10 +295,11 @@ class TestNativeBackend:
             native = NativeSisoBackend(UMTS_TRELLIS, k, BackendSpec("native", dtype))
             numpy_ref = NumpySisoBackend(UMTS_TRELLIS, k, BackendSpec("numpy", dtype))
             for batch in (1, 3, 17, 64):
-                sys_llrs, par_llrs, apriori = rng.normal(0.0, 3.0, (3, batch, k)).astype(dtype)
+                drawn = rng.normal(0.0, 3.0, (3, batch, k)).astype(dtype)
+                sys_llrs, par_llrs, apriori = np.ascontiguousarray(drawn.transpose(0, 2, 1))
                 # Exact zeros of both signs reach the branch metrics.
-                apriori[:, ::7] = 0.0
-                sys_llrs[:, ::11] = -0.0
+                apriori[::7] = 0.0
+                sys_llrs[::11] = -0.0
                 for terminated in (True, False):
                     got = native.siso(
                         sys_llrs, par_llrs, apriori, np.empty_like(sys_llrs),
@@ -275,24 +336,50 @@ class TestNativeBackend:
         assert statistics["native"] == statistics["numpy"]
 
 
+#: (batch width, per-row noise levels).  The widths leave remainders against
+#: 2-, 4- and 8-lane vectors; mixed noise makes rows freeze at different
+#: iterations, and the low-noise batch freezes every row before the last
+#: iteration (the decoder's early exit).
+ROW_CASES = {
+    "1-mixed": (1, (0.6, 1.4, 2.4, 3.2)),
+    "3-mixed": (3, (0.6, 1.4, 2.4, 3.2)),
+    "5-mixed": (5, (0.6, 1.4, 2.4, 3.2)),
+    "33-mixed": (33, (0.6, 1.4, 2.4, 3.2)),
+    "5-all-freeze": (5, (0.3,)),
+}
+
+
 class TestBatchCompositionIndependence:
     """The invariant behind cross-work-item decode aggregation."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "numpy-f32"])
-    def test_rows_decode_identically_alone_and_batched(self, rng, backend):
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
+    def test_rows_decode_identically_alone_and_batched(self, backend, case):
+        if resolve_backend(backend, warn=False).name != backend:
+            pytest.skip(f"{backend} is not available here")
+        batch, sigmas = ROW_CASES[case]
         code = TurboCode(88, num_iterations=5)
-        sys_llrs, par1, par2 = _noisy_batch(code, 10, rng)
-        batch_decoder = TurboDecoder(
-            88, 5, interleaver=code.encoder.interleaver, backend=backend
-        )
-        batched = batch_decoder.decode(sys_llrs, par1, par2)
-        for row in range(10):
-            solo = TurboDecoder(
-                88, 5, interleaver=code.encoder.interleaver, backend=backend
-            ).decode(sys_llrs[row], par1[row], par2[row])
+        rng = np.random.default_rng(2012 + batch)
+        sys_llrs, par1, par2 = _noisy_batch(code, batch, rng, sigmas=sigmas)
+        decoder = TurboDecoder(88, 5, interleaver=code.encoder.interleaver, backend=backend)
+        batched = decoder.decode(sys_llrs, par1, par2)
+        solo_iterations = []
+        for row in range(batch):
+            rows = slice(row, row + 1)
+            solo = decoder.decode(sys_llrs[rows], par1[rows], par2[rows])
             assert np.array_equal(solo.app_llrs[0], batched.app_llrs[row]), row
+            assert np.array_equal(
+                np.signbit(solo.app_llrs[0]), np.signbit(batched.app_llrs[row])
+            ), row
             assert np.array_equal(solo.decoded_bits[0], batched.decoded_bits[row]), row
             assert solo.converged[0] == batched.converged[row], row
+            solo_iterations.append(solo.iterations_run)
+        assert batched.iterations_run == max(solo_iterations)
+        if case == "33-mixed":
+            assert len(set(solo_iterations)) > 1, solo_iterations
+        if case == "5-all-freeze":
+            assert batched.iterations_run < decoder.num_iterations
+            assert batched.converged.all()
 
     def test_early_stopping_shrinks_but_preserves_results(self, rng):
         code = TurboCode(88, num_iterations=6)

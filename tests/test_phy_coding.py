@@ -228,6 +228,8 @@ class TestTurbo:
             code.decode_buffer(np.zeros((1, 100)))
         with pytest.raises(ValueError):
             code.decode_buffer(np.zeros(150))  # one block, but not a batch
+        with pytest.raises(ValueError, match=r"expected shape \(batch, 50\)"):
+            code.decoder.decode(np.zeros(50), np.zeros(50), np.zeros(50))
 
     def test_decoder_erasures_give_chance_output(self):
         decoder = TurboDecoder(40, num_iterations=2)

@@ -464,9 +464,9 @@ class TestTurboCode:
         if spec.name != backend:
             pytest.skip(f"{backend} is not available here")
         rng = np.random.default_rng(block_size + 10 * terminated_start)
-        sys_llrs, par_llrs, apriori = (
-            2.0 * rng.integers(-8, 9, (3, 3, block_size))
-        ).astype(spec.dtype)
+        drawn = (2.0 * rng.integers(-8, 9, (3, 3, block_size))).astype(spec.dtype)
+        # Step-major (block_size, batch) inputs: one packet per column.
+        sys_llrs, par_llrs, apriori = np.ascontiguousarray(drawn.transpose(0, 2, 1))
         kernel = create_backend(backend, UMTS_TRELLIS, block_size)
         got = kernel.siso(
             sys_llrs, par_llrs, apriori, np.empty_like(sys_llrs),
@@ -474,9 +474,12 @@ class TestTurboCode:
         )
         want = np.stack(
             [
-                _brute_force_app(sys_llrs[row], par_llrs[row], apriori[row], terminated_start)
-                for row in range(3)
-            ]
+                _brute_force_app(
+                    sys_llrs[:, col], par_llrs[:, col], apriori[:, col], terminated_start
+                )
+                for col in range(3)
+            ],
+            axis=1,
         )
         assert np.array_equal(got, want.astype(spec.dtype)), (got, want)
 
