@@ -1,16 +1,11 @@
 """Wireless channel substrate: ITU multipath Rayleigh channels with AWGN.
 
 :meth:`~repro.channel.multipath.MultipathChannel.apply_batch` passes each
-row of a ``(packets, samples)`` matrix through its own channel realisation;
-Jakes fading waveforms and block Rayleigh gains model the time variation.
+row of a ``(packets, samples)`` matrix through its own block Rayleigh
+channel realisation; Jakes fading waveforms model intra-packet variation.
 """
 
-from repro.channel.awgn import awgn_noise
-from repro.channel.fading import (
-    JakesFadingProcess,
-    JakesFadingRealization,
-    block_rayleigh_gains,
-)
+from repro.channel.fading import JakesFadingProcess, JakesFadingRealization
 from repro.channel.multipath import (
     ITU_PEDESTRIAN_A,
     ITU_PEDESTRIAN_B,
@@ -29,6 +24,4 @@ __all__ = [
     "MultipathChannel",
     "PowerDelayProfile",
     "SINGLE_PATH",
-    "awgn_noise",
-    "block_rayleigh_gains",
 ]

@@ -1,15 +1,11 @@
-"""Rayleigh fading processes.
+"""Time-correlated Rayleigh fading.
 
-Two models are provided:
-
-* :func:`block_rayleigh_gains` — independent complex Gaussian gains per block
-  (quasi-static fading), the usual model for per-TTI link simulations where
-  the channel is constant over one transmission but varies across HARQ
-  retransmissions ("a wide range of rapidly varying mobile channel
-  conditions").
-* :class:`JakesFadingProcess` — a sum-of-sinusoids (Jakes/Clarke) model
-  producing a time-correlated fading waveform with a configurable Doppler
-  frequency, for studies that need intra-packet channel variation.
+:class:`JakesFadingProcess` is a sum-of-sinusoids (Jakes/Clarke) model
+producing a time-correlated fading waveform with a configurable Doppler
+frequency, for studies that need intra-packet channel variation.  The
+quasi-static per-transmission fading of the HARQ link (independent complex
+Gaussian tap gains per transmission) is drawn by
+:meth:`~repro.channel.multipath.MultipathChannel.apply_batch`.
 """
 
 from __future__ import annotations
@@ -20,48 +16,6 @@ import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import ensure_positive_int
-
-
-def block_rayleigh_gains(
-    num_blocks: int,
-    num_taps: int = 1,
-    tap_powers: np.ndarray | None = None,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Independent Rayleigh gains per block and tap.
-
-    Parameters
-    ----------
-    num_blocks:
-        Number of independent channel realisations (e.g. HARQ transmissions).
-    num_taps:
-        Number of multipath taps per realisation.
-    tap_powers:
-        Average power of each tap (defaults to uniform, normalised to sum 1).
-    rng:
-        Seed or generator.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex array of shape ``(num_blocks, num_taps)``.
-    """
-    num_blocks = ensure_positive_int(num_blocks, "num_blocks")
-    num_taps = ensure_positive_int(num_taps, "num_taps")
-    if tap_powers is None:
-        powers = np.full(num_taps, 1.0 / num_taps)
-    else:
-        powers = np.asarray(tap_powers, dtype=np.float64)
-        if powers.size != num_taps:
-            raise ValueError("tap_powers length must equal num_taps")
-        if (powers < 0).any():
-            raise ValueError("tap_powers must be non-negative")
-        powers = powers / powers.sum()
-    generator = as_rng(rng)
-    gains = generator.normal(0, 1, (num_blocks, num_taps)) + 1j * generator.normal(
-        0, 1, (num_blocks, num_taps)
-    )
-    return gains * np.sqrt(powers / 2.0)
 
 
 @dataclass(frozen=True)

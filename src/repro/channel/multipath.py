@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.awgn import awgn_noise
-from repro.channel.fading import block_rayleigh_gains
-from repro.utils.rng import RngLike, as_rng
-from repro.utils.validation import ensure_positive_int
+from repro.utils.rng import as_rng
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,10 @@ PROFILES = {
 class MultipathChannel:
     """Quasi-static frequency-selective Rayleigh channel with AWGN.
 
-    Each call to :meth:`realize` draws a new set of complex tap gains from
-    the configured power delay profile; :meth:`apply_batch` convolves each
-    transmit sequence with a realisation and adds noise.  HARQ
-    retransmissions see independent realisations, modelling the rapidly
-    varying mobile channel.
+    :meth:`apply_batch` passes each transmit sequence through its own
+    complex tap-gain realisation of the configured power delay profile and
+    adds noise.  HARQ retransmissions see independent realisations,
+    modelling the rapidly varying mobile channel.
 
     Parameters
     ----------
@@ -126,6 +122,9 @@ class MultipathChannel:
 
     def __post_init__(self) -> None:
         self._tap_indices, self._tap_powers = self.profile.resample(self.sample_period_ns)
+        # Standard deviation of each real gain component: the tap power,
+        # renormalised to sum to one, split evenly between I and Q.
+        self._gain_scales = np.sqrt(self._tap_powers / self._tap_powers.sum() / 2.0)
         # Reusable real workspace for the per-packet noise-power derivation:
         # |signal|^2 is computed in place here instead of materialising two
         # fresh full-batch temporaries (abs, then square) every round.
@@ -140,15 +139,6 @@ class MultipathChannel:
     def impulse_response_length(self) -> int:
         """Length of the discrete channel impulse response."""
         return int(self._tap_indices.max()) + 1
-
-    def realize(self, rng: RngLike = None) -> np.ndarray:
-        """Draw one channel impulse response (complex array)."""
-        gains = block_rayleigh_gains(
-            1, self.num_effective_taps, self._tap_powers, rng
-        )[0]
-        response = np.zeros(self.impulse_response_length, dtype=np.complex128)
-        response[self._tap_indices] = gains
-        return response
 
     def mean_signal_powers(self, signals: np.ndarray) -> np.ndarray:
         """Row-wise mean ``|x|^2`` of a ``(batch, n)`` sample matrix.
@@ -172,17 +162,29 @@ class MultipathChannel:
         signals: np.ndarray,
         snr_dbs,
         rngs,
-        impulse_responses=None,
         mean_signal_powers=None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pass each row through its own channel realisation and add AWGN.
 
-        Every packet draws its fading gains and noise from its *own*
-        generator in exactly the serial order (realisation first, then
-        noise), so a batch of N is byte-identical to N batches of one.  The
-        received matrix is preallocated and filled row by row; the
-        convolution stays per-packet (``np.convolve``) because a shifted
-        tap-accumulation differs bitwise.
+        Packet ``i`` draws everything it needs from its *own* generator in
+        one ``standard_normal`` call of ``2T + 2n`` values (``T`` effective
+        taps, ``n = num_samples + L - 1`` received samples), laid out as
+
+        ``[gain I (T) | gain Q (T) | noise I (n) | noise Q (n)]``.
+
+        With ``z`` the drawn values, gain and noise components are
+        ``0.0 + scale * z`` (the value ``Generator.normal(0, scale)`` would
+        give from the same stream, signed zeros included).  Tap ``k``'s gain
+        is ``(gI + j gQ) * sqrt(p_k / 2)``, where ``p_k`` is the resampled
+        tap power renormalised to sum to one.  The noise variance is the
+        received signal power (mean transmit power times ``sum |h|^2``) over
+        the linear SNR ``10.0 ** (snr / 10.0)``, taken with Python's scalar
+        power, and each noise component has scale ``sqrt(variance / 2)``.
+        A packet's row is therefore a function of its own generator alone,
+        so a batch of N is byte-identical to N batches of one.  Everything
+        after the draws is batch arithmetic except the convolution, which
+        stays per packet (``np.convolve``) because a shifted tap
+        accumulation differs bitwise.
 
         Parameters
         ----------
@@ -192,8 +194,6 @@ class MultipathChannel:
             Per-packet receive SNRs in dB (scalar broadcasts).
         rngs:
             One seed or generator per packet.
-        impulse_responses:
-            Optional pre-drawn per-packet impulse responses.
         mean_signal_powers:
             Optional per-packet average transmit sample powers used for
             the SNR accounting; default to each row's empirical mean.
@@ -214,29 +214,30 @@ class MultipathChannel:
         snr_arr = np.broadcast_to(np.asarray(snr_dbs, dtype=np.float64), (batch,))
         if len(rngs) != batch:
             raise ValueError(f"expected {batch} rngs, got {len(rngs)}")
-        if impulse_responses is not None:
-            responses = np.stack(
-                [np.asarray(h, dtype=np.complex128).reshape(-1) for h in impulse_responses]
-            )
-        else:
-            responses = np.empty((batch, self.impulse_response_length), dtype=np.complex128)
-        length = responses.shape[1]
-        received = np.empty((batch, num_samples + length - 1), dtype=np.complex128)
-        noise_variances = np.empty(batch, dtype=np.float64)
         if mean_signal_powers is None:
             mean_signal_powers = self.mean_signal_powers(sig)
+        taps = self.num_effective_taps
+        length = self.impulse_response_length
+        num_received = num_samples + length - 1
+        draws = np.empty((batch, 2 * (taps + num_received)), dtype=np.float64)
         for i in range(batch):
-            generator = as_rng(rngs[i])
-            if impulse_responses is None:
-                responses[i] = self.realize(generator)
-            h = responses[i]
-            convolved = np.convolve(sig[i], h)
-            signal_power = float(mean_signal_powers[i]) * float(np.sum(np.abs(h) ** 2))
-            noise_variance = signal_power / (10.0 ** (float(snr_arr[i]) / 10.0))
-            noise_variances[i] = noise_variance
-            np.add(
-                convolved,
-                awgn_noise(convolved.shape, noise_variance, generator),
-                out=received[i],
-            )
+            as_rng(rngs[i]).standard_normal(out=draws[i])
+        gain_i, gain_q, noise_i, noise_q = np.split(
+            draws, (taps, 2 * taps, 2 * taps + num_received), axis=1
+        )
+        responses = np.zeros((batch, length), dtype=np.complex128)
+        responses[:, self._tap_indices] = (
+            (0.0 + gain_i) + 1j * (0.0 + gain_q)
+        ) * self._gain_scales
+        signal_powers = np.asarray(mean_signal_powers, dtype=np.float64) * np.sum(
+            np.abs(responses) ** 2, axis=1
+        )
+        linear_snrs = np.array([10.0 ** (snr / 10.0) for snr in snr_arr.tolist()])
+        noise_variances = signal_powers / linear_snrs
+        sigmas = np.sqrt(noise_variances / 2.0)[:, None]
+        noise = (0.0 + sigmas * noise_i) + 1j * (0.0 + sigmas * noise_q)
+        received = np.empty((batch, num_received), dtype=np.complex128)
+        for i in range(batch):
+            received[i] = np.convolve(sig[i], responses[i])
+        received += noise
         return received, responses, noise_variances

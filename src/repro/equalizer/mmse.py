@@ -9,7 +9,6 @@ ratio (SINR) needed to scale the demapper LLRs correctly.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,10 @@ class MmseEqualizerOutput:
 class MmseEqualizer:
     """FIR MMSE equalizer for a known channel impulse response.
 
+    The filter is solved for every row of every call and never cached: each
+    transmission sees a fresh channel realisation, so an exact-match
+    ``(channel, noise, power)`` cache would never hit.
+
     Parameters
     ----------
     num_taps:
@@ -57,32 +60,13 @@ class MmseEqualizer:
         is close to optimal for symmetric filters.
     """
 
-    #: Bounded size of the per-instance (channel, noise, power) -> design cache.
-    DESIGN_CACHE_SIZE = 256
-
     def __init__(self, num_taps: int = 16, decision_delay: int | None = None) -> None:
         self.num_taps = ensure_positive_int(num_taps, "num_taps")
         if decision_delay is not None and decision_delay < 0:
             raise ValueError("decision_delay must be non-negative")
         self.decision_delay = decision_delay
-        # LRU cache of solved designs keyed by the exact (impulse response
-        # bytes, noise variance, signal power) triple: at a fixed operating
-        # point the filter is built once and reused for every packet that
-        # sees the same channel realisation (repeated equalize calls, HARQ
-        # re-processing, reference evaluations) instead of re-solving.
-        self._design_cache: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------ #
-    def _design_key(self, h: np.ndarray, noise_variance: float, signal_power: float):
-        return (h.tobytes(), float(noise_variance), float(signal_power))
-
-    def _cache_store(self, key, value) -> None:
-        cache = self._design_cache
-        cache[key] = value
-        cache.move_to_end(key)
-        while len(cache) > self.DESIGN_CACHE_SIZE:
-            cache.popitem(last=False)
-
     def design_batch(
         self,
         impulse_responses: np.ndarray,
@@ -91,11 +75,10 @@ class MmseEqualizer:
     ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
         """Compute MMSE taps for a stack of channels.
 
-        The covariance build, the linear solve and the combined-response
-        product run as batched gemm/``np.linalg.solve``/matmul calls; rows
-        whose exact ``(impulse response, noise variance, signal power)``
-        triple was designed before are served from the filter cache without
-        re-solving.
+        Every row is designed afresh: each HARQ transmission sees its own
+        channel realisation, so there is no filter to reuse.  The covariance
+        build, the linear solve and the combined-response product run as
+        one batched gemm/``np.linalg.solve``/matmul pass over the stack.
 
         Returns
         -------
@@ -128,44 +111,6 @@ class MmseEqualizer:
             raise ValueError(f"decision_delay must be in [0, {num_symbols}), got {delay}")
         es = float(signal_power)
 
-        taps = np.empty((batch, nf), dtype=np.complex128)
-        bias = np.empty(batch, dtype=np.complex128)
-        residual = np.empty(batch, dtype=np.float64)
-        cache = self._design_cache
-        keys = [self._design_key(h2d[i], nv[i], es) for i in range(batch)]
-        missing = []
-        for i, key in enumerate(keys):
-            hit = cache.get(key)
-            if hit is None:
-                missing.append(i)
-            else:
-                cache.move_to_end(key)
-                taps[i], bias[i], residual[i] = hit
-        if missing:
-            rows = np.asarray(missing)
-            new_taps, new_bias, new_residual = self._design_rows(
-                h2d[rows], nv[rows], es, delay, num_symbols
-            )
-            taps[rows] = new_taps
-            bias[rows] = new_bias
-            residual[rows] = new_residual
-            for j, i in enumerate(missing):
-                self._cache_store(
-                    keys[i], (new_taps[j].copy(), new_bias[j], new_residual[j])
-                )
-        return taps, delay, bias, residual
-
-    def _design_rows(
-        self,
-        h2d: np.ndarray,
-        nv: np.ndarray,
-        es: float,
-        delay: int,
-        num_symbols: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve the MMSE design for a stack of channels (no cache)."""
-        batch, channel_length = h2d.shape
-        nf = self.num_taps
         # Channel (convolution) matrix H such that the received window
         #   r_k = [r[k], ..., r[k + nf - 1]]^T
         # satisfies r_k = H s_k + n with
@@ -189,8 +134,7 @@ class MmseEqualizer:
             np.sum(np.abs(response) ** 2, axis=1) - np.abs(bias) ** 2
         )
         noise_out = nv * np.sum(np.abs(taps) ** 2, axis=1)
-        residual = interference + noise_out
-        return taps, bias, residual
+        return taps, delay, bias, interference + noise_out
 
     # ------------------------------------------------------------------ #
     def equalize_batch(
@@ -217,7 +161,7 @@ class MmseEqualizer:
         signal_power:
             Average transmit symbol energy.
 
-        The tap design runs as one stacked solve (through the filter cache);
+        The tap design runs as one stacked solve (:meth:`design_batch`);
         the filtering itself stays a per-packet ``np.convolve`` because a
         batched shifted-tap accumulation is not bit-identical to it.  A
         degenerate design (zero channel) yields zero symbols, effective noise

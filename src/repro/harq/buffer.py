@@ -15,11 +15,14 @@ gather from the quantizer's value table.  A per-transmission slot is a row
 range of that array and of the die's masks, not an array of its own.
 
 :func:`store_transmission_rows` and :func:`combined_mother_rows` serve a
-whole HARQ round of per-transmission buffers: the round's rows are quantized
-and stored in one call, and each slot read applies every die's masks once to
-that die's rows.  The per-buffer methods are the same functions for one row.
-Transient upsets are drawn per buffer, per read, in ascending slot order, so
-a buffer's upset stream does not depend on the rows it is read with.
+whole lock-step HARQ round of per-transmission buffers, one row per buffer:
+the round's rows are quantized and stored in one call, and the read-combine
+makes one read and one de-rate-match call per occupied slot, each read
+applying every die's masks once to that die's rows.  The buffers of a round
+hold the same slots and redundancy versions (mixed occupancy is an error);
+a single buffer is a round of one.  Transient upsets are drawn per buffer,
+per read, in ascending slot order, so a buffer's upset stream does not
+depend on the rows it is read with.
 """
 
 from __future__ import annotations
@@ -246,14 +249,16 @@ def combined_mother_rows(
 ) -> np.ndarray:
     """Read back and sum every stored transmission in the mother-code domain.
 
-    This is the HARQ read-combine: one output row per buffer.  Slots are
-    visited in ascending order; each slot's active rows are read in one
-    batch (each die's masks applied once to that die's rows), so each
-    buffer's transient-upset stream advances in the same order whether it
-    is read alone or with others, and each row accumulates its
-    transmissions in ascending-slot order.  Rows read from the same slot
-    with the same redundancy version share one de-interleave /
-    de-rate-match call.
+    This is the HARQ read-combine of one lock-step round: one output row per
+    buffer.  Every buffer must hold the same occupied slots with the same
+    redundancy versions, as the active packets of one
+    :func:`~repro.link.system.simulate_packet_groups` round do; anything
+    else raises :class:`ValueError`.  Slots are visited in ascending order,
+    and each slot costs one :func:`~repro.memory.array.read_rows` call (each
+    die's masks applied once to that die's rows) and one de-interleave /
+    de-rate-match call.  Each buffer's transient-upset stream therefore
+    advances in the same order whether it is read alone or with others, and
+    each row accumulates its transmissions in ascending-slot order.
 
     Parameters
     ----------
@@ -265,43 +270,28 @@ def combined_mother_rows(
         Callable ``(channel_llr_rows, redundancy_version) -> mother_rows``
         (typically the receiver's de-interleave + de-rate-match stage).
     """
-    width = buffers[0].words_per_transmission
-    values = buffers[0].quantizer.word_values()
-    batch = len(buffers)
-    combined: Optional[np.ndarray] = None
-    seen = np.zeros(batch, dtype=bool)
-    for slot in range(max(buffer.num_slots for buffer in buffers)):
-        rows = [
-            index
-            for index, buffer in enumerate(buffers)
-            if slot < buffer.num_slots and buffer._occupied[slot]
-        ]
-        if not rows:
-            continue
-        words = read_rows(
-            [buffers[index]._array for index in rows], slot * width, (slot + 1) * width
-        )
-        stacked = np.take(values, words)
-        versions = [buffers[index]._slot_redundancy_versions[slot] for index in rows]
-        mother: Optional[np.ndarray] = None
-        for version in dict.fromkeys(versions):
-            selector = [j for j, rv in enumerate(versions) if rv == version]
-            part = np.asarray(
-                to_mother_domain_batch(stacked[selector], version), dtype=np.float64
+    first = buffers[0]
+    for buffer in buffers[1:]:
+        if (
+            buffer._occupied != first._occupied
+            or buffer._slot_redundancy_versions != first._slot_redundancy_versions
+        ):
+            raise ValueError(
+                "buffers read together must hold the same slots and redundancy "
+                "versions (one lock-step HARQ round)"
             )
-            if mother is None:
-                mother = np.empty((len(rows), part.shape[1]), dtype=np.float64)
-            mother[selector] = part
-        if combined is None:
-            combined = np.empty((batch, mother.shape[1]), dtype=np.float64)
-        row_indices = np.asarray(rows)
-        first = ~seen[row_indices]
-        if first.any():
-            combined[row_indices[first]] = mother[first]
-        if not first.all():
-            combined[row_indices[~first]] += mother[~first]
-        seen[rows] = True
-    if combined is None or not seen.all():
+    width = first.words_per_transmission
+    values = first.quantizer.word_values()
+    arrays = [buffer._array for buffer in buffers]
+    combined: Optional[np.ndarray] = None
+    for slot, version in enumerate(first._slot_redundancy_versions):
+        if not first._occupied[slot]:
+            continue
+        words = read_rows(arrays, slot * width, (slot + 1) * width)
+        mother = np.asarray(
+            to_mother_domain_batch(np.take(values, words), version), dtype=np.float64
+        )
+        combined = mother if combined is None else combined + mother
+    if combined is None:
         raise ValueError("no transmissions stored yet")
     return combined
-

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     Callable,
     Iterable,
@@ -185,11 +186,34 @@ class ParallelRunner:
         """Hand one round of tasks to the backend, streaming ``(index, result)``.
 
         Pairs arrive in completion order (backend-dependent); every index is
-        delivered exactly once.  ``fn`` and every task must be picklable
-        (module-level function plus dataclass/tuple payloads) for any
-        backend that leaves the calling process.
+        delivered exactly once, so a caller can act on each result (journal
+        it, say) before the round ends.  Under a backend with
+        ``on_task_error="quarantine"``, a failing item arrives as a
+        :class:`TaskQuarantined` sentinel and the caller decides what the
+        missing result means.  The round's sentinels are recorded in index
+        order (in memory, and on disk when a :attr:`quarantine_store` is
+        attached) when the stream ends, also when the caller abandons it
+        early.  The round is timed into ``runner_round_seconds`` and its
+        items counted into ``runner_tasks_total``.  ``fn`` and every task
+        must be picklable (module-level function plus dataclass/tuple
+        payloads) for any backend that leaves the calling process.
         """
-        return self._backend.submit(fn, list(tasks))
+        tasks = list(tasks)
+        if not tasks:
+            return
+        backend_name = getattr(self._backend, "name", "unknown")
+        quarantined: List[TaskQuarantined] = []
+        try:
+            with telemetry.timed("runner_round_seconds", backend=backend_name):
+                for index, result in self._backend.submit(fn, tasks):
+                    if isinstance(result, TaskQuarantined):
+                        quarantined.append(result)
+                    yield index, result
+        finally:
+            if quarantined:
+                quarantined.sort(key=attrgetter("index"))
+                self._record_quarantined(fn, tasks, quarantined)
+        telemetry.inc("runner_tasks_total", len(tasks), backend=backend_name)
 
     @staticmethod
     def collect_in_order(
@@ -217,33 +241,24 @@ class ParallelRunner:
         identical for any worker count and any backend — including the
         serial fallback.
 
-        Under a backend with ``on_task_error="quarantine"``, a failing item
-        comes back as a :class:`TaskQuarantined` sentinel instead of
-        aborting the round.  Every sentinel is recorded (in memory, and on
-        disk when a :attr:`quarantine_store` is attached); then, unless the
-        caller opted in with *allow_quarantined* — meaning it knows what a
-        missing result means for its aggregate — the first sentinel raises,
-        because silently averaging over a partial result set would corrupt
-        the science.
+        Quarantined items come back as the :class:`TaskQuarantined`
+        sentinels :meth:`submit_round` recorded; then, unless the caller
+        opted in with *allow_quarantined* — meaning it knows what a missing
+        result means for its aggregate — the first sentinel raises, because
+        silently averaging over a partial result set would corrupt the
+        science.
         """
         tasks = list(tasks)
-        if not tasks:
-            return []
-        backend_name = getattr(self._backend, "name", "unknown")
-        with telemetry.timed("runner_round_seconds", backend=backend_name):
-            results = self.collect_in_order(self.submit_round(fn, tasks), len(tasks))
-        telemetry.inc("runner_tasks_total", len(tasks), backend=backend_name)
+        results = self.collect_in_order(self.submit_round(fn, tasks), len(tasks))
         quarantined = [r for r in results if isinstance(r, TaskQuarantined)]
-        if quarantined:
-            self._record_quarantined(fn, tasks, quarantined)
-            if not allow_quarantined:
-                raise RuntimeError(
-                    f"{len(quarantined)} work item(s) were quarantined but this "
-                    f"computation cannot tolerate missing results "
-                    f"({quarantined[0].summary()}); rerun with "
-                    f"--on-task-error=fail to abort on the first traceback:\n"
-                    f"{quarantined[0].error}"
-                )
+        if quarantined and not allow_quarantined:
+            raise RuntimeError(
+                f"{len(quarantined)} work item(s) were quarantined but this "
+                f"computation cannot tolerate missing results "
+                f"({quarantined[0].summary()}); rerun with "
+                f"--on-task-error=fail to abort on the first traceback:\n"
+                f"{quarantined[0].error}"
+            )
         return results
 
     def _record_quarantined(

@@ -640,18 +640,14 @@ def run_fault_map_grid(
             )
         )
     task_groups = group_tasks_for_batching(tasks, aggregate_packets)
-    outcomes: List[Optional[FaultMapOutcome]] = []
-    for group, group_result in zip(
-        task_groups,
-        runner.map(simulate_fault_map_batch, task_groups, allow_quarantined=True),
-    ):
-        if isinstance(group_result, TaskQuarantined):
-            # A quarantined *batch* loses every die it pooled; keep the
-            # point-major layout intact with per-die holes.
-            outcomes.extend([None] * len(group))
-        else:
-            outcomes.extend(group_result)
-    for slot, index in enumerate(pending):
+    group_starts = np.cumsum([0] + [len(group) for group in task_groups]).tolist()
+    # Per-die outcomes in point-major task order; a quarantined batch loses
+    # every die it pooled and leaves per-die holes (None).
+    outcomes: List[Optional[FaultMapOutcome]] = [None] * len(tasks)
+    dies_left = [num_fault_maps] * len(pending)
+
+    def finish_slot(slot: int) -> None:
+        index = pending[slot]
         point_outcomes = outcomes[slot * num_fault_maps : (slot + 1) * num_fault_maps]
         survivors = [o for o in point_outcomes if o is not None]
         if not survivors:
@@ -670,6 +666,20 @@ def run_fault_map_grid(
             ),
             tainted=len(survivors) < len(point_outcomes),
         )
+
+    # Each point is merged (and journaled) as soon as its last die is in,
+    # so an interrupted run keeps every point it completed.
+    for group_index, group_result in runner.submit_round(
+        simulate_fault_map_batch, task_groups
+    ):
+        start, stop = group_starts[group_index], group_starts[group_index + 1]
+        if not isinstance(group_result, TaskQuarantined):
+            outcomes[start:stop] = group_result
+        for task_index in range(start, stop):
+            slot = task_index // num_fault_maps
+            dies_left[slot] -= 1
+            if dies_left[slot] == 0:
+                finish_slot(slot)
     return results
 
 

@@ -62,7 +62,7 @@ def ensure_bit_array(bits: Union[Sequence[int], np.ndarray], name: str = "bits")
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0s and 1s")
     return arr.astype(np.int8)
 

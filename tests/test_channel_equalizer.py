@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.awgn import awgn_noise
-from repro.channel.fading import JakesFadingProcess, block_rayleigh_gains, jakes_gains_batch
+from repro.channel.fading import JakesFadingProcess, jakes_gains_batch
 from repro.channel.multipath import (
     ITU_PEDESTRIAN_A,
     ITU_PEDESTRIAN_B,
@@ -18,11 +17,27 @@ from repro.equalizer.rake import RakeReceiver
 from repro.phy.modulation import get_modulator
 
 
+def _channel_draws(channel, num_packets, num_samples, seed):
+    """``apply_batch`` over *num_packets* unit-power rows, one seed each."""
+    signal = np.ones((num_packets, num_samples), dtype=complex)
+    rngs = [np.random.default_rng([seed, i]) for i in range(num_packets)]
+    return signal, channel.apply_batch(signal, 10.0, rngs)
+
+
 class TestAwgn:
-    def test_noise_variance_statistics(self, rng):
-        noise = awgn_noise(200_000, 0.4, rng)
-        assert np.var(noise) == pytest.approx(0.4, rel=0.03)
-        assert np.abs(np.mean(noise)) < 0.01
+    def test_noise_variance_statistics(self):
+        """The added noise is zero-mean, circular, with the reported variance."""
+        channel = MultipathChannel(ITU_PEDESTRIAN_A)
+        signal, (received, responses, noise_variances) = _channel_draws(
+            channel, 40, 5_000, 11
+        )
+        for row in range(signal.shape[0]):
+            noise = received[row] - np.convolve(signal[row], responses[row])
+            variance = noise_variances[row]
+            assert np.var(noise) == pytest.approx(variance, rel=0.08)
+            assert np.var(noise.real) == pytest.approx(variance / 2, rel=0.08)
+            assert np.var(noise.imag) == pytest.approx(variance / 2, rel=0.08)
+            assert np.abs(np.mean(noise)) < 0.1 * np.sqrt(variance)
 
     def test_awgn_channel_snr(self, rng):
         """The noise a flat channel adds has the variance its SNR implies."""
@@ -36,19 +51,19 @@ class TestAwgn:
 
 
 class TestFading:
-    def test_block_rayleigh_unit_power(self, rng):
-        gains = block_rayleigh_gains(50_000, 1, rng=rng)
-        assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.05)
+    def test_block_rayleigh_unit_power(self):
+        _, (_, responses, _) = _channel_draws(MultipathChannel(SINGLE_PATH), 20_000, 1, 3)
+        assert np.mean(np.abs(responses) ** 2) == pytest.approx(1.0, rel=0.05)
 
-    def test_block_rayleigh_tap_powers(self, rng):
-        powers = np.array([0.7, 0.2, 0.1])
-        gains = block_rayleigh_gains(100_000, 3, powers, rng)
-        measured = np.mean(np.abs(gains) ** 2, axis=0)
-        assert np.allclose(measured, powers, rtol=0.08)
-
-    def test_block_rayleigh_validation(self):
-        with pytest.raises(ValueError):
-            block_rayleigh_gains(10, 2, np.array([1.0]))
+    def test_block_rayleigh_tap_powers(self):
+        """Each effective tap's mean power is the resampled profile power."""
+        channel = MultipathChannel(ITU_PEDESTRIAN_B)
+        indices, powers = channel.profile.resample(channel.sample_period_ns)
+        _, (_, responses, _) = _channel_draws(channel, 20_000, 1, 4)
+        measured = np.mean(np.abs(responses) ** 2, axis=0)
+        assert np.allclose(measured[indices], powers, rtol=0.1, atol=2e-3)
+        off_grid = np.setdiff1d(np.arange(responses.shape[1]), indices)
+        assert not responses[:, off_grid].any()
 
     def test_jakes_unit_power(self, rng):
         process = JakesFadingProcess(doppler_hz=50.0, sample_rate_hz=10_000.0)
@@ -80,11 +95,19 @@ class TestMultipath:
         channel = MultipathChannel(SINGLE_PATH)
         assert channel.impulse_response_length == 1
 
-    def test_realizations_are_random(self):
+    def test_realizations_are_independent(self):
+        """Packets, and a packet's successive transmissions, fade independently."""
         channel = MultipathChannel(ITU_PEDESTRIAN_A)
-        h1 = channel.realize(rng=1)
-        h2 = channel.realize(rng=2)
-        assert not np.allclose(h1, h2)
+        num_packets = 20_000
+        signal = np.ones((num_packets, 1), dtype=complex)
+        rngs = [np.random.default_rng([5, i]) for i in range(num_packets)]
+        first = channel.apply_batch(signal, 10.0, rngs)[1][:, 0]
+        second = channel.apply_batch(signal, 10.0, rngs)[1][:, 0]
+        power = np.mean(np.abs(first) ** 2)
+        across_packets = np.mean(first[1:] * np.conj(first[:-1]))
+        across_transmissions = np.mean(first * np.conj(second))
+        assert np.abs(across_packets) < 0.05 * power
+        assert np.abs(across_transmissions) < 0.05 * power
 
     def test_apply_output_length_and_snr(self, rng):
         channel = MultipathChannel(ITU_PEDESTRIAN_A)

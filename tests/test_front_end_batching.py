@@ -22,7 +22,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.channel.awgn import awgn_noise
 from repro.channel.fading import JakesFadingProcess, jakes_gains_batch
 from repro.channel.multipath import ITU_PEDESTRIAN_A, MultipathChannel
 from repro.equalizer.mmse import MmseEqualizer
@@ -122,15 +121,27 @@ class _SeedMmseEqualizer:
 
 
 def _seed_channel_apply(channel, signal, snr_db, generator):
-    """The pre-batching serial ``MultipathChannel.apply`` body."""
-    impulse_response = channel.realize(generator)
+    """The pre-batching serial ``MultipathChannel.apply`` body.
+
+    Its channel realisation (block Rayleigh gains, one ``normal`` call per
+    component) and its AWGN draw (likewise) are inlined as they were.
+    """
+    tap_indices, tap_powers = channel.profile.resample(channel.sample_period_ns)
+    powers = tap_powers / tap_powers.sum()
+    shape = (1, powers.size)
+    gains = generator.normal(0, 1, shape) + 1j * generator.normal(0, 1, shape)
+    impulse_response = np.zeros(channel.impulse_response_length, dtype=np.complex128)
+    impulse_response[tap_indices] = (gains * np.sqrt(powers / 2.0))[0]
     convolved = np.convolve(signal, impulse_response)
     signal_power = float(np.mean(np.abs(signal) ** 2)) * float(
         np.sum(np.abs(impulse_response) ** 2)
     )
     noise_variance = signal_power / (10.0 ** (snr_db / 10.0))
-    received = convolved + awgn_noise(convolved.shape, noise_variance, generator)
-    return received, impulse_response, noise_variance
+    sigma = np.sqrt(noise_variance / 2.0)
+    noise = generator.normal(0.0, sigma, convolved.shape) + 1j * generator.normal(
+        0.0, sigma, convolved.shape
+    )
+    return convolved + noise, impulse_response, noise_variance
 
 
 def _prepare_inputs(link: HspaLikeLink, num_packets: int, snr_db: float, rng_seed):
@@ -370,8 +381,8 @@ class TestSampleKernels:
         ) + 1j * rng.normal(size=(batch, num_symbols + channel_length - 1))
         variances = rng.uniform(0.01, 1.0, batch)
         equalizer = MmseEqualizer(num_taps=8)
-        # Two passes: the second is served from the design cache and must
-        # still match a fresh design for a batch of one exactly.
+        # Two passes over one equalizer: a repeated design must still match
+        # a fresh design for a batch of one exactly.
         for _ in range(2):
             output = equalizer.equalize_batch(received, responses, variances, num_symbols)
             alone = MmseEqualizer(num_taps=8)

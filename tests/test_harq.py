@@ -167,34 +167,32 @@ class TestTransmissionSoftBuffer:
         assert [version for version, _ in self._slot_reads([buffer])] == [0, 1]
 
     def test_combined_rows_match_each_buffer_alone(self):
-        """One read-combine over many buffers equals reading each alone.
+        """One lock-step read-combine over many buffers equals reading each alone.
 
-        The buffers differ in occupied slots (including a gap at slot 0),
-        redundancy versions, fault maps and transient-upset streams; each
-        output row must be byte-identical to that buffer's own read-combine,
-        which sums its slots in ascending order.
+        The buffers hold the same slots (with a gap at slot 0) and redundancy
+        versions, as the packets of one HARQ round do, but differ in fault
+        maps and transient-upset streams; each output row must be
+        byte-identical to that buffer's own read-combine, which sums its
+        slots in ascending order.
         """
 
         def derate(rows, redundancy_version):
             return np.roll(rows, redundancy_version, axis=1) * (redundancy_version + 1.0)
 
-        occupied_slots = ([0], [0, 1], [0, 1, 2], [1, 2])
-
         def build():
             rng = np.random.default_rng(5)
-            buffers = []
-            for index, slots in enumerate(occupied_slots):
-                buffer = TransmissionSoftBuffer(
+            buffers = [
+                TransmissionSoftBuffer(
                     words_per_transmission=20,
-                    num_slots=3,
-                    fault_map=FaultMap.with_exact_fault_count(60, 10, 30, rng),
+                    num_slots=4,
+                    fault_map=FaultMap.with_exact_fault_count(80, 10, 40, rng),
                     soft_error_rate=0.01 if index % 2 else 0.0,
                     soft_error_rng=index,
                 )
-                for slot in slots:
-                    rows = rng.normal(0, 5, (1, 20))
-                    store_transmission_rows([buffer], slot, rows, slot + index)
-                buffers.append(buffer)
+                for index in range(4)
+            ]
+            for slot in (1, 2, 3):
+                store_transmission_rows(buffers, slot, rng.normal(0, 5, (4, 20)), slot + 1)
             return buffers
 
         together = combined_mother_rows(build(), derate)
@@ -207,6 +205,20 @@ class TestTransmissionSoftBuffer:
         mothers = [derate(rows, version)[0] for version, rows in reads]
         expected = (mothers[0] + mothers[1]) + mothers[2]
         assert combined_mother_rows([quiet], derate)[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mismatch", ["slots", "versions"])
+    def test_mixed_occupancy_rejected(self, rng, mismatch):
+        """Buffers read together must be in lock step: same slots, same RVs."""
+        buffers = [
+            TransmissionSoftBuffer(words_per_transmission=10, num_slots=3) for _ in range(2)
+        ]
+        store_transmission_rows(buffers, 0, rng.normal(size=(2, 10)), 0)
+        if mismatch == "slots":
+            store_transmission_rows(buffers[1:], 1, rng.normal(size=(1, 10)), 1)
+        else:
+            store_transmission_rows(buffers[1:], 0, rng.normal(size=(1, 10)), 2)
+        with pytest.raises(ValueError, match="lock-step"):
+            combined_mother_rows(buffers, self._derate_identity)
 
     def test_empty_combine_rejected(self):
         buffer = TransmissionSoftBuffer(words_per_transmission=10, num_slots=2)

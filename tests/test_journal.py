@@ -315,6 +315,59 @@ class TestGridResume:
         assert calls.batches == 0  # fully journaled -> zero work scheduled
         assert all(_points_equal(a, b) for a, b in zip(results, reference))
 
+    @pytest.mark.parametrize("groups_done", [0, 1, 3, 4, 7])
+    def test_fixed_schedule_journals_each_point_as_it_finishes(
+        self, tmp_path, tiny_config_module, groups_done
+    ):
+        """A run cut after *groups_done* batches keeps exactly its finished points.
+
+        One die per batch and two dies per point, so the cut leaves
+        ``groups_done // 2`` points complete; resuming from that journal
+        must reproduce an uninterrupted run byte for byte.
+        """
+        from repro.runner.backends.serial import SerialBackend
+        from repro.runner.point_store import fault_point_to_json
+
+        class Killed(Exception):
+            pass
+
+        class StopsAfter(SerialBackend):
+            def submit(self, fn, tasks):
+                for delivered, pair in enumerate(super().submit(fn, tasks)):
+                    if delivered == groups_done:
+                        raise Killed
+                    yield pair
+
+        points = _grid(tiny_config_module, snrs=(14.0, 16.0, 18.0, 20.0))
+        kwargs = dict(_GRID_KWARGS, aggregate_packets=1)
+        reference = run_fault_map_grid(ParallelRunner.serial(), points, **kwargs)
+
+        with SweepJournal.open_for_run(tmp_path, "figx", "deadbeef") as first:
+            with pytest.raises(Killed):
+                run_fault_map_grid(
+                    ParallelRunner(backend=StopsAfter()), points, journal=first, **kwargs
+                )
+        with SweepJournal.open_for_run(
+            tmp_path, "figx", "deadbeef", resume=True
+        ) as resumed:
+            completed = [
+                index
+                for index in range(len(points))
+                if resumed.completed_fault_point(index) is not None
+            ]
+            assert completed == list(range(groups_done // 2))
+            results = run_fault_map_grid(
+                ParallelRunner.serial(), points, journal=resumed, **kwargs
+            )
+        as_bytes = [
+            json.dumps(fault_point_to_json(point), sort_keys=True)
+            for point in results
+        ]
+        assert as_bytes == [
+            json.dumps(fault_point_to_json(point), sort_keys=True)
+            for point in reference
+        ]
+
     def test_adaptive_resume_from_mid_point_rounds_is_byte_identical(
         self, tmp_path, tiny_config_module, monkeypatch
     ):

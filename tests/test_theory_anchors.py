@@ -30,6 +30,11 @@ theory:
   enumeration of every input path through the trellis defines;
 * the QPP internal interleaver of every block size a scale preset uses is
   a permutation, and its ``(f1, f2)`` meet Takeshita's conditions;
+* the multipath channel: every row of
+  :meth:`~repro.channel.multipath.MultipathChannel.apply_batch` is the
+  tapped-delay-line output its definition gives from the packet's own
+  ``Generator.normal`` draws (I then Q gains, I then Q noise), with the
+  linear SNR taken by Python's scalar power, signed zeros included;
 * the ``scipy.special`` ufuncs the package evaluates in place of
   ``scipy.stats.norm`` (``ndtr(-x)`` for ``norm.sf(x)``, ``ndtri(q)`` for
   ``norm.ppf(q)``) return the same bits, so a scipy release that breaks the
@@ -46,6 +51,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from repro.channel.fading import JakesFadingProcess, jakes_gains_batch
+from repro.channel.multipath import PROFILES, MultipathChannel
 from repro.core.montecarlo import two_sided_z
 from repro.experiments.scales import SCALES
 from repro.link import LinkConfig
@@ -541,3 +548,79 @@ class TestScipySubstitutions:
             assert_same_bits(
                 two_sided_z(confidence), float(stats.norm.ppf(0.5 + confidence / 2.0))
             )
+
+
+# --------------------------------------------------------------------------- #
+def defined_channel_row(profile, sample_period_ns, signal, snr_db, generator, mean_power):
+    """One packet through the multipath channel, straight from its definition.
+
+    Gains ``(normal(0, 1) + j normal(0, 1)) * sqrt(p / 2)`` on the resampled
+    tap grid (``p`` renormalised to sum to one), then noise of variance
+    ``mean_power * sum |h|^2 / 10 ** (snr / 10)``, split evenly over I and Q.
+    """
+    indices, powers = profile.resample(sample_period_ns)
+    p = powers / powers.sum()
+    gains = generator.normal(0.0, 1.0, p.size) + 1j * generator.normal(0.0, 1.0, p.size)
+    response = np.zeros(int(indices.max()) + 1, dtype=np.complex128)
+    response[indices] = gains * np.sqrt(p / 2.0)
+    convolved = np.convolve(signal, response)
+    variance = mean_power * float(np.sum(np.abs(response) ** 2)) / 10.0 ** (snr_db / 10.0)
+    sigma = np.sqrt(variance / 2.0)
+    noise = generator.normal(0.0, sigma, convolved.size) + 1j * generator.normal(
+        0.0, sigma, convolved.size
+    )
+    return convolved + noise, response, variance
+
+
+class TestChannelDefinition:
+    """``apply_batch`` rows equal the channel's definition, bit for bit."""
+
+    @staticmethod
+    def _assert_rows(profile, signals, snrs, seeds, jakes):
+        channel = MultipathChannel(profile, 260.417)
+        live = [np.random.default_rng(seed) for seed in seeds]
+        reference = [np.random.default_rng(seed) for seed in seeds]
+        mean_powers = np.array([float(np.mean(np.abs(row) ** 2)) for row in signals])
+        faded = signals
+        if jakes:
+            # The link draws each packet's Jakes waveform first, fades the
+            # samples, and accounts the SNR against the unfaded power.
+            process = JakesFadingProcess(doppler_hz=120.0, sample_rate_hz=3.84e6)
+            waveform = jakes_gains_batch(
+                [process.realization(rng) for rng in live], 0, signals.shape[1]
+            )
+            assert np.array_equal(
+                waveform,
+                jakes_gains_batch(
+                    [process.realization(rng) for rng in reference], 0, signals.shape[1]
+                ),
+            )
+            faded = signals * waveform
+            received, responses, variances = channel.apply_batch(
+                faded, snrs, live, mean_signal_powers=channel.mean_signal_powers(signals)
+            )
+        else:
+            received, responses, variances = channel.apply_batch(faded, snrs, live)
+        for row, rng in enumerate(reference):
+            expected = defined_channel_row(
+                profile, 260.417, faded[row], float(snrs[row]), rng, mean_powers[row]
+            )
+            assert_same_bits(received[row].view(np.float64), expected[0].view(np.float64))
+            assert_same_bits(responses[row].view(np.float64), expected[1].view(np.float64))
+            assert_same_bits(variances[row], expected[2])
+
+    @pytest.mark.parametrize("jakes", [False, True])
+    @pytest.mark.parametrize("width", [1, 3, 33])
+    @pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
+    def test_rows_are_the_definition(self, profile, width, jakes):
+        rng = np.random.default_rng([width, len(profile.delays_ns), jakes])
+        num_samples = int(rng.integers(1, 120))
+        signals = rng.normal(size=(width, num_samples)) + 1j * rng.normal(
+            size=(width, num_samples)
+        )
+        signals[:, ::4] = 0.0
+        # Distinct, non-round SNRs; the last one repeats the first.
+        snrs = rng.uniform(-10.0, 40.0, width)
+        snrs[-1] = snrs[0]
+        seeds = rng.integers(0, 2**32, width).tolist()
+        self._assert_rows(profile, signals, snrs, seeds, jakes)

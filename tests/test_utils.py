@@ -94,9 +94,16 @@ class TestValidation:
         assert out.dtype == np.int8
         assert out.tolist() == [0, 1, 1, 0]
 
-    def test_bit_array_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            ensure_bit_array([0, 2, 1])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+    def test_bit_array_rejects_non_binary(self, bad):
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            ensure_bit_array([0, bad, 1])
+
+    def test_bit_array_accepts_bool_and_empty(self):
+        out = ensure_bit_array(np.array([True, False, True]))
+        assert out.dtype == np.int8
+        assert out.tolist() == [1, 0, 1]
+        assert ensure_bit_array([]).size == 0
 
     def test_bit_array_rejects_2d(self):
         with pytest.raises(ValueError):
