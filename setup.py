@@ -27,5 +27,8 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro.phy.turbo.backends._native": ["*.c", "*.h"]},
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=[
+        "numpy",
+        "scipy",  # only scipy.stats.binom, in the yield model (fig5, power_savings)
+    ],
 )

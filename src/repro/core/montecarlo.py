@@ -4,13 +4,13 @@ The paper's Section 4 stresses that "meaningful throughput evaluation
 requires a vast amount of Monte-Carlo simulations averaging over various
 wireless channel conditions"; this module centralises the statistics side of
 that averaging so that experiment drivers can report uncertainty alongside
-their point estimates.
+their point estimates.  The interval's normal quantile comes from the Cephes
+port in :mod:`repro.utils.normal`, so no interval loads scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf, sqrt
 
 import numpy as np
@@ -53,20 +53,18 @@ class EstimateWithConfidence:
         return f"{self.value:.4f} ± {self.half_width:.4f} ({self.confidence:.0%})"
 
 
-@lru_cache(maxsize=64)
 def two_sided_z(confidence: float) -> float:
     """Standard-normal quantile ``z`` of a two-sided *confidence* interval.
 
-    ``scipy.special.ndtri`` is the ufunc behind ``scipy.stats.norm.ppf``,
-    imported on first use; the result is memoised, so a sweep pays the
-    import and the quantile once.  Raises :class:`ValueError` unless
-    *confidence* lies in ``(0, 1)`` and gives a finite, positive ``z``.
+    Evaluated by :func:`repro.utils.normal.ndtri`, the Cephes quantile behind
+    ``scipy.stats.norm.ppf``, to the same bits.  Raises :class:`ValueError`
+    unless *confidence* lies in ``(0, 1)`` and gives a finite, positive ``z``.
     """
-    from scipy.special import ndtri
+    from repro.utils.normal import ndtri  # only interval runs pay for loading it
 
     if not 0.0 < confidence < 1.0:  # rejects NaN too
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = ndtri(0.5 + confidence / 2.0)
     if not 0.0 < z < inf:
         raise ValueError(f"confidence {confidence!r} gives a degenerate quantile z={z}")
     return z

@@ -10,9 +10,9 @@ produced by a calibrated analytical model:
   fluctuation (RDF) induced threshold-voltage mismatch — becomes negative.
   With Gaussian Vth mismatch this yields ``Pcell = Q(margin / sigma)``, i.e. a
   Gaussian tail probability whose argument shrinks as the supply voltage is
-  lowered.  ``Q(x)`` is evaluated as ``scipy.special.ndtr(-x)``, the ufunc
-  behind ``scipy.stats.norm.sf``, imported on first use so that runs which
-  never ask for ``Pcell`` do not load scipy.
+  lowered.  ``Q(x)`` is evaluated as ``ndtr(-x)`` from
+  :mod:`repro.utils.normal`, a pure-Python port of the Cephes routine behind
+  ``scipy.stats.norm.sf`` that returns the same bits without loading scipy.
 * The model is calibrated to the published anchor points: roughly 1e-9
   failure probability for a 6T cell at the nominal 1.0 V, an increase of
   about nine orders of magnitude over a 500 mV down-scaling ("increase by
@@ -68,11 +68,11 @@ class BitCellType:
 
         The slow-fast corner worst case of the paper's Fig. 3.
         """
-        from scipy.special import ndtr
+        from repro.utils.normal import ndtr  # only Vdd runs pay for loading it
 
         vdd = ensure_in_range(vdd, "vdd", 0.3, 1.4)
         margin_sigmas = self.margin_slope_per_volt * (vdd - self.zero_margin_voltage)
-        return float(ndtr(-margin_sigmas))
+        return ndtr(-margin_sigmas)
 
 
 #: Medium-sized 6T cell: ~1e-9 at 1.0 V, ~50 % at 0.5 V (nine orders / 500 mV).

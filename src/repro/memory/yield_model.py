@@ -11,8 +11,10 @@ with at most ``Nf`` faulty cells pass inspection:
 i.e. the binomial CDF of the number of faulty cells.  The helper functions
 answer the question the paper asks of this model: *how many defects must be
 accepted to reach a yield target* (Fig. 5, and per supply voltage in the
-voltage-scaling argument of Section 6.3).  ``scipy.stats.binom`` is imported
-on first use, so runs that never evaluate a yield do not load scipy.
+voltage-scaling argument of Section 6.3).  ``scipy.stats.binom`` is the
+package's only runtime use of scipy (it evaluates the CDF through scipy's
+incomplete beta function, which has no small pure-Python port); it is
+imported on first use, so runs that never evaluate a yield load no scipy.
 """
 
 from __future__ import annotations

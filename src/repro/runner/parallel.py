@@ -353,7 +353,7 @@ class ParallelRunner:
 
         *confidence* is validated, and its quantile resolved, before the
         first round is scheduled: a bad value fails without simulating a
-        packet, and the first interval costs no work inside the rounds.
+        packet.
         """
         two_sided_z(confidence)
         errors, trials, num_items = initial if initial is not None else (0, 0, 0)

@@ -1,10 +1,11 @@
-"""Which scipy modules a command loads: none for fig6, ``scipy.special`` at most.
+"""Which scipy modules a command loads: none, except the yield model's.
 
-``scipy.stats`` alone takes most of a second to import, and every fresh
-interpreter (a process-pool or socket worker, a benchmark run) would pay it
-again.  The package therefore imports scipy inside the functions that use it,
-and takes the normal tail and quantile from the ``scipy.special`` ufuncs that
-``scipy.stats.norm`` wraps.
+``scipy.stats`` alone takes most of a second to import and ``scipy.special``
+about a third of one, and every fresh interpreter (a process-pool or socket
+worker, a benchmark run) would pay it again.  The package therefore evaluates
+the normal tail and quantile with its own Cephes port
+(:mod:`repro.utils.normal`), and imports ``scipy.stats`` only inside the
+yield model, whose ``binom`` is the one runtime use of scipy left.
 
 Each case runs the command in a fresh interpreter with ``PYTHONPATH=src``,
 exactly as ``python -m repro`` would, from a temporary working directory so
@@ -77,10 +78,14 @@ def test_fig6_run_loads_no_scipy(tmp_path):
     [
         ("bler", "--snr", "6", "--scale", "smoke"),
         ("run", "scenario", "ecc-low-voltage", "--scale", "smoke", "--no-cache"),
+        ("run", "fig3", "--scale", "smoke", "--no-cache"),
     ],
-    ids=["bler", "scenario-ecc-low-voltage"],
+    ids=["bler", "scenario-ecc-low-voltage", "fig3"],
 )
-def test_normal_tail_and_quantile_load_only_scipy_special(tmp_path, command):
-    loaded = scipy_modules(tmp_path, *command)
-    assert "scipy.special" in loaded
-    assert not [name for name in loaded if name.startswith("scipy.stats")]
+def test_normal_tail_and_quantile_load_no_scipy(tmp_path, command):
+    assert scipy_modules(tmp_path, *command) == []
+
+
+def test_yield_model_loads_scipy_stats(tmp_path):
+    loaded = scipy_modules(tmp_path, "run", "fig5", "--scale", "smoke", "--no-cache")
+    assert "scipy.stats" in loaded

@@ -35,10 +35,13 @@ theory:
   tapped-delay-line output its definition gives from the packet's own
   ``Generator.normal`` draws (I then Q gains, I then Q noise), with the
   linear SNR taken by Python's scalar power, signed zeros included;
-* the ``scipy.special`` ufuncs the package evaluates in place of
-  ``scipy.stats.norm`` (``ndtr(-x)`` for ``norm.sf(x)``, ``ndtri(q)`` for
-  ``norm.ppf(q)``) return the same bits, so a scipy release that breaks the
-  identity fails here instead of moving a golden.
+* the package's pure-Python Cephes port of the normal CDF and quantile
+  (:mod:`repro.utils.normal`) returns the same bits as ``scipy.special``'s
+  ``ndtr``/``ndtri`` (and its ``erf``/``erfc`` as theirs) on dense grids,
+  on both sides of every branch threshold, in the underflow tail and on
+  signed zeros, infinities, NaN and subnormals; and those ufuncs are still
+  ``scipy.stats.norm.sf``/``ppf`` bit for bit, so a scipy release that
+  breaks the identity fails here instead of moving a golden.
 
 Every Monte-Carlo estimate is seeded and must fall inside a five-sigma
 binomial interval around the theoretical value.
@@ -67,6 +70,7 @@ from repro.phy.modulation import get_modulator
 from repro.phy.turbo.backends import create_backend, resolve_backend
 from repro.phy.turbo.interleaver import _valid_qpp_parameters
 from repro.phy.turbo.trellis import UMTS_TRELLIS
+from repro.utils import normal
 
 #: Width of the binomial acceptance interval, in standard deviations.
 SIGMAS = 5.0
@@ -510,21 +514,52 @@ def assert_same_bits(actual, expected) -> None:
     assert not different.any(), (actual[different][:5], expected[different][:5])
 
 
+def ulp_neighbourhood(points, steps: int = 40) -> np.ndarray:
+    """*points* and the *steps* doubles on either side of each."""
+    out = [np.asarray(points, dtype=np.float64)]
+    for direction in (np.inf, -np.inf):
+        current = out[0]
+        for _ in range(steps):
+            current = np.nextafter(current, direction)
+            out.append(current)
+    return np.concatenate(out)
+
+
+def assert_port_is_scipy(port, ufunc, inputs) -> None:
+    """The scalar *port* gives *ufunc*'s bits on every one of *inputs*."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    assert_same_bits([port(x) for x in inputs.tolist()], ufunc(inputs))
+
+
+#: Signed zeros, infinities, NaN and the smallest normal and subnormal doubles.
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 2.2250738585072014e-308, 5e-324, 1e-310, 1e-300]
+)
 #: Supply voltages of the ``ecc-low-voltage`` scenario axis.
 SCENARIO_VDDS = (0.60, 0.66, 0.70, 0.75, 0.80)
+#: Confidences an interval is asked for.
+CONFIDENCES = (0.5, 0.9, 0.95, 0.99, 0.999)
+#: ``sqrt(log(DBL_MAX))``: beyond it ``exp(-x^2)`` underflows and erfc is 0.
+ERFC_UNDERFLOW = math.sqrt(7.09782712893383996843e2)
 
 
 class TestScipySubstitutions:
-    """``scipy.special`` ufuncs stand in for ``scipy.stats.norm``, bit for bit."""
+    """The Cephes port equals ``scipy.special``, which equals ``scipy.stats.norm``."""
+
+    @staticmethod
+    def _cell_margins() -> np.ndarray:
+        """Every cell type's margin, in sigmas, over the Vdd range and scenario axis."""
+        vdds = np.concatenate([np.linspace(0.3, 1.4, 1101), SCENARIO_VDDS, [1.0]])
+        return np.concatenate(
+            [
+                cell.margin_slope_per_volt * (vdds - cell.zero_margin_voltage)
+                for cell in CELL_TYPES.values()
+            ]
+        )
 
     def _margins(self) -> np.ndarray:
-        vdds = np.concatenate([np.linspace(0.3, 1.4, 1101), SCENARIO_VDDS, [1.0]])
-        margins = [
-            cell.margin_slope_per_volt * (vdds - cell.zero_margin_voltage)
-            for cell in CELL_TYPES.values()
-        ]
         grid = np.linspace(-10.0, 10.0, 200_001)
-        return np.concatenate(margins + [grid, [0.0, -0.0, 1e-300, -1e-300]])
+        return np.concatenate([self._cell_margins(), grid, [0.0, -0.0, 1e-300, -1e-300]])
 
     def test_ndtr_of_minus_x_is_norm_sf(self):
         margins = self._margins()
@@ -537,17 +572,88 @@ class TestScipySubstitutions:
             for vdd in (*SCENARIO_VDDS, 0.3, 0.5, 1.0, 1.4):
                 margin = cell.margin_slope_per_volt * (vdd - cell.zero_margin_voltage)
                 assert_same_bits(cell.failure_probability(vdd), float(stats.norm.sf(margin)))
+                assert_same_bits(cell.failure_probability(vdd), special.ndtr(-margin))
 
     def test_ndtri_is_norm_ppf_over_accepted_confidences(self):
         confidences = np.concatenate(
-            [np.linspace(0.0, 1.0, 100_001)[1:-1], [1e-12, 0.5, 0.9, 0.95, 0.99, 0.999]]
+            [np.linspace(0.0, 1.0, 100_001)[1:-1], [1e-12, *CONFIDENCES]]
         )
         quantiles = 0.5 + confidences / 2.0
         assert_same_bits(special.ndtri(quantiles), stats.norm.ppf(quantiles))
-        for confidence in (0.5, 0.9, 0.95, 0.99, 0.999):
+        for confidence in CONFIDENCES:
             assert_same_bits(
                 two_sided_z(confidence), float(stats.norm.ppf(0.5 + confidence / 2.0))
             )
+        assert two_sided_z(0.95) == 1.959963984540054
+
+    @pytest.mark.parametrize(
+        "confidence", [0.0, 1.0, -0.5, 1.5, math.nan, 5e-324, float(np.nextafter(1.0, 0.0))]
+    )
+    def test_two_sided_z_rejects_degenerate_confidences(self, confidence):
+        # (0, 1) is checked first; the last two pass it but round 0.5 + c / 2
+        # to 0.5 (z = 0) and to 1.0 (z = inf).
+        with pytest.raises(ValueError, match="confidence"):
+            two_sided_z(confidence)
+
+    def test_ndtr_port_is_scipy(self):
+        # Branches in a * sqrt(1/2): erf below sqrt(1/2), then erfc's P/Q up
+        # to 8 and R/S beyond, then erfc's exp underflow near |a| = 37.7.
+        thresholds = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+        thresholds = np.concatenate([thresholds, [ERFC_UNDERFLOW * math.sqrt(2.0)]])
+        tail = np.linspace(37.0, 38.5, 3001)
+        inputs = np.concatenate(
+            [
+                np.linspace(-40.0, 40.0, 80_001),
+                np.random.default_rng(7).uniform(-40.0, 40.0, 20_000),
+                ulp_neighbourhood(np.concatenate([thresholds, -thresholds])),
+                tail,
+                -tail,
+                SPECIAL_VALUES,
+                -SPECIAL_VALUES,
+                self._cell_margins(),
+                -self._cell_margins(),
+            ]
+        )
+        assert_port_is_scipy(normal.ndtr, special.ndtr, inputs)
+
+    def test_erf_and_erfc_ports_are_scipy(self):
+        # erf hands off to erfc above 1 and erfc to erf below 1; erfc's
+        # approximation changes at 8 and it underflows at sqrt(MAXLOG).
+        thresholds = np.array([1.0, 8.0, ERFC_UNDERFLOW])
+        inputs = np.concatenate(
+            [
+                np.linspace(-30.0, 30.0, 30_001),
+                ulp_neighbourhood(np.concatenate([thresholds, -thresholds])),
+                SPECIAL_VALUES,
+                -SPECIAL_VALUES,
+            ]
+        )
+        assert_port_is_scipy(normal._erf, special.erf, inputs)
+        assert_port_is_scipy(normal._erfc, special.erfc, inputs)
+
+    def test_ndtri_port_is_scipy(self):
+        # Branches in y: the central rational below exp(-2) from either end,
+        # the P1/Q1 tail down to exp(-32) (sqrt(-2 log y) = 8), P2/Q2 beyond.
+        rng = np.random.default_rng(11)
+        tails = 10.0 ** rng.uniform(-300.0, -1.0, 20_000)
+        thresholds = np.array([math.exp(-2.0), math.exp(-32.0)])
+        near_one = 1.0 - 10.0 ** np.linspace(-16.0, -1.0, 3001)
+        inputs = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 100_001),
+                tails,
+                1.0 - tails,
+                near_one,
+                ulp_neighbourhood(np.concatenate([thresholds, 1.0 - thresholds, [0.5, 1.0]])),
+                0.5 + np.array(CONFIDENCES) / 2.0,
+                SPECIAL_VALUES,
+                -SPECIAL_VALUES,
+                [2.0, -1.0],
+            ]
+        )
+        assert_port_is_scipy(normal.ndtri, special.ndtri, inputs)
+        for confidence in CONFIDENCES:
+            assert_same_bits(two_sided_z(confidence), special.ndtri(0.5 + confidence / 2.0))
 
 
 # --------------------------------------------------------------------------- #
