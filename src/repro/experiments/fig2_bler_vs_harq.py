@@ -74,7 +74,6 @@ def run(
     runner: Union[ParallelRunner, str, None] = None,
     decoder_backend: Optional[str] = None,
     point_store=None,
-    journal=None,
 ) -> SweepTable:
     """Run the Fig. 2 experiment and return its data table.
 
@@ -103,7 +102,6 @@ def run(
     outcome = run_scenario_grid(
         spec, scale, seed, runner=runner, decoder_backend=decoder_backend,
         point_store=point_store,
-        journal=journal,
     )
     return _present(outcome)
 

@@ -76,7 +76,6 @@ def run(
     decoder_backend: Optional[str] = None,
     adaptive=None,
     point_store=None,
-    journal=None,
 ) -> SweepTable:
     """Run the Fig. 6 experiment and return its data table.
 
@@ -98,7 +97,6 @@ def run(
     outcome = run_scenario_grid(
         spec, scale, seed, runner=runner, decoder_backend=decoder_backend, adaptive=adaptive,
         point_store=point_store,
-        journal=journal,
     )
     return _present(outcome)
 

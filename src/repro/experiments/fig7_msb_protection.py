@@ -75,7 +75,6 @@ def run(
     decoder_backend: Optional[str] = None,
     adaptive=None,
     point_store=None,
-    journal=None,
 ) -> SweepTable:
     """Run one Fig. 7 sub-figure (defect_rate 0.01 -> (a), 0.10 -> (b)).
 
@@ -90,7 +89,6 @@ def run(
     outcome = run_scenario_grid(
         spec, scale, seed, runner=runner, decoder_backend=decoder_backend, adaptive=adaptive,
         point_store=point_store,
-        journal=journal,
     )
     return _present(outcome)
 

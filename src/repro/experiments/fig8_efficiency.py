@@ -156,7 +156,6 @@ def run(
     decoder_backend: Optional[str] = None,
     adaptive=None,
     point_store=None,
-    journal=None,
 ) -> dict:
     """Run the Fig. 8 experiment.
 
@@ -177,7 +176,6 @@ def run(
     outcome = run_scenario_grid(
         spec, scale, seed, runner=runner, decoder_backend=decoder_backend, adaptive=adaptive,
         point_store=point_store,
-        journal=journal,
     )
     return _present(outcome)
 

@@ -3,8 +3,9 @@
 :class:`JsonStore` is the one durable-store primitive: canonical text, key
 checks, atomic puts, gets that say why they missed, quarantine of damaged
 entries, iteration, clearing and the store counters.  The result cache, the
-point store (:mod:`repro.runner.point_store`) and the quarantine records are
-typed schemas over it.
+point store (:mod:`repro.runner.point_store`, under ``<root>/points/``) and
+the quarantine records (under ``<root>/quarantine/``) are typed schemas over
+it.
 
 Result-cache layout: one file per run, ``<root>/<experiment>/<digest>.json``,
 where the digest hashes the full run identity — experiment name, scale
@@ -29,7 +30,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.results import SweepTable, _jsonable
 from repro.runner import chaos, telemetry
@@ -47,6 +48,12 @@ def atomic_write_text(path: Path, text: str) -> None:
     wins and, because payloads are canonical JSON of the same identity, both
     candidates are byte-identical anyway.
 
+    The temporary file is fsynced before the rename and the directory after
+    it, so an entry that a put reported written survives ``kill -9`` and
+    power loss alike: either the whole new file or the old state is on
+    disk, never a renamed file whose data blocks were still in the page
+    cache.
+
     An active chaos plan's ``tear-write`` directive replaces one write with
     the thing this function exists to prevent — a truncated file at the
     final path — so the corrupt-entry quarantine paths get exercised for
@@ -63,6 +70,8 @@ def atomic_write_text(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -70,6 +79,11 @@ def atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def decoder_backend_identity(requested: str) -> Dict[str, str]:
@@ -90,8 +104,13 @@ def decoder_backend_identity(requested: str) -> Dict[str, str]:
 
 def config_digest(identity: Dict[str, Any]) -> str:
     """Stable hex digest of a run-identity mapping (the cache key)."""
-    canonical = json.dumps(canonicalize(identity), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
+    return canonical_digest(canonicalize(identity))
+
+
+def canonical_digest(canonical: Dict[str, Any]) -> str:
+    """:func:`config_digest` of a mapping :func:`canonicalize` already returned."""
+    text = json.dumps(canonical, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
 
 def canonicalize(value: Any) -> Any:
@@ -114,11 +133,12 @@ def canonicalize(value: Any) -> Any:
 
 
 #: Subdirectories of a cache dir that hold non-run state: the records of
-#: :class:`QuarantineStore` (``--on-task-error quarantine``) and the sweep
-#: journal (``--resume``).  No run namespace may take these names.
+#: :class:`QuarantineStore` (``--on-task-error quarantine``) and the point
+#: store (:class:`~repro.runner.point_store.PointStore`, every simulated
+#: run's per-die outcomes).  No run namespace may take these names.
 QUARANTINE_DIRNAME = "quarantine"
-JOURNAL_DIRNAME = "journal"
-_RESERVED_NAMESPACES = frozenset({QUARANTINE_DIRNAME, JOURNAL_DIRNAME})
+POINTS_DIRNAME = "points"
+_RESERVED_NAMESPACES = frozenset({QUARANTINE_DIRNAME, POINTS_DIRNAME})
 
 #: Keys: a digest is a short sha256 hex prefix (see :func:`config_digest`), a
 #: namespace an experiment name (``fig6``, ``scenario-...``).  Anything else
@@ -174,7 +194,8 @@ class JsonStore:
       ``<digest>.json.corrupt`` with a :class:`RuntimeWarning`, or an earlier
       get quarantined it;
     * ``"stale-format"``: the entry parsed but its header (format version,
-      or the fields a caller expects) does not match;
+      or the fields a caller expects) does not match, or the caller's
+      *decode* rejects its body;
     * ``"unreadable"``: the file exists but cannot be read.
 
     Every get counts exactly one ``store_hits_total`` or
@@ -234,12 +255,19 @@ class JsonStore:
         return path
 
     def get(
-        self, *key: str, expect: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Optional[Dict[str, Any]], str]:
+        self,
+        *key: str,
+        expect: Optional[Dict[str, Any]] = None,
+        decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    ) -> Tuple[Any, str]:
         """``(payload, status)`` of the entry under *key*.
 
         *expect* adds fields the entry must carry besides the store header;
-        an entry without them reads as ``stale-format``.
+        an entry without them reads as ``stale-format``.  *decode* turns a
+        valid payload into the object returned in its place; a payload it
+        rejects (``KeyError``, ``TypeError``, ``ValueError`` or
+        ``OverflowError``) reads as ``stale-format`` too, so a caller never
+        sees a half-checked entry.
         """
         path = self.path_for(*key)
         payload, status = self._read(path, "/".join(key))
@@ -247,6 +275,11 @@ class JsonStore:
             payload, {**self.header, **(expect or {})}
         ):
             payload, status = None, "stale-format"
+        if payload is not None and decode is not None:
+            try:
+                payload = decode(payload)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                payload, status = None, "stale-format"
         if payload is None:
             self.misses += 1
             telemetry.inc("store_misses_total", store=self.label)
@@ -304,10 +337,10 @@ class JsonStore:
         """Delete every entry (or one namespace's) and return the count.
 
         Quarantined ``.corrupt`` siblings, the temporary files of puts that
-        were interrupted before their rename, and the namespace directories
+        were interrupted before their rename, and the entry directories
         left empty go too, so a cleared store looks exactly like a fresh
-        one.  Reserved directories (quarantine records, the sweep journal)
-        are left alone.
+        one.  The reserved directories of a result cache (quarantine
+        records, the point store) are other stores and are left alone.
         """
         removed = 0
         for prefix, directory in self._directories():
@@ -317,7 +350,7 @@ class JsonStore:
                 if _OWNED_FILE_RE.match(path.name):
                     path.unlink()
                     removed += path.suffix == ".json"
-            if prefix and not any(directory.iterdir()):
+            if not any(directory.iterdir()):
                 directory.rmdir()
         return removed
 

@@ -29,11 +29,12 @@ Subcommands
 ``golden``
     (Re)generate the golden-seed regression snapshots under ``tests/golden``.
 ``cache``
-    Inspect (``ls``) or evict (``clear``) the result cache.
+    Inspect (``ls``) or evict (``clear``) the result cache and its point
+    records.
 ``serve``
-    Expose a result cache (and optionally a shared point store) as a
-    read-only JSON HTTP API — see :mod:`repro.runner.serve`.  ``GET
-    /metrics`` on the server returns the process telemetry snapshot.
+    Expose a result cache and its point store as a read-only JSON HTTP API
+    — see :mod:`repro.runner.serve`.  ``GET /metrics`` on the server
+    returns the process telemetry snapshot.
 ``metrics``
     Summarise a telemetry snapshot file written by ``--metrics-out``
     (``repro run`` / ``repro bler``): counters, gauges, histograms and the
@@ -65,7 +66,7 @@ from repro.runner.backends import (
     run_worker,
 )
 from repro.runner.cache import (
-    JOURNAL_DIRNAME,
+    POINTS_DIRNAME,
     QUARANTINE_DIRNAME,
     QuarantineStore,
     ResultCache,
@@ -255,32 +256,24 @@ def build_parser() -> argparse.ArgumentParser:
         "ends; observability only — never part of the run identity or the "
         "result payload (inspect with `repro metrics PATH`)",
     )
-    run_p.add_argument("--cache-dir", type=Path, default=Path(DEFAULT_CACHE_DIR))
-    run_p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     run_p.add_argument(
-        "--point-store",
+        "--cache-dir",
         type=Path,
-        default=None,
-        metavar="DIR",
-        help="shared content-addressed store of individual grid-point results: "
-        "known points are loaded instead of recomputed, fresh ones stored for "
-        "other coordinators; pure topology, never part of the run identity "
-        "(keep the directory separate from --cache-dir)",
-    )
-    run_p.add_argument("--force", action="store_true", help="recompute even on a cache hit")
-    run_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from its journal under "
-        "<cache-dir>/journal/ (same experiment/scale/seed/flags); completed "
-        "grid points are replayed, the rest recomputed — output is "
-        "byte-identical to an uninterrupted run",
+        default=Path(DEFAULT_CACHE_DIR),
+        help="result cache; a simulated run also keeps each finished grid "
+        "point's per-die outcomes under DIR/points/, which other coordinators "
+        "sharing DIR reuse and which makes rerunning a killed command resume "
+        "it (default: %(default)s)",
     )
     run_p.add_argument(
-        "--no-journal",
+        "--no-cache",
         action="store_true",
-        help="skip the crash-safe sweep journal (journaling is on by default "
-        "for simulated experiments; the journal is deleted on success)",
+        help="bypass the result cache and its point records (compute from scratch)",
+    )
+    run_p.add_argument(
+        "--force",
+        action="store_true",
+        help="recompute even on a cache hit, ignoring and overwriting stored points",
     )
     run_p.add_argument(
         "--decoder-backend",
@@ -413,14 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=Path(DEFAULT_CACHE_DIR),
         metavar="DIR",
-        help="result cache directory to expose (default: %(default)s)",
-    )
-    serve_p.add_argument(
-        "--point-store",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also expose this shared point store under /points",
+        help="result cache directory to expose, its point store under /points "
+        "(default: %(default)s)",
     )
     serve_p.add_argument(
         "--bind",
@@ -588,8 +575,6 @@ def experiment_payload(
     cache: Optional[ResultCache] = None,
     force: bool = False,
     point_store: Any = None,
-    journal_dir: Any = None,
-    resume: bool = False,
     **kwargs: Any,
 ) -> str:
     """Run (or fetch) an experiment and return its canonical JSON payload.
@@ -602,90 +587,49 @@ def experiment_payload(
     *workers* (when *runner* is ``None``) is closed before returning, a
     caller-provided runner stays open.
 
-    *point_store*, *journal_dir* and *resume* are explicit parameters —
-    never part of ``**kwargs`` — precisely so they can never leak into
-    :func:`run_identity`: a warm shared store or a replayed journal changes
-    how much work is scheduled, not a byte of the payload.  With
-    *journal_dir*, sweep progress is checkpointed under
-    ``<journal_dir>/<experiment>-<digest>.jsonl`` as it completes; a crashed
-    run repeated with ``resume=True`` replays completed grid points and
-    recomputes only the remainder.  The journal is deleted once the payload
-    is successfully built (the result cache takes over).
+    *point_store* is an explicit parameter — never part of ``**kwargs`` —
+    precisely so it can never leak into :func:`run_identity`: a warm store
+    changes how much work is scheduled, not a byte of the payload.
     """
     identity = run_identity(experiment, scale_name, seed, dict(sorted(kwargs.items())))
     if point_store is not None:
         kwargs = dict(kwargs, point_store=point_store)
 
-    def compute(journal):
-        extra = {} if journal is None else {"journal": journal}
+    def compute():
         outcome = run_experiment(
-            experiment, scale_name, seed, runner=runner, workers=workers, **kwargs, **extra
+            experiment, scale_name, seed, runner=runner, workers=workers, **kwargs
         )
         return outcome.tables, outcome.extras
 
-    return _cached_payload(
-        experiment, identity, compute,
-        cache=cache, force=force, journal_dir=journal_dir, resume=resume,
-    )
+    return _cached_payload(experiment, identity, compute, cache=cache, force=force)
 
 
 def _cached_payload(
     label: str,
     identity: Dict[str, Any],
-    compute: Callable[[Any], Tuple[Dict[str, Any], Dict[str, Any]]],
+    compute: Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]],
     *,
     cache: Optional[ResultCache],
     force: bool,
-    journal_dir: Any,
-    resume: bool,
 ) -> str:
     """The canonical payload of one run identity: cached, or computed.
 
     A cache hit (unless *force*) returns the stored payload's canonical
-    text.  Otherwise the run's journal is opened (when *journal_dir* is
-    set), ``compute(journal)`` returns the run's ``(tables, extras)``, and
-    the serialized payload is stored in the cache.  The journal is deleted
-    once the payload is built, and kept for ``--resume`` when the run fails.
-    *label* is both the payload's ``experiment`` field and the cache
-    directory, so a cache hit re-serialises to exactly the fresh-run bytes.
+    text.  Otherwise ``compute()`` returns the run's ``(tables, extras)``
+    and the serialized payload is stored in the cache.  *label* is both the
+    payload's ``experiment`` field and the cache directory, so a cache hit
+    re-serialises to exactly the fresh-run bytes.
     """
     digest = config_digest(identity)
     if cache is not None and not force:
         hit, _status = cache.get(label, digest)
         if hit is not None:
             return canonical_text(hit)
-    journal = _open_journal(journal_dir, label, digest, resume=resume)
-    try:
-        tables, extras = compute(journal)
-    except BaseException:
-        if journal is not None:
-            journal.finalize(success=False)
-            print(
-                f"sweep interrupted; resume it with --resume "
-                f"(journal: {journal.path})",
-                file=sys.stderr,
-            )
-        raise
+    tables, extras = compute()
     payload = serialize_payload(label, identity=identity, tables=tables, extras=extras)
     if cache is not None:
         cache.store(label, digest, payload)
-    if journal is not None:
-        journal.finalize(success=True)
     return payload
-
-
-def _open_journal(journal_dir: Any, experiment: str, digest: str, *, resume: bool):
-    """Open the sweep journal for one run identity (``None`` = journaling off)."""
-    if journal_dir is None:
-        return None
-    from repro.runner.journal import SweepJournal
-
-    journal = SweepJournal.open_for_run(
-        journal_dir, experiment, digest, resume=resume
-    )
-    if resume and journal.replayed_entries:
-        print(journal.summary(), file=sys.stderr)
-    return journal
 
 
 # --------------------------------------------------------------------------- #
@@ -735,8 +679,6 @@ def scenario_payload(
     force: bool = False,
     overrides: Optional[Dict[str, Any]] = None,
     point_store: Any = None,
-    journal_dir: Any = None,
-    resume: bool = False,
     **kwargs: Any,
 ) -> str:
     """Run (or fetch) a scenario and return its canonical JSON payload.
@@ -762,8 +704,6 @@ def scenario_payload(
             cache=cache,
             force=force,
             point_store=point_store,
-            journal_dir=journal_dir,
-            resume=resume,
             **kwargs,
         )
     if spec.kind == "analytical":
@@ -775,21 +715,14 @@ def scenario_payload(
 
     identity = scenario_run_identity(spec, scale_name, seed, dict(sorted(kwargs.items())))
 
-    def compute(journal):
+    def compute():
         result = run_scenario(
-            spec,
-            scale_name,
-            seed,
-            runner=runner,
-            point_store=point_store,
-            journal=journal,
-            **kwargs,
+            spec, scale_name, seed, runner=runner, point_store=point_store, **kwargs
         )
         return _normalise(result)
 
     return _cached_payload(
-        f"scenario-{name}", identity, compute,
-        cache=cache, force=force, journal_dir=journal_dir, resume=resume,
+        f"scenario-{name}", identity, compute, cache=cache, force=force
     )
 
 
@@ -822,25 +755,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.overrides:
         raise ValueError("--set applies to `repro run scenario <name>` only")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    point_store = _make_point_store(args)
+    stochastic = EXPERIMENTS[args.experiment].stochastic
     kwargs: Dict[str, Any] = {}
     if args.decoder_backend is not None:
         kwargs["decoder_backend"] = args.decoder_backend
     if args.adaptive:
         kwargs["adaptive"] = True
-    if (kwargs or point_store is not None) and not EXPERIMENTS[args.experiment].stochastic:
-        flags = ", ".join(
-            sorted(kwargs) + (["point_store"] if point_store is not None else [])
-        )
+    if kwargs and not stochastic:
         raise ValueError(
             f"{args.experiment} is analytical and does not simulate the link; "
-            f"{flags} does not apply"
+            f"{', '.join(sorted(kwargs))} does not apply"
         )
     if kwargs.get("adaptive") and args.experiment not in ADAPTIVE_EXPERIMENTS:
         raise ValueError(
             f"--adaptive applies to the fault-map sweeps {list(ADAPTIVE_EXPERIMENTS)}"
         )
-    journal_dir = _journal_dir(args, stochastic=EXPERIMENTS[args.experiment].stochastic)
+    point_store = _point_store(args, stochastic=stochastic)
     with make_runner(args) as runner:
         payload = experiment_payload(
             args.experiment,
@@ -850,8 +780,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache=cache,
             force=args.force,
             point_store=point_store,
-            journal_dir=journal_dir,
-            resume=args.resume,
             **kwargs,
         )
     _report_point_store(point_store)
@@ -870,35 +798,28 @@ def _write_metrics(args: argparse.Namespace) -> None:
     print(f"wrote metrics snapshot {path}", file=sys.stderr)
 
 
-def _make_point_store(args: argparse.Namespace):
-    """The shared :class:`PointStore` the ``--point-store`` flag asks for."""
-    if args.point_store is None:
+def _point_store(args: argparse.Namespace, *, stochastic: bool):
+    """The point store of a ``repro run``: ``<cache-dir>/points``.
+
+    ``None`` under ``--no-cache`` and for analytical runs, which finish in
+    milliseconds; ``--force`` ignores stored points but still writes them.
+    """
+    if args.no_cache or not stochastic:
         return None
     from repro.runner.point_store import PointStore
 
-    return PointStore(args.point_store)
+    return PointStore(Path(args.cache_dir) / POINTS_DIRNAME, reuse=not args.force)
 
 
 def _report_point_store(point_store) -> None:
-    """Tell the user what the shared store saved (stderr, like a progress line)."""
-    if point_store is not None:
+    """Tell the user what the point store saved (stderr, like a progress line).
+
+    Silent when the store was never consulted (a result-cache hit).
+    """
+    if point_store is None:
+        return
+    if point_store.hits + point_store.misses + point_store.writes:
         print(point_store.summary(), file=sys.stderr)
-
-
-def _journal_dir(args: argparse.Namespace, *, stochastic: bool) -> Optional[Path]:
-    """Where ``repro run`` journals sweep progress (``None`` = journaling off)."""
-    if args.resume and args.no_journal:
-        raise ValueError("--resume replays the sweep journal; drop --no-journal")
-    if not stochastic:
-        # Analytical experiments finish in milliseconds: nothing to resume.
-        if args.resume:
-            raise ValueError(
-                "--resume applies to simulated sweeps only (this run is analytical)"
-            )
-        return None
-    if args.no_journal:
-        return None
-    return Path(args.cache_dir) / JOURNAL_DIRNAME
 
 
 def _report_task_failures(runner: ParallelRunner) -> None:
@@ -926,20 +847,19 @@ def _run_scenario_cmd(args: argparse.Namespace) -> int:
     spec = get_scenario(args.name)
     overrides = parse_overrides(args.overrides)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    point_store = _make_point_store(args)
     kwargs: Dict[str, Any] = {}
     if args.decoder_backend is not None:
         kwargs["decoder_backend"] = args.decoder_backend
     if args.adaptive:
         kwargs["adaptive"] = True
-    if spec.kind == "analytical" and (kwargs or overrides or point_store is not None):
+    if spec.kind == "analytical" and (kwargs or overrides):
         raise ValueError(
             f"scenario {spec.name!r} is analytical and does not simulate the link; "
-            "--set/--decoder-backend/--adaptive/--point-store do not apply"
+            "--set/--decoder-backend/--adaptive do not apply"
         )
     if kwargs.get("adaptive") and spec.kind != "fault":
         raise ValueError("--adaptive applies to fault-map scenarios only")
-    journal_dir = _journal_dir(args, stochastic=spec.kind != "analytical")
+    point_store = _point_store(args, stochastic=spec.kind != "analytical")
     with make_runner(args) as runner:
         payload = scenario_payload(
             args.name,
@@ -950,8 +870,6 @@ def _run_scenario_cmd(args: argparse.Namespace) -> int:
             force=args.force,
             overrides=overrides,
             point_store=point_store,
-            journal_dir=journal_dir,
-            resume=args.resume,
             **kwargs,
         )
     _report_point_store(point_store)
@@ -1128,11 +1046,23 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.runner.point_store import PointStore
+
     cache = ResultCache(args.cache_dir)
+    points = PointStore(Path(args.cache_dir) / POINTS_DIRNAME)
     if args.action == "clear":
         removed = cache.clear(args.experiment)
-        scope = f" for {args.experiment}" if args.experiment else ""
-        print(f"removed {removed} cached run(s){scope} from {args.cache_dir}")
+        if args.experiment:
+            # Point records belong to no one experiment: they stay.
+            print(
+                f"removed {removed} cached run(s) for {args.experiment} "
+                f"from {args.cache_dir}"
+            )
+        else:
+            print(
+                f"removed {removed} cached run(s) and {points.clear()} point "
+                f"record(s) from {args.cache_dir}"
+            )
         return 0
     shown = 0
     for (experiment, digest), path in cache.iter_keys():
@@ -1145,6 +1075,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             detail = f" scale={identity.get('scale', '?')} seed={identity.get('seed', '?')}"
         print(f"  {experiment:<14} {digest}{detail}  ({path.stat().st_size} bytes)")
         shown += 1
+    if args.experiment is None:
+        stored_points = sum(1 for _ in points.iter_keys())
+        if stored_points:
+            print(f"  {stored_points} stored point record(s) under {points.root}")
+            shown += 1
     if not shown:
         print(f"cache at {args.cache_dir} is empty")
     return 0
@@ -1155,7 +1090,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     return serve_forever_from_cli(
         args.cache,
-        point_store_dir=args.point_store,
         bind=args.bind,
         log=lambda message: print(message, file=sys.stderr),
     )

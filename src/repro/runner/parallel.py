@@ -186,7 +186,7 @@ class ParallelRunner:
         """Hand one round of tasks to the backend, streaming ``(index, result)``.
 
         Pairs arrive in completion order (backend-dependent); every index is
-        delivered exactly once, so a caller can act on each result (journal
+        delivered exactly once, so a caller can act on each result (store
         it, say) before the round ends.  Under a backend with
         ``on_task_error="quarantine"``, a failing item arrives as a
         :class:`TaskQuarantined` sentinel and the caller decides what the
@@ -294,9 +294,6 @@ class ParallelRunner:
         min_trials: int,
         budget: int,
         max_trials: Optional[int] = None,
-        on_result: Optional[Callable[[ResultT], None]] = None,
-        initial: Optional[Tuple[int, int, int]] = None,
-        on_round: Optional[Callable[[Sequence[ResultT]], None]] = None,
     ) -> AdaptiveRounds:
         """The one round loop behind every adaptive (early-stopped) estimate.
 
@@ -320,9 +317,6 @@ class ParallelRunner:
             and returns/yields one result per item, in item order.
         to_counts:
             Projects one result to its ``(errors, trials)`` contribution.
-        on_result:
-            Optional hook receiving every result as it streams in (used by
-            the fault-map grid to keep the per-die outcomes).
         confidence, relative_error:
             Stop (``"confident"``) once the Wilson interval's half-width is
             at most ``relative_error`` times the estimate — with at least
@@ -332,32 +326,20 @@ class ParallelRunner:
             (``"budget"``).
         max_trials:
             Optional hard trial ceiling (``"max_packets"``).
-        initial:
-            Optional ``(errors, trials, num_items)`` state to resume from —
-            a sweep journal replays its recorded rounds into these counters
-            and the loop continues exactly where the interrupted run
-            stopped.  ``None`` starts fresh.
-        on_round:
-            Optional hook receiving each completed round's result list
-            *after* its counts are accumulated (the journal's checkpoint
-            writer: by the time the hook runs, the round is fully
-            accounted and safe to record).
 
-        The stop conditions are evaluated at the **top** of the loop, in
-        the same precedence order they historically held after each round
-        (confident, then max_trials, then budget).  For a fresh run this is
-        behaviourally identical — zero trials can satisfy none of them
-        (``min_trials`` and ``budget`` are positive) — but a *resumed* run
-        whose replayed state already meets a stop condition must terminate
-        without scheduling another round, or resume would change results.
+        The stop conditions are evaluated at the top of the loop, in the
+        order confident, max_trials, budget; zero trials satisfy none of
+        them (``min_trials`` and ``budget`` are positive), so the first
+        round always runs.  A caller resuming from stored results replays
+        them through *execute_round* (the fault-map grid yields a point's
+        stored dies), so the decisions replay too.
 
         *confidence* is validated, and its quantile resolved, before the
         first round is scheduled: a bad value fails without simulating a
         packet.
         """
         two_sided_z(confidence)
-        errors, trials, num_items = initial if initial is not None else (0, 0, 0)
-        errors, trials, num_items = int(errors), int(trials), int(num_items)
+        errors = trials = num_items = 0
         while True:
             if trials >= min_trials and errors > 0:
                 interval = proportion_confidence_interval(errors, trials, confidence)
@@ -371,17 +353,11 @@ class ParallelRunner:
                 stop_reason = "budget"
                 break
             round_tasks = list(schedule_round(num_items, trials))
-            round_results: List[ResultT] = []
             for result in execute_round(self, round_tasks):
-                if on_result is not None:
-                    on_result(result)
-                round_results.append(result)
                 result_errors, result_trials = to_counts(result)
                 errors += int(result_errors)
                 trials += int(result_trials)
             num_items += len(round_tasks)
-            if on_round is not None:
-                on_round(round_results)
         telemetry.inc("runner_adaptive_stops_total", reason=stop_reason)
         telemetry.event(
             "adaptive-stop",

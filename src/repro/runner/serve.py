@@ -1,8 +1,8 @@
 """Read-only JSON query front end over the result cache and point store.
 
-``repro serve --cache DIR [--point-store DIR] --bind HOST:PORT`` exposes the
-precomputed sweep surfaces — whole cached runs and individual grid points —
-as a tiny stdlib :mod:`http.server` API:
+``repro serve --cache DIR --bind HOST:PORT`` exposes the precomputed sweep
+surfaces — whole cached runs and the per-die records of individual grid
+points under ``DIR/points`` — as a tiny stdlib :mod:`http.server` API:
 
 ==================================  =======================================
 ``GET /``                           API index (route listing + counts)
@@ -13,7 +13,7 @@ as a tiny stdlib :mod:`http.server` API:
 ``GET /experiments/<name>``         one experiment's digests
 ``GET /experiments/<name>/<digest>``  the cached run payload, verbatim
 ``GET /points``                     list of stored point digests
-``GET /points/<digest>``            one stored point payload, verbatim
+``GET /points/<digest>``            one stored point record, verbatim
 ==================================  =======================================
 
 Request paths are percent-decoded segment by segment *before* validation
@@ -45,17 +45,17 @@ from __future__ import annotations
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 from urllib.parse import parse_qs, unquote
 
 from repro.runner import telemetry
 from repro.runner.backends.wire import format_address
-from repro.runner.cache import JsonStore, ResultCache, canonical_text
+from repro.runner.cache import POINTS_DIRNAME, JsonStore, ResultCache, canonical_text
 from repro.runner.point_store import PointStore
 
 
-def _count(store: Optional[JsonStore]) -> int:
-    return 0 if store is None else sum(1 for _ in store.iter_keys())
+def _count(store: JsonStore) -> int:
+    return sum(1 for _ in store.iter_keys())
 
 
 class ReproQueryServer(ThreadingHTTPServer):
@@ -68,7 +68,7 @@ class ReproQueryServer(ThreadingHTTPServer):
         address: Tuple[str, int],
         *,
         cache: ResultCache,
-        point_store: Optional[PointStore] = None,
+        point_store: PointStore,
     ) -> None:
         self.cache = cache
         self.point_store = point_store
@@ -196,10 +196,6 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
     def _points(self, rest) -> None:
         store = self.server.point_store
-        if store is None:
-            return self._respond(
-                404, {"error": "no point store attached", "reason": "not-found"}
-            )
         if not rest:
             return self._respond(
                 200, {"points": [digest for (digest,), _path in store.iter_keys()]}
@@ -266,10 +262,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
 
 def build_server(
-    cache_dir: "Path | str",
-    *,
-    point_store_dir: "Path | str | None" = None,
-    bind: str = "127.0.0.1:8000",
+    cache_dir: "Path | str", *, bind: str = "127.0.0.1:8000"
 ) -> ReproQueryServer:
     """Construct (and bind) the query server without starting it.
 
@@ -279,25 +272,24 @@ def build_server(
     from repro.runner.backends.wire import parse_address
 
     host, port = parse_address(bind)
-    store = None if point_store_dir is None else PointStore(point_store_dir)
     return ReproQueryServer(
-        (host, port), cache=ResultCache(cache_dir), point_store=store
+        (host, port),
+        cache=ResultCache(cache_dir),
+        point_store=PointStore(Path(cache_dir) / POINTS_DIRNAME),
     )
 
 
 def serve_forever_from_cli(
     cache_dir: "Path | str",
     *,
-    point_store_dir: "Path | str | None" = None,
     bind: str = "127.0.0.1:8000",
     log=print,
 ) -> int:
     """The blocking body of ``repro serve`` (returns a process exit code)."""
-    server = build_server(cache_dir, point_store_dir=point_store_dir, bind=bind)
+    server = build_server(cache_dir, bind=bind)
     log(
-        f"repro serve: cache={cache_dir}"
-        + (f" point-store={point_store_dir}" if point_store_dir else "")
-        + f" listening on http://{server.address}/ (read-only; Ctrl-C stops)"
+        f"repro serve: cache={cache_dir} listening on http://{server.address}/ "
+        "(read-only; Ctrl-C stops)"
     )
     try:
         server.serve_forever()

@@ -23,7 +23,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -507,7 +508,6 @@ def run_fault_map_grid(
     aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
     adaptive: Optional[AdaptiveStopping] = None,
     point_store=None,
-    journal=None,
 ) -> List[FaultSimulationPoint]:
     """Evaluate a whole sweep grid and return one merged point per entry.
 
@@ -526,101 +526,79 @@ def run_fault_map_grid(
     hashed into the cache key).
 
     With *point_store* (a :class:`~repro.runner.point_store.PointStore`),
-    every grid point is first looked up by its content digest: known points
-    are loaded instead of scheduled — zero work items — and freshly merged
-    points are stored for the next coordinator sharing the directory.  The
-    store returns exact round-trips, so warm-store results are
-    byte-identical to cold ones; like the execution backend, the store is
-    topology and never part of any run identity.
-
-    With *journal* (a :class:`~repro.runner.journal.SweepJournal`), every
-    freshly merged point is checkpointed as it completes, and points the
-    journal already holds (replayed from an interrupted run via
-    ``--resume``) are loaded instead of recomputed.  Like the point store,
-    the journal is pure topology — the remaining points run with exactly
-    the spawn keys a fresh run would use, so resumed output is
-    byte-identical.
+    every grid point is first looked up by its content digest.  A fixed
+    point whose record holds all its dies is merged from them and schedules
+    zero work items; an adaptive point replays the dies its record holds
+    (see :func:`_run_adaptive_point`).  A fixed point's record is written
+    as its last die arrives, an adaptive point's after every round, so a
+    run killed mid-sweep keeps every finished point and rerunning the same
+    command resumes it.  Stored outcomes round-trip exactly and are merged
+    by the same code as fresh ones, so a warm run is byte-identical to a
+    cold one; like the execution backend, the store is topology and never
+    part of any run identity.
 
     Under a runner whose backend quarantines poisoned tasks
     (``--on-task-error=quarantine``), a point that lost *some* dies is
     still merged from the surviving ones — marked tainted, so it is never
-    written to the cache, the point store or the journal — and a point
-    that lost *every* die raises.  Quarantine changes that point's
-    statistics (fewer dies), which is exactly why tainted results never
-    reach any persistent store.
+    written to the cache or the point store — and a point that lost
+    *every* die raises.  Quarantine changes that point's statistics (fewer
+    dies), which is exactly why tainted results never reach any persistent
+    store.
     """
-    from repro.runner.point_store import fault_point_identity, resolve_point_store
-
-    store = resolve_point_store(point_store)
     points = list(points)
-    results: List[Optional[FaultSimulationPoint]] = [None] * len(points)
-    pending = list(range(len(points)))
-    identities: Dict[int, Tuple[str, dict]] = {}
-    if store is not None:
-        pending = []
+    records: List[Optional[Tuple[str, dict]]] = [None] * len(points)
+    stored: List[Optional[List[FaultMapOutcome]]] = [None] * len(points)
+    if point_store is not None:
+        from repro.runner.point_store import fault_point_identity, link_identity
+
+        link_of = lru_cache(maxsize=None)(link_identity)
         for index, point in enumerate(points):
             identity = fault_point_identity(
                 point,
+                link_of(point.config),
                 num_packets=num_packets,
                 num_fault_maps=num_fault_maps,
                 entropy=entropy,
                 use_rake=use_rake,
                 adaptive=adaptive,
             )
-            digest = store.digest(identity)
-            identities[index] = (digest, identity)
-            cached = store.load_fault_point(digest)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
+            digest = point_store.digest(identity)
+            records[index] = (digest, identity)
+            stored[index] = point_store.load(
+                digest, "fault", None if adaptive is not None else num_fault_maps
+            )
 
-    def finish(
-        index: int,
-        merged: FaultSimulationPoint,
-        *,
-        tainted: bool = False,
-        checkpoint: bool = True,
-    ) -> None:
-        if not tainted:
-            if store is not None:
-                digest, identity = identities[index]
-                store.store_fault_point(digest, merged, identity)
-            if journal is not None and checkpoint:
-                journal.record_fault_point(index, merged)
-        results[index] = merged
+    def save(index: int, outcomes: List[FaultMapOutcome]) -> None:
+        if point_store is not None:
+            point_store.store(*records[index], outcomes)
 
-    if journal is not None:
-        still_pending = []
-        for index in pending:
-            checkpointed = journal.completed_fault_point(index)
-            if checkpointed is not None:
-                # Replayed from the interrupted run; re-recording it would
-                # only duplicate the journal entry.
-                finish(index, checkpointed, checkpoint=False)
-            else:
-                still_pending.append(index)
-        pending = still_pending
+    def merge(index: int, outcomes: Sequence[FaultMapOutcome]) -> FaultSimulationPoint:
+        return merge_fault_outcomes(
+            outcomes, snr_db=points[index].snr_db, protection=points[index].protection
+        )
 
     if adaptive is not None:
-        for index in pending:
-            finish(
-                index,
-                _run_adaptive_point(
-                    runner,
-                    points[index],
-                    num_packets=num_packets,
-                    num_fault_maps=num_fault_maps,
-                    entropy=entropy,
-                    use_rake=use_rake,
-                    adaptive=adaptive,
-                    aggregate_packets=aggregate_packets,
-                    journal=journal,
-                    point_index=index,
-                ),
+        return [
+            _run_adaptive_point(
+                runner,
+                point,
+                num_packets=num_packets,
+                num_fault_maps=num_fault_maps,
+                entropy=entropy,
+                use_rake=use_rake,
+                adaptive=adaptive,
+                aggregate_packets=aggregate_packets,
+                stored=stored[index] or [],
+                save=partial(save, index),
             )
-        return results
+            for index, point in enumerate(points)
+        ]
 
+    results: List[Optional[FaultSimulationPoint]] = [
+        None if outcomes is None else merge(index, outcomes)
+        for index, outcomes in enumerate(stored)
+    ]
+    pending = [index for index, outcomes in enumerate(stored) if outcomes is None]
     tasks: List[FaultMapTask] = []
     for index in pending:
         point = points[index]
@@ -639,16 +617,9 @@ def run_fault_map_grid(
                 soft_error_rate=point.soft_error_rate,
             )
         )
-    task_groups = group_tasks_for_batching(tasks, aggregate_packets)
-    group_starts = np.cumsum([0] + [len(group) for group in task_groups]).tolist()
-    # Per-die outcomes in point-major task order; a quarantined batch loses
-    # every die it pooled and leaves per-die holes (None).
-    outcomes: List[Optional[FaultMapOutcome]] = [None] * len(tasks)
-    dies_left = [num_fault_maps] * len(pending)
 
-    def finish_slot(slot: int) -> None:
+    def finish_point(slot: int, point_outcomes: List[Optional[FaultMapOutcome]]) -> None:
         index = pending[slot]
-        point_outcomes = outcomes[slot * num_fault_maps : (slot + 1) * num_fault_maps]
         survivors = [o for o in point_outcomes if o is not None]
         if not survivors:
             raise RuntimeError(
@@ -657,30 +628,58 @@ def run_fault_map_grid(
                 f"there is nothing left to merge — see the quarantine "
                 f"directory for the tracebacks"
             )
-        finish(
-            index,
-            merge_fault_outcomes(
-                survivors,
-                snr_db=points[index].snr_db,
-                protection=points[index].protection,
-            ),
-            tainted=len(survivors) < len(point_outcomes),
-        )
+        if len(survivors) == len(point_outcomes):
+            save(index, survivors)
+        results[index] = merge(index, survivors)
 
-    # Each point is merged (and journaled) as soon as its last die is in,
-    # so an interrupted run keeps every point it completed.
-    for group_index, group_result in runner.submit_round(
-        simulate_fault_map_batch, task_groups
-    ):
+    run_units(
+        runner,
+        simulate_fault_map_batch,
+        tasks,
+        unit_size=num_fault_maps,
+        finish=finish_point,
+        aggregate_packets=aggregate_packets,
+    )
+    return results
+
+
+def run_units(
+    runner,
+    fn: Callable,
+    tasks: Sequence,
+    *,
+    unit_size: int,
+    finish: Callable[[int, List], None],
+    aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
+) -> None:
+    """Run unit-major *tasks* in pooled batches, finishing each unit early.
+
+    *tasks* holds ``unit_size`` consecutive work items per unit (a grid
+    point's dies, a BLER cell's chunks); they are pooled into decode batches
+    (:func:`group_tasks_for_batching`) and streamed through
+    :meth:`~repro.runner.parallel.ParallelRunner.submit_round`.
+    ``finish(slot, outcomes)`` receives unit *slot*'s outcomes in item order
+    as soon as its last item is in, so an interrupted run keeps every unit
+    it completed.  A quarantined batch loses every item it pooled and
+    leaves per-item holes (``None``); a batch the backend never delivers
+    raises once the stream ends.
+    """
+    task_groups = group_tasks_for_batching(tasks, aggregate_packets)
+    group_starts = np.cumsum([0] + [len(group) for group in task_groups]).tolist()
+    outcomes: List = [None] * len(tasks)
+    items_left = [unit_size] * (len(tasks) // unit_size)
+    for group_index, group_result in runner.submit_round(fn, task_groups):
         start, stop = group_starts[group_index], group_starts[group_index + 1]
         if not isinstance(group_result, TaskQuarantined):
             outcomes[start:stop] = group_result
         for task_index in range(start, stop):
-            slot = task_index // num_fault_maps
-            dies_left[slot] -= 1
-            if dies_left[slot] == 0:
-                finish_slot(slot)
-    return results
+            slot = task_index // unit_size
+            items_left[slot] -= 1
+            if items_left[slot] == 0:
+                finish(slot, outcomes[slot * unit_size : (slot + 1) * unit_size])
+    unfinished = [slot for slot, left in enumerate(items_left) if left]
+    if unfinished:
+        raise RuntimeError(f"backend never delivered every item of units {unfinished}")
 
 
 def _run_adaptive_point(
@@ -693,8 +692,8 @@ def _run_adaptive_point(
     use_rake: bool,
     adaptive: AdaptiveStopping,
     aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
-    journal=None,
-    point_index: Optional[int] = None,
+    stored: Sequence[FaultMapOutcome],
+    save: Callable[[List[FaultMapOutcome]], None],
 ) -> FaultSimulationPoint:
     """Adaptively estimate one grid point, one round of die chunks at a time.
 
@@ -709,13 +708,12 @@ def _run_adaptive_point(
     grouping, nor the worker count, nor the execution backend can change
     the result.
 
-    With a *journal*, every completed round is checkpointed under
-    *point_index*, and a resumed run replays those rounds into the
-    estimator's ``(errors, trials, num_items)`` state before scheduling
-    more — so the stopping decision, the spawn keys of the remaining
-    rounds, and hence the merged point are byte-identical to an
-    uninterrupted run.  An abandoned (half-executed, never journaled)
-    round is simply re-run from its deterministic keys.
+    *stored* is a prefix of the point's die sequence from its point-store
+    record: a round yields the stored outcome for every die index the
+    prefix holds and computes only the rest, so the round decisions replay
+    deterministically and the merged point is byte-identical to an
+    uninterrupted run.  After every round that computed a die, *save*
+    receives every die so far.
     """
     from repro.core.montecarlo import required_packets_for_bler
 
@@ -747,29 +745,22 @@ def _run_adaptive_point(
             for i in range(round_dies)
         ]
 
+    dies: List[FaultMapOutcome] = list(stored)
+
     def execute_round(round_runner, round_tasks):
-        groups = group_tasks_for_batching(round_tasks, aggregate_packets)
+        first = round_tasks[0].key[-1]
+        known = dies[first : first + len(round_tasks)]
+        yield from known
+        fresh = round_tasks[len(known) :]
+        if not fresh:
+            return
+        groups = group_tasks_for_batching(fresh, aggregate_packets)
         for group_outcomes in round_runner.map(simulate_fault_map_batch, groups):
+            dies.extend(group_outcomes)
             yield from group_outcomes
+        save(dies)
 
-    outcomes: List[FaultMapOutcome] = []
-    initial = None
-    on_round = None
-    if journal is not None and point_index is not None:
-        errors = trials = num_items = 0
-        for round_outcomes in journal.adaptive_rounds(point_index):
-            for outcome in round_outcomes:
-                outcomes.append(outcome)
-                round_errors, round_trials = _fault_outcome_errors(outcome)
-                errors += round_errors
-                trials += round_trials
-            num_items += len(round_outcomes)
-        initial = (errors, trials, num_items)
-
-        def on_round(round_results: Sequence[FaultMapOutcome]) -> None:
-            journal.record_adaptive_round(point_index, list(round_results))
-
-    runner.run_adaptive_rounds(
+    rounds = runner.run_adaptive_rounds(
         schedule_round,
         execute_round,
         _fault_outcome_errors,
@@ -778,12 +769,10 @@ def _run_adaptive_point(
         min_trials=min_trials,
         budget=budget,
         max_trials=max_trials,
-        on_result=outcomes.append,
-        initial=initial,
-        on_round=on_round,
     )
-
-    return merge_fault_outcomes(outcomes, snr_db=point.snr_db, protection=point.protection)
+    return merge_fault_outcomes(
+        dies[: rounds.num_items], snr_db=point.snr_db, protection=point.protection
+    )
 
 
 def fault_map_tasks_for_point(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.results import SweepTable
@@ -31,15 +32,14 @@ from repro.experiments.scales import Scale, get_scale
 from repro.harq.metrics import HarqStatistics, merge_statistics
 from repro.link.config import LinkConfig
 from repro.memory.faults import coerce_fault_model
-from repro.runner.backends.base import TaskQuarantined
 from repro.runner.parallel import ParallelRunner, runner_scope
 from repro.runner.tasks import (
     FaultSimulationPoint,
     GridPoint,
     LinkChunkTask,
-    group_tasks_for_batching,
     resolve_adaptive,
     run_fault_map_grid,
+    run_units,
     simulate_link_chunk_batch,
     split_packets,
 )
@@ -187,7 +187,6 @@ def run_scenario_grid(
     decoder_backend: Optional[str] = None,
     adaptive: Any = None,
     point_store: Any = None,
-    journal: Any = None,
 ) -> ScenarioOutcome:
     """Execute a scenario grid and return its per-cell outcomes.
 
@@ -197,24 +196,17 @@ def run_scenario_grid(
     execution backend the caller provides — with results that depend only
     on ``(spec, scale, seed)``, never on the topology.
 
-    *point_store* (a :class:`~repro.runner.point_store.PointStore` or a
-    directory path) short-circuits cells whose merged results are already
-    in the shared store and persists freshly computed ones.  It is pure
-    topology: a warm store changes how much work is scheduled, never a bit
-    of the outcome.
-
-    *journal* (a :class:`~repro.runner.journal.SweepJournal`) checkpoints
-    every merged cell as it completes and, on ``--resume``, loads replayed
-    cells instead of recomputing them.  Also pure topology: the remaining
-    cells run with exactly the spawn keys a fresh run would use.
+    *point_store* (a :class:`~repro.runner.point_store.PointStore`) holds
+    the per-die (per-chunk) outcomes of finished cells: a cell with a
+    complete record is merged from it instead of scheduled, and every cell
+    that completes is recorded — which is also how rerunning a killed
+    command resumes it.  It is pure topology: a warm store changes how much
+    work is scheduled, never a bit of the outcome.
     """
-    from repro.runner.point_store import bler_cell_identity, resolve_point_store
-
     resolved = get_scale(scale)
     entropy = resolve_entropy(seed)
     base_config = resolve_link_config(spec, resolved, decoder_backend)
     cells = expand_grid(spec, resolved)
-    store = resolve_point_store(point_store)
     outcome = ScenarioOutcome(
         spec=spec,
         scale=resolved,
@@ -234,8 +226,7 @@ def run_scenario_grid(
                 entropy=entropy,
                 use_rake=spec.equalizer == "rake",
                 adaptive=resolve_adaptive(adaptive),
-                point_store=store,
-                journal=journal,
+                point_store=point_store,
             )
         return outcome
 
@@ -245,8 +236,12 @@ def run_scenario_grid(
         chunk_sizes = split_packets(resolved.num_packets)
         use_rake = spec.equalizer == "rake"
         merged: List[Optional[HarqStatistics]] = [None] * len(cells)
-        pending: List[Tuple[int, Optional[str], Optional[Dict[str, Any]]]] = []
+        pending: List[Tuple[int, Optional[Tuple[str, Dict[str, Any]]]]] = []
         tasks = []
+        if point_store is not None:
+            from repro.runner.point_store import bler_cell_identity, link_identity
+
+            link_of = lru_cache(maxsize=None)(link_identity)
         for cell_index, cell in enumerate(cells):
             config = resolve_link_config(cell.spec, resolved, decoder_backend)
             if cell.spec.snr_db is None:
@@ -254,28 +249,22 @@ def run_scenario_grid(
                     f"scenario {spec.name!r} needs an SNR: set snr_db or add an "
                     "snr_db axis"
                 )
-            if journal is not None:
-                checkpointed = journal.completed_bler_cell(cell_index)
-                if checkpointed is not None:
-                    merged[cell_index] = checkpointed
-                    continue
-            if store is not None:
+            record = None
+            if point_store is not None:
                 identity = bler_cell_identity(
-                    config,
+                    link_of(config),
                     snr_db=float(cell.spec.snr_db),
                     chunk_sizes=chunk_sizes,
                     entropy=entropy,
                     key=cell.key,
                     use_rake=use_rake,
                 )
-                digest = store.digest(identity)
-                cached = store.load_statistics(digest)
-                if cached is not None:
-                    merged[cell_index] = cached
+                record = (point_store.digest(identity), identity)
+                stored = point_store.load(record[0], "bler", len(chunk_sizes))
+                if stored is not None:
+                    merged[cell_index] = merge_statistics(stored)
                     continue
-                pending.append((cell_index, digest, identity))
-            else:
-                pending.append((cell_index, None, None))
+            pending.append((cell_index, record))
             tasks.extend(
                 LinkChunkTask(
                     config=config,
@@ -287,25 +276,9 @@ def run_scenario_grid(
                 )
                 for chunk_index, chunk_packets in enumerate(chunk_sizes)
             )
-        task_groups = group_tasks_for_batching(tasks)
-        chunk_statistics: List[Optional[HarqStatistics]] = []
-        with runner_scope(runner) as active_runner:
-            for group, batch in zip(
-                task_groups,
-                active_runner.map(
-                    simulate_link_chunk_batch, task_groups, allow_quarantined=True
-                ),
-            ):
-                if isinstance(batch, TaskQuarantined):
-                    # A quarantined batch loses every chunk it pooled; keep
-                    # the cell-major layout intact with per-chunk holes.
-                    chunk_statistics.extend([None] * len(group))
-                else:
-                    chunk_statistics.extend(batch)
-        for slot, (cell_index, digest, identity) in enumerate(pending):
-            cell_chunks = chunk_statistics[
-                slot * len(chunk_sizes) : (slot + 1) * len(chunk_sizes)
-            ]
+
+        def finish_cell(slot: int, cell_chunks: List[Optional[HarqStatistics]]) -> None:
+            cell_index, record = pending[slot]
             survivors = [s for s in cell_chunks if s is not None]
             if not survivors:
                 raise RuntimeError(
@@ -314,16 +287,21 @@ def run_scenario_grid(
                     f"nothing left to merge — see the quarantine directory "
                     f"for the tracebacks"
                 )
-            cell_statistics = merge_statistics(survivors)
-            if len(survivors) == len(cell_chunks):
-                # Only complete cells reach the persistent layers; a cell
-                # with quarantined chunks has different statistics and must
-                # never poison the store or the journal.
-                if store is not None:
-                    store.store_statistics(digest, cell_statistics, identity)
-                if journal is not None:
-                    journal.record_bler_cell(cell_index, cell_statistics)
-            merged[cell_index] = cell_statistics
+            if record is not None and len(survivors) == len(cell_chunks):
+                # Only complete cells reach the store; a cell with
+                # quarantined chunks has different statistics and must
+                # never poison it.
+                point_store.store(*record, survivors)
+            merged[cell_index] = merge_statistics(survivors)
+
+        with runner_scope(runner) as active_runner:
+            run_units(
+                active_runner,
+                simulate_link_chunk_batch,
+                tasks,
+                unit_size=len(chunk_sizes),
+                finish=finish_cell,
+            )
         outcome.statistics = merged
         return outcome
 
@@ -405,7 +383,6 @@ def run_scenario(
     decoder_backend: Optional[str] = None,
     adaptive: Any = None,
     point_store: Any = None,
-    journal: Any = None,
 ) -> Any:
     """Run one scenario end to end and return its tables.
 
@@ -419,11 +396,10 @@ def run_scenario(
             decoder_backend is not None
             or resolve_adaptive(adaptive) is not None
             or point_store is not None
-            or journal is not None
         ):
             raise ValueError(
                 f"scenario {spec.name!r} is analytical; decoder/adaptive/"
-                "point-store/journal flags do not apply"
+                "point-store arguments do not apply"
             )
         return spec.analytic(scale, seed, runner=runner)
     outcome = run_scenario_grid(
@@ -434,7 +410,6 @@ def run_scenario(
         decoder_backend=decoder_backend,
         adaptive=adaptive,
         point_store=point_store,
-        journal=journal,
     )
     presenter = spec.presenter or default_tables
     return presenter(outcome)

@@ -37,7 +37,7 @@ from repro.phy.turbo.backends import (
 from repro.phy.turbo.trellis import UMTS_TRELLIS
 from repro.runner.cache import ResultCache, config_digest, decoder_backend_identity
 from repro.runner.cli import main, run_identity
-from repro.runner.point_store import bler_cell_identity
+from repro.runner.point_store import bler_cell_identity, link_identity
 from repro.utils.rng import child_rngs
 
 GOLDEN_FIG6 = Path(__file__).resolve().parent / "golden" / "fig6.json"
@@ -432,18 +432,19 @@ class TestCacheIdentity:
 
     def test_default_digests_unchanged(self):
         """The digests a default run had while numpy was the default, so
-        existing result caches and point stores keep hitting."""
+        existing result caches keep hitting, and the point-record digest of
+        format 2, shared by every exact decoder request."""
         assert config_digest(run_identity("fig6", "smoke", 2012, {})) == "5372a48cc0d0da9188ac"
         for backend in ("auto", "numpy", "native"):
             identity = bler_cell_identity(
-                LinkConfig(decoder_backend=backend),
+                link_identity(LinkConfig(decoder_backend=backend)),
                 snr_db=6.0,
                 chunk_sizes=[8, 8],
                 entropy=2012,
                 key=(0, 1),
                 use_rake=False,
             )
-            assert config_digest(identity) == "b34612a1e7a4eea1bff7", backend
+            assert config_digest(identity) == "8b938590124f3d68f32d", backend
 
     def test_native_run_is_golden_and_shares_the_default_entry(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

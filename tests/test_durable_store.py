@@ -1,17 +1,19 @@
-"""The durable JSON store under the result cache, point store and journal.
+"""The durable JSON store under the result cache, point records and quarantine.
 
 One corruption matrix runs against both entry stores
-(:class:`~repro.runner.cache.ResultCache` and
+(:class:`~repro.runner.cache.ResultCache` and the point records of
 :class:`~repro.runner.point_store.PointStore`): an entry torn by a real
 interrupted write, invalid UTF-8, valid JSON that is not an object and a
 stale format version, plus the missing vs quarantined-corrupt statuses.
 Every damaged entry reads as a miss, is quarantined once to ``*.corrupt``
 with a warning, and a re-put heals the slot; every lookup counts exactly one
-hit or one miss.  The sweep journal's torn-tail, invalid-UTF-8 and
-stale-header cases run through the same object parser.
+hit or one miss.  A point record that parses but is not the one its unit
+needs — a stale format, another ``kind``, the wrong number of dies or a
+malformed outcome — reads as a miss too.
 
-Also pinned: the key check (malformed digests and namespaces never reach the
-filesystem, and the cache's non-run directories are outside its key space),
+Also pinned: every put fsyncs the file before its rename and the directory
+after it; the key check (malformed digests and namespaces never reach the
+filesystem, and the cache's non-run directories are outside its key space);
 and a ``clear`` that leaves a store exactly as fresh as it started, orphaned
 temporary files of interrupted puts included.
 """
@@ -28,14 +30,19 @@ import pytest
 from repro.harq.metrics import HarqStatistics
 from repro.runner import chaos, telemetry
 from repro.runner.cache import (
-    JOURNAL_DIRNAME,
+    POINTS_DIRNAME,
     QUARANTINE_DIRNAME,
     QuarantineStore,
     ResultCache,
+    atomic_write_text,
     serialize_payload,
 )
-from repro.runner.journal import SweepJournal
-from repro.runner.point_store import PointStore, statistics_to_json
+from repro.runner.point_store import (
+    POINT_STORE_FORMAT_VERSION,
+    PointStore,
+    statistics_to_json,
+)
+from repro.runner.tasks import FaultMapOutcome
 
 DIGEST = "0123456789abcdef0123"
 
@@ -66,6 +73,16 @@ def _statistics() -> HarqStatistics:
     )
 
 
+#: A fixed fault point's record: two dies.
+DIES = 2
+
+
+def _put_dies(store, dies=DIES):
+    """Store a fault point's record holding *dies* die outcomes."""
+    outcome = FaultMapOutcome(statistics=_statistics(), num_faults=3, fallible_cells=90)
+    return store.store(DIGEST, {"kind": "fault", "seed": 1}, [outcome] * dies)
+
+
 class _Subject:
     """One entry store under test: its key, a valid put and its format field."""
 
@@ -75,17 +92,19 @@ class _Subject:
             self.store = ResultCache(root)
             self.key = ("fig6", DIGEST)
             self.format_field = "cache_format"
+            self.format_version = 1
         else:
             self.store = PointStore(root)
             self.key = (DIGEST,)
             self.format_field = "point_store_format"
+            self.format_version = POINT_STORE_FORMAT_VERSION
         self.path = self.store.path_for(*self.key)
 
     def put(self):
         if self.kind == "cache":
             text = serialize_payload("fig6", identity={"seed": 1}, tables={})
             return self.store.store("fig6", DIGEST, text)
-        return self.store.store_statistics(DIGEST, _statistics(), identity={"seed": 1})
+        return _put_dies(self.store)
 
     def get(self):
         """One lookup, checked to count exactly one hit or one miss."""
@@ -153,7 +172,7 @@ class TestCorruptionMatrix:
         assert path == subject.path
         payload, status = subject.get()
         assert status == "ok"
-        assert payload[subject.format_field] == 1
+        assert payload[subject.format_field] == subject.format_version
         assert json.loads(path.read_text()) == payload
         assert (subject.store.hits, subject.store.misses, subject.store.writes) == (1, 0, 1)
         leftovers = [p.name for p in path.parent.iterdir() if p != path]
@@ -183,7 +202,7 @@ class TestCorruptionMatrix:
         # The recomputed entry re-occupies the slot.
         subject.put()
         payload, status = subject.get()
-        assert status == "ok" and payload[subject.format_field] == 1
+        assert status == "ok" and payload[subject.format_field] == subject.format_version
 
     def test_stale_format_is_a_miss_and_not_quarantined(self, subject):
         subject.put()
@@ -206,21 +225,145 @@ class TestCorruptionMatrix:
             subject.store.put_text("{}", *key)
         assert not subject.store.root.exists()
 
-    def test_point_store_kind_is_part_of_the_header(self, tmp_path):
+
+# --------------------------------------------------------------------------- #
+class TestPointRecordShape:
+    """A parsed point record the unit cannot use is a miss, never a result."""
+
+    def _miss(self, store, kind="fault", count=DIES):
+        before = store.misses
+        with _no_warning():
+            assert store.load(DIGEST, kind, count) is None
+        assert store.misses == before + 1
+        assert store.path_for(DIGEST).exists()  # not quarantined: it parsed
+
+    def test_exact_record_loads_its_dies_in_order(self, tmp_path):
         store = PointStore(tmp_path)
-        store.store_statistics(DIGEST, _statistics(), identity={})
-        assert store.load_fault_point(DIGEST) is None
-        assert store.get(DIGEST, expect={"kind": "fault"}) == (None, "stale-format")
-        assert statistics_to_json(store.load_statistics(DIGEST)) == (
-            statistics_to_json(_statistics())
-        )
-        assert (store.hits, store.misses) == (1, 2)
+        _put_dies(store)
+        dies = store.load(DIGEST, "fault", DIES)
+        assert len(dies) == DIES
+        assert [d.num_faults for d in dies] == [3, 3]
+        assert statistics_to_json(dies[0].statistics) == statistics_to_json(_statistics())
+        assert dies[0].statistics.attempts_per_transmission.dtype == np.int64
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_stale_format_is_a_miss(self, tmp_path):
+        store = PointStore(tmp_path)
+        path = _put_dies(store)
+        payload = json.loads(path.read_text())
+        assert payload["point_store_format"] == POINT_STORE_FORMAT_VERSION == 2
+        payload["point_store_format"] = 1
+        path.write_text(json.dumps(payload))
+        self._miss(store)
+
+    def test_wrong_kind_is_a_miss(self, tmp_path):
+        store = PointStore(tmp_path)
+        _put_dies(store)
+        self._miss(store, kind="bler")
+        store.store(DIGEST, {"kind": "bler"}, [_statistics()] * DIES)
+        self._miss(store, kind="fault")
+        assert len(store.load(DIGEST, "bler", DIES)) == DIES
+
+    @pytest.mark.parametrize("dies", [1, DIES + 1])
+    def test_wrong_die_count_is_a_miss(self, tmp_path, dies):
+        store = PointStore(tmp_path)
+        _put_dies(store, dies)
+        self._miss(store)
+        # An adaptive point takes any non-empty prefix of its dies.
+        assert len(store.load(DIGEST, "fault", None)) == dies
+
+    def test_empty_record_is_a_miss_even_for_an_adaptive_point(self, tmp_path):
+        store = PointStore(tmp_path)
+        _put_dies(store, 0)
+        self._miss(store, count=None)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda outcome: outcome.pop("num_faults"),
+            lambda outcome: outcome["statistics"].pop("num_packets"),
+            lambda outcome: outcome.__setitem__("statistics", None),
+            lambda outcome: outcome["statistics"].__setitem__(
+                "attempts_per_transmission", "many"
+            ),
+            lambda outcome: outcome.__setitem__("num_faults", float("inf")),
+        ],
+        ids=["no-num-faults", "no-num-packets", "null-statistics", "text-array", "infinity"],
+    )
+    def test_malformed_outcome_is_a_miss(self, tmp_path, damage):
+        store = PointStore(tmp_path)
+        path = _put_dies(store)
+        payload = json.loads(path.read_text())
+        damage(payload["outcomes"][1])
+        path.write_text(json.dumps(payload))
+        self._miss(store)
+
+    def test_outcomes_that_are_not_a_list_are_a_miss(self, tmp_path):
+        store = PointStore(tmp_path)
+        path = _put_dies(store)
+        payload = json.loads(path.read_text())
+        payload["outcomes"] = {"0": payload["outcomes"][0]}
+        path.write_text(json.dumps(payload))
+        self._miss(store)
+
+    def test_a_store_that_does_not_reuse_reads_nothing(self, tmp_path):
+        _put_dies(PointStore(tmp_path))
+        store = PointStore(tmp_path, reuse=False)
+        assert store.load(DIGEST, "fault", DIES) is None
+        assert (store.hits, store.misses) == (0, 0)
+        _put_dies(store)
+        assert "reused 0 point(s), computed 1 point(s)" in store.summary()
+
+
+# --------------------------------------------------------------------------- #
+class TestDurablePut:
+    def test_put_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        directories = set()
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def recording_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if os.path.isdir(path):
+                directories.add(fd)
+            return fd
+
+        def recording_fsync(fd):
+            # The inode synced, and its size: a file fsynced before its
+            # buffer was flushed would sync a short file.
+            status = os.fstat(fd)
+            name = "fsync-directory" if fd in directories else "fsync-file"
+            calls.append((name, (status.st_ino, status.st_size)))
+            real_fsync(fd)
+
+        def recording_replace(source, target):
+            calls.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        target = tmp_path / "points" / f"{DIGEST}.json"
+        text = '{"x": 1}\n'
+        atomic_write_text(target, text)
+        assert [name for name, _detail in calls] == [
+            "fsync-file",
+            "replace",
+            "fsync-directory",
+        ]
+        # The file synced is the one renamed into place, whole.
+        assert calls[0][1] == (target.stat().st_ino, len(text))
+        assert calls[1][1] == target.name
+        assert calls[2][1][0] == target.parent.stat().st_ino
+        assert target.read_text() == text
 
 
 # --------------------------------------------------------------------------- #
 class TestCacheNamespaces:
     @pytest.mark.parametrize(
-        "namespace", ["", "..", "a/b", ".hidden", QUARANTINE_DIRNAME, JOURNAL_DIRNAME]
+        "namespace", ["", "..", "a/b", ".hidden", QUARANTINE_DIRNAME, POINTS_DIRNAME]
     )
     def test_malformed_and_reserved_namespaces_are_rejected(self, tmp_path, namespace):
         with pytest.raises(ValueError, match="malformed cache key"):
@@ -261,16 +404,17 @@ class TestClear:
         (tmp_path / "fig3" / ("cd" * 10 + ".json")).write_text("{")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get("fig3", "cd" * 10) == (None, "corrupt")
-        journal = tmp_path / JOURNAL_DIRNAME / "fig6-0000.jsonl"
-        journal.parent.mkdir()
-        journal.write_text("{}\n")
+        record = _put_dies(PointStore(tmp_path / POINTS_DIRNAME))
 
         assert cache.clear("fig6") == 0
         assert not (tmp_path / "fig6").exists()
         assert cache.clear() == 1
-        # A cleared cache looks like a fresh one; the journal is resume state.
-        assert [p.name for p in tmp_path.iterdir()] == [JOURNAL_DIRNAME]
-        assert journal.read_text() == "{}\n"
+        # A cleared cache looks like a fresh one; the point records are
+        # another store (``repro cache clear`` clears both).
+        assert [p.name for p in tmp_path.iterdir()] == [POINTS_DIRNAME]
+        assert record.exists()
+        assert PointStore(tmp_path / POINTS_DIRNAME).clear() == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear_leaves_files_it_does_not_own(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -278,51 +422,3 @@ class TestClear:
         (tmp_path / "fig3" / "notes.txt").write_text("keep me")
         assert cache.clear() == 1
         assert [p.name for p in (tmp_path / "fig3").iterdir()] == ["notes.txt"]
-
-
-# --------------------------------------------------------------------------- #
-class TestJournalThroughTheSharedParser:
-    LINE_DAMAGE = {
-        "torn-tail": b'{"type": "fault_point", "ind',
-        "invalid-utf8": b'{"type": "fault_point", "ind\xff\xfe\x80"}\n',
-        **{f"not-an-object-{data.decode()}": data + b"\n" for data in NOT_AN_OBJECT},
-    }
-
-    @pytest.mark.parametrize("damage", sorted(LINE_DAMAGE))
-    def test_damaged_tail_is_truncated(self, tmp_path, damage):
-        journal = SweepJournal.open_for_run(tmp_path, "figx", DIGEST)
-        journal.close()
-        header = journal.path.read_bytes()
-        journal.path.write_bytes(header + self.LINE_DAMAGE[damage])
-        resumed = SweepJournal.open_for_run(tmp_path, "figx", DIGEST, resume=True)
-        assert resumed.recovered_truncation
-        assert resumed.replayed_entries == 0
-        resumed.close()
-        assert resumed.path.read_bytes() == header  # the tail is gone on disk
-        assert telemetry.snapshot_counter_total(
-            telemetry.registry().snapshot(), "journal_truncations_total"
-        ) == 1
-
-    @pytest.mark.parametrize("damage", sorted(LINE_DAMAGE))
-    def test_damaged_header_restarts_the_journal(self, tmp_path, damage):
-        fresh = SweepJournal.open_for_run(tmp_path, "figx", DIGEST)
-        fresh.close()
-        header = fresh.path.read_bytes()
-        fresh.path.write_bytes(self.LINE_DAMAGE[damage])
-        restarted = SweepJournal.open_for_run(tmp_path, "figx", DIGEST, resume=True)
-        assert restarted.replayed_entries == 0
-        assert not restarted.recovered_truncation
-        restarted.close()
-        assert restarted.path.read_bytes() == header
-
-    def test_stale_header_is_discarded_with_a_warning(self, tmp_path):
-        fresh = SweepJournal.open_for_run(tmp_path, "figx", DIGEST)
-        fresh.close()
-        header = fresh.path.read_bytes()
-        stale = dict(json.loads(header), journal_format=-1)
-        fresh.path.write_text(json.dumps(stale, sort_keys=True) + "\n")
-        with pytest.warns(RuntimeWarning, match="does not match this run"):
-            restarted = SweepJournal.open_for_run(tmp_path, "figx", DIGEST, resume=True)
-        assert restarted.replayed_entries == 0
-        restarted.close()
-        assert restarted.path.read_bytes() == header

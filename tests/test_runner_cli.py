@@ -342,22 +342,54 @@ class TestCacheLsClear:
         assert "removed 1 cached run(s) for fig3" in capsys.readouterr().out
         assert ResultCache(cache_dir).entries() == {"fig5": 1}
 
+    @staticmethod
+    def _point_records(cache_dir):
+        """A stored point record and a quarantine record under *cache_dir*."""
+        from repro.runner.cache import POINTS_DIRNAME, QUARANTINE_DIRNAME, QuarantineStore
+        from repro.runner.point_store import PointStore
+
+        identity = {"kind": "bler", "probe": 1}
+        store = PointStore(cache_dir / POINTS_DIRNAME)
+        store.store(store.digest(identity), identity, [])
+        quarantine = QuarantineStore(cache_dir / QUARANTINE_DIRNAME).record(
+            "simulate_fault_map_batch", {"key": [0]}, error="boom", attempts=1
+        )
+        return quarantine
+
+    def test_ls_counts_point_records(self, tmp_path, capsys):
+        cache_dir = self._populate(tmp_path)
+        self._point_records(cache_dir)
+        capsys.readouterr()
+        assert main(["cache", "ls", "--cache-dir", str(cache_dir)]) == 0
+        assert "1 stored point record(s)" in capsys.readouterr().out
+        assert main(
+            ["cache", "ls", "--experiment", "fig3", "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert "point record" not in capsys.readouterr().out
+
+    def test_clear_one_experiment_keeps_point_records(self, tmp_path, capsys):
+        cache_dir = self._populate(tmp_path)
+        self._point_records(cache_dir)
+        assert main(
+            ["cache", "clear", "--experiment", "fig3", "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert len(list((cache_dir / "points").glob("*.json"))) == 1
+
     def test_clear_everything_prunes_directories(self, tmp_path, capsys):
         cache_dir = self._populate(tmp_path)
-        journal = cache_dir / "journal" / "fig6-0000.jsonl"
-        journal.parent.mkdir()
-        journal.write_text("{}\n")
+        quarantine = self._point_records(cache_dir)
         (cache_dir / "fig3" / ("ee" * 10 + ".json")).write_text("{")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert ResultCache(cache_dir).get("fig3", "ee" * 10)[1] == "corrupt"
         assert ResultCache(cache_dir).entries() == {"fig3": 1, "fig5": 1}
         capsys.readouterr()
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed 2 cached run(s)" in capsys.readouterr().out
+        assert "removed 2 cached run(s) and 1 point record(s)" in capsys.readouterr().out
         assert ResultCache(cache_dir).entries() == {}
-        # Quarantined entries go too; the journal is resume state and stays.
-        assert list(cache_dir.iterdir()) == [journal.parent]
-        assert journal.read_text() == "{}\n"
+        # Quarantined entries and point records go too; quarantine records
+        # (tracebacks of poisoned work items) stay.
+        assert list(cache_dir.iterdir()) == [quarantine.parent]
+        assert quarantine.exists()
 
 
 class TestExecutionBackendThreading:

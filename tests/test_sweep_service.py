@@ -10,8 +10,8 @@ Covers the distributed-path hardening introduced together:
   has (or had) external workers;
 * capacity-weighted dispatch — a worker advertising N slots holds up to N
   unanswered items, dies safely holding several, and never changes results;
-* the content-addressed point store — exact round-trips, golden parity,
-  and zero computed points on a warm store;
+* the content-addressed point store — exact per-die round-trips, golden
+  parity, and zero computed points on a warm store;
 * the read-only query front end — cached payloads byte-identical over HTTP.
 """
 
@@ -43,6 +43,7 @@ from repro.runner.backends.wire import (
     send_message,
 )
 from repro.runner.cache import (
+    POINTS_DIRNAME,
     QUARANTINE_DIRNAME,
     QuarantineStore,
     ResultCache,
@@ -51,14 +52,13 @@ from repro.runner.cache import (
 from repro.runner.cli import experiment_payload
 from repro.runner.parallel import ParallelRunner
 from repro.runner.point_store import (
+    POINT_STORE_FORMAT_VERSION,
     PointStore,
-    fault_point_from_json,
-    fault_point_to_json,
     statistics_from_json,
     statistics_to_json,
 )
 from repro.runner.serve import build_server
-from repro.runner.tasks import FaultSimulationPoint
+from repro.runner.tasks import FaultMapOutcome
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -476,40 +476,21 @@ class TestPointStore:
         rebuilt = statistics_from_json(json.loads(json.dumps(statistics_to_json(stats))))
         _assert_statistics_equal(stats, rebuilt)
 
-    def test_fault_point_round_trip_is_exact(self, tmp_path):
-        point = FaultSimulationPoint(
-            snr_db=16.2,
-            num_faults=3,
-            defect_rate=0.01,
-            statistics=_sample_statistics(),
-            per_map_throughput=[0.5, 0.3333333333333333],
-            protection_name="msb-protected-3",
-        )
+    def test_die_outcomes_round_trip_exactly(self, tmp_path):
+        dies = [
+            FaultMapOutcome(statistics=_sample_statistics(), num_faults=3, fallible_cells=300),
+            FaultMapOutcome(statistics=_sample_statistics(), num_faults=3, fallible_cells=300),
+        ]
         store = PointStore(tmp_path)
-        digest = store.digest({"probe": 1})
-        store.store_fault_point(digest, point, identity={"probe": 1})
-        loaded = store.load_fault_point(digest)
+        identity = {"kind": "fault", "probe": 1}
+        digest = store.digest(identity)
+        store.store(digest, identity, dies)
+        loaded = store.load(digest, "fault", len(dies))
         assert loaded is not None
-        assert loaded.snr_db == point.snr_db
-        assert loaded.num_faults == point.num_faults
-        assert loaded.defect_rate == point.defect_rate
-        assert loaded.per_map_throughput == point.per_map_throughput
-        assert loaded.protection_name == point.protection_name
-        _assert_statistics_equal(point.statistics, loaded.statistics)
+        for die, rebuilt in zip(dies, loaded):
+            assert (rebuilt.num_faults, rebuilt.fallible_cells) == (3, 300)
+            _assert_statistics_equal(die.statistics, rebuilt.statistics)
         assert store.writes == 1 and store.hits == 1
-
-    def test_fault_point_json_round_trip(self):
-        point = FaultSimulationPoint(
-            snr_db=26.0,
-            num_faults=0,
-            defect_rate=0.0,
-            statistics=_sample_statistics(),
-            per_map_throughput=[1.0],
-            protection_name="unprotected-6T",
-        )
-        data = json.loads(json.dumps(fault_point_to_json(point)))
-        rebuilt = fault_point_from_json(data)
-        assert fault_point_to_json(rebuilt) == fault_point_to_json(point)
 
 
 def _stored(store):
@@ -522,7 +503,7 @@ def fig6_smoke_store(tmp_path_factory):
     """One cold fig6 smoke run shared by parity, warm-store and serve tests."""
     root = tmp_path_factory.mktemp("sweep-service")
     cache = ResultCache(root / "cache")
-    store = PointStore(root / "points")
+    store = PointStore(root / "cache" / POINTS_DIRNAME)
     payload = experiment_payload("fig6", "smoke", 2012, cache=cache, point_store=store)
     return root, store, payload
 
@@ -537,7 +518,7 @@ class TestPointStoreEndToEnd:
     def test_warm_store_computes_zero_points(self, fig6_smoke_store):
         """A second coordinator sharing the store schedules zero known work."""
         root, _cold, payload = fig6_smoke_store
-        warm = PointStore(root / "points")
+        warm = PointStore(root / "cache" / POINTS_DIRNAME)
         again = experiment_payload(
             "fig6", "smoke", 2012, cache=None, point_store=warm
         )
@@ -560,9 +541,7 @@ class TestPointStoreEndToEnd:
 @pytest.fixture(scope="module")
 def query_server(fig6_smoke_store):
     root, _store, _payload = fig6_smoke_store
-    server = build_server(
-        root / "cache", point_store_dir=root / "points", bind="127.0.0.1:0"
-    )
+    server = build_server(root / "cache", bind="127.0.0.1:0")
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield server
     server.shutdown()
@@ -605,8 +584,9 @@ class TestQueryFrontEnd:
         assert body["points"] == [digest for (digest,), _path in store.iter_keys()]
         status, point = _get(query_server, f"/points/{body['points'][0]}")
         assert status == 200
-        assert point["point_store_format"] == 1
+        assert point["point_store_format"] == POINT_STORE_FORMAT_VERSION
         assert point["kind"] == "fault"
+        assert len(point["outcomes"]) == SCALES["smoke"].num_fault_maps
 
     @pytest.mark.parametrize(
         "path",
@@ -633,15 +613,13 @@ class TestQueryFrontEnd:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 405
 
-    def test_server_without_point_store(self, fig6_smoke_store):
-        root, _store, _payload = fig6_smoke_store
-        server = build_server(root / "cache", bind="127.0.0.1:0")
+    def test_server_over_a_cache_without_points(self, tmp_path):
+        server = build_server(tmp_path / "cache", bind="127.0.0.1:0")
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             status, index = _get(server, "/")
             assert status == 200 and index["points"] == 0
-            status, body = _get(server, "/points")
-            assert status == 404
+            assert _get(server, "/points") == (200, {"points": []})
         finally:
             server.shutdown()
             server.server_close()
@@ -680,5 +658,5 @@ class TestQueryFrontEnd:
 
         args = build_parser().parse_args(["serve"])
         assert args.cache == Path(".repro-cache")
-        assert args.point_store is None
+        assert not hasattr(args, "point_store")
         assert parse_address(args.bind) == ("127.0.0.1", 8000)

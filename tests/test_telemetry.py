@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner import chaos, telemetry
-from repro.runner.cache import ResultCache, atomic_write_text
+from repro.runner.cache import POINTS_DIRNAME, ResultCache, atomic_write_text
 from repro.runner.chaos import ChaosInjected, FaultPlan
 from repro.runner.cli import experiment_payload, main
 from repro.runner.parallel import ParallelRunner
@@ -169,7 +169,7 @@ def instrumented_smoke(tmp_path_factory):
     """
     telemetry.reset()
     root = tmp_path_factory.mktemp("telemetry-smoke")
-    store = PointStore(root / "points")
+    store = PointStore(root / "cache" / POINTS_DIRNAME)
     with ParallelRunner(2, backend="socket") as runner:
         cold = experiment_payload(
             "fig6", "smoke", 2012,
@@ -228,9 +228,7 @@ def _get(server, path):
 @pytest.fixture()
 def metrics_server(instrumented_smoke):
     root, _cold, _warm = instrumented_smoke
-    server = build_server(
-        root / "cache", point_store_dir=root / "points", bind="127.0.0.1:0"
-    )
+    server = build_server(root / "cache", bind="127.0.0.1:0")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
