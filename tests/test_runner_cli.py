@@ -215,6 +215,35 @@ class TestCliMain:
         assert "BLER at 26.0 dB" in output
         assert "stop=" in output
 
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (
+                ["--snr", "6"],
+                "BLER at 6.0 dB (smoke scale): 0.0070 ± 0.0046 (95% Wilson)\n"
+                "  errors=6 packets=1120 chunks=140 stop=budget\n",
+            ),
+            (
+                ["--snr", "3", "--relative-error", "0.5"],
+                "BLER at 3.0 dB (smoke scale): 0.7511 ± 0.1387 (95% Wilson)\n"
+                "  errors=25 packets=32 chunks=4 stop=confident\n",
+            ),
+            (
+                ["--snr", "6", "--max-packets", "40"],
+                "BLER at 6.0 dB (smoke scale): 0.0283 ± 0.0283 (95% Wilson)\n"
+                "  errors=0 packets=64 chunks=8 stop=max_packets\n",
+            ),
+        ],
+        ids=["budget", "confident", "max-packets"],
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bler_stdout_is_pinned(self, extra, expected, workers, capsys):
+        # Each stop reason's exact stdout: rounds of 4 chunks of 8 packets,
+        # never shrunk, so a ceiling is overshot to the next round boundary.
+        argv = ["bler", "--scale", "smoke", "--seed", "2012", "--workers", workers]
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "-0.5", "nan"])
     def test_bler_rejects_confidence_outside_unit_interval(self, confidence, capsys):
         # Rejected before the first round is scheduled: no estimate is printed.
