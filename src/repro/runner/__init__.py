@@ -24,12 +24,7 @@ from repro.runner.backends import (
     execution_backend_names,
 )
 from repro.runner.cache import ResultCache, config_digest
-from repro.runner.parallel import (
-    AdaptiveEstimate,
-    ParallelRunner,
-    resolve_runner,
-    runner_scope,
-)
+from repro.runner.parallel import ParallelRunner, resolve_runner, runner_scope
 
 # The registry imports the experiment drivers, and the drivers import
 # repro.runner.parallel / .tasks (hence this package __init__) — so the
@@ -52,7 +47,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AdaptiveEstimate",
     "EXPERIMENTS",
     "ExecutionBackend",
     "ExperimentRun",

@@ -20,7 +20,7 @@ and golden files never record it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.runner.backends.base import (
     TASK_ERROR_POLICIES,
@@ -44,19 +44,19 @@ DEFAULT_BACKEND = "serial"
 DEFAULT_PARALLEL_BACKEND = "process"
 
 
-def _make_serial(workers: int, mp_context: Optional[str], **options: object) -> ExecutionBackend:
+def _make_serial(workers: int, **options: object) -> ExecutionBackend:
     on_task_error = str(options.pop("on_task_error", "fail"))
     _reject_options("serial", options)
     return SerialBackend(on_task_error=on_task_error)
 
 
-def _make_process(workers: int, mp_context: Optional[str], **options: object) -> ExecutionBackend:
+def _make_process(workers: int, **options: object) -> ExecutionBackend:
     on_task_error = str(options.pop("on_task_error", "fail"))
     _reject_options("process", options)
-    return ProcessPoolBackend(workers, mp_context=mp_context, on_task_error=on_task_error)
+    return ProcessPoolBackend(workers, on_task_error=on_task_error)
 
 
-def _make_socket(workers: int, mp_context: Optional[str], **options: object) -> ExecutionBackend:
+def _make_socket(workers: int, **options: object) -> ExecutionBackend:
     return SocketDistributedBackend(workers, **options)  # type: ignore[arg-type]
 
 
@@ -67,7 +67,7 @@ def _reject_options(family: str, options: Dict[str, object]) -> None:
         )
 
 
-#: family -> factory(workers, mp_context, **options).
+#: family -> factory(workers, **options).
 _FAMILIES: Dict[str, Callable[..., ExecutionBackend]] = {
     "serial": _make_serial,
     "process": _make_process,
@@ -84,7 +84,6 @@ def create_execution_backend(
     name: Union[str, ExecutionBackend],
     *,
     workers: int = 1,
-    mp_context: Optional[str] = None,
     **options: object,
 ) -> ExecutionBackend:
     """Instantiate the named backend (pass-through for built instances)."""
@@ -98,7 +97,7 @@ def create_execution_backend(
             f"unknown execution backend {name!r}; "
             f"choose from {sorted(execution_backend_names())}"
         ) from None
-    return factory(workers, mp_context, **options)
+    return factory(workers, **options)
 
 
 __all__ = [

@@ -18,13 +18,21 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Sequence, Tuple
 
 from repro.runner import telemetry
 from repro.runner.backends.base import (
     ExecutionBackend,
     TaskQuarantined,
     validate_task_error_policy,
+)
+
+#: Pool start method: fork where available (cheap on Linux: workers inherit
+#: the imported simulator modules), the platform default elsewhere.
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else None
 )
 
 
@@ -40,11 +48,6 @@ class ProcessPoolBackend(ExecutionBackend):
     ----------
     workers:
         Number of worker processes; ``0`` means "one per CPU".
-    mp_context:
-        Multiprocessing start-method name (``"fork"``, ``"spawn"``,
-        ``"forkserver"``).  Defaults to ``"fork"`` where available (cheap on
-        Linux: workers inherit the imported simulator modules) and the
-        platform default elsewhere.
     on_task_error:
         ``"fail"`` (default) re-raises a task exception; ``"quarantine"``
         yields a :class:`TaskQuarantined` sentinel for the failing index so
@@ -58,16 +61,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: int = 0,
         *,
-        mp_context: Optional[str] = None,
         on_task_error: str = "fail",
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
         self.workers = workers if workers > 0 else default_workers()
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else None
-        self.mp_context = mp_context
         self.on_task_error = validate_task_error_policy(on_task_error)
 
     def _quarantined(self, index: int, exc: BaseException) -> TaskQuarantined:
@@ -94,11 +92,8 @@ class ProcessPoolBackend(ExecutionBackend):
                     result = self._quarantined(index, exc)
                 yield index, result
             return
-        context = (
-            multiprocessing.get_context(self.mp_context) if self.mp_context else None
-        )
         max_workers = min(self.workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(max_workers, _POOL_CONTEXT) as pool:
             index_of = {pool.submit(fn, task): index for index, task in enumerate(tasks)}
             pending = set(index_of)
             while pending:
@@ -120,7 +115,4 @@ class ProcessPoolBackend(ExecutionBackend):
                     yield index, result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcessPoolBackend(workers={self.workers}, "
-            f"mp_context={self.mp_context!r})"
-        )
+        return f"ProcessPoolBackend(workers={self.workers})"

@@ -51,9 +51,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.montecarlo import proportion_confidence_interval, required_packets_for_bler
 from repro.experiments.scales import SCALES, get_scale
 from repro.phy.turbo.backends import backend_names
 from repro.runner import chaos
@@ -86,11 +88,16 @@ from repro.scenarios.spec import (
 )
 from repro.runner.tasks import (
     LinkChunkTask,
-    count_block_errors,
-    count_block_errors_batched,
+    block_errors,
     resolve_adaptive,
+    run_pooled_round,
+    simulate_link_chunk_batch,
 )
 
+#: ``repro bler``'s round: this many chunks of ``--chunk-packets`` packets,
+#: and the packets it needs before a confident estimate may stop it.
+BLER_CHUNKS_PER_ROUND = 4
+BLER_MIN_PACKETS = 32
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 #: Seed used throughout the repository's reproducible artefacts.
@@ -984,33 +991,40 @@ def _cmd_bler(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     config = scale.link_config()
 
-    def make_task(chunk_index: int) -> LinkChunkTask:
-        return LinkChunkTask(
-            config=config,
-            snr_db=args.snr,
-            num_packets=args.chunk_packets,
-            entropy=args.seed,
-            key=(chunk_index,),
-        )
+    def schedule_round(num_chunks: int, _trials: int) -> List[LinkChunkTask]:
+        # Never shrunk: a round that crosses a ceiling overshoots it.
+        return [
+            LinkChunkTask(
+                config=config,
+                snr_db=args.snr,
+                num_packets=args.chunk_packets,
+                entropy=args.seed,
+                key=(num_chunks + offset,),
+            )
+            for offset in range(BLER_CHUNKS_PER_ROUND)
+        ]
 
     with make_runner(args) as runner:
-        outcome = runner.run_adaptive_proportion(
-            make_task,
-            count_block_errors,
+        outcome = runner.run_adaptive_rounds(
+            schedule_round,
+            partial(run_pooled_round, fn=simulate_link_chunk_batch, outcomes=[]),
+            block_errors,
             confidence=args.confidence,
             relative_error=args.relative_error,
-            bler_floor=args.bler_floor,
+            min_trials=BLER_MIN_PACKETS,
+            budget=required_packets_for_bler(args.bler_floor, args.relative_error),
             max_trials=args.max_packets,
-            map_chunks=count_block_errors_batched,
         )
-    estimate = outcome.estimate
+    estimate = proportion_confidence_interval(
+        outcome.errors, outcome.trials, args.confidence
+    )
     print(
         f"BLER at {args.snr:.1f} dB ({scale.name} scale): {estimate.value:.4f} "
         f"± {estimate.half_width:.4f} ({estimate.confidence:.0%} Wilson)"
     )
     print(
         f"  errors={outcome.errors} packets={outcome.trials} "
-        f"chunks={outcome.num_chunks} stop={outcome.stop_reason}"
+        f"chunks={outcome.num_items} stop={outcome.stop_reason}"
     )
     _write_metrics(args)
     return 0

@@ -18,14 +18,19 @@ conditions"; this module provides the scheduling layer for that averaging:
   Consequently serial, process-pool and distributed runs of the same plan
   are bit-identical, and the backend is excluded from the run identity.
 * Adaptive stopping — :meth:`ParallelRunner.run_adaptive_rounds` is the one
-  round-scheduling loop shared by the defect-free BLER estimator
-  (:meth:`ParallelRunner.run_adaptive_proportion`) and the fault-map grid
-  (:func:`repro.runner.tasks.run_fault_map_grid`): it keeps scheduling
-  fixed-size rounds until the Wilson confidence interval from
+  round loop behind every adaptive estimate: ``repro bler``'s defect-free
+  BLER and the adaptive points of
+  :func:`repro.runner.tasks.run_fault_map_grid`, both executing their rounds
+  through :func:`repro.runner.tasks.run_pooled_round`.  It keeps scheduling
+  rounds until the Wilson confidence interval from
   :func:`repro.core.montecarlo` ``proportion_confidence_interval`` meets the
   requested relative error or a packet budget is exhausted.  Because rounds
   — not workers — are the scheduling unit, the stopping decision is also
   independent of the worker count and of the backend.
+
+The Monte Carlo units built from work items — a grid point's dies, a BLER
+cell's chunks — are scheduled, pooled, stored and merged in
+:mod:`repro.runner.tasks` alone; this module knows nothing of them.
 """
 
 from __future__ import annotations
@@ -45,12 +50,7 @@ from typing import (
     Union,
 )
 
-from repro.core.montecarlo import (
-    EstimateWithConfidence,
-    proportion_confidence_interval,
-    required_packets_for_bler,
-    two_sided_z,
-)
+from repro.core.montecarlo import proportion_confidence_interval, two_sided_z
 from repro.runner import telemetry
 from repro.runner.backends import (
     DEFAULT_BACKEND,
@@ -67,31 +67,6 @@ ResultT = TypeVar("ResultT")
 
 #: Sentinel marking a result slot the backend never filled.
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class AdaptiveEstimate:
-    """Outcome of an adaptively-stopped proportion (BLER) estimation.
-
-    Attributes
-    ----------
-    estimate:
-        Wilson-interval estimate of the proportion at the stopping point.
-    errors, trials:
-        Raw counts accumulated over all executed chunks.
-    num_chunks:
-        Number of chunks executed before stopping.
-    stop_reason:
-        ``"confident"`` (interval met the target), ``"budget"`` (the
-        ``required_packets_for_bler`` budget for the BLER floor was spent) or
-        ``"max_packets"`` (hard trial ceiling hit).
-    """
-
-    estimate: EstimateWithConfidence
-    errors: int
-    trials: int
-    num_chunks: int
-    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -113,9 +88,6 @@ class ParallelRunner:
         Number of worker processes.  ``workers == 0`` means "one per CPU".
         The *results* of a run never depend on this value — only the
         wall-clock time does.
-    mp_context:
-        Multiprocessing start-method name for the process backend
-        (``"fork"``, ``"spawn"``, ``"forkserver"``).
     backend:
         Execution backend: a name from
         :func:`repro.runner.backends.execution_backend_names` (``serial``,
@@ -136,7 +108,6 @@ class ParallelRunner:
         self,
         workers: int = 1,
         *,
-        mp_context: Optional[str] = None,
         backend: Union[str, ExecutionBackend, None] = None,
         quarantine_store: Optional[object] = None,
     ) -> None:
@@ -145,13 +116,12 @@ class ParallelRunner:
         self.workers = workers if workers > 0 else default_workers()
         if backend is None:
             backend = DEFAULT_BACKEND if workers == 1 else DEFAULT_PARALLEL_BACKEND
-        self._backend = create_execution_backend(
-            backend, workers=self.workers, mp_context=mp_context
-        )
-        self.mp_context = getattr(self._backend, "mp_context", mp_context)
+        self._backend = create_execution_backend(backend, workers=self.workers)
         self.quarantine_store = quarantine_store
         #: Every quarantined work item seen by this runner (for reporting).
         self.task_failures: List[TaskQuarantined] = []
+        #: Non-empty rounds handed to the backend so far.
+        self._rounds_submitted = 0
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -201,6 +171,7 @@ class ParallelRunner:
         tasks = list(tasks)
         if not tasks:
             return
+        self._rounds_submitted += 1
         backend_name = getattr(self._backend, "name", "unknown")
         quarantined: List[TaskQuarantined] = []
         try:
@@ -228,30 +199,22 @@ class ParallelRunner:
             raise RuntimeError(f"backend never delivered results for items {missing}")
         return results
 
-    def map(
-        self,
-        fn: Callable[[TaskT], ResultT],
-        tasks: Sequence[TaskT],
-        *,
-        allow_quarantined: bool = False,
-    ) -> List[ResultT]:
+    def map(self, fn: Callable[[TaskT], ResultT], tasks: Sequence[TaskT]) -> List[ResultT]:
         """Run ``fn`` over *tasks* and return results in task order.
 
         Because each task carries its own seed material, the output is
         identical for any worker count and any backend — including the
         serial fallback.
 
-        Quarantined items come back as the :class:`TaskQuarantined`
-        sentinels :meth:`submit_round` recorded; then, unless the caller
-        opted in with *allow_quarantined* — meaning it knows what a missing
-        result means for its aggregate — the first sentinel raises, because
-        silently averaging over a partial result set would corrupt the
-        science.
+        A quarantined item raises (after :meth:`submit_round` recorded
+        it): silently averaging over a partial result set would corrupt the
+        science.  A caller that knows what a missing result means for its
+        aggregate consumes :meth:`submit_round` itself.
         """
         tasks = list(tasks)
         results = self.collect_in_order(self.submit_round(fn, tasks), len(tasks))
         quarantined = [r for r in results if isinstance(r, TaskQuarantined)]
-        if quarantined and not allow_quarantined:
+        if quarantined:
             raise RuntimeError(
                 f"{len(quarantined)} work item(s) were quarantined but this "
                 f"computation cannot tolerate missing results "
@@ -332,13 +295,19 @@ class ParallelRunner:
         them (``min_trials`` and ``budget`` are positive), so the first
         round always runs.  A caller resuming from stored results replays
         them through *execute_round* (the fault-map grid yields a point's
-        stored dies), so the decisions replay too.
+        stored dies), so the decisions replay too.  The stop is counted
+        (``runner_adaptive_stops_total``, an ``adaptive-stop`` event) only
+        when some round submitted work: a unit replayed wholly from its
+        record made no decision this run.
 
-        *confidence* is validated, and its quantile resolved, before the
-        first round is scheduled: a bad value fails without simulating a
-        packet.
+        *confidence* and *max_trials* are validated, and the quantile
+        resolved, before the first round is scheduled: a bad value fails
+        without simulating a packet.
         """
         two_sided_z(confidence)
+        if max_trials is not None:
+            ensure_positive_int(max_trials, "max_trials")
+        rounds_before = self._rounds_submitted
         errors = trials = num_items = 0
         while True:
             if trials >= min_trials and errors > 0:
@@ -358,102 +327,17 @@ class ParallelRunner:
                 errors += int(result_errors)
                 trials += int(result_trials)
             num_items += len(round_tasks)
-        telemetry.inc("runner_adaptive_stops_total", reason=stop_reason)
-        telemetry.event(
-            "adaptive-stop",
-            reason=stop_reason,
-            errors=errors,
-            trials=trials,
-            num_items=num_items,
-        )
+        if self._rounds_submitted > rounds_before:
+            telemetry.inc("runner_adaptive_stops_total", reason=stop_reason)
+            telemetry.event(
+                "adaptive-stop",
+                reason=stop_reason,
+                errors=errors,
+                trials=trials,
+                num_items=num_items,
+            )
         return AdaptiveRounds(
             errors=errors, trials=trials, num_items=num_items, stop_reason=stop_reason
-        )
-
-    # ------------------------------------------------------------------ #
-    def run_adaptive_proportion(
-        self,
-        make_task: Callable[[int], TaskT],
-        fn: Callable[[TaskT], Tuple[int, int]],
-        *,
-        confidence: float = 0.95,
-        relative_error: float = 0.3,
-        bler_floor: float = 1e-3,
-        chunks_per_round: int = 4,
-        min_trials: int = 32,
-        max_trials: Optional[int] = None,
-        map_chunks: Optional[
-            Callable[["ParallelRunner", List[TaskT]], Sequence[Tuple[int, int]]]
-        ] = None,
-    ) -> AdaptiveEstimate:
-        """Estimate a proportion (e.g. BLER), stopping once it is confident.
-
-        Parameters
-        ----------
-        make_task:
-            Builds the work item for chunk *i*; the item must derive its
-            random stream from the chunk index so the schedule (hence the
-            result) is independent of the worker count.
-        fn:
-            Executes one chunk and returns ``(errors, trials)``.
-        map_chunks:
-            Optional round executor replacing the default ``self.map(fn,
-            chunks)`` — e.g. to pool a round's chunks into cross-work-item
-            decode batches (see :mod:`repro.runner.tasks`).  Must return one
-            ``(errors, trials)`` pair per chunk, in chunk order; because a
-            round's membership is fixed before execution, pooling cannot
-            change the stopping decision.
-        confidence, relative_error:
-            Stop once the Wilson interval's half-width is at most
-            ``relative_error`` times the estimate (with at least one error
-            observed and ``min_trials`` trials accumulated).
-        bler_floor:
-            Smallest proportion worth resolving; once
-            :func:`required_packets_for_bler` packets for this floor have
-            been spent without reaching confidence, the sweep stops (an
-            error-free point would otherwise never terminate).
-        chunks_per_round:
-            Chunks scheduled per decision round.  This — not ``workers`` —
-            is the scheduling quantum, so the stopping point is
-            deterministic.
-        min_trials, max_trials:
-            Soft floor / hard ceiling on accumulated trials.
-        """
-        ensure_positive_int(chunks_per_round, "chunks_per_round")
-        ensure_positive_int(min_trials, "min_trials")
-        if not 0.0 < bler_floor < 1.0:
-            raise ValueError("bler_floor must be in (0, 1)")
-        budget = required_packets_for_bler(bler_floor, relative_error)
-        if max_trials is not None:
-            ensure_positive_int(max_trials, "max_trials")
-
-        def schedule_round(num_items: int, _trials: int) -> List[TaskT]:
-            return [make_task(num_items + i) for i in range(chunks_per_round)]
-
-        def execute_round(
-            runner: "ParallelRunner", chunks: Sequence[TaskT]
-        ) -> Sequence[Tuple[int, int]]:
-            if map_chunks is not None:
-                return map_chunks(runner, list(chunks))
-            return runner.map(fn, chunks)
-
-        rounds = self.run_adaptive_rounds(
-            schedule_round,
-            execute_round,
-            lambda counts: counts,
-            confidence=confidence,
-            relative_error=relative_error,
-            min_trials=min_trials,
-            budget=budget,
-            max_trials=max_trials,
-        )
-        estimate = proportion_confidence_interval(rounds.errors, rounds.trials, confidence)
-        return AdaptiveEstimate(
-            estimate=estimate,
-            errors=rounds.errors,
-            trials=rounds.trials,
-            num_chunks=rounds.num_items,
-            stop_reason=rounds.stop_reason,
         )
 
 

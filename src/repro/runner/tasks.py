@@ -10,6 +10,13 @@ process) or *when* (in which order) it runs.  That is the whole determinism
 contract: serial and parallel executions of the same task list are
 bit-identical.
 
+Work items make up Monte Carlo units — a grid point's dies, a BLER cell's
+chunks — and this module is the only place a unit is scheduled, pooled
+into cross-work-item decode batches, looked up in and written to the point
+store, and merged: :func:`run_fixed_units` runs fixed-size units, and
+:func:`run_pooled_round` executes each round of every adaptive estimate
+(``repro bler`` and the adaptive fault-map points alike).
+
 Workers memoise the (expensive to build) link simulator per configuration,
 so scheduling many tasks that share a :class:`~repro.link.config.LinkConfig`
 costs one construction per worker process, not one per task.  The memo is a
@@ -24,10 +31,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.montecarlo import required_packets_for_bler
 from repro.core.protection import ProtectionScheme
 from repro.harq.metrics import HarqStatistics, merge_statistics
 from repro.link.config import LinkConfig
@@ -119,11 +127,6 @@ class LinkChunkTask:
     use_rake: bool = False
 
 
-def simulate_link_chunk(task: LinkChunkTask) -> HarqStatistics:
-    """Run one :class:`LinkChunkTask` and return its aggregate statistics."""
-    return simulate_link_chunk_batch((task,))[0]
-
-
 def simulate_link_chunk_batch(tasks: Sequence[LinkChunkTask]) -> List[HarqStatistics]:
     """Run several link chunks with shared (cross-work-item) decoder calls.
 
@@ -146,27 +149,9 @@ def simulate_link_chunk_batch(tasks: Sequence[LinkChunkTask]) -> List[HarqStatis
     return [result.statistics for result in simulate_packet_groups(link, groups)]
 
 
-def count_block_errors(task: LinkChunkTask) -> Tuple[int, int]:
-    """Run one chunk and return ``(block_errors, packets)`` for adaptive stopping."""
-    statistics = simulate_link_chunk(task)
+def block_errors(statistics: HarqStatistics) -> Tuple[int, int]:
+    """``(block_errors, packets)`` of one work item, for adaptive stopping."""
     return statistics.num_packets - statistics.num_successful, statistics.num_packets
-
-
-def count_block_errors_batched(runner, tasks: Sequence[LinkChunkTask]) -> List[Tuple[int, int]]:
-    """Round executor for adaptive BLER runs with cross-chunk decode pooling.
-
-    Drop-in ``map_chunks`` argument for
-    :meth:`~repro.runner.parallel.ParallelRunner.run_adaptive_proportion`:
-    pools the round's chunks into aggregated decode batches and returns one
-    ``(block_errors, packets)`` pair per chunk, in chunk order.
-    """
-    counts: List[Tuple[int, int]] = []
-    groups = group_tasks_for_batching(tasks)
-    for statistics_list in runner.map(simulate_link_chunk_batch, groups):
-        counts.extend(
-            (s.num_packets - s.num_successful, s.num_packets) for s in statistics_list
-        )
-    return counts
 
 
 def _require_shared_link(tasks: Sequence) -> HspaLikeLink:
@@ -436,6 +421,31 @@ class GridPoint:
                 f"the link's llr_bits {self.config.llr_bits}"
             )
 
+    def die_tasks(
+        self, dies: Iterable[int], *, packets_per_die: int, entropy: int, use_rake: bool
+    ) -> List[FaultMapTask]:
+        """One :class:`FaultMapTask` per die index in *dies*.
+
+        Die ``m`` gets spawn key ``key_prefix + (m,)`` on the fixed and the
+        adaptive schedule alike, so an adaptive point's first dies are the
+        fixed sweep's.
+        """
+        return [
+            FaultMapTask(
+                config=self.config,
+                protection=self.protection,
+                snr_db=float(self.snr_db),
+                defect_rate=float(self.defect_rate),
+                num_packets=packets_per_die,
+                entropy=entropy,
+                key=self.key_prefix + (die,),
+                use_rake=use_rake,
+                fault_model=coerce_fault_model(self.fault_model),
+                soft_error_rate=float(self.soft_error_rate),
+            )
+            for die in dies
+        ]
+
 
 @dataclass(frozen=True)
 class AdaptiveStopping:
@@ -491,10 +501,126 @@ def resolve_adaptive(value) -> Optional[AdaptiveStopping]:
     )
 
 
-def _fault_outcome_errors(outcome: FaultMapOutcome) -> Tuple[int, int]:
-    """Project one die's outcome to ``(block_errors, packets)``."""
-    statistics = outcome.statistics
-    return statistics.num_packets - statistics.num_successful, statistics.num_packets
+# --------------------------------------------------------------------------- #
+# Monte Carlo units: scheduled, pooled, stored and merged here only
+# --------------------------------------------------------------------------- #
+def _point_record(point_store, identity: dict, count: Optional[int]):
+    """One unit's ``(digest, identity)`` record and its stored outcomes.
+
+    The outcomes are ``None`` on a miss; *count* is the exact number a usable
+    record holds (``None``: any non-empty prefix, an adaptive point).
+    """
+    digest = point_store.digest(identity)
+    return (digest, identity), point_store.load(digest, identity["kind"], count)
+
+
+def run_fixed_units(
+    runner,
+    fn: Callable,
+    units: Sequence[Sequence],
+    *,
+    merge: Callable[[int, List], object],
+    identity: Optional[Callable[[int], dict]],
+    point_store=None,
+    aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
+) -> List:
+    """Run fixed-size Monte Carlo units and return ``merge(i, outcomes)`` per unit.
+
+    ``units[i]`` holds unit *i*'s work items — a grid point's dies, a BLER
+    cell's chunks — in item order, each keyed ``unit prefix + (item,)``.
+    With a *point_store*, unit *i* is first looked up under its point
+    identity ``identity(i)``: a record holding all its outcomes is merged and
+    schedules no work.  The other units' items are pooled into decode
+    batches (:func:`group_tasks_for_batching`, *fn* runs one batch) and
+    streamed through one
+    :meth:`~repro.runner.parallel.ParallelRunner.submit_round`; a unit is
+    merged, and written to the store, as soon as its last item arrives, so
+    an interrupted run keeps every unit it completed.
+
+    Under ``--on-task-error=quarantine`` a quarantined batch loses every
+    item it pooled: its units are merged from the survivors and never
+    written (their statistics differ from a complete unit's), and a unit
+    that lost every item raises.  A batch the backend never delivers raises
+    once the stream ends.
+    """
+    results: List = [None] * len(units)
+    pending: List[Tuple[int, Optional[Tuple[str, dict]]]] = []
+    tasks: List = []
+    for index, unit in enumerate(units):
+        record = None
+        if point_store is not None:
+            record, stored = _point_record(point_store, identity(index), len(unit))
+            if stored is not None:
+                results[index] = merge(index, stored)
+                continue
+        pending.append((index, record))
+        tasks.extend(unit)
+
+    sizes = [len(units[index]) for index, _record in pending]
+    unit_starts = np.cumsum([0] + sizes).tolist()
+    slot_of = [slot for slot, size in enumerate(sizes) for _item in range(size)]
+    items_left = list(sizes)
+    task_groups = group_tasks_for_batching(tasks, aggregate_packets)
+    group_starts = np.cumsum([0] + [len(group) for group in task_groups]).tolist()
+    outcomes: List = [None] * len(tasks)
+    for group_index, group_result in runner.submit_round(fn, task_groups):
+        start, stop = group_starts[group_index], group_starts[group_index + 1]
+        if not isinstance(group_result, TaskQuarantined):
+            outcomes[start:stop] = group_result
+        for task_index in range(start, stop):
+            slot = slot_of[task_index]
+            items_left[slot] -= 1
+            if items_left[slot]:
+                continue
+            index, record = pending[slot]
+            unit_outcomes = outcomes[unit_starts[slot] : unit_starts[slot + 1]]
+            survivors = [o for o in unit_outcomes if o is not None]
+            if not survivors:
+                raise RuntimeError(
+                    f"every die/chunk of unit {index} (key prefix "
+                    f"{units[index][0].key[:-1]}) was quarantined; there is "
+                    f"nothing left to merge — see the quarantine directory "
+                    f"for the tracebacks"
+                )
+            if record is not None and len(survivors) == len(unit_outcomes):
+                point_store.store(*record, survivors)
+            results[index] = merge(index, survivors)
+    unfinished = [pending[slot][0] for slot, left in enumerate(items_left) if left]
+    if unfinished:
+        raise RuntimeError(f"backend never delivered every item of units {unfinished}")
+    return results
+
+
+def run_pooled_round(
+    runner,
+    round_tasks: Sequence,
+    *,
+    fn: Callable,
+    outcomes: List,
+    save: Optional[Callable[[List], None]] = None,
+    aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
+):
+    """The round executor of every adaptive estimate (``execute_round`` of
+    :meth:`~repro.runner.parallel.ParallelRunner.run_adaptive_rounds`).
+
+    *outcomes* holds the unit's items in item order — those a point-store
+    record already holds — and receives every computed one.  A round yields
+    the known outcome of every item index *outcomes* covers and computes
+    the rest in pooled decode batches (*fn* runs one batch), so a resumed
+    unit replays its round decisions exactly.  After a round that computed
+    an item, *save* receives every outcome so far.
+    """
+    first = round_tasks[0].key[-1]
+    known = outcomes[first : first + len(round_tasks)]
+    yield from known
+    fresh = round_tasks[len(known) :]
+    if not fresh:
+        return
+    for group_outcomes in runner.map(fn, group_tasks_for_batching(fresh, aggregate_packets)):
+        outcomes.extend(group_outcomes)
+        yield from group_outcomes
+    if save is not None:
+        save(outcomes)
 
 
 def run_fault_map_grid(
@@ -511,12 +637,11 @@ def run_fault_map_grid(
 ) -> List[FaultSimulationPoint]:
     """Evaluate a whole sweep grid and return one merged point per entry.
 
-    This owns the task-order/slicing invariant shared by the Fig. 6-9
-    drivers: tasks are laid out point-major (``num_fault_maps`` consecutive
-    tasks per grid point) and reduced back in the same order.  Work items
-    are pooled into cross-work-item decode batches of roughly
-    *aggregate_packets* packets (see :func:`group_tasks_for_batching`) —
-    a pure throughput knob that never changes results.
+    Every die simulates ``max(1, num_packets // num_fault_maps)`` packets.
+    On the fixed schedule a point is one unit of :func:`run_fixed_units`:
+    its ``num_fault_maps`` dies, pooled into cross-work-item decode batches
+    of roughly *aggregate_packets* packets — a pure throughput knob that
+    never changes results.
 
     With *adaptive*, each point instead schedules die chunks in rounds
     until its BLER is confidently resolved (or the budget is spent), so
@@ -527,287 +652,101 @@ def run_fault_map_grid(
 
     With *point_store* (a :class:`~repro.runner.point_store.PointStore`),
     every grid point is first looked up by its content digest.  A fixed
-    point whose record holds all its dies is merged from them and schedules
-    zero work items; an adaptive point replays the dies its record holds
-    (see :func:`_run_adaptive_point`).  A fixed point's record is written
-    as its last die arrives, an adaptive point's after every round, so a
-    run killed mid-sweep keeps every finished point and rerunning the same
+    point whose record holds all its dies schedules zero work items; an
+    adaptive point replays the dies its record holds (see
+    :func:`run_pooled_round`).  A fixed point's record is written as its
+    last die arrives, an adaptive point's after every round, so a run
+    killed mid-sweep keeps every finished point and rerunning the same
     command resumes it.  Stored outcomes round-trip exactly and are merged
     by the same code as fresh ones, so a warm run is byte-identical to a
     cold one; like the execution backend, the store is topology and never
-    part of any run identity.
-
-    Under a runner whose backend quarantines poisoned tasks
-    (``--on-task-error=quarantine``), a point that lost *some* dies is
-    still merged from the surviving ones — marked tainted, so it is never
-    written to the cache or the point store — and a point that lost
-    *every* die raises.  Quarantine changes that point's statistics (fewer
-    dies), which is exactly why tainted results never reach any persistent
-    store.
+    part of any run identity.  Quarantine follows :func:`run_fixed_units`.
     """
     points = list(points)
-    records: List[Optional[Tuple[str, dict]]] = [None] * len(points)
-    stored: List[Optional[List[FaultMapOutcome]]] = [None] * len(points)
+    packets_per_die = max(1, num_packets // num_fault_maps)
+    identity = None
     if point_store is not None:
         from repro.runner.point_store import fault_point_identity, link_identity
 
         link_of = lru_cache(maxsize=None)(link_identity)
-        for index, point in enumerate(points):
-            identity = fault_point_identity(
-                point,
-                link_of(point.config),
+
+        def identity(index: int) -> dict:
+            return fault_point_identity(
+                points[index],
+                link_of(points[index].config),
                 num_packets=num_packets,
                 num_fault_maps=num_fault_maps,
                 entropy=entropy,
                 use_rake=use_rake,
                 adaptive=adaptive,
             )
-            digest = point_store.digest(identity)
-            records[index] = (digest, identity)
-            stored[index] = point_store.load(
-                digest, "fault", None if adaptive is not None else num_fault_maps
-            )
 
-    def save(index: int, outcomes: List[FaultMapOutcome]) -> None:
-        if point_store is not None:
-            point_store.store(*records[index], outcomes)
-
-    def merge(index: int, outcomes: Sequence[FaultMapOutcome]) -> FaultSimulationPoint:
+    def merge(index: int, dies: Sequence[FaultMapOutcome]) -> FaultSimulationPoint:
         return merge_fault_outcomes(
-            outcomes, snr_db=points[index].snr_db, protection=points[index].protection
+            dies, snr_db=points[index].snr_db, protection=points[index].protection
         )
 
-    if adaptive is not None:
-        return [
-            _run_adaptive_point(
-                runner,
-                point,
-                num_packets=num_packets,
-                num_fault_maps=num_fault_maps,
+    if adaptive is None:
+        units = [
+            point.die_tasks(
+                range(num_fault_maps),
+                packets_per_die=packets_per_die,
                 entropy=entropy,
                 use_rake=use_rake,
-                adaptive=adaptive,
-                aggregate_packets=aggregate_packets,
-                stored=stored[index] or [],
-                save=partial(save, index),
             )
-            for index, point in enumerate(points)
+            for point in points
         ]
-
-    results: List[Optional[FaultSimulationPoint]] = [
-        None if outcomes is None else merge(index, outcomes)
-        for index, outcomes in enumerate(stored)
-    ]
-    pending = [index for index, outcomes in enumerate(stored) if outcomes is None]
-    tasks: List[FaultMapTask] = []
-    for index in pending:
-        point = points[index]
-        tasks.extend(
-            fault_map_tasks_for_point(
-                point.config,
-                point.protection,
-                snr_db=point.snr_db,
-                defect_rate=point.defect_rate,
-                num_packets=num_packets,
-                num_fault_maps=num_fault_maps,
-                entropy=entropy,
-                key_prefix=point.key_prefix,
-                use_rake=use_rake,
-                fault_model=point.fault_model,
-                soft_error_rate=point.soft_error_rate,
-            )
+        return run_fixed_units(
+            runner,
+            simulate_fault_map_batch,
+            units,
+            merge=merge,
+            identity=identity,
+            point_store=point_store,
+            aggregate_packets=aggregate_packets,
         )
 
-    def finish_point(slot: int, point_outcomes: List[Optional[FaultMapOutcome]]) -> None:
-        index = pending[slot]
-        survivors = [o for o in point_outcomes if o is not None]
-        if not survivors:
-            raise RuntimeError(
-                f"every die of grid point {index} "
-                f"(key_prefix={points[index].key_prefix}) was quarantined; "
-                f"there is nothing left to merge — see the quarantine "
-                f"directory for the tracebacks"
-            )
-        if len(survivors) == len(point_outcomes):
-            save(index, survivors)
-        results[index] = merge(index, survivors)
-
-    run_units(
-        runner,
-        simulate_fault_map_batch,
-        tasks,
-        unit_size=num_fault_maps,
-        finish=finish_point,
-        aggregate_packets=aggregate_packets,
-    )
-    return results
-
-
-def run_units(
-    runner,
-    fn: Callable,
-    tasks: Sequence,
-    *,
-    unit_size: int,
-    finish: Callable[[int, List], None],
-    aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
-) -> None:
-    """Run unit-major *tasks* in pooled batches, finishing each unit early.
-
-    *tasks* holds ``unit_size`` consecutive work items per unit (a grid
-    point's dies, a BLER cell's chunks); they are pooled into decode batches
-    (:func:`group_tasks_for_batching`) and streamed through
-    :meth:`~repro.runner.parallel.ParallelRunner.submit_round`.
-    ``finish(slot, outcomes)`` receives unit *slot*'s outcomes in item order
-    as soon as its last item is in, so an interrupted run keeps every unit
-    it completed.  A quarantined batch loses every item it pooled and
-    leaves per-item holes (``None``); a batch the backend never delivers
-    raises once the stream ends.
-    """
-    task_groups = group_tasks_for_batching(tasks, aggregate_packets)
-    group_starts = np.cumsum([0] + [len(group) for group in task_groups]).tolist()
-    outcomes: List = [None] * len(tasks)
-    items_left = [unit_size] * (len(tasks) // unit_size)
-    for group_index, group_result in runner.submit_round(fn, task_groups):
-        start, stop = group_starts[group_index], group_starts[group_index + 1]
-        if not isinstance(group_result, TaskQuarantined):
-            outcomes[start:stop] = group_result
-        for task_index in range(start, stop):
-            slot = task_index // unit_size
-            items_left[slot] -= 1
-            if items_left[slot] == 0:
-                finish(slot, outcomes[slot * unit_size : (slot + 1) * unit_size])
-    unfinished = [slot for slot, left in enumerate(items_left) if left]
-    if unfinished:
-        raise RuntimeError(f"backend never delivered every item of units {unfinished}")
-
-
-def _run_adaptive_point(
-    runner,
-    point: GridPoint,
-    *,
-    num_packets: int,
-    num_fault_maps: int,
-    entropy: int,
-    use_rake: bool,
-    adaptive: AdaptiveStopping,
-    aggregate_packets: int = DEFAULT_AGGREGATE_PACKETS,
-    stored: Sequence[FaultMapOutcome],
-    save: Callable[[List[FaultMapOutcome]], None],
-) -> FaultSimulationPoint:
-    """Adaptively estimate one grid point, one round of die chunks at a time.
-
-    Die ``m`` uses the same spawn key as the fixed schedule
-    (``key_prefix + (m,)``), so the first ``num_fault_maps`` dies coincide
-    with the fixed sweep's dies; adaptive mode only decides *how many* of
-    them (and, for hard points, how many extra dies) to run.  Each round's
-    dies are pooled into cross-work-item decode batches exactly like the
-    fixed path, and the loop itself is the shared
-    :meth:`~repro.runner.parallel.ParallelRunner.run_adaptive_rounds`
-    scheduler — which dies run depends only on round membership, so neither
-    grouping, nor the worker count, nor the execution backend can change
-    the result.
-
-    *stored* is a prefix of the point's die sequence from its point-store
-    record: a round yields the stored outcome for every die index the
-    prefix holds and computes only the rest, so the round decisions replay
-    deterministically and the merged point is byte-identical to an
-    uninterrupted run.  After every round that computed a die, *save*
-    receives every die so far.
-    """
-    from repro.core.montecarlo import required_packets_for_bler
-
-    packets_per_map = max(1, num_packets // num_fault_maps)
     budget = required_packets_for_bler(adaptive.bler_floor, adaptive.relative_error)
     max_trials = adaptive.max_trials if adaptive.max_trials is not None else num_packets
-    min_trials = min(adaptive.min_trials, max_trials)
     trial_ceiling = min(max_trials, budget)
+    results: List[FaultSimulationPoint] = []
+    for index, point in enumerate(points):
+        record, dies = None, []
+        if point_store is not None:
+            record, stored = _point_record(point_store, identity(index), None)
+            dies = list(stored or [])
 
-    def schedule_round(num_dies: int, trials: int) -> List[FaultMapTask]:
-        # Never schedule past the trial ceiling: a round shrinks to however
-        # many dies the remaining budget still covers, so adaptive mode
-        # cannot simulate more than the fixed-schedule sweep at any point.
-        remaining_dies = -(-(trial_ceiling - trials) // packets_per_map)  # ceil
-        round_dies = max(1, min(adaptive.chunks_per_round, remaining_dies))
-        return [
-            FaultMapTask(
-                config=point.config,
-                protection=point.protection,
-                snr_db=float(point.snr_db),
-                defect_rate=float(point.defect_rate),
-                num_packets=packets_per_map,
+        def schedule_round(num_dies: int, trials: int) -> List[FaultMapTask]:
+            # Die m keeps the fixed schedule's spawn key, so the first
+            # num_fault_maps dies are the fixed sweep's.  Never schedule
+            # past the trial ceiling: a round shrinks to however many dies
+            # the remaining budget still covers, so adaptive mode cannot
+            # simulate more than the fixed-schedule sweep at any point.
+            remaining_dies = -(-(trial_ceiling - trials) // packets_per_die)  # ceil
+            round_dies = max(1, min(adaptive.chunks_per_round, remaining_dies))
+            return point.die_tasks(
+                range(num_dies, num_dies + round_dies),
+                packets_per_die=packets_per_die,
                 entropy=entropy,
-                key=point.key_prefix + (num_dies + i,),
                 use_rake=use_rake,
-                fault_model=point.fault_model,
-                soft_error_rate=point.soft_error_rate,
             )
-            for i in range(round_dies)
-        ]
 
-    dies: List[FaultMapOutcome] = list(stored)
-
-    def execute_round(round_runner, round_tasks):
-        first = round_tasks[0].key[-1]
-        known = dies[first : first + len(round_tasks)]
-        yield from known
-        fresh = round_tasks[len(known) :]
-        if not fresh:
-            return
-        groups = group_tasks_for_batching(fresh, aggregate_packets)
-        for group_outcomes in round_runner.map(simulate_fault_map_batch, groups):
-            dies.extend(group_outcomes)
-            yield from group_outcomes
-        save(dies)
-
-    rounds = runner.run_adaptive_rounds(
-        schedule_round,
-        execute_round,
-        _fault_outcome_errors,
-        confidence=adaptive.confidence,
-        relative_error=adaptive.relative_error,
-        min_trials=min_trials,
-        budget=budget,
-        max_trials=max_trials,
-    )
-    return merge_fault_outcomes(
-        dies[: rounds.num_items], snr_db=point.snr_db, protection=point.protection
-    )
-
-
-def fault_map_tasks_for_point(
-    config: LinkConfig,
-    protection: ProtectionScheme,
-    *,
-    snr_db: float,
-    defect_rate: float,
-    num_packets: int,
-    num_fault_maps: int,
-    entropy: int,
-    key_prefix: Tuple[int, ...],
-    use_rake: bool = False,
-    fault_model: "FaultModel | FaultModelSpec | str" = FaultModel.BIT_FLIP,
-    soft_error_rate: float = 0.0,
-) -> List[FaultMapTask]:
-    """The standard sharding of one operating point: one task per die.
-
-    Packets are split evenly across dies
-    (``max(1, num_packets // num_fault_maps)`` per die); die ``m`` gets spawn
-    key ``key_prefix + (m,)``.
-    """
-    packets_per_map = max(1, num_packets // num_fault_maps)
-    return [
-        FaultMapTask(
-            config=config,
-            protection=protection,
-            snr_db=float(snr_db),
-            defect_rate=float(defect_rate),
-            num_packets=packets_per_map,
-            entropy=entropy,
-            key=key_prefix + (map_index,),
-            use_rake=use_rake,
-            fault_model=coerce_fault_model(fault_model),
-            soft_error_rate=float(soft_error_rate),
+        execute_round = partial(
+            run_pooled_round,
+            fn=simulate_fault_map_batch,
+            outcomes=dies,
+            save=None if record is None else partial(point_store.store, *record),
+            aggregate_packets=aggregate_packets,
         )
-        for map_index in range(num_fault_maps)
-    ]
+        rounds = runner.run_adaptive_rounds(
+            schedule_round,
+            execute_round,
+            lambda die: block_errors(die.statistics),
+            confidence=adaptive.confidence,
+            relative_error=adaptive.relative_error,
+            min_trials=min(adaptive.min_trials, max_trials),
+            budget=budget,
+            max_trials=max_trials,
+        )
+        results.append(merge(index, dies[: rounds.num_items]))
+    return results

@@ -2,17 +2,18 @@
 
 :func:`expand_grid` turns a :class:`~repro.scenarios.spec.ScenarioSpec` into
 an ordered list of grid cells (cartesian product of its axes, outermost axis
-first); :func:`run_scenario_grid` resolves each cell to the existing
-link/fault machinery and executes the whole grid through the stock
-keyed-SeedSequence sharding:
+first); :func:`run_scenario_grid` maps each cell to its work items and its
+point-store identity, and nothing more — scheduling, pooling, storing and
+merging the resulting units is :mod:`repro.runner.tasks`'s alone:
 
 * ``kind="fault"`` cells become :class:`~repro.runner.tasks.GridPoint`
   entries of :func:`~repro.runner.tasks.run_fault_map_grid` — one work item
   per die, spawn key ``cell_key + (die,)`` — exactly the decomposition the
   Fig. 6-9 drivers have always used.
-* ``kind="bler"`` cells become defect-free
+* ``kind="bler"`` cells become units of defect-free
   :class:`~repro.runner.tasks.LinkChunkTask` chunks with spawn keys
-  ``cell_key + (chunk,)`` — the Fig. 2 decomposition.
+  ``cell_key + (chunk,)`` — the Fig. 2 decomposition — run by
+  :func:`~repro.runner.tasks.run_fixed_units`.
 
 Because the spawn keys coincide with the historical drivers', a figure
 declared as a scenario grid reproduces its golden snapshot byte for byte,
@@ -39,7 +40,7 @@ from repro.runner.tasks import (
     LinkChunkTask,
     resolve_adaptive,
     run_fault_map_grid,
-    run_units,
+    run_fixed_units,
     simulate_link_chunk_batch,
     split_packets,
 )
@@ -199,9 +200,9 @@ def run_scenario_grid(
     *point_store* (a :class:`~repro.runner.point_store.PointStore`) holds
     the per-die (per-chunk) outcomes of finished cells: a cell with a
     complete record is merged from it instead of scheduled, and every cell
-    that completes is recorded — which is also how rerunning a killed
-    command resumes it.  It is pure topology: a warm store changes how much
-    work is scheduled, never a bit of the outcome.
+    is recorded as its last work item arrives — which is also how rerunning
+    a killed command resumes it.  It is pure topology: a warm store changes
+    how much work is scheduled, never a bit of the outcome.
     """
     resolved = get_scale(scale)
     entropy = resolve_entropy(seed)
@@ -235,74 +236,53 @@ def run_scenario_grid(
             raise ValueError("adaptive stopping applies to fault-map scenarios only")
         chunk_sizes = split_packets(resolved.num_packets)
         use_rake = spec.equalizer == "rake"
-        merged: List[Optional[HarqStatistics]] = [None] * len(cells)
-        pending: List[Tuple[int, Optional[Tuple[str, Dict[str, Any]]]]] = []
-        tasks = []
-        if point_store is not None:
-            from repro.runner.point_store import bler_cell_identity, link_identity
-
-            link_of = lru_cache(maxsize=None)(link_identity)
-        for cell_index, cell in enumerate(cells):
+        units = []
+        for cell in cells:
             config = resolve_link_config(cell.spec, resolved, decoder_backend)
             if cell.spec.snr_db is None:
                 raise ValueError(
                     f"scenario {spec.name!r} needs an SNR: set snr_db or add an "
                     "snr_db axis"
                 )
-            record = None
-            if point_store is not None:
-                identity = bler_cell_identity(
-                    link_of(config),
-                    snr_db=float(cell.spec.snr_db),
+            units.append(
+                [
+                    LinkChunkTask(
+                        config=config,
+                        snr_db=float(cell.spec.snr_db),
+                        num_packets=chunk_packets,
+                        entropy=entropy,
+                        key=cell.key + (chunk_index,),
+                        use_rake=use_rake,
+                    )
+                    for chunk_index, chunk_packets in enumerate(chunk_sizes)
+                ]
+            )
+        identity = None
+        if point_store is not None:
+            from repro.runner.point_store import bler_cell_identity, link_identity
+
+            link_of = lru_cache(maxsize=None)(link_identity)
+
+            def identity(index: int) -> Dict[str, Any]:
+                first = units[index][0]
+                return bler_cell_identity(
+                    link_of(first.config),
+                    snr_db=first.snr_db,
                     chunk_sizes=chunk_sizes,
                     entropy=entropy,
-                    key=cell.key,
+                    key=cells[index].key,
                     use_rake=use_rake,
                 )
-                record = (point_store.digest(identity), identity)
-                stored = point_store.load(record[0], "bler", len(chunk_sizes))
-                if stored is not None:
-                    merged[cell_index] = merge_statistics(stored)
-                    continue
-            pending.append((cell_index, record))
-            tasks.extend(
-                LinkChunkTask(
-                    config=config,
-                    snr_db=float(cell.spec.snr_db),
-                    num_packets=chunk_packets,
-                    entropy=entropy,
-                    key=cell.key + (chunk_index,),
-                    use_rake=use_rake,
-                )
-                for chunk_index, chunk_packets in enumerate(chunk_sizes)
-            )
-
-        def finish_cell(slot: int, cell_chunks: List[Optional[HarqStatistics]]) -> None:
-            cell_index, record = pending[slot]
-            survivors = [s for s in cell_chunks if s is not None]
-            if not survivors:
-                raise RuntimeError(
-                    f"every chunk of grid cell {cell_index} "
-                    f"(key={cells[cell_index].key}) was quarantined; there is "
-                    f"nothing left to merge — see the quarantine directory "
-                    f"for the tracebacks"
-                )
-            if record is not None and len(survivors) == len(cell_chunks):
-                # Only complete cells reach the store; a cell with
-                # quarantined chunks has different statistics and must
-                # never poison it.
-                point_store.store(*record, survivors)
-            merged[cell_index] = merge_statistics(survivors)
 
         with runner_scope(runner) as active_runner:
-            run_units(
+            outcome.statistics = run_fixed_units(
                 active_runner,
                 simulate_link_chunk_batch,
-                tasks,
-                unit_size=len(chunk_sizes),
-                finish=finish_cell,
+                units,
+                merge=lambda _index, chunks: merge_statistics(chunks),
+                identity=identity,
+                point_store=point_store,
             )
-        outcome.statistics = merged
         return outcome
 
     raise ValueError(f"scenario kind {spec.kind!r} has no grid execution path")

@@ -18,12 +18,10 @@ from repro.runner.tasks import (
     FaultMapTask,
     GridPoint,
     LinkChunkTask,
-    fault_map_tasks_for_point,
     group_tasks_for_batching,
     resolve_adaptive,
     run_fault_map_grid,
     simulate_fault_map_batch,
-    simulate_link_chunk,
     simulate_link_chunk_batch,
 )
 from repro.utils.rng import keyed_seed_sequence
@@ -72,7 +70,7 @@ class TestGrouping:
 class TestLinkChunkAggregation:
     def test_batched_chunks_match_solo_chunks(self, tiny_config):
         tasks = _chunk_tasks(tiny_config, [8.0, 12.0, 16.0], packets=5)
-        solo = [simulate_link_chunk(task) for task in tasks]
+        solo = [simulate_link_chunk_batch((task,))[0] for task in tasks]
         batched = simulate_link_chunk_batch(tasks)
         for a, b in zip(solo, batched):
             assert _totals(a) == _totals(b)
@@ -110,15 +108,15 @@ class TestLinkChunkAggregation:
 class TestFaultMapAggregation:
     def test_batched_dies_match_solo_dies(self, tiny_config):
         protection = msb_protection_scheme(tiny_config.llr_bits, 3)
-        tasks = fault_map_tasks_for_point(
-            tiny_config,
-            protection,
+        point = GridPoint(
+            key_prefix=(0, 0),
+            config=tiny_config,
+            protection=protection,
             snr_db=12.0,
             defect_rate=0.05,
-            num_packets=8,
-            num_fault_maps=4,
-            entropy=2012,
-            key_prefix=(0, 0),
+        )
+        tasks = point.die_tasks(
+            range(4), packets_per_die=2, entropy=2012, use_rake=False
         )
         solo = [simulate_fault_map_batch((task,))[0] for task in tasks]
         batched = simulate_fault_map_batch(tasks)
@@ -201,20 +199,18 @@ class TestAdaptiveFaultSweeps:
             entropy=99,
             adaptive=AdaptiveStopping(chunks_per_round=2),
         )[0]
-        fixed_tasks = fault_map_tasks_for_point(
-            tiny_config,
-            protection,
-            snr_db=14.0,
-            defect_rate=0.02,
+        fixed = run_fault_map_grid(
+            ParallelRunner.serial(),
+            [point],
             num_packets=8,
             num_fault_maps=2,
             entropy=99,
-            key_prefix=(3,),
+        )[0]
+        assert len(fixed.per_map_throughput) == 2
+        assert (
+            adaptive.per_map_throughput[: len(fixed.per_map_throughput)]
+            == fixed.per_map_throughput
         )
-        fixed = [simulate_fault_map_batch((task,))[0] for task in fixed_tasks]
-        assert adaptive.per_map_throughput[: len(fixed)] == [
-            o.normalized_throughput for o in fixed
-        ]
 
     def test_adaptive_stops_confident_low_bler_point_early(self, tiny_config):
         """A clean high-SNR point must not burn the whole fixed budget."""

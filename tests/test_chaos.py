@@ -212,7 +212,7 @@ class TestPoisonTaskQuarantine:
             backend_name, workers=2, on_task_error="quarantine"
         )
         with ParallelRunner(2, backend=backend) as runner:
-            results = runner.map(_boom, [1, 2], allow_quarantined=True)
+            results = runner.collect_in_order(runner.submit_round(_boom, [1, 2]), 2)
         assert all(isinstance(r, TaskQuarantined) for r in results)
         assert [r.index for r in results] == [0, 1]
         assert "deliberate task failure" in results[0].error
@@ -231,7 +231,7 @@ class TestPoisonTaskQuarantine:
             backend=SerialBackend(on_task_error="quarantine"),
             quarantine_store=store,
         )
-        runner.map(_boom, [41, 42], allow_quarantined=True)
+        runner.collect_in_order(runner.submit_round(_boom, [41, 42]), 2)
         records = [path for _key, path in store.iter_keys()]
         assert len(records) == 2
         payload = json.loads(records[0].read_text())
@@ -239,7 +239,7 @@ class TestPoisonTaskQuarantine:
         assert "deliberate task failure" in payload["error"]
         assert payload["task"] in (41, 42)
         # Re-running the same poison overwrites records, never accumulates.
-        runner.map(_boom, [41, 42], allow_quarantined=True)
+        runner.collect_in_order(runner.submit_round(_boom, [41, 42]), 2)
         assert len(list(store.iter_keys())) == 2
 
     def test_socket_retry_budget_prefers_distinct_workers(self):
@@ -253,7 +253,7 @@ class TestPoisonTaskQuarantine:
             _start_worker_thread(backend.address)
             _start_worker_thread(backend.address)
             runner = ParallelRunner(2, backend=backend)
-            [sentinel] = runner.map(_boom, [1], allow_quarantined=True)
+            [sentinel] = runner.collect_in_order(runner.submit_round(_boom, [1]), 1)
             assert isinstance(sentinel, TaskQuarantined)
             assert sentinel.attempts == 2
             assert len(set(sentinel.workers)) == 2  # two *distinct* workers

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.core.montecarlo import required_packets_for_bler
 from repro.experiments import fig2_bler_vs_harq, fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
 from repro.runner.backends import (
@@ -193,14 +194,21 @@ class TestBackendConformance:
 
     @pytest.mark.parametrize("backend_name", ["process", "socket"])
     def test_adaptive_proportion_stop_identical(self, backend_name):
-        serial = ParallelRunner.serial().run_adaptive_proportion(
-            _identity_task, _one_error_in_ten, relative_error=0.5, min_trials=20
-        )
-        with _runner_for(backend_name) as runner:
-            other = runner.run_adaptive_proportion(
-                _identity_task, _one_error_in_ten, relative_error=0.5, min_trials=20
+        def run(runner):
+            return runner.run_adaptive_rounds(
+                lambda num_items, _trials: [_identity_task(num_items + i) for i in range(4)],
+                lambda active, chunks: active.map(_one_error_in_ten, chunks),
+                lambda counts: counts,
+                confidence=0.95,
+                relative_error=0.5,
+                min_trials=20,
+                budget=required_packets_for_bler(1e-3, 0.5),
             )
-        assert serial == other  # estimate, counts, num_chunks and stop reason
+
+        serial = run(ParallelRunner.serial())
+        with _runner_for(backend_name) as runner:
+            other = run(runner)
+        assert serial == other  # counts, num_items and stop reason
 
 
 # --------------------------------------------------------------------------- #

@@ -32,6 +32,7 @@ import pytest
 
 from repro.core.protection import NoProtection
 from repro.link.config import LinkConfig
+from repro.runner import telemetry
 from repro.runner.parallel import ParallelRunner
 from repro.runner.point_store import PointStore, statistics_to_json
 from repro.runner.tasks import AdaptiveStopping, GridPoint, run_fault_map_grid
@@ -269,6 +270,44 @@ class TestAdaptiveResume:
         assert scheduled_dies.dies == 0
         assert store.writes == 0
         assert _as_bytes(warm) == _as_bytes(cold)
+
+    def test_only_points_that_computed_count_a_stop(self, tmp_path, config):
+        points = _grid(config, snrs=(14.0, 18.0))
+        adaptive = AdaptiveStopping(chunks_per_round=2, min_trials=4)
+        kwargs = dict(_GRID_KWARGS, num_fault_maps=4, adaptive=adaptive)
+        run_fault_map_grid(
+            ParallelRunner.serial(), points, point_store=PointStore(tmp_path), **kwargs
+        )
+        records = {
+            json.loads(path.read_text())["identity"]["point"]["key_prefix"][0]: path
+            for path in _records(tmp_path)
+        }
+        records[1].unlink()
+
+        def stops():
+            snapshot = telemetry.registry().snapshot()
+            counted = sum(
+                counter["value"]
+                for counter in snapshot["counters"]
+                if counter["name"] == "runner_adaptive_stops_total"
+            )
+            events = [e for e in snapshot["events"] if e["kind"] == "adaptive-stop"]
+            return counted, len(events)
+
+        telemetry.reset()
+        try:
+            # Point 0 replays wholly from its record; only point 1 computes.
+            run_fault_map_grid(
+                ParallelRunner.serial(), points, point_store=PointStore(tmp_path), **kwargs
+            )
+            assert stops() == (1, 1)
+            telemetry.reset()
+            run_fault_map_grid(
+                ParallelRunner.serial(), points, point_store=PointStore(tmp_path), **kwargs
+            )
+            assert stops() == (0, 0)
+        finally:
+            telemetry.reset()
 
 
 # --------------------------------------------------------------------------- #

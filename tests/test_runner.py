@@ -1,5 +1,7 @@
 """Tests for the parallel experiment runner: sharding, determinism, stopping."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,17 @@ from repro.experiments import fig2_bler_vs_harq, fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
 from repro.harq.metrics import HarqStatistics, merge_statistics
 from repro.link.config import LinkConfig
-from repro.runner.parallel import AdaptiveEstimate, ParallelRunner, default_workers
+from repro.core.montecarlo import proportion_confidence_interval, required_packets_for_bler
+from repro.runner.parallel import AdaptiveRounds, ParallelRunner, default_workers
 from repro.runner.tasks import (
     FaultMapTask,
+    GridPoint,
     LinkChunkTask,
-    count_block_errors,
-    fault_map_tasks_for_point,
+    block_errors,
+    run_fault_map_grid,
+    run_pooled_round,
     simulate_fault_map_batch,
-    simulate_link_chunk,
+    simulate_link_chunk_batch,
     split_packets,
 )
 from repro.core.protection import NoProtection
@@ -66,8 +71,8 @@ class TestDeterminism:
     def test_link_chunk_is_location_independent(self):
         config = LinkConfig(payload_bits=56, crc_bits=16, turbo_iterations=3, max_transmissions=2)
         task = LinkChunkTask(config=config, snr_db=20.0, num_packets=2, entropy=9, key=(4, 2))
-        first = simulate_link_chunk(task)
-        second = simulate_link_chunk(task)
+        [first] = simulate_link_chunk_batch((task,))
+        [second] = simulate_link_chunk_batch((task,))
         assert first.num_successful == second.num_successful
         assert first.total_transmissions == second.total_transmissions
         np.testing.assert_array_equal(
@@ -151,19 +156,21 @@ class TestFaultMapTasks:
     def test_point_sharding_matches_serial_packet_split(self):
         config = LinkConfig(payload_bits=56, crc_bits=16, turbo_iterations=3, max_transmissions=2)
         protection = NoProtection(bits_per_word=config.llr_bits)
-        tasks = fault_map_tasks_for_point(
-            config,
-            protection,
+        point = GridPoint(
+            key_prefix=(0, 3),
+            config=config,
+            protection=protection,
             snr_db=20.0,
             defect_rate=0.1,
-            num_packets=5,
-            num_fault_maps=2,
-            entropy=11,
-            key_prefix=(0, 3),
         )
+        tasks = point.die_tasks(range(2), packets_per_die=2, entropy=11, use_rake=False)
         assert [t.key for t in tasks] == [(0, 3, 0), (0, 3, 1)]
         # Same split the serial fault simulator uses: num_packets // maps each.
-        assert [t.num_packets for t in tasks] == [2, 2]
+        [merged] = run_fault_map_grid(
+            ParallelRunner.serial(), [point], num_packets=5, num_fault_maps=2, entropy=11
+        )
+        assert merged.statistics.num_packets == 4
+        assert len(merged.per_map_throughput) == 2
 
     def test_fault_count_scales_with_defect_rate(self):
         config = LinkConfig(payload_bits=56, crc_bits=16, turbo_iterations=3, max_transmissions=2)
@@ -196,23 +203,48 @@ def _identity_task(chunk_index):
     return chunk_index
 
 
+def _adaptive(
+    runner,
+    simulate,
+    *,
+    make_task=_identity_task,
+    confidence=0.95,
+    relative_error=0.3,
+    bler_floor=1e-3,
+    min_trials=32,
+    max_trials=None,
+):
+    """``run_adaptive_rounds`` over rounds of four chunks, ``repro bler``'s shape."""
+
+    def schedule_round(num_items, _trials):
+        return [make_task(num_items + i) for i in range(4)]
+
+    return runner.run_adaptive_rounds(
+        schedule_round,
+        lambda active, chunks: active.map(simulate, chunks),
+        lambda counts: counts,
+        confidence=confidence,
+        relative_error=relative_error,
+        min_trials=min_trials,
+        budget=required_packets_for_bler(bler_floor, relative_error),
+        max_trials=max_trials,
+    )
+
+
 class TestAdaptiveStopping:
     def test_stops_once_confident(self):
-        outcome = ParallelRunner.serial().run_adaptive_proportion(
-            _identity_task,
-            _always_one_error,
-            relative_error=0.5,
-            bler_floor=1e-3,
-            min_trials=20,
+        outcome = _adaptive(
+            ParallelRunner.serial(), _always_one_error, relative_error=0.5, min_trials=20
         )
-        assert isinstance(outcome, AdaptiveEstimate)
+        assert isinstance(outcome, AdaptiveRounds)
         assert outcome.stop_reason == "confident"
-        assert outcome.estimate.half_width <= 0.5 * outcome.estimate.value
-        assert outcome.trials == 10 * outcome.num_chunks
+        estimate = proportion_confidence_interval(outcome.errors, outcome.trials, 0.95)
+        assert estimate.half_width <= 0.5 * estimate.value
+        assert outcome.trials == 10 * outcome.num_items
 
     def test_error_free_point_stops_at_budget(self):
-        outcome = ParallelRunner.serial().run_adaptive_proportion(
-            _identity_task, _never_errors, relative_error=0.5, bler_floor=0.05
+        outcome = _adaptive(
+            ParallelRunner.serial(), _never_errors, relative_error=0.5, bler_floor=0.05
         )
         assert outcome.stop_reason == "budget"
         assert outcome.errors == 0
@@ -220,8 +252,8 @@ class TestAdaptiveStopping:
         assert outcome.trials >= 76
 
     def test_max_trials_ceiling(self):
-        outcome = ParallelRunner.serial().run_adaptive_proportion(
-            _identity_task,
+        outcome = _adaptive(
+            ParallelRunner.serial(),
             _never_errors,
             relative_error=0.1,
             bler_floor=1e-6,
@@ -231,47 +263,49 @@ class TestAdaptiveStopping:
         assert outcome.trials >= 50
 
     def test_stopping_point_independent_of_workers(self):
-        serial = ParallelRunner.serial().run_adaptive_proportion(
-            _identity_task, _always_one_error, relative_error=0.5, min_trials=20
+        serial = _adaptive(
+            ParallelRunner.serial(), _always_one_error, relative_error=0.5, min_trials=20
         )
-        parallel = ParallelRunner(workers=2).run_adaptive_proportion(
-            _identity_task, _always_one_error, relative_error=0.5, min_trials=20
+        parallel = _adaptive(
+            ParallelRunner(workers=2), _always_one_error, relative_error=0.5, min_trials=20
         )
         assert serial == parallel
 
     def test_adaptive_on_real_link(self, micro_scale):
         config = micro_scale.link_config()
 
-        def make_task(chunk_index):
-            return LinkChunkTask(
-                config=config,
-                snr_db=8.0,
-                num_packets=2,
-                entropy=2012,
-                key=(chunk_index,),
-            )
+        def schedule_round(num_items, _trials):
+            return [
+                LinkChunkTask(
+                    config=config,
+                    snr_db=8.0,
+                    num_packets=2,
+                    entropy=2012,
+                    key=(num_items + i,),
+                )
+                for i in range(4)
+            ]
 
-        outcome = ParallelRunner.serial().run_adaptive_proportion(
-            make_task,
-            count_block_errors,
+        outcome = ParallelRunner.serial().run_adaptive_rounds(
+            schedule_round,
+            partial(run_pooled_round, fn=simulate_link_chunk_batch, outcomes=[]),
+            block_errors,
+            confidence=0.95,
             relative_error=0.5,
-            bler_floor=0.2,
             min_trials=8,
+            budget=required_packets_for_bler(0.2, 0.5),
             max_trials=24,
         )
         assert outcome.trials >= 8
-        assert 0.0 <= outcome.estimate.lower <= outcome.estimate.upper <= 1.0
+        estimate = proportion_confidence_interval(outcome.errors, outcome.trials, 0.95)
+        assert 0.0 <= estimate.lower <= estimate.upper <= 1.0
 
     def test_rejects_bad_parameters(self):
         runner = ParallelRunner.serial()
         with pytest.raises(ValueError):
-            runner.run_adaptive_proportion(
-                _identity_task, _never_errors, bler_floor=0.0
-            )
-        with pytest.raises(ValueError):
-            runner.run_adaptive_proportion(
-                _identity_task, _never_errors, chunks_per_round=0
-            )
+            _adaptive(runner, _never_errors, bler_floor=0.0)
+        with pytest.raises(ValueError, match="max_trials"):
+            _adaptive(runner, _never_errors, max_trials=0)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, float("nan")])
     def test_bad_confidence_fails_before_any_round(self, confidence):
@@ -282,8 +316,11 @@ class TestAdaptiveStopping:
             return chunk_index
 
         with pytest.raises(ValueError, match="confidence"):
-            ParallelRunner.serial().run_adaptive_proportion(
-                make_task, _always_one_error, confidence=confidence
+            _adaptive(
+                ParallelRunner.serial(),
+                _always_one_error,
+                make_task=make_task,
+                confidence=confidence,
             )
         assert scheduled == []
 
