@@ -155,20 +155,25 @@ class Modulator:
     def _axis_llrs(
         self, received: np.ndarray, levels: np.ndarray, axis_var: np.ndarray
     ) -> np.ndarray:
-        """Per-axis max-log LLRs for all bits mapped to one PAM axis."""
+        """Per-axis max-log LLRs for all bits mapped to one PAM axis.
+
+        A bit's LLR is the best bit-0 metric ``-d / (2 axis_var)`` minus the
+        best bit-1 metric, ``d`` the squared distance to a level.  Division
+        by a positive number is monotone even when rounded, so each best
+        metric is ``-min(d) / (2 axis_var)`` exactly: the minimum is taken
+        over each bit's two label subsets and the quotient formed once.
+        """
         b = self.bits_per_axis
-        m = levels.size
-        # Squared distances to each PAM level: shape (num_symbols, m).
-        dist = (received[:, None] - levels[None, :]) ** 2
-        metrics = -dist / (2.0 * axis_var[:, None])
-        llrs = np.empty((received.size, b), dtype=np.float64)
-        patterns = np.arange(m)
+        # Squared distances, one row per level in label order: (m, symbols).
+        dist = (levels[:, None] - received[None, :]) ** 2
+        # closest[bit, v] = smallest distance to a level whose bit is v; the
+        # labels split on bit ``bit`` (MSB first) into blocks of 2**(b-1-bit).
+        closest = np.empty((b, 2, received.size), dtype=np.float64)
         for bit in range(b):
-            mask0 = ((patterns >> (b - 1 - bit)) & 1) == 0
-            max0 = metrics[:, mask0].max(axis=1)
-            max1 = metrics[:, ~mask0].max(axis=1)
-            llrs[:, bit] = max0 - max1
-        return llrs
+            blocks = dist.reshape(1 << bit, 2, 1 << (b - 1 - bit), received.size)
+            closest[bit] = blocks.min(axis=(0, 2))
+        closest /= 2.0 * axis_var
+        return (closest[:, 1] - closest[:, 0]).T
 
 
 #: Modulators keyed by their 3GPP-style names.

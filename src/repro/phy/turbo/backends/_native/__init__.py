@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import shlex
-import subprocess
 import sysconfig
 import tempfile
 import threading
@@ -93,16 +92,9 @@ def _load(entry: Path) -> Tuple[Optional[object], str]:
     origin = "loaded from the cache"
     if not _intact(binary, stamp):
         origin = "compiled on first use"
-        try:
-            _build(entry, binary, stamp)
-        except subprocess.CalledProcessError as exc:
-            detail = (exc.stderr or b"").decode(errors="replace").strip().splitlines()
-            return None, (
-                f"C compiler failed (`{shlex.join(exc.cmd[:1])}`, exit status "
-                f"{exc.returncode}){': ' + detail[-1] if detail else ''}"
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
-            return None, f"cannot build the native kernel in {entry}: {exc}"
+        failure = _build(entry, binary, stamp)
+        if failure is not None:
+            return None, failure
     try:
         loader = ExtensionFileLoader(MODULE_NAME, str(binary))
         module = module_from_spec(spec_from_file_location(MODULE_NAME, binary, loader=loader))
@@ -120,13 +112,20 @@ def _intact(binary: Path, stamp: Path) -> bool:
         return False
 
 
-def _build(entry: Path, binary: Path, stamp: Path) -> None:
-    """Compile into a temporary file in *entry*, then publish it atomically."""
+def _build(entry: Path, binary: Path, stamp: Path) -> Optional[str]:
+    """Compile into a temporary file in *entry*, then publish it atomically.
+
+    Returns why the build failed, or ``None`` once the binary is published.
+    ``subprocess`` is imported here, so a process that finds the kernel in
+    the cache never loads it.
+    """
+    import subprocess
+
     compiler = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
     include = sysconfig.get_paths()["include"]
-    entry.mkdir(parents=True, exist_ok=True)
     scratch = []
     try:
+        entry.mkdir(parents=True, exist_ok=True)
         fd, tmp_binary = tempfile.mkstemp(dir=entry, prefix=".build-", suffix=_EXT_SUFFIX)
         os.close(fd)
         scratch.append(tmp_binary)
@@ -145,9 +144,18 @@ def _build(entry: Path, binary: Path, stamp: Path) -> None:
             handle.write(checksum + "\n")
         os.replace(tmp_binary, binary)
         os.replace(tmp_stamp, stamp)
+    except subprocess.CalledProcessError as exc:
+        detail = (exc.stderr or b"").decode(errors="replace").strip().splitlines()
+        return (
+            f"C compiler failed (`{shlex.join(exc.cmd[:1])}`, exit status "
+            f"{exc.returncode}){': ' + detail[-1] if detail else ''}"
+        )
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"cannot build the native kernel in {entry}: {exc}"
     finally:
         for name in scratch:
             try:
                 os.unlink(name)
             except FileNotFoundError:
                 pass
+    return None

@@ -69,7 +69,8 @@ def qpp_interleaver(block_size: int, f1: int | None = None, f2: int | None = Non
         f2 = auto_f2 if f2 is None else f2
     i = np.arange(k, dtype=np.int64)
     permutation = (f1 * i + f2 * i * i) % k
-    if np.unique(permutation).size != k:
+    # The values lie in [0, K) by the modulo: a permutation hits each once.
+    if np.bincount(permutation, minlength=k).max() != 1:
         raise ValueError(
             f"(f1={f1}, f2={f2}) is not a valid QPP parameter pair for K={k}"
         )

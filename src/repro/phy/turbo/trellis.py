@@ -50,6 +50,12 @@ class RscTrellis:
     prev_input:
         ``prev_input[s', k]`` — the input bit on the branch from
         ``prev_state[s', k]`` to ``s'``.
+    byte_next_state:
+        ``byte_next_state[s, b]`` — state after the eight input bits of byte
+        ``b`` (first bit in the most significant place) from state ``s``.
+    byte_parity:
+        ``byte_parity[s, b]`` — the eight parity bits of that walk, packed
+        the same way.
     """
 
     feedback: int = 0o13
@@ -60,6 +66,8 @@ class RscTrellis:
     parity: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     prev_state: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     prev_input: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    byte_next_state: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    byte_parity: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.constraint_length, "constraint_length")
@@ -102,10 +110,21 @@ class RscTrellis:
         if not np.all(counts == 2):
             raise RuntimeError("invalid trellis: every state must have two predecessors")
 
+        # Every (state, byte) pair walked one bit at a time, all pairs at once.
+        bytes_ = np.arange(256)
+        byte_next_state = np.repeat(np.arange(num_states)[:, None], 256, axis=1)
+        byte_parity = np.zeros((num_states, 256), dtype=np.int64)
+        for shift in range(7, -1, -1):
+            u = (bytes_ >> shift) & 1
+            byte_parity = (byte_parity << 1) | parity[byte_next_state, u]
+            byte_next_state = next_state[byte_next_state, u]
+
         object.__setattr__(self, "next_state", next_state)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "prev_state", prev_state)
         object.__setattr__(self, "prev_input", prev_input)
+        object.__setattr__(self, "byte_next_state", byte_next_state)
+        object.__setattr__(self, "byte_parity", byte_parity.astype(np.uint8))
 
     @property
     def num_states(self) -> int:
@@ -118,24 +137,39 @@ class RscTrellis:
         """Run the RSC encoder over each row of a ``(batch, length)`` bit matrix.
 
         The shift-register recursion is an exact integer table lookup swept
-        column by column across the batch, on flattened ``2 * state + bit``
-        tables so each step is one add and two 1-D gathers; returns
+        across the batch eight input bits per step, through the flattened
+        ``256 * state + byte`` tables (one add and two 1-D gathers a step);
+        the last ``length % 8`` bits take the same walk one bit at a time on
+        the ``2 * state + bit`` tables.  Returns
         ``(parity_matrix, final_states)``.
         """
-        info = np.asarray(bits, dtype=np.int64)
+        info = np.asarray(bits, dtype=np.uint8)
         if info.ndim != 2:
             raise ValueError(f"expected a 2-D bit matrix, got shape {info.shape}")
         batch, length = info.shape
-        columns = np.ascontiguousarray(info.T)
+        whole = length - length % 8
+        out = np.empty((batch, length), dtype=np.int8)
+
+        byte_columns = np.ascontiguousarray(np.packbits(info[:, :whole], axis=1).T)
+        byte_parity = self.byte_parity.reshape(-1)
+        byte_next_base = 256 * self.byte_next_state.reshape(-1)
+        base = np.full(batch, 256 * int(initial_state), dtype=np.int64)
+        parity_bytes = np.empty(byte_columns.shape, dtype=np.uint8)
+        for i in range(whole // 8):
+            index = base + byte_columns[i]
+            parity_bytes[i] = byte_parity[index]
+            base = byte_next_base[index]
+        out[:, :whole] = np.unpackbits(np.ascontiguousarray(parity_bytes.T), axis=1)
+
+        tail_columns = np.ascontiguousarray(info[:, whole:].T)
         parity = self.parity.reshape(-1)
         next_base = 2 * self.next_state.reshape(-1)
-        base = np.full(batch, 2 * int(initial_state), dtype=np.int64)
-        out = np.empty((length, batch), dtype=np.int8)
-        for i in range(length):
-            index = base + columns[i]
-            out[i] = parity[index]
+        base //= 128  # 256 * state -> 2 * state
+        for i in range(length - whole):
+            index = base + tail_columns[i]
+            out[:, whole + i] = parity[index]
             base = next_base[index]
-        return np.ascontiguousarray(out.T), base // 2
+        return out, base // 2
 
 
 #: The UMTS / HSPA constituent-code trellis (octal generators 13 / 15).

@@ -25,26 +25,15 @@ from repro.runner.backends import (
 )
 from repro.runner.cache import ResultCache, config_digest
 from repro.runner.parallel import ParallelRunner, resolve_runner, runner_scope
-
-# The registry imports the experiment drivers, and the drivers import
-# repro.runner.parallel / .tasks (hence this package __init__) — so the
-# registry surface is re-exported lazily to keep the import graph acyclic.
-_REGISTRY_EXPORTS = (
-    "EXPERIMENTS",
-    "ExperimentRun",
-    "ExperimentSpec",
-    "experiment_names",
-    "get_experiment",
-    "run_experiment",
+from repro.runner.registry import (
+    EXPERIMENTS,
+    ExperimentRun,
+    ExperimentSpec,
+    experiment_names,
+    get_experiment,
+    run_experiment,
 )
 
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from repro.runner import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "EXPERIMENTS",

@@ -16,6 +16,13 @@ Because every work item is seeded by its sweep coordinates, all backends
 produce **bit-identical results** for the same plan; the choice is pure
 execution topology and is therefore excluded from the run identity (caches
 and golden files never record it).
+
+Each family's module is imported by its factory, so a serial run never
+loads ``multiprocessing``, ``concurrent.futures`` or ``socket``.  Import
+:class:`ProcessPoolBackend` from
+:mod:`repro.runner.backends.process_pool` and the socket backend's names
+(:class:`SocketDistributedBackend`, ``run_worker``, ``WORKER_EXIT_*``) from
+:mod:`repro.runner.backends.socket_backend`.
 """
 
 from __future__ import annotations
@@ -28,15 +35,7 @@ from repro.runner.backends.base import (
     TaskQuarantined,
     validate_task_error_policy,
 )
-from repro.runner.backends.process_pool import ProcessPoolBackend, default_workers
 from repro.runner.backends.serial import SerialBackend
-from repro.runner.backends.socket_backend import (
-    WORKER_EXIT_FAILURE,
-    WORKER_EXIT_LOST_COORDINATOR,
-    WORKER_EXIT_OK,
-    SocketDistributedBackend,
-    run_worker,
-)
 
 #: The backend used when nothing is requested and ``workers <= 1``.
 DEFAULT_BACKEND = "serial"
@@ -53,10 +52,14 @@ def _make_serial(workers: int, **options: object) -> ExecutionBackend:
 def _make_process(workers: int, **options: object) -> ExecutionBackend:
     on_task_error = str(options.pop("on_task_error", "fail"))
     _reject_options("process", options)
+    from repro.runner.backends.process_pool import ProcessPoolBackend
+
     return ProcessPoolBackend(workers, on_task_error=on_task_error)
 
 
 def _make_socket(workers: int, **options: object) -> ExecutionBackend:
+    from repro.runner.backends.socket_backend import SocketDistributedBackend
+
     return SocketDistributedBackend(workers, **options)  # type: ignore[arg-type]
 
 
@@ -104,17 +107,10 @@ __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_PARALLEL_BACKEND",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
-    "SocketDistributedBackend",
     "TASK_ERROR_POLICIES",
     "TaskQuarantined",
-    "WORKER_EXIT_FAILURE",
-    "WORKER_EXIT_LOST_COORDINATOR",
-    "WORKER_EXIT_OK",
     "create_execution_backend",
-    "default_workers",
     "execution_backend_names",
-    "run_worker",
     "validate_task_error_policy",
 ]

@@ -17,9 +17,16 @@ the golden files (see :func:`repro.runner.cli.run_identity`).
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Tuple
+
+
+def default_workers() -> int:
+    """Worker count used when the caller asks for ``workers=0`` ("auto")."""
+    return max(1, os.cpu_count() or 1)
+
 
 #: Valid ``on_task_error`` policies, shared by every backend family.
 TASK_ERROR_POLICIES = ("fail", "quarantine")

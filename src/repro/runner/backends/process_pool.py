@@ -10,7 +10,6 @@ order; the scheduler reorders them.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -24,6 +23,7 @@ from repro.runner import telemetry
 from repro.runner.backends.base import (
     ExecutionBackend,
     TaskQuarantined,
+    default_workers,
     validate_task_error_policy,
 )
 
@@ -34,11 +34,6 @@ _POOL_CONTEXT = (
     if "fork" in multiprocessing.get_all_start_methods()
     else None
 )
-
-
-def default_workers() -> int:
-    """Worker count used when the caller asks for ``workers=0`` ("auto")."""
-    return max(1, os.cpu_count() or 1)
 
 
 class ProcessPoolBackend(ExecutionBackend):

@@ -42,9 +42,9 @@ from repro.runner import chaos, telemetry
 from repro.runner.backends.base import (
     ExecutionBackend,
     TaskQuarantined,
+    default_workers,
     validate_task_error_policy,
 )
-from repro.runner.backends.process_pool import default_workers
 from repro.runner.backends.wire import (
     format_address,
     parse_address,

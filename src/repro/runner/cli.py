@@ -65,7 +65,6 @@ from repro.runner.backends import (
     TASK_ERROR_POLICIES,
     create_execution_backend,
     execution_backend_names,
-    run_worker,
 )
 from repro.runner.cache import (
     POINTS_DIRNAME,
@@ -141,6 +140,33 @@ def _decoder_backend_token(value: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _checked(
+    kind: type, accept: Callable[[Any], bool], requirement: str
+) -> Callable[[str], Any]:
+    """argparse type: a *kind* value that *accept* admits.
+
+    A rejected value fails at parse time, where argparse names the flag
+    (``argument --confidence: must be in (0, 1), got 1``) and exits with
+    status 2.  The parser keeps *kind*'s name, so a non-number still reads
+    ``invalid float value``.
+    """
+
+    def parse(value: str) -> Any:
+        number = kind(value)
+        if not accept(number):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return number
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+#: A probability strictly inside (0, 1); NaN fails every comparison.
+_OPEN_UNIT = _checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_POSITIVE_FLOAT = _checked(float, lambda x: x > 0.0, "positive")
+_POSITIVE_INT = _checked(int, lambda x: x > 0, "positive")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -330,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     bler_p.add_argument("--scale", default="smoke", choices=sorted(SCALES))
     bler_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_execution_arguments(bler_p)
-    bler_p.add_argument("--relative-error", type=float, default=0.3)
-    bler_p.add_argument("--confidence", type=float, default=0.95)
-    bler_p.add_argument("--bler-floor", type=float, default=1e-2)
-    bler_p.add_argument("--chunk-packets", type=int, default=8)
-    bler_p.add_argument("--max-packets", type=int, default=None)
+    bler_p.add_argument("--relative-error", type=_POSITIVE_FLOAT, default=0.3)
+    bler_p.add_argument("--confidence", type=_OPEN_UNIT, default=0.95)
+    bler_p.add_argument("--bler-floor", type=_OPEN_UNIT, default=1e-2)
+    bler_p.add_argument("--chunk-packets", type=_POSITIVE_INT, default=8)
+    bler_p.add_argument("--max-packets", type=_POSITIVE_INT, default=None)
     bler_p.add_argument(
         "--metrics-out",
         type=Path,
@@ -898,7 +924,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         )
     print("execution backends (topology only; results are identical):")
     print(f"  {' '.join(sorted(execution_backend_names()))}")
-    print(f"scenarios: {len(scenario_names())} registered (see `repro scenarios ls`)")
+    print("scenarios: see `repro scenarios ls`")
     return 0
 
 
@@ -1046,6 +1072,8 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.runner.backends.socket_backend import run_worker
+
     kwargs = {}
     if args.heartbeat_interval is not None:
         kwargs["heartbeat_interval"] = args.heartbeat_interval or None

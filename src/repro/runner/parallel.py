@@ -55,9 +55,11 @@ from repro.runner import telemetry
 from repro.runner.backends import (
     DEFAULT_BACKEND,
     DEFAULT_PARALLEL_BACKEND,
+    create_execution_backend,
+)
+from repro.runner.backends.base import (
     ExecutionBackend,
     TaskQuarantined,
-    create_execution_backend,
     default_workers,
 )
 from repro.utils.validation import ensure_positive_int

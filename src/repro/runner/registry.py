@@ -4,26 +4,19 @@ Every figure driver registers an :class:`ExperimentSpec`; the registry gives
 the CLI, the golden-seed regression suite and the benchmark harness one
 uniform way to run any experiment and receive its results as a plain
 ``{name: SweepTable}`` mapping (plus JSON-able extras such as Fig. 8's
-optimum protection depth).
+optimum protection depth).  A spec names its driver module, which
+:func:`run_experiment` imports, so listing or running one experiment never
+loads the other drivers.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.results import SweepTable
 from repro.runner.cache import canonicalize
-from repro.experiments import (
-    fig2_bler_vs_harq,
-    fig3_cell_failure,
-    fig5_yield,
-    fig6_throughput_vs_defects,
-    fig7_msb_protection,
-    fig8_efficiency,
-    fig9_bitwidth,
-    power_savings,
-)
 from repro.experiments.scales import Scale, get_scale
 from repro.runner.backends import ExecutionBackend, create_execution_backend
 from repro.runner.parallel import ParallelRunner
@@ -42,9 +35,10 @@ class ExperimentSpec:
         Paper figure / section the driver reproduces.
     summary:
         One-line description shown by ``python -m repro list``.
-    run:
-        Driver entry point; must accept ``(scale, seed, runner=..., **kwargs)``
-        and return a :class:`SweepTable` or a dict containing tables.
+    module:
+        Driver module, imported when the experiment runs; its ``run`` must
+        accept ``(scale, seed, runner=..., **kwargs)`` and return a
+        :class:`SweepTable` or a dict containing tables.
     stochastic:
         Whether the result depends on the seed (analytical drivers are
         deterministic and ignore it).
@@ -53,7 +47,7 @@ class ExperimentSpec:
     name: str
     figure: str
     summary: str
-    run: Callable[..., Any]
+    module: str
     stochastic: bool = True
 
 
@@ -116,7 +110,7 @@ register(
         name="fig2",
         figure="Fig. 2",
         summary="decoding-failure probability over HARQ retransmissions",
-        run=fig2_bler_vs_harq.run,
+        module="repro.experiments.fig2_bler_vs_harq",
     )
 )
 register(
@@ -124,7 +118,7 @@ register(
         name="fig3",
         figure="Fig. 3",
         summary="cell failure probability vs supply voltage (analytical)",
-        run=fig3_cell_failure.run,
+        module="repro.experiments.fig3_cell_failure",
         stochastic=False,
     )
 )
@@ -133,7 +127,7 @@ register(
         name="fig5",
         figure="Fig. 5",
         summary="array yield vs accepted defect count (analytical)",
-        run=fig5_yield.run,
+        module="repro.experiments.fig5_yield",
         stochastic=False,
     )
 )
@@ -142,7 +136,7 @@ register(
         name="fig6",
         figure="Fig. 6",
         summary="throughput and transmissions vs SNR under defect rates",
-        run=fig6_throughput_vs_defects.run,
+        module="repro.experiments.fig6_throughput_vs_defects",
     )
 )
 register(
@@ -150,7 +144,7 @@ register(
         name="fig7",
         figure="Fig. 7",
         summary="throughput vs SNR protecting k MSBs at 10% defects",
-        run=fig7_msb_protection.run,
+        module="repro.experiments.fig7_msb_protection",
     )
 )
 register(
@@ -158,7 +152,7 @@ register(
         name="fig8",
         figure="Fig. 8",
         summary="protection efficiency (throughput gain per area overhead)",
-        run=fig8_efficiency.run,
+        module="repro.experiments.fig8_efficiency",
     )
 )
 register(
@@ -166,7 +160,7 @@ register(
         name="fig9",
         figure="Fig. 9",
         summary="throughput vs LLR bit-width at 10% defects",
-        run=fig9_bitwidth.run,
+        module="repro.experiments.fig9_bitwidth",
     )
 )
 register(
@@ -174,7 +168,7 @@ register(
         name="power_savings",
         figure="Section 6.3",
         summary="supply voltage and power savings of the HARQ LLR memory",
-        run=power_savings.run,
+        module="repro.experiments.power_savings",
         stochastic=False,
     )
 )
@@ -220,6 +214,7 @@ def run_experiment(
     execution topology is not part of the run identity.
     """
     spec = get_experiment(name)
+    driver = importlib.import_module(spec.module)
     resolved_scale = get_scale(scale)
     entropy = resolve_entropy(seed)
     owns_runner = runner is None
@@ -236,7 +231,7 @@ def run_experiment(
         )
         runner = ParallelRunner(workers, backend=backend)
     try:
-        result = spec.run(resolved_scale, entropy, runner=runner, **kwargs)
+        result = driver.run(resolved_scale, entropy, runner=runner, **kwargs)
     finally:
         if owns_runner:
             runner.close()

@@ -25,10 +25,12 @@ from repro.experiments.scales import SCALES
 from repro.runner import chaos
 from repro.runner.backends import (
     SerialBackend,
-    SocketDistributedBackend,
     TaskQuarantined,
-    WORKER_EXIT_OK,
     create_execution_backend,
+)
+from repro.runner.backends.socket_backend import (
+    WORKER_EXIT_OK,
+    SocketDistributedBackend,
     run_worker,
 )
 from repro.runner.cache import QuarantineStore, ResultCache

@@ -18,13 +18,12 @@ from repro.core.montecarlo import required_packets_for_bler
 from repro.experiments import fig2_bler_vs_harq, fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
 from repro.runner.backends import (
-    ProcessPoolBackend,
     SerialBackend,
-    SocketDistributedBackend,
     create_execution_backend,
     execution_backend_names,
-    run_worker,
 )
+from repro.runner.backends.process_pool import ProcessPoolBackend
+from repro.runner.backends.socket_backend import SocketDistributedBackend, run_worker
 from repro.runner.backends.wire import parse_address, recv_message, send_message
 from repro.runner.parallel import ParallelRunner, resolve_runner, runner_scope
 
@@ -97,7 +96,7 @@ class TestRegistry:
             resolve_runner(3.14)
 
     def test_resolve_runner_scales_named_backends_to_cpus(self):
-        from repro.runner.backends import default_workers
+        from repro.runner.backends.base import default_workers
 
         # Naming a parallel backend means "use it": one worker per CPU, not
         # the inline-serial shortcut a workers=1 pool would take.

@@ -162,7 +162,6 @@ ALLOWED = {
     "repro.runner.serve:_QueryHandler.do_PUT": "http.server dispatches do_<METHOD> by name",
     "repro.runner.serve:_QueryHandler.do_DELETE": "http.server dispatches do_<METHOD> by name",
     "repro.runner.serve:_QueryHandler.log_message": "http.server override, called by the base",
-    "repro.runner:__getattr__": "module __getattr__, called by attribute lookup",
     "repro.runner.telemetry:reset": "process-global test-isolation reset",
     "repro.runner.telemetry:MetricsRegistry.reset": "process-global test-isolation reset",
     "repro.runner.chaos:reset": "process-global test-isolation reset",

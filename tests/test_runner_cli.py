@@ -246,11 +246,37 @@ class TestCliMain:
 
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "-0.5", "nan"])
     def test_bler_rejects_confidence_outside_unit_interval(self, confidence, capsys):
-        # Rejected before the first round is scheduled: no estimate is printed.
-        assert main(["bler", "--snr", "6", "--confidence", confidence]) == 2
+        # Rejected at parse time, before any round: no estimate is printed.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bler", "--snr", "6", "--confidence", confidence])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert "confidence must be in (0, 1)" in captured.err
+        assert f"argument --confidence: must be in (0, 1), got {confidence}" in captured.err
         assert "BLER at" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flag, value, requirement",
+        [
+            ("--bler-floor", "0", "in (0, 1)"),
+            ("--chunk-packets", "0", "positive"),
+            ("--max-packets", "0", "positive"),
+            ("--relative-error", "0", "positive"),
+            ("--confidence", "1", "in (0, 1)"),
+        ],
+    )
+    def test_bler_names_the_rejected_flag(self, flag, value, requirement, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bler", "--snr", "6", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        message = f"repro bler: error: argument {flag}: must be {requirement}, got {value}"
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_bler_flag_types_still_name_non_numbers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bler", "--snr", "6", "--chunk-packets", "many"])
+        assert "argument --chunk-packets: invalid int value: 'many'" in capsys.readouterr().err
 
     def test_cache_subcommand(self, tmp_path, capsys):
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
@@ -294,7 +320,7 @@ class TestCliMain:
         assert args.once
 
     def test_named_backend_scales_workers_to_cpus(self):
-        from repro.runner.backends import default_workers
+        from repro.runner.backends.base import default_workers
         from repro.runner.cli import build_parser, make_runner
 
         args = build_parser().parse_args(
@@ -314,7 +340,7 @@ class TestCliMain:
             assert runner.backend.name == "serial"
 
     def test_workers_zero_still_means_parallel_auto(self):
-        from repro.runner.backends import default_workers
+        from repro.runner.backends.base import default_workers
         from repro.runner.cli import build_parser, make_runner
 
         args = build_parser().parse_args(["run", "fig2", "--workers", "0"])

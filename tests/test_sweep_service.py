@@ -29,11 +29,11 @@ import pytest
 from repro.experiments import fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
 from repro.harq.metrics import HarqStatistics
-from repro.runner.backends import (
-    SocketDistributedBackend,
+from repro.runner.backends.socket_backend import (
     WORKER_EXIT_FAILURE,
     WORKER_EXIT_LOST_COORDINATOR,
     WORKER_EXIT_OK,
+    SocketDistributedBackend,
     run_worker,
 )
 from repro.runner.backends.wire import (

@@ -8,6 +8,12 @@ theory:
   :class:`~repro.phy.modulation.Modulator` and
   :meth:`~repro.link.receiver.Receiver.demap_batch`, against the exact
   Q-function expression of nearest-point detection;
+* the max-log soft demapper: for QPSK/16-QAM/64-QAM,
+  :meth:`~repro.phy.modulation.Modulator.demodulate_soft` returns exactly
+  (``array_equal``) the best bit-0 minus the best bit-1 per-axis metric
+  ``-(r - a)^2 / N0`` over the binary-reflected Gray labels of the
+  unit-energy PAM levels, for random received values and per-symbol noise
+  variances;
 * uncoded QPSK (two BPSK axes) over flat Rayleigh fading with perfect-CSI
   compensation in :meth:`~repro.link.receiver.Receiver.equalize_batch`,
   against ``0.5 * (1 - sqrt(g / (1 + g)))`` and its diversity slope of one
@@ -21,10 +27,11 @@ theory:
   i.i.d. bit-flip cells: every word with at most one faulty cell reads back
   exactly, and words with two or more occur at the binomial rate
   ``1 - (1 - p)^n - n p (1 - p)^(n - 1)``;
-* the UMTS constituent code: the RSC parity stream of every input of up
-  to 12 bits equals GF(2) power-series division by the octal 13 / 15
-  generators, ``p(D) = u(D) g1(D) / g0(D)``, and the feedback tail drives
-  every state to 0;
+* the UMTS constituent code: the RSC parity stream and final state of
+  every input of up to 13 bits, from every start state, equal GF(2)
+  power-series division by the octal 13 / 15 generators,
+  ``p(D) = u(D) g1(D) / g0(D)``, and the feedback tail drives every state
+  to 0;
 * every SISO kernel (numpy and native, float64 and float32) returns, for
   blocks of up to 10 bits, exactly the max-log APP that brute-force
   enumeration of every input path through the trellis defines;
@@ -176,6 +183,62 @@ class TestUncodedAwgnBer:
         llrs = receiver.demap_batch(received, np.full(rows, n0))
         errors = int(np.count_nonzero((llrs[:, :num_bits] < 0) != bits))
         assert_binomial(errors, bits.size, gray_qam_ber(modulator.bits_per_symbol, 1.0 / n0))
+
+
+# --------------------------------------------------------------------------- #
+def _reflected_gray_labels(bits: int) -> list:
+    """Binary-reflected Gray labels in ascending amplitude order.
+
+    ``L(n + 1) = L(n)`` followed by ``L(n)`` reversed with the new most
+    significant bit set.
+    """
+    labels = [0]
+    for n in range(bits):
+        labels = labels + [(1 << n) | label for label in reversed(labels)]
+    return labels
+
+
+class TestSoftDemapper:
+    @pytest.mark.parametrize("modulation", ["QPSK", "16QAM", "64QAM"])
+    def test_llrs_are_the_max_log_definition(self, modulation):
+        modulator = get_modulator(modulation)
+        per_axis = modulator.bits_per_symbol // 2
+        m = 1 << per_axis
+        labels = np.array(_reflected_gray_labels(per_axis))
+        positions = np.arange(-(m - 1), m, 2, dtype=np.float64)
+        # Unit average symbol energy: E|s|^2 = 2 E[a^2] over both axes.
+        amplitudes = positions * (1.0 / np.sqrt(2.0 * np.mean(positions**2)))
+
+        # The transmit map puts even symbol bits on I and odd ones on Q,
+        # each axis' bits read most significant first as a Gray label.
+        patterns = np.arange(1 << modulator.bits_per_symbol)
+        symbol_bits = (patterns[:, None] >> np.arange(modulator.bits_per_symbol)[::-1]) & 1
+        weights = 1 << np.arange(per_axis)[::-1]
+        at_label = dict(zip(labels.tolist(), amplitudes.tolist()))
+        expected_points = [
+            complex(at_label[int(row[0::2] @ weights)], at_label[int(row[1::2] @ weights)])
+            for row in symbol_bits
+        ]
+        np.testing.assert_array_equal(
+            modulator.modulate(symbol_bits.reshape(-1)), expected_points
+        )
+
+        rng = np.random.default_rng(29)
+        n = 4000
+        received = rng.normal(0.0, 0.8, n) + 1j * rng.normal(0.0, 0.8, n)
+        received[:8] = amplitudes[rng.integers(0, m, 8)]  # exactly on a level
+        n0 = rng.uniform(0.001, 2.0, n)
+        expected = np.empty((n, modulator.bits_per_symbol))
+        for axis, values in enumerate((received.real, received.imag)):
+            metric = -((values[:, None] - amplitudes[None, :]) ** 2) / (2.0 * (n0 / 2.0))[:, None]
+            for t in range(per_axis):
+                is_one = ((labels >> (per_axis - 1 - t)) & 1).astype(bool)
+                best0 = np.where(is_one, -np.inf, metric).max(axis=1)
+                best1 = np.where(is_one, metric, -np.inf).max(axis=1)
+                expected[:, 2 * t + axis] = best0 - best1
+        np.testing.assert_array_equal(
+            modulator.demodulate_soft(received, n0), expected.reshape(-1)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -429,6 +492,30 @@ class TestTurboCode:
         # The state is the last three register bits, most recent first.
         padded = np.hstack([np.zeros((inputs.shape[0], 3), dtype=np.int64), register])
         expected_states = 4 * padded[:, -1] + 2 * padded[:, -2] + padded[:, -3]
+        np.testing.assert_array_equal(final_states, expected_states)
+
+    @pytest.mark.parametrize("length", [13, 30])
+    @pytest.mark.parametrize("start", range(UMTS_TRELLIS.num_states))
+    def test_rsc_from_any_state_is_polynomial_division(self, length, start):
+        """Encoding from state s is encoding from 0 after inputs that load s.
+
+        State ``4 w_(k) + 2 w_(k-1) + w_(k-2)`` holds the last three register
+        bits, so the register prefix ``(s & 1, s >> 1 & 1, s >> 2 & 1)``
+        loads ``s``; its inputs are that prefix times g0(D).
+        """
+        if length <= 13:
+            inputs = _all_inputs(length)
+        else:
+            inputs = np.random.default_rng(length).integers(0, 2, (512, length))
+        prefix = np.array([[start & 1, start >> 1 & 1, start >> 2 & 1]])
+        loading = _multiply(prefix, self.G0)
+        words = np.hstack([np.repeat(loading, inputs.shape[0], axis=0), inputs])
+        register = _series_divide(words, self.G0)
+        np.testing.assert_array_equal(register[:, :3], np.repeat(prefix, inputs.shape[0], axis=0))
+
+        parity, final_states = UMTS_TRELLIS.encode_bits_batch(inputs, initial_state=start)
+        np.testing.assert_array_equal(parity, _multiply(register, self.G1)[:, 3:])
+        expected_states = 4 * register[:, -1] + 2 * register[:, -2] + register[:, -3]
         np.testing.assert_array_equal(final_states, expected_states)
 
     def test_feedback_tail_terminates_every_state(self):
